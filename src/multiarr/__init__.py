@@ -20,7 +20,6 @@ from .exactalg import (
     RationalField,
     binary_form_divides,
     divisibility_constraints,
-    kernel_basis,
 )
 from .multiarr2 import (
     Arrangement2,
@@ -28,7 +27,6 @@ from .multiarr2 import (
     Exponents2,
     basis,
     defining_form,
-    delta,
     derivation_space_dim,
     exponents,
     is_balanced,
@@ -43,7 +41,6 @@ from .lattice import (
     LatticeRegion,
     classify,
     component_of,
-    enumerate_multiplicities,
     lattice_distance,
     verify_lemma_one,
     verify_theorem_limit,

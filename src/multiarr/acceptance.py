@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from . import arr3, corpus, lattice, multiarr2, shift
-from .exactalg import QQ, BinaryForm, binary_form_divides
+from .exactalg import QQ, BinaryForm, LinearForm2, binary_form_divides
 from .multiarr2 import Arrangement2, Derivation2
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA"]
@@ -60,7 +60,6 @@ def criterion_simple_baseline(jobs: int = 1) -> CriterionResult:
     """Random simple arrangements have exponents (1, h-1) and Euler below."""
     started = time.perf_counter()
     rng = random.Random(20260810)
-    euler_like = 0
     trials = 20
     for _ in range(trials):
         h = rng.randint(3, 8)
@@ -70,8 +69,6 @@ def criterion_simple_baseline(jobs: int = 1) -> CriterionResult:
             a, b = rng.randint(-5, 5), rng.randint(-5, 5)
             if (a, b) == (0, 0):
                 continue
-            from .exactalg import LinearForm2
-
             f = LinearForm2(QQ, a, b)
             if f not in seen:
                 seen.add(f)
@@ -87,7 +84,6 @@ def criterion_simple_baseline(jobs: int = 1) -> CriterionResult:
         if c is None or not c:
             return _result(1, "simple-arrangement baseline", 1.0, started, False,
                            f"lower basis {theta.render()} is not a multiple of the Euler derivation")
-        euler_like += 1
     return _result(1, "simple-arrangement baseline", 1.0, started, True,
                    f"{trials} random arrangements, all (1, h-1) with Euler-proportional lower basis")
 
@@ -165,7 +161,7 @@ def criterion_a2_parity_law(jobs: int = 1) -> CriterionResult:
                     continue
                 checked += 1
                 want = total % 2
-                got = multiarr2.delta(arr, m)
+                got = multiarr2.exponents(arr, m).delta
                 if got != want:
                     return _result(4, "3-line parity law", None, started, False,
                                    f"gap {got} != {want} at {m}")
@@ -332,7 +328,7 @@ def criterion_property_suite(jobs: int = 1) -> CriterionResult:
                     if emap[m1].delta != 1 or emap[m2].delta != 1:
                         continue
                     top = tuple(max(a, b) for a, b in zip(m1, m2))
-                    dtop = emap[top].delta if top in emap else multiarr2.delta(arr, top)
+                    dtop = emap[top].delta if top in emap else multiarr2.exponents(arr, top).delta
                     if dtop != 0 or emap[base].delta != 0:
                         continue
                     rep = shift.proposition_next_check(arr, m1, m2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Iterable
 
-from .exactalg import Matrix, canonical_coefficients
+from .exactalg import LinearForm2, Matrix, _render_terms, canonical_coefficients, char_warning
 from .multiarr2 import Arrangement2, exponents, is_balanced
 
 __all__ = [
@@ -63,8 +63,6 @@ class LinearForm3:
         return sum((u * v for u, v in zip(self.coeffs, (self.field(x) for x in vec))), self.field.zero)
 
     def render(self, names=("x", "y", "z")) -> str:
-        from .exactalg import _render_terms
-
         return _render_terms(self.field, list(zip(self.coeffs, names)))
 
     def __eq__(self, other):
@@ -138,8 +136,6 @@ class AffineLine:
         return (self.a, self.b, self.c)
 
     def render(self, names=("x", "y")) -> str:
-        from .exactalg import _render_terms
-
         lhs = _render_terms(self.field, [(self.a, names[0]), (self.b, names[1])])
         return f"{lhs} = {self.field.format(self.c)}"
 
@@ -500,8 +496,6 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
         raise ValueError("restriction needs at least two hyperplanes")
     field = arr.field
     u1, u2, _ = _plane_frame(arr.forms[h0])
-    from .exactalg import LinearForm2
-
     order: list = []
     counts: dict = {}
     for i, alpha in enumerate(arr.forms):
@@ -533,30 +527,50 @@ class FreenessVerdict:
     char_warning: str | None = None
 
 
-def yoshinaga_coker_dim(arr: Arrangement3, h0: int) -> int:
-    """c2 - d1*d2 for the restriction onto h0; nonnegative in char 0."""
-    if arr.h < 2:
-        raise ValueError("need at least two hyperplanes")
-    _, c2 = char_poly(arr).quadratic_coeffs()
-    restricted, mult = ziegler_restriction(arr, h0)
+def _coker(c2: int, restricted: Arrangement2, mult: tuple):
+    """(c2 - d1*d2, exponents) for a restriction; the cokernel is never negative in char 0."""
     e = exponents(restricted, mult)
     coker = c2 - e.d1 * e.d2
-    if arr.field.char == 0 and coker < 0:
+    if restricted.field.char == 0 and coker < 0:
         raise RuntimeError(
-            f"negative cokernel dimension {coker} at h0={h0}; "
-            "this contradicts the freeness criterion and signals a bug"
+            f"negative cokernel dimension {coker} for the restriction {restricted!r} "
+            f"with m={mult}; this contradicts the freeness criterion and signals a bug"
         )
-    return coker
+    return coker, e
 
 
-def _fc_case(k: int, h: int, c2: int):
-    """Which product shape c2 matches: roots (d, d+h-2) or (d, d+h-3)."""
-    for case, gap in ((1, h - 2), (2, h - 3)):
-        if (k - gap) % 2 == 0:
-            d = (k - gap) // 2
-            if c2 == d * (d + gap):
-                return case, d
-    return None, None
+def yoshinaga_coker_dim(arr: Arrangement3, h0: int) -> int:
+    """c2 - d1*d2 for the restriction onto h0; nonnegative in char 0."""
+    _, c2 = char_poly(arr).quadratic_coeffs()
+    return _coker(c2, *ziegler_restriction(arr, h0))[0]
+
+
+def _product_shape(k: int, h: int):
+    """(case, d, gap) of the product shape (t - d)(t - d - gap) for k lines.
+
+    Case 1 has gap h - 2 and case 2 has gap h - 3; exactly one of them
+    makes k - gap even, and then d = (k - gap) / 2.
+    """
+    case, gap = (1, h - 2) if (k - h) % 2 == 0 else (2, h - 3)
+    return case, (k - gap) // 2, gap
+
+
+def _infinite_restriction(aff: AffineArrangement2):
+    """Cone aff and restrict onto the infinite plane: (restricted, mult, reason).
+
+    reason names the first failing hypothesis of the balanced criteria, or
+    is None; restricted and mult are None when there is no restriction.
+    """
+    if aff.field.char:
+        return None, None, "characteristic-zero hypothesis fails"
+    if not aff.lines:
+        return None, None, "cone has a single hyperplane"
+    restricted, mult = ziegler_restriction(*cone(aff))
+    if restricted.h <= 2:
+        return restricted, mult, f"restriction has h = {restricted.h} <= 2"
+    if not is_balanced(restricted, mult):
+        return restricted, mult, "restriction multiplicity is unbalanced"
+    return restricted, mult, None
 
 
 def is_free(arr: Arrangement3, h0: int = 0) -> FreenessVerdict:
@@ -570,28 +584,18 @@ def is_free(arr: Arrangement3, h0: int = 0) -> FreenessVerdict:
     restriction, or a 4-line restriction of an even-sized arrangement.
     """
     cp = char_poly(arr)
-    warning = None
-    if arr.field.char:
-        warning = (
-            f"field has characteristic {arr.field.char}; "
-            "the freeness criterion assumes characteristic zero"
-        )
+    warning = char_warning(arr.field, "the freeness criterion assumes characteristic zero")
     if arr.h == 1:
         return FreenessVerdict(True, (1, 0, 0), 0, 0, None, True, "trivial", cp, warning)
-    if not 0 <= h0 < arr.h:
-        raise ValueError(f"h0 index {h0} out of range")
     restricted, mult = ziegler_restriction(arr, h0)
-    e = exponents(restricted, mult)
     _, c2 = cp.quadratic_coeffs()
-    coker = c2 - e.d1 * e.d2
-    if arr.field.char == 0 and coker < 0:
-        raise RuntimeError(f"negative cokernel dimension {coker} (bug)")
+    coker, e = _coker(c2, restricted, mult)
     free = coker == 0
-    k = arr.h - 1
+    _, d, gap = _product_shape(arr.h - 1, restricted.h)
     rule = None
     if not is_balanced(restricted, mult):
         rule = "nb"
-    elif restricted.h > 2 and _fc_case(k, restricted.h, c2)[0] is not None:
+    elif restricted.h > 2 and c2 == d * (d + gap):
         rule = "fc"
     elif restricted.h == 3:
         rule = "A2"
@@ -610,16 +614,16 @@ def is_free(arr: Arrangement3, h0: int = 0) -> FreenessVerdict:
     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FcReport:
     applies: bool
-    free: bool | None
+    free: bool | None = None
     reason: str
     k: int
-    h: int | None
-    c2: int | None
-    case: int | None
-    d: int | None
+    h: int | None = None
+    c2: int | None = None
+    case: int | None = None
+    d: int | None = None
 
 
 def thm_fc_check(aff: AffineArrangement2) -> FcReport:
@@ -631,45 +635,34 @@ def thm_fc_check(aff: AffineArrangement2) -> FcReport:
     is free (cross-checked against the cokernel dimension).
     """
     k = aff.k
-    if aff.field.char:
-        return FcReport(False, None, "characteristic-zero hypothesis fails", k, None, None, None, None)
-    arr, h0 = cone(aff)
-    if arr.h < 2:
-        return FcReport(False, None, "cone has a single hyperplane", k, None, None, None, None)
-    restricted, mult = ziegler_restriction(arr, h0)
+    restricted, mult, reason = _infinite_restriction(aff)
+    if restricted is None:
+        return FcReport(applies=False, reason=reason, k=k)
     h = restricted.h
-    cp = char_poly(aff)
-    c2 = cp.coeffs[2]
-    if h <= 2:
-        return FcReport(False, None, f"restriction has h = {h} <= 2", k, h, c2, None, None)
-    if not is_balanced(restricted, mult):
-        return FcReport(
-            False, None, "restriction multiplicity is unbalanced (closed-form exponents apply instead)",
-            k, h, c2, None, None,
-        )
-    case, d = _fc_case(k, h, c2)
-    if case is None:
-        return FcReport(
-            False, None,
-            "characteristic polynomial does not factor as (t-d)(t-d-h+2) or (t-d)(t-d-h+3)",
-            k, h, c2, None, None,
-        )
-    coker = yoshinaga_coker_dim(arr, h0)
+    c2 = char_poly(aff).coeffs[2]
+    case, d, gap = _product_shape(k, h)
+    if reason is None and c2 != d * (d + gap):
+        reason = "characteristic polynomial does not factor as (t-d)(t-d-h+2) or (t-d)(t-d-h+3)"
+    if reason is not None:
+        return FcReport(applies=False, reason=reason, k=k, h=h, c2=c2)
+    coker, _ = _coker(c2, restricted, mult)
     if coker != 0:
         raise RuntimeError(
             f"product-shape hypotheses hold but coker = {coker}; genuine counterexample or bug"
         )
-    return FcReport(True, True, "hypotheses hold; cone is free", k, h, c2, case, d)
+    return FcReport(
+        applies=True, free=True, reason="hypotheses hold; cone is free", k=k, h=h, c2=c2, case=case, d=d
+    )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RestReport:
     applicable: bool
     reason: str
-    case: int | None
-    d: int | None
-    roots: tuple | None
-    bounds_ok: bool | None
+    case: int | None = None
+    d: int | None = None
+    roots: tuple | None = None
+    bounds_ok: bool | None = None
 
     @property
     def passed(self) -> bool:
@@ -683,28 +676,18 @@ def thm_rest_check(aff: AffineArrangement2) -> RestReport:
     d <= a <= b <= d + h - 2; with k = 2d + h - 3 the bound tightens to
     d + h - 3.
     """
-    if aff.field.char:
-        return RestReport(False, "characteristic-zero hypothesis fails", None, None, None, None)
-    arr, h0 = cone(aff)
-    if arr.h < 2:
-        return RestReport(False, "cone has a single hyperplane", None, None, None, None)
-    restricted, mult = ziegler_restriction(arr, h0)
-    h = restricted.h
-    if h <= 2:
-        return RestReport(False, f"restriction has h = {h} <= 2", None, None, None, None)
-    if not is_balanced(restricted, mult):
-        return RestReport(False, "restriction multiplicity is unbalanced", None, None, None, None)
+    restricted, _, reason = _infinite_restriction(aff)
+    if reason is not None:
+        return RestReport(applicable=False, reason=reason)
     roots = char_poly(aff).integer_roots_quadratic()
     if roots is None:
-        return RestReport(False, "characteristic polynomial does not split over Z", None, None, None, None)
+        return RestReport(applicable=False, reason="characteristic polynomial does not split over Z")
     a, b = roots
-    k = aff.k
-    if (k - h) % 2 == 0:
-        case, d, top = 1, (k - h + 2) // 2, (k - h + 2) // 2 + h - 2
-    else:
-        case, d, top = 2, (k - h + 3) // 2, (k - h + 3) // 2 + h - 3
-    bounds_ok = d <= a <= b <= top
-    return RestReport(True, "hypotheses hold", case, d, roots, bounds_ok)
+    case, d, gap = _product_shape(aff.k, restricted.h)
+    return RestReport(
+        applicable=True, reason="hypotheses hold", case=case, d=d, roots=roots,
+        bounds_ok=d <= a <= b <= d + gap,
+    )
 
 
 def euler_chamber_count(aff: AffineArrangement2) -> int:
@@ -744,17 +727,17 @@ def chamber_count(aff: AffineArrangement2) -> int:
     return count
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Rest2Report:
     applicable: bool
     reason: str
-    case: int | None
-    d: int | None
-    chambers: int | None
-    bound: int | None
-    c2_ok: bool | None
-    equality: bool | None
-    freeness_confirmed: bool | None
+    case: int | None = None
+    d: int | None = None
+    chambers: int | None = None
+    bound: int | None = None
+    c2_ok: bool | None = None
+    equality: bool | None = None
+    freeness_confirmed: bool | None = None
 
     @property
     def passed(self) -> bool:
@@ -769,31 +752,20 @@ class Rest2Report:
 
 def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
     """Chamber lower bound for balanced arrangements; equality forces freeness."""
-    if aff.field.char:
-        return Rest2Report(False, "characteristic-zero hypothesis fails", None, None, None, None, None, None, None)
-    arr, h0 = cone(aff)
-    if arr.h < 2:
-        return Rest2Report(False, "cone has a single hyperplane", None, None, None, None, None, None, None)
-    restricted, mult = ziegler_restriction(arr, h0)
-    h = restricted.h
-    if h <= 2:
-        return Rest2Report(False, f"restriction has h = {h} <= 2", None, None, None, None, None, None, None)
-    if not is_balanced(restricted, mult):
-        return Rest2Report(False, "restriction multiplicity is unbalanced", None, None, None, None, None, None, None)
+    restricted, _, reason = _infinite_restriction(aff)
+    if reason is not None:
+        return Rest2Report(applicable=False, reason=reason)
     k = aff.k
-    if (k - h) % 2 == 0:
-        case, d, prod = 1, (k - h + 2) // 2, ((k - h + 2) // 2) * ((k - h + 2) // 2 + h - 2)
-    else:
-        case, d, prod = 2, (k - h + 3) // 2, ((k - h + 3) // 2) * ((k - h + 3) // 2 + h - 3)
-    c2 = char_poly(aff).coeffs[2]
-    c2_ok = c2 >= prod
+    case, d, gap = _product_shape(k, restricted.h)
+    prod = d * (d + gap)
     chambers = chamber_count(aff)
     bound = 1 + k + prod
     equality = chambers == bound
-    freeness_confirmed = None
-    if equality:
-        freeness_confirmed = is_free(arr).free
-    return Rest2Report(True, "hypotheses hold", case, d, chambers, bound, c2_ok, equality, freeness_confirmed)
+    return Rest2Report(
+        applicable=True, reason="hypotheses hold", case=case, d=d, chambers=chambers, bound=bound,
+        c2_ok=char_poly(aff).coeffs[2] >= prod, equality=equality,
+        freeness_confirmed=is_free(cone(aff)[0]).free if equality else None,
+    )
 
 
 @dataclass
@@ -814,8 +786,6 @@ def pb3_membership(arr: Arrangement3) -> Pb3Report:
     (d, d') of the quadratic factor.  The witnessing index (or the first
     failure) is recorded.
     """
-    if arr.h < 2:
-        raise ValueError("need at least two hyperplanes")
     sizes = []
     for h0 in range(arr.h):
         restricted, mult = ziegler_restriction(arr, h0)

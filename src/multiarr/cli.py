@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__, acceptance, arr3, corpus, lattice, multiarr2, shift
-from .exactalg import GF, QQ
+from .exactalg import GF, QQ, char_warning
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,6 +56,8 @@ def parse_document(text: str) -> ArrangementDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nesting too deep") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     name = raw.get("name")
@@ -63,14 +65,14 @@ def parse_document(text: str) -> ArrangementDocument:
         raise DocumentError("name: expected a string")
     field_desc = raw.get("field")
     if field_desc != "Q":
-        if not (isinstance(field_desc, dict) and set(field_desc) == {"p"} and isinstance(field_desc["p"], int)):
+        if not (isinstance(field_desc, dict) and set(field_desc) == {"p"} and type(field_desc["p"]) is int):
             raise DocumentError('field: expected "Q" or {"p": prime}')
         try:
             GF(field_desc["p"])
         except ValueError as exc:
             raise DocumentError(f"field: {exc}") from exc
     dim = raw.get("dim")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise DocumentError("dim: expected 2 or 3")
     central = raw.get("central", True)
     if not isinstance(central, bool):
@@ -95,10 +97,12 @@ def parse_document(text: str) -> ArrangementDocument:
             raise DocumentError(f"{where}.coeffs: expected {width} entries")
         if not all(isinstance(c, str) for c in coeffs):
             raise DocumentError(f"{where}.coeffs: coefficients are exact-number strings")
+        if field_desc == "Q" and any(ch in c for c in coeffs for ch in "eE"):
+            raise DocumentError(f"{where}.coeffs: exponent notation is not accepted")
         mult = entry.get("mult", 1)
         if "mult" in entry and not mult_allowed:
             raise DocumentError(f"{where}.mult: multiplicities only apply to planar central input")
-        if not isinstance(mult, int) or mult < 0:
+        if type(mult) is not int or mult < 0:
             raise DocumentError(f"{where}.mult: expected a nonnegative integer")
         out.append((tuple(coeffs), mult))
     doc = ArrangementDocument(name, field_desc, dim, central, out)
@@ -106,6 +110,8 @@ def parse_document(text: str) -> ArrangementDocument:
         build_arrangement(doc)
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise DocumentError(f"coefficient with a zero denominator: {exc}") from exc
     return doc
 
 
@@ -132,7 +138,7 @@ def load_document(path: str) -> tuple[ArrangementDocument, str]:
     """Read a document from a path (or '-' for stdin); returns (doc, digest)."""
     try:
         text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     doc = parse_document(text)
     digest = hashlib.sha256(serialize_document(doc).encode()).hexdigest()
@@ -154,10 +160,6 @@ def build_arrangement(doc: ArrangementDocument):
     return "aff2", arr3.AffineArrangement2(field, [c for c, _ in doc.hyperplanes])
 
 
-def _field_json(doc: ArrangementDocument):
-    return doc.field_desc
-
-
 def _envelope(command: str, doc, digest: str, results: dict) -> dict:
     body = {
         "command": command,
@@ -168,7 +170,7 @@ def _envelope(command: str, doc, digest: str, results: dict) -> dict:
         body["input"] = {
             "digest": digest,
             "name": doc.name,
-            "field": _field_json(doc),
+            "field": doc.field_desc,
             "dim": doc.dim,
             "central": doc.central,
             "hyperplanes": len(doc.hyperplanes),
@@ -221,7 +223,7 @@ def cmd_exp(args) -> int:
         "balanced": balanced,
         "total_multiplicity": sum(mult),
         "multiplicity": list(mult),
-        "char_warning": _char_warning(field),
+        "char_warning": char_warning(field, "characteristic-zero results do not apply"),
     }
     lines = [
         f"arrangement: {doc.name or args.file} (h={arr.h}, field {field.name})",
@@ -238,12 +240,6 @@ def cmd_exp(args) -> int:
         lines.append(f"warning: {results['char_warning']}")
     _emit(args, _envelope("exp", doc, digest, results), lines, started)
     return EXIT_OK
-
-
-def _char_warning(field):
-    if field.char:
-        return f"field has characteristic {field.char}; characteristic-zero results do not apply"
-    return None
 
 
 def _require_arr2(doc):

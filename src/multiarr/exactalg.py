@@ -24,24 +24,34 @@ __all__ = [
     "LinearForm2",
     "BinaryForm",
     "Matrix",
-    "kernel_basis",
     "divisibility_constraints",
     "binary_form_divides",
+    "char_warning",
 ]
+
+# Miller-Rabin with these bases is exact for every n < 3.18e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -172,6 +182,8 @@ class PrimeField:
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int):
+        if p >= 2**64:
+            raise ValueError(f"prime fields need p < 2^64 (got {p})")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -211,6 +223,13 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+def char_warning(field, consequence: str) -> str | None:
+    """The warning attached to results over a field of positive characteristic."""
+    if field.char:
+        return f"field has characteristic {field.char}; {consequence}"
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -394,10 +413,6 @@ class BinaryForm:
             out[i] = (self.degree - i) * self.coeffs[i]
         return BinaryForm(self.field, self.degree - 1, out)
 
-    def directional(self, u, v) -> "BinaryForm":
-        """u * d/dx1 + v * d/dx2 applied to this form (u, v scalars)."""
-        return self.dx1().scaled(u) + self.dx2().scaled(v)
-
     def divide_exact(self, other: "BinaryForm"):
         """Return self / other if the division is exact, else None."""
         self._check(other)
@@ -514,6 +529,7 @@ class Matrix:
         return len(pivots)
 
     def kernel(self):
+        """Canonical null-space basis: ordered by free column, first nonzero entry 1."""
         erows, pivots = _echelon(self.field, self.rows)
         return _kernel_from_echelon(self.field, erows, pivots, self.ncols)
 
@@ -623,15 +639,6 @@ def _kernel_from_echelon(field, erows, pivots, ncols):
             x = [v / lead for v in x]
         basis.append(tuple(x))
     return basis
-
-
-def kernel_basis(mat: Matrix):
-    """Canonical basis of the right null space of ``mat``.
-
-    Vectors are ordered by their free column and scaled so the first
-    nonzero entry is 1; the result is deterministic.
-    """
-    return mat.kernel()
 
 
 def divisibility_constraints(alpha: LinearForm2, k: int, d: int) -> Matrix:

@@ -22,6 +22,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterator, Sequence
 
+from .exactalg import char_warning
 from .multiarr2 import Arrangement2, Exponents2, Multiplicity, exponents, is_balanced
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "lattice_distance",
     "classify",
     "component_of",
-    "enumerate_multiplicities",
     "exponent_map",
     "verify_lemma_one",
     "verify_theorem_limit",
@@ -215,11 +215,6 @@ def component_of(arr: Arrangement2, m: Sequence[int]) -> ComponentReport:
     return ComponentReport(peak, radius, tuple(members))
 
 
-def enumerate_multiplicities(region: LatticeRegion) -> Iterator[Multiplicity]:
-    """All multiplicities of the region, in lexicographic order."""
-    return region.points()
-
-
 def _exponent_chunk(args):
     arr, chunk = args
     return [(m, exponents(arr, m).pair) for m in chunk]
@@ -246,13 +241,7 @@ def exponent_map(region: LatticeRegion, jobs: int = 1) -> dict:
     return pairs
 
 
-def _char_warning(arr: Arrangement2) -> str | None:
-    if arr.field.char:
-        return (
-            f"field has characteristic {arr.field.char}; "
-            "characteristic-zero hypotheses do not apply"
-        )
-    return None
+_CHAR_CONSEQUENCE = "characteristic-zero hypotheses do not apply"
 
 
 @dataclass
@@ -287,7 +276,8 @@ def verify_lemma_one(region: LatticeRegion, jobs: int = 1) -> LemmaOneReport:
             if abs(d1 - d2) != 1:
                 failures.append((m, m2, d1, d2))
     failures.sort()
-    return LemmaOneReport(region, checked, failures, _char_warning(region.arrangement))
+    warning = char_warning(region.arrangement.field, _CHAR_CONSEQUENCE)
+    return LemmaOneReport(region, checked, failures, warning)
 
 
 @dataclass
@@ -340,7 +330,7 @@ def verify_theorem_limit(region: LatticeRegion, jobs: int = 1) -> LimitReport:
         sorted(violations),
         sorted(maximizers),
         sorted(parity_failures),
-        _char_warning(arr),
+        char_warning(arr.field, _CHAR_CONSEQUENCE),
     )
     if h <= 2:
         report.notes.append("arrangement has h <= 2; the bound hypothesis needs h > 2")
@@ -476,6 +466,6 @@ def verify_theorem_str(region: LatticeRegion, jobs: int = 1) -> StrReport:
         components,
         sorted(clipped),
         failures,
-        _char_warning(arr),
+        char_warning(arr.field, _CHAR_CONSEQUENCE),
         notes,
     )

@@ -32,7 +32,6 @@ __all__ = [
     "Exponents2",
     "derivation_space_dim",
     "exponents",
-    "delta",
     "is_balanced",
     "lower_degree_basis",
     "basis",
@@ -249,11 +248,6 @@ def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
         f"degree scan found no derivation up to {total // 2} for m={m}; "
         "this is a solver bug, not a property of the input"
     )
-
-
-def delta(arr: Arrangement2, m: Sequence[int]) -> int:
-    """The exponent gap d2 - d1."""
-    return exponents(arr, m).delta
 
 
 def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:

@@ -16,14 +16,13 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .exactalg import binary_form_divides
+from .exactalg import BinaryForm, binary_form_divides
 from .multiarr2 import (
     Arrangement2,
     Derivation2,
     Multiplicity,
     basis,
     defining_form,
-    delta,
     exponents,
     is_balanced,
     lower_degree_basis,
@@ -57,8 +56,6 @@ def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
     v = theta.apply_to_form(phi.g)
     if target < 0 or phi.degree == 0:
         # structurally zero (derivative of constants); keep a clean degree
-        from .exactalg import BinaryForm
-
         deg = max(target, 0)
         return Derivation2(BinaryForm.zero(theta.field, deg), BinaryForm.zero(theta.field, deg))
     if u.degree != target or v.degree != target:
@@ -79,7 +76,6 @@ def coordinate_duals(arr: Arrangement2):
     det = a1 * b2 - a2 * b1
     if not det:
         raise RuntimeError("first two forms are proportional (arrangement invariant broken)")
-    from .exactalg import BinaryForm
 
     def const(u, v):
         return Derivation2(
@@ -117,11 +113,9 @@ def nabla_descent_check(arr: Arrangement2, m: Sequence[int], theta: Derivation2 
     is tested by direct polynomial division.
     """
     mt = arr.check_multiplicity(m)
-    if arr.h < 2:
-        raise ValueError("need at least two hyperplanes")
+    duals = coordinate_duals(arr)
     if theta is None:
         theta = lower_degree_basis(arr, mt)
-    duals = coordinate_duals(arr)
     items = []
     for i, d_i in enumerate(duals):
         eta = nabla(d_i, theta)
@@ -132,6 +126,28 @@ def nabla_descent_check(arr: Arrangement2, m: Sequence[int], theta: Derivation2 
                 bad.append(alpha)
         items.append((i, reduced, eta.is_zero(), not bad, bad))
     return DescentReport(arr, mt, theta, items)
+
+
+def _failed_hypotheses(arr: Arrangement2, mt: Multiplicity) -> list:
+    """The shift theorem's hypotheses that fail at mt, in check order."""
+    h = arr.h
+    failed = []
+    if h <= 2:
+        failed.append(f"shift certification needs h > 2 (got h={h})")
+    positive = all(v >= 1 for v in mt)
+    if not positive:
+        failed.append("m0 must be strictly positive")
+    if not is_balanced(arr, mt):
+        failed.append(f"m0={mt} is not balanced")
+    gap = exponents(arr, mt).delta
+    if gap != h - 2:
+        failed.append(f"gap of m0 is {gap}, the shift map needs the maximal gap {h - 2}")
+    m0m1 = tuple(v - 1 for v in mt)
+    if h == 3 and positive and not is_balanced(arr, m0m1):
+        failed.append(
+            f"h = 3 requires m0 - 1 = {m0m1} to be balanced (second hypothesis needs h >= 4)"
+        )
+    return failed
 
 
 @dataclass(frozen=True)
@@ -178,24 +194,10 @@ def shift_isomorphism_check(
     """
     mt = arr.check_multiplicity(m0)
     h = arr.h
-    if h <= 2:
-        raise ValueError(f"shift certification needs h > 2 (got h={h})")
-    if any(v < 1 for v in mt):
-        raise ValueError("m0 must be strictly positive")
-    if not is_balanced(arr, mt):
-        raise ValueError(f"m0={mt} is not balanced")
-    gap = delta(arr, mt)
-    if gap != h - 2:
-        raise ValueError(f"gap of m0 is {gap}, the shift map needs the maximal gap {h - 2}")
-    if h == 3:
-        m0m1 = tuple(v - 1 for v in mt)
-        if not is_balanced(arr, m0m1):
-            raise ValueError(
-                f"h = 3 requires m0 - 1 = {m0m1} to be balanced (second hypothesis needs h >= 4)"
-            )
-        hypothesis = "h=3 and m0-1 balanced"
-    else:
-        hypothesis = "h>=4"
+    failed = _failed_hypotheses(arr, mt)
+    if failed:
+        raise ValueError(failed[0])
+    hypothesis = "h=3 and m0-1 balanced" if h == 3 else "h>=4"
 
     theta0 = lower_degree_basis(arr, mt)
     d = theta0.degree
@@ -262,24 +264,12 @@ def is_am_euler(arr: Arrangement2, m: Sequence[int], theta: Derivation2):
     must pass; its failure would be a genuine counterexample and raises.
     """
     mt = arr.check_multiplicity(m)
-    h = arr.h
-    diags = []
-    if h <= 2:
-        diags.append(f"h = {h} <= 2")
-    if any(v < 1 for v in mt):
-        diags.append("multiplicity has a zero entry")
-    if not is_balanced(arr, mt):
-        diags.append("multiplicity is not balanced")
-    e = exponents(arr, mt)
-    if e.delta != h - 2:
-        diags.append(f"gap {e.delta} != h - 2 = {h - 2}")
-    if h == 3 and all(v >= 1 for v in mt):
-        if not is_balanced(arr, tuple(v - 1 for v in mt)):
-            diags.append("h = 3 but m - 1 is not balanced (hypothesis undefined here)")
+    diags = _failed_hypotheses(arr, mt)
+    d1 = exponents(arr, mt).d1
     if theta.is_zero():
         diags.append("theta is zero")
-    elif theta.degree != e.d1:
-        diags.append(f"theta has degree {theta.degree}, lower exponent is {e.d1}")
+    elif theta.degree != d1:
+        diags.append(f"theta has degree {theta.degree}, lower exponent is {d1}")
     else:
         bad = [
             alpha
@@ -325,11 +315,11 @@ def proposition_next_check(arr: Arrangement2, m1: Sequence[int], m2: Sequence[in
     diffs = [a - b for a, b in zip(t1, t2)]
     if sorted(d for d in diffs if d) != [-1, 1]:
         return PropNextReport(t1, t2, False, "not a +1/-1 crossing pair", None)
-    if delta(arr, t1) != 1 or delta(arr, t2) != 1:
+    if exponents(arr, t1).delta != 1 or exponents(arr, t2).delta != 1:
         return PropNextReport(t1, t2, False, "gaps are not both one", None)
     hi = tuple(max(a, b) for a, b in zip(t1, t2))
     lo = tuple(min(a, b) for a, b in zip(t1, t2))
-    if delta(arr, hi) != 0 or delta(arr, lo) != 0:
+    if exponents(arr, hi).delta != 0 or exponents(arr, lo).delta != 0:
         return PropNextReport(t1, t2, False, "max/min multiplicities do not both have gap zero", None)
     th1 = lower_degree_basis(arr, t1)
     th2 = lower_degree_basis(arr, t2)

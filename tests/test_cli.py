@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiarr import corpus
 from multiarr.cli import (
@@ -56,10 +58,87 @@ class TestDocuments:
                 '[{"coeffs": ["1","0"]}, {"coeffs": ["2","0"]}]}'
             )
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1/0", "1"]}]}', "zero denominator"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1", "0"], "mult": true}]}', "mult"),
+            ('{"field": "Q", "dim": 2.0, "hyperplanes": [{"coeffs": ["1", "0"]}]}', "dim"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1e999999999", "1"]}]}', "exponent"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1E3", "1"]}]}', "exponent"),
+            ('{"field": {"p": 18446744073709551629}, "dim": 2, "hyperplanes": [{"coeffs": ["1", "0"]}]}',
+             "2\\^64"),
+            ("[" * 100_000, "nesting"),
+        ],
+        ids=["zero-denominator", "bool-mult", "float-dim", "huge-exponent", "exponent-E", "p-above-2^64",
+             "deep-nesting"],
+    )
+    def test_parser_holes_exit_three(self, capsys, tmp_path, text, match):
+        with pytest.raises(DocumentError, match=match):
+            parse_document(text)
+        bad = tmp_path / "doc.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "exp", str(bad))
+        assert code == EXIT_IO and out == ""
+        assert "document error" in err
+
+    def test_undecodable_file_exits_three(self, capsys, tmp_path):
+        bad = tmp_path / "doc.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "exp", str(bad))
+        assert code == EXIT_IO
+        assert "document error" in err
+
     def test_field_descriptor_prime(self):
         doc, _ = load_document(corpus_file("remark_f2"))
         assert doc.field_desc == {"p": 2}
         assert doc.field.char == 2
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+COEFF = st.sampled_from(["0", "1", "-1", "2/3", "1/0", "0.5", "1e3", "x", ""]) | st.text(max_size=6)
+HYPERPLANE = st.fixed_dictionaries(
+    {"coeffs": st.lists(COEFF | JSON, max_size=4) | JSON},
+    optional={"mult": st.integers(-2, 3) | JSON, "extra": JSON},
+)
+DOCUMENT = st.fixed_dictionaries(
+    {
+        "field": st.just("Q") | st.fixed_dictionaries({"p": st.integers(-3, 2**70) | JSON}) | JSON,
+        "dim": st.sampled_from([2, 3]) | JSON,
+        "hyperplanes": st.lists(HYPERPLANE, max_size=4) | JSON,
+    },
+    optional={"name": st.text(max_size=4) | JSON, "central": st.booleans() | JSON},
+)
+
+
+class TestParserFuzz:
+    """parse_document refuses any malformed input with a DocumentError only."""
+
+    @staticmethod
+    def parse(text):
+        try:
+            parse_document(text)
+        except DocumentError:
+            pass
+
+    @settings(deadline=2000, max_examples=150)
+    @given(JSON)
+    def test_arbitrary_json(self, value):
+        self.parse(json.dumps(value))
+
+    @settings(deadline=2000, max_examples=150)
+    @given(DOCUMENT)
+    def test_document_shaped(self, value):
+        self.parse(json.dumps(value))
+
+    @settings(deadline=2000, max_examples=100)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text(self, text):
+        self.parse(text)
 
 
 class TestExpCommand:

@@ -12,9 +12,9 @@ from multiarr.exactalg import (
     BinaryForm,
     LinearForm2,
     Matrix,
+    _is_prime,
     binary_form_divides,
     divisibility_constraints,
-    kernel_basis,
 )
 
 
@@ -65,6 +65,54 @@ class TestScalars:
     )
     def test_big_rational_cancellation(self, a, b):
         assert a + b - b == a
+
+
+def trial_division_is_prime(n):
+    """Oracle: the textbook test by odd divisors up to the square root."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+# Carmichael numbers, a strong pseudoprime to the bases 2..23, Mersenne
+# primes and the largest prime below 2^64
+HARD_CASES = (
+    561, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161,
+    3825123056546413051, 2**31 - 1, 2**61 - 1, 2**64 - 59,
+)
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if _is_prime(n)] == [
+            n for n in range(10**5) if trial_division_is_prime(n)
+        ]
+
+    def test_hard_cases_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in HARD_CASES:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    @given(st.integers(10**5, 2**64 - 1))
+    def test_large_against_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert _is_prime(n) == sympy.isprime(n)
+        assert _is_prime(sympy.nextprime(n))
+
+    def test_large_prime_field(self):
+        F = GF(2**61 - 1)
+        assert F(2**61) == F(1)
+        with pytest.raises(ValueError, match="2\\^64"):
+            GF(2**64 + 13)
+        with pytest.raises(ValueError, match="not prime"):
+            GF(3825123056546413051)
 
 
 class TestLinearForm:
@@ -118,14 +166,14 @@ class TestBinaryForm:
 
 class TestKernel:
     def test_coordinate_projection(self):
-        assert kernel_basis(Matrix(QQ, [[1, 0]])) == [(0, 1)]
+        assert Matrix(QQ, [[1, 0]]).kernel() == [(0, 1)]
 
     def test_full_rank(self):
-        assert kernel_basis(Matrix(QQ, [[1, 0], [0, 1]])) == []
+        assert Matrix(QQ, [[1, 0], [0, 1]]).kernel() == []
 
     def test_rank_one_row(self):
         mat = Matrix(QQ, [[1, 1, 1]])
-        vecs = kernel_basis(mat)
+        vecs = mat.kernel()
         assert len(vecs) == 2
         # rank via an independent elimination: 3 columns - rank 1 = 2
         assert 3 - naive_rank(mat.rows) == 2
@@ -135,7 +183,7 @@ class TestKernel:
             assert lead == 1
 
     def test_empty_matrix_kernel_is_everything(self):
-        vecs = kernel_basis(Matrix(QQ, (), ncols=3))
+        vecs = Matrix(QQ, (), ncols=3).kernel()
         assert len(vecs) == 3
 
     def test_mixed_field_matrix_rejected(self):
@@ -151,7 +199,7 @@ class TestKernel:
     )
     def test_kernel_annihilates_and_spans(self, rows):
         mat = Matrix(QQ, rows)
-        vecs = kernel_basis(mat)
+        vecs = mat.kernel()
         for v in vecs:
             assert all(x == 0 for x in mat.mul_vec(v))
         assert len(vecs) == 4 - naive_rank(rows)

@@ -8,14 +8,13 @@ from multiarr.lattice import (
     LatticeRegion,
     classify,
     component_of,
-    enumerate_multiplicities,
     exponent_map,
     lattice_distance,
     verify_lemma_one,
     verify_theorem_limit,
     verify_theorem_str,
 )
-from multiarr.multiarr2 import Arrangement2, delta
+from multiarr.multiarr2 import Arrangement2, exponents
 
 
 def a2():
@@ -94,7 +93,7 @@ class TestComponents:
 class TestEnumeration:
     def test_lex_order(self):
         region = LatticeRegion(Arrangement2(QQ, [(1, 0), (0, 1)]), (1, 1))
-        assert list(enumerate_multiplicities(region)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert list(region.points()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_single_cap(self):
         region = LatticeRegion(Arrangement2(QQ, [(1, 0)]), (2,))
@@ -115,7 +114,7 @@ class TestLemmaOne:
         assert report.hypothesis_met
 
     def test_explicit_pair(self):
-        assert abs(delta(a2(), (2, 2, 1)) - delta(a2(), (2, 2, 2))) == 1
+        assert abs(exponents(a2(), (2, 2, 1)).delta - exponents(a2(), (2, 2, 2)).delta) == 1
 
     def test_char2_flagged(self):
         arr = Arrangement2(GF(2), [(1, 0), (0, 1), (1, 1)])

@@ -10,7 +10,6 @@ from multiarr.multiarr2 import (
     Derivation2,
     basis,
     defining_form,
-    delta,
     derivation_space_dim,
     exponents,
     is_balanced,
@@ -95,9 +94,9 @@ class TestExponents:
             assert e.total == sum(m)
 
     def test_delta_values(self):
-        assert delta(a2(), (1, 1, 1)) == 1
-        assert delta(a2(), (5, 1, 1)) == 3
-        assert delta(b2(), (1, 1, 1, 1)) == 2
+        assert exponents(a2(), (1, 1, 1)).delta == 1
+        assert exponents(a2(), (5, 1, 1)).delta == 3
+        assert exponents(b2(), (1, 1, 1, 1)).delta == 2
 
     def test_coordinate_invariance(self):
         transforms = [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, 1), (1, 0)), ((1, -3), (0, 1))]

@@ -1,0 +1,67 @@
+"""The public names of the package resolve, and the traced entry points stay put.
+
+The benchmark's layer tracer wraps module-level public functions (and the
+``Matrix`` rank and kernel methods) by name; a name that moves or becomes
+an alias would silently read as zero calls.
+"""
+
+import ast
+import inspect
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import multiarr
+
+MODULES = ("exactalg", "multiarr2", "lattice", "shift", "arr3", "corpus", "acceptance", "cli")
+
+TRACED_FUNCTIONS = {
+    "exactalg": ("divisibility_constraints", "binary_form_divides"),
+    "multiarr2": ("exponents", "basis"),
+    "lattice": ("exponent_map", "verify_theorem_str"),
+    "shift": ("shift_isomorphism_check", "nabla"),
+    "arr3": ("ziegler_restriction", "char_poly"),
+    "cli": ("load_document",),
+}
+TRACED_METHODS = {"exactalg": {"Matrix": ("rank", "kernel")}}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = import_module(f"multiarr.{name}")
+    for attr in getattr(mod, "__all__", ()):
+        assert hasattr(mod, attr), f"multiarr.{name}.__all__ lists missing {attr}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(multiarr.__file__).read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, attr in imported:
+        source = import_module(f"multiarr.{module}")
+        assert getattr(multiarr, attr) is getattr(source, attr)
+        assert attr in source.__all__, f"{attr} is exported by the package but not by {module}"
+
+
+@pytest.mark.parametrize("layer", sorted(TRACED_FUNCTIONS))
+def test_traced_functions_are_module_functions(layer):
+    mod = import_module(f"multiarr.{layer}")
+    for attr in TRACED_FUNCTIONS[layer]:
+        fn = getattr(mod, attr)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{layer}.{attr}"
+
+
+def test_traced_methods_are_defined_on_their_class():
+    for layer, classes in TRACED_METHODS.items():
+        mod = import_module(f"multiarr.{layer}")
+        for cls_name, methods in classes.items():
+            for meth in methods:
+                assert inspect.isfunction(getattr(mod, cls_name).__dict__.get(meth)), (
+                    f"{layer}.{cls_name}.{meth}"
+                )
