@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import __version__, acceptance, arr3, corpus, lattice, multiarr2, shift
 from .exactalg import GF, QQ, char_warning
@@ -30,6 +31,7 @@ EXIT_VIOLATION = 2
 EXIT_IO = 3
 
 POINT_BUDGET = 200_000
+MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 
 
 class DocumentError(Exception):
@@ -116,12 +118,14 @@ def parse_document(text: str) -> ArrangementDocument:
 
 
 def serialize_document(doc: ArrangementDocument) -> str:
+    field = doc.field
     obj = {
         "field": doc.field_desc,
         "dim": doc.dim,
         "central": doc.central,
         "hyperplanes": [
-            {"coeffs": list(coeffs)} | ({"mult": mult} if doc.dim == 2 and doc.central else {})
+            {"coeffs": [field.format(field(c)) for c in coeffs]}
+            | ({"mult": mult} if doc.dim == 2 and doc.central else {})
             for coeffs, mult in doc.hyperplanes
         ],
     }
@@ -137,7 +141,7 @@ def canonical_json(obj) -> str:
 def load_document(path: str) -> tuple[ArrangementDocument, str]:
     """Read a document from a path (or '-' for stdin); returns (doc, digest)."""
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     doc = parse_document(text)
@@ -196,6 +200,11 @@ def _derivation_json(theta, field):
     }
 
 
+def _check_mult_budget(total: int, what: str) -> None:
+    if total > MULT_BUDGET:
+        raise ValueError(f"{what} = {total} exceeds the multiplicity budget of {MULT_BUDGET}")
+
+
 def _parse_ints(text: str, expect: int, what: str):
     try:
         vals = tuple(int(v) for v in text.split(","))
@@ -214,6 +223,7 @@ def cmd_exp(args) -> int:
     started = time.perf_counter()
     doc, digest = load_document(args.file)
     kind, arr, mult = _require_arr2(doc)
+    _check_mult_budget(sum(mult), "|m|")
     e = multiarr2.exponents(arr, mult)
     balanced = multiarr2.is_balanced(arr, mult)
     field = arr.field
@@ -262,6 +272,8 @@ def cmd_lattice(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    top = sum(caps) if args.total is None else min(sum(caps), args.total)
+    _check_mult_budget(top, "the largest |m| of the region")
     verifier = {
         "one": lattice.verify_lemma_one,
         "limit": lattice.verify_theorem_limit,
@@ -358,6 +370,7 @@ def cmd_shift(args) -> int:
     doc, digest = load_document(args.file)
     _, arr, mult = _require_arr2(doc)
     m0 = _parse_ints(args.m0, arr.h, "--m0") if args.m0 else mult
+    _check_mult_budget(sum(m0), "|m0|")
     try:
         cert = shift.shift_isomorphism_check(arr, m0)
     except ValueError as exc:

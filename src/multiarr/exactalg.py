@@ -251,8 +251,7 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
     if not any(vals):
         raise ValueError("zero coefficient vector has no canonical form")
     if field.char == 0:
-        den = reduce(math.lcm, (v.denominator for v in vals), 1)
-        ints = [int(v * den) for v in vals]
+        ints = _int_row(field, vals)
         g = reduce(math.gcd, ints)
         lead = next(i for i in ints if i)
         if lead < 0:
@@ -270,11 +269,12 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
 class LinearForm2:
     """A nonzero linear form a*x1 + b*x2, stored in canonical scaling."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "a", "b", "ints")
 
     def __init__(self, field: Field, a, b):
         self.field = field
         self.a, self.b = canonical_coefficients(field, (a, b))
+        self.ints = _int_row(field, (self.a, self.b))  # coprime ints over Q, residues over GF(p)
 
     @property
     def coeffs(self):
@@ -498,12 +498,18 @@ class BinaryForm:
 
 
 class Matrix:
-    """A rectangular matrix of exact scalars over a single field."""
+    """A rectangular matrix over a single field, stored as rows of Python ints.
+
+    Over GF(p) each entry is kept as its residue; over Q each row is scaled
+    by the lcm of its denominators.  Neither changes the row space, so rank,
+    kernel and the zero pattern of mul_vec are those of the matrix as
+    given; kernel vectors are field scalars.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
-        rs = tuple(tuple(field(e) for e in row) for row in rows)
+        rs = tuple(_int_row(field, row) for row in rows)
         if rs:
             ncols_seen = {len(r) for r in rs}
             if len(ncols_seen) != 1:
@@ -537,24 +543,27 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
 
-def _echelon(field, rows):
-    """Row echelon form with deterministic pivoting.
+def _int_row(field, row) -> tuple:
+    """One matrix row as Python ints with the same span (see Matrix)."""
+    p = field.char
+    if p:
+        return tuple(e % p if type(e) is int else field(e).val for e in row)
+    if set(map(type, row)) <= {int}:
+        return tuple(row)
+    vals = [e if type(e) is int else field(e) for e in row]
+    den = reduce(math.lcm, (e.denominator for e in vals), 1)
+    return tuple(e.numerator * (den // e.denominator) for e in vals)
 
-    Over Q each row is first scaled to integers and elimination is
-    fraction-free (Bareiss), so entries never leave Z.  Over GF(p) plain
-    exact elimination is used.  Pivot choice: first nonzero in column
-    order.  Returns (echelon_rows, pivot_columns); over Q the echelon
-    entries are Python ints.
+
+def _echelon(field, rows):
+    """Row echelon form of integer rows with deterministic pivoting.
+
+    Over Q elimination is fraction-free (Bareiss), so entries never leave
+    Z; over GF(p) it is plain elimination on residues.  Pivot choice: first
+    nonzero in column order.  Returns (echelon_rows, pivot_columns).
     """
-    if field.char == 0:
-        work = []
-        for row in rows:
-            den = reduce(math.lcm, (e.denominator for e in row), 1)
-            work.append([int(e * den) for e in row])
-        pivots = _bareiss_int(work)
-    else:
-        work = [list(row) for row in rows]
-        pivots = _gauss_field(work, field)
+    work = [list(row) for row in rows]
+    pivots = _gauss_mod(work, field.char) if field.char else _bareiss_int(work)
     return work, pivots
 
 
@@ -588,7 +597,7 @@ def _bareiss_int(rows):
     return pivots
 
 
-def _gauss_field(rows, field):
+def _gauss_mod(rows, p):
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots = []
@@ -601,25 +610,22 @@ def _gauss_field(rows, field):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        inv = pow(rows[r][c], -1, p)
         prow = rows[r]
         for i in range(r + 1, nr):
             irow = rows[i]
             if irow[c]:
-                f = irow[c] / piv
+                f = irow[c] * inv % p
                 for j in range(c + 1, nc):
-                    irow[j] = irow[j] - f * prow[j]
-                irow[c] = field.zero
+                    irow[j] = (irow[j] - f * prow[j]) % p
+                irow[c] = 0
         pivots.append(c)
         r += 1
     return pivots
 
 
 def _kernel_from_echelon(field, erows, pivots, ncols):
-    rational = field.char == 0
-    conv = Fraction if rational else (lambda e: e)
-    zero = Fraction(0) if rational else field.zero
-    one = Fraction(1) if rational else field.one
+    zero, one = field.zero, field.one
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivot_set):
@@ -631,9 +637,9 @@ def _kernel_from_echelon(field, erows, pivots, ncols):
             s = zero
             for c in range(p + 1, ncols):
                 if row[c] and x[c]:
-                    s += conv(row[c]) * x[c]
+                    s += row[c] * x[c]
             if s:
-                x[p] = -s / conv(row[p])
+                x[p] = -s / row[p]
         lead = next(v for v in x if v)
         if lead != one:
             x = [v / lead for v in x]
@@ -644,43 +650,29 @@ def _kernel_from_echelon(field, erows, pivots, ncols):
 def divisibility_constraints(alpha: LinearForm2, k: int, d: int) -> Matrix:
     """Linear conditions on a degree-d form equivalent to alpha^k dividing it.
 
-    The k rows are the remainder coefficients of dividing the generic
-    degree-d form by alpha^k (a polynomial division, so the test is valid
-    in any characteristic).  A degree-d coefficient vector lies in the
-    kernel of the returned matrix iff alpha^k divides the form.
+    For alpha = a*x1 + b*x2 with a != 0, x = s*(-b, a) + t*(1, 0) is an
+    invertible substitution that turns alpha into a*t, so alpha^k divides F
+    iff the coefficients of t^0 .. t^(k-1) in F(x) vanish.  Row j holds the
+    coefficient of t^j: C(i, j) * (-b)^(i-j) * a^(d-i) in column i.  For
+    alpha = x2, row j is the unit row of x1^(d-j) * x2^j.  The rows are
+    integers over Q and residues over GF(p), valid in any characteristic;
+    rows past j = d are zero.  A degree-d coefficient vector lies in the
+    kernel iff alpha^k divides the form.
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
-    field = alpha.field
-    if k == 0:
-        return Matrix(field, (), ncols=d + 1)
-    # dehomogenise at x2=1 (main variable x1); if alpha is a multiple of
-    # x2 swap the roles of the variables instead
-    swap = not alpha.a
-    lin = (alpha.a, alpha.b) if swap else (alpha.b, alpha.a)
-    div = [field.one]
-    for _ in range(k):
-        div = [
-            (div[j] if j < len(div) else field.zero) * lin[0]
-            + (div[j - 1] * lin[1] if j else field.zero)
-            for j in range(len(div) + 1)
+    a, b = alpha.ints
+    if not a:
+        rows = [[int(i == d - j) for i in range(d + 1)] for j in range(k)]
+    else:
+        mod = alpha.field.char or None
+        pa = [pow(a, e, mod) for e in range(d + 1)]
+        pb = [pow(-b, e, mod) for e in range(d + 1)]
+        rows = [
+            [math.comb(i, j) * pb[i - j] * pa[d - i] if i >= j else 0 for i in range(d + 1)]
+            for j in range(k)
         ]
-    lead = div[k]
-    zero_row = [field.zero] * (d + 1)
-    rows = []
-    for j in range(d + 1):
-        row = list(zero_row)
-        row[d - j if swap else j] = field.one
-        rows.append(row)
-    for top in range(d, k - 1, -1):
-        lv = rows[top]
-        for s in range(k):
-            cs = div[s] / lead
-            if cs:
-                tgt = rows[top - k + s]
-                rows[top - k + s] = [u - cs * v for u, v in zip(tgt, lv)]
-    out = [rows[j] if j <= d else list(zero_row) for j in range(k)]
-    return Matrix(field, out, ncols=d + 1)
+    return Matrix(alpha.field, rows, ncols=d + 1)
 
 
 def binary_form_divides(alpha: LinearForm2, k: int, form: BinaryForm) -> bool:

@@ -194,26 +194,20 @@ class Derivation2:
         return f"Derivation2({self.render()})"
 
 
-@lru_cache(maxsize=None)
-def _constraints(alpha: LinearForm2, k: int, d: int) -> Matrix:
-    return divisibility_constraints(alpha, k, d)
-
-
 def _tangency_matrix(arr: Arrangement2, m: Multiplicity, d: int) -> Matrix:
     """Stacked conditions for a degree-d derivation to be tangent to (arr, m).
 
     Unknowns are the d+1 coefficients of f followed by those of g; each
     hyperplane with multiplicity k contributes the k divisibility rows of
-    theta(alpha) = a*f + b*g.
+    theta(alpha) = a*f + b*g, in integers (residues over GF(p)).
     """
     rows = []
     for alpha, k in zip(arr.forms, m):
         if k == 0:
             continue
-        block = _constraints(alpha, k, d)
-        a, b = alpha.a, alpha.b
-        for row in block.rows:
-            rows.append(tuple(a * e for e in row) + tuple(b * e for e in row))
+        a, b = alpha.ints
+        for row in divisibility_constraints(alpha, k, d).rows:
+            rows.append([a * e for e in row] + [b * e for e in row])
     return Matrix(arr.field, rows, ncols=2 * (d + 1))
 
 
@@ -227,10 +221,12 @@ def derivation_space_dim(arr: Arrangement2, m: Sequence[int], d: int) -> int:
 
 
 def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
-    """Exponents (d1, d2) found by scanning degrees for the first solution.
+    """Exponents (d1, d2), d1 + d2 = |m|, from one rank computation.
 
-    d1 is the least degree with a nonzero tangent derivation, d2 = |m| - d1;
-    the scan is bounded by |m|//2, which always suffices.
+    The module is free of rank two in any characteristic, so its degree-d
+    part has dimension (d-d1+1)_+ + (d-d2+1)_+.  At d = (|m|-1)//2 < d2
+    only the first term can be positive: d1 = d + 1 - dim, and dim == 0
+    means d1 = |m|//2.
     """
     return _exponents(arr, arr.check_multiplicity(m))
 
@@ -240,14 +236,10 @@ def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
     total = sum(m)
     if total == 0:
         return Exponents2(0, 0)
-    for d in range(total // 2 + 1):
-        mat = _tangency_matrix(arr, m, d)
-        if mat.ncols - mat.rank() > 0:
-            return Exponents2(d, total - d)
-    raise RuntimeError(
-        f"degree scan found no derivation up to {total // 2} for m={m}; "
-        "this is a solver bug, not a property of the input"
-    )
+    d = (total - 1) // 2
+    dim = derivation_space_dim(arr, m, d)
+    d1 = d + 1 - dim if dim else total // 2
+    return Exponents2(d1, total - d1)
 
 
 def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:

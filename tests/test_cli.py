@@ -1,17 +1,23 @@
 """Document parsing, command output, exit codes and JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multiarr
 from multiarr import corpus
 from multiarr.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    MULT_BUDGET,
     DocumentError,
     load_document,
     main,
@@ -28,6 +34,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_a2(tmp_path, coeffs, mult=1, field="Q"):
+    """a2 with the given coefficient strings and one multiplicity on every line."""
+    doc = {
+        "central": True,
+        "dim": 2,
+        "field": field,
+        "hyperplanes": [{"coeffs": list(c), "mult": mult} for c in coeffs],
+        "name": "a2",
+    }
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def input_digest(capsys, path):
+    code, out, _ = run(capsys, "exp", path, "--json")
+    assert code == EXIT_OK
+    return json.loads(out)["input"]["digest"]
 
 
 class TestDocuments:
@@ -93,6 +119,23 @@ class TestDocuments:
         doc, _ = load_document(corpus_file("remark_f2"))
         assert doc.field_desc == {"p": 2}
         assert doc.field.char == 2
+
+    def test_equivalent_coefficients_share_a_digest(self, capsys, tmp_path):
+        want = input_digest(capsys, corpus_file("a2"))
+        odd = write_a2(tmp_path, [("2/2", " 0"), ("0", "1.0"), ("1", "1")])
+        assert input_digest(capsys, odd) == want
+        mod7 = input_digest(capsys, write_a2(tmp_path, [("1", "0"), ("0", "1"), ("1", "1")], field={"p": 7}))
+        assert input_digest(capsys, write_a2(tmp_path, [("8", "7"), ("-7", "15"), ("1", "-6")], field={"p": 7})) == mod7
+
+    def test_file_handle_closed(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(multiarr.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "multiarr.cli", "exp",
+             corpus_file("a2")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
 
 
 JSON = st.recursive(
@@ -177,6 +220,11 @@ class TestExpCommand:
         code, _, err = run(capsys, "exp", "/no/such/file.json")
         assert code == EXIT_IO
 
+    def test_mult_budget(self, capsys, tmp_path):
+        code, out, err = run(capsys, "exp", write_a2(tmp_path, [("1", "0"), ("0", "1"), ("1", "1")], mult=200))
+        assert code == EXIT_USAGE and out == ""
+        assert f"|m| = 600 exceeds the multiplicity budget of {MULT_BUDGET}" in err
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -241,6 +289,14 @@ class TestLatticeCommand:
         assert code == EXIT_USAGE
         assert "too large" in err
 
+    def test_mult_budget(self, capsys):
+        argv = ("lattice", corpus_file("a2"), "--caps", "100,100,0", "--verify", "one", "--jobs", "1")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert f"the largest |m| of the region = 200 exceeds the multiplicity budget of {MULT_BUDGET}" in err
+        code, out, _ = run(capsys, *argv, "--total", "2")
+        assert code == EXIT_OK and "verdict: PASS" in out
+
     def test_caps_length_checked(self, capsys):
         code, _, err = run(
             capsys, "lattice", corpus_file("a2"), "--caps", "1,1", "--verify", "one", "--jobs", "1"
@@ -259,6 +315,11 @@ class TestShiftCommand:
         code, out, _ = run(capsys, "shift", corpus_file("a2"))
         assert code == EXIT_OK
         assert "m0=(1, 1, 1)" in out
+
+    def test_mult_budget(self, capsys):
+        code, _, err = run(capsys, "shift", corpus_file("a2"), "--m0", "81,81,1")
+        assert code == EXIT_USAGE
+        assert f"|m0| = 163 exceeds the multiplicity budget of {MULT_BUDGET}" in err
 
     def test_hypothesis_failure_exit(self, capsys):
         code, _, err = run(capsys, "shift", corpus_file("a2"), "--m0", "2,2,2")

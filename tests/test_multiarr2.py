@@ -1,10 +1,11 @@
 """Exponents, bases and the determinant criterion for 2-multiarrangements."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multiarr.exactalg import GF, QQ, BinaryForm, binary_form_divides
+from multiarr import multiarr2
+from multiarr.exactalg import GF, QQ, BinaryForm, LinearForm2, Matrix, binary_form_divides
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -212,3 +213,66 @@ class TestNonbalanced:
         e, theta = nonbalanced_exponents(arr, m)
         assert e == exponents(arr, m)
         assert theta.degree == e.d1
+
+
+def scan_exponents(arr, m):
+    """Oracle: the degree scan, d1 is the first degree with a tangent derivation."""
+    total = sum(m)
+    d1 = next(d for d in range(total // 2 + 1) if derivation_space_dim(arr, m, d) > 0)
+    return (d1, total - d1)
+
+
+SOLVER_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**31 - 1))
+RATIONAL_FORMS = tuple(
+    dict.fromkeys(LinearForm2(QQ, a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0))
+)
+
+
+@st.composite
+def multiarrangements(draw):
+    """(arrangement, m) with h = 2..6 (as the field allows) and m(H) = 0..6."""
+    field = draw(st.sampled_from(SOLVER_FIELDS))
+    if field.char:
+        pool = [(0, 1)] + [(1, t) for t in range(min(field.char, 8))]
+    else:
+        pool = RATIONAL_FORMS
+    h = draw(st.integers(2, min(6, len(pool))))
+    forms = draw(st.lists(st.sampled_from(pool), min_size=h, max_size=h, unique=True))
+    m = tuple(draw(st.lists(st.integers(0, 6), min_size=h, max_size=h)))
+    return Arrangement2(field, forms), m
+
+
+class TestOneRankSolver:
+    @given(case=multiarrangements())
+    @example(case=(Arrangement2(GF(7), [(1, 0), (0, 1), (1, 1)]), (0, 0, 0)))
+    @example(case=(Arrangement2(GF(2), [(1, 0), (0, 1), (1, 1)]), (6, 1, 0)))
+    @example(case=(Arrangement2(QQ, [(1, 2), (3, -1)]), (6, 6)))
+    def test_matches_degree_scan_with_one_rank(self, case):
+        arr, m = case
+        multiarr2._exponents.cache_clear()
+        calls = []
+        rank = Matrix.rank
+
+        def counted(mat):
+            calls.append(mat)
+            return rank(mat)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Matrix, "rank", counted)
+            got = exponents(arr, m)
+        assert len(calls) == (1 if sum(m) else 0)
+        assert got.pair == scan_exponents(arr, m)
+
+    @given(case=multiarrangements(), d=st.integers(0, 12))
+    def test_rank_matches_sympy(self, case, d):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        arr, m = case
+        mat = multiarr2._tangency_matrix(arr, m, d)
+        if not mat.nrows:
+            assert mat.rank() == 0
+            return
+        domain = sympy.GF(arr.field.char) if arr.field.char else sympy.QQ
+        want = DomainMatrix.from_list([list(r) for r in mat.rows], sympy.ZZ).convert_to(domain).rank()
+        assert mat.rank() == want
