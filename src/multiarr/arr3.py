@@ -14,9 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Iterable
 
-from .exactalg import LinearForm2, Matrix, _render_terms, canonical_coefficients, char_warning
+from .exactalg import (
+    CanonicalForm,
+    FormTuple,
+    LinearForm2,
+    Matrix,
+    _render_terms,
+    canonical_coefficients,
+    char_warning,
+)
 from .multiarr2 import Arrangement2, exponents, is_balanced
 
 __all__ = [
@@ -50,145 +57,57 @@ __all__ = [
 ]
 
 
-class LinearForm3:
+class LinearForm3(CanonicalForm):
     """A nonzero linear form a*x + b*y + c*z, stored in canonical scaling."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    names = ("x", "y", "z")
 
     def __init__(self, field, a, b, c):
-        self.field = field
-        self.coeffs = canonical_coefficients(field, (a, b, c))
+        super().__init__(field, (a, b, c))
 
     def value(self, vec):
-        return sum((u * v for u, v in zip(self.coeffs, (self.field(x) for x in vec))), self.field.zero)
-
-    def render(self, names=("x", "y", "z")) -> str:
-        return _render_terms(self.field, list(zip(self.coeffs, names)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm3)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"LinearForm3({self.render()})"
+        """The form at an integer vector, as a field element."""
+        return self.field(sum(u * v for u, v in zip(self.ints, vec)))
 
 
-class Arrangement3:
+class Arrangement3(FormTuple):
     """A central arrangement of pairwise non-proportional planes through 0."""
 
-    __slots__ = ("field", "forms")
-
-    def __init__(self, field, forms: Iterable):
-        fs = []
-        for f in forms:
-            if isinstance(f, LinearForm3):
-                if f.field != field:
-                    raise TypeError("form field disagrees with arrangement field")
-                fs.append(f)
-            else:
-                fs.append(LinearForm3(field, *f))
-        if not fs:
-            raise ValueError("arrangement needs at least one hyperplane")
-        if len(set(fs)) != len(fs):
-            raise ValueError("planes must be pairwise non-proportional")
-        self.field = field
-        self.forms = tuple(fs)
-
-    @property
-    def h(self) -> int:
-        return len(self.forms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Arrangement3)
-            and self.field == other.field
-            and self.forms == other.forms
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.forms))
-
-    def __repr__(self):
-        inner = ", ".join(f.render() for f in self.forms)
-        return f"Arrangement3[{self.field.name}; {inner}]"
+    __slots__ = ()
+    form_type = LinearForm3
+    duplicate_error = "planes must be pairwise non-proportional"
 
 
-class AffineLine:
+class AffineLine(CanonicalForm):
     """The affine line a*x + b*y = c with (a, b) != 0, canonically scaled."""
 
-    __slots__ = ("field", "a", "b", "c")
+    __slots__ = ()
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
+    c = property(lambda self: self.coeffs[2])
 
     def __init__(self, field, a, b, c):
-        self.field = field
-        av, bv = field(a), field(b)
-        if not av and not bv:
+        if not field(a) and not field(b):
             raise ValueError("line needs a nonzero direction part")
-        self.a, self.b, self.c = canonical_coefficients(field, (a, b, c))
-
-    @property
-    def coeffs(self):
-        return (self.a, self.b, self.c)
+        super().__init__(field, (a, b, c))
 
     def render(self, names=("x", "y")) -> str:
         lhs = _render_terms(self.field, [(self.a, names[0]), (self.b, names[1])])
         return f"{lhs} = {self.field.format(self.c)}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineLine)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
 
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"AffineLine({self.render()})"
-
-
-class AffineArrangement2:
+class AffineArrangement2(FormTuple):
     """A finite set of pairwise distinct affine lines (possibly empty)."""
 
-    __slots__ = ("field", "lines")
-
-    def __init__(self, field, lines: Iterable):
-        ls = []
-        for l in lines:
-            if isinstance(l, AffineLine):
-                if l.field != field:
-                    raise TypeError("line field disagrees with arrangement field")
-                ls.append(l)
-            else:
-                ls.append(AffineLine(field, *l))
-        if len(set(ls)) != len(ls):
-            raise ValueError("lines must be pairwise distinct")
-        self.field = field
-        self.lines = tuple(ls)
+    __slots__ = ()
+    form_type = AffineLine
+    allow_empty = True
+    duplicate_error = "lines must be pairwise distinct"
 
     @property
     def k(self) -> int:
-        return len(self.lines)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineArrangement2)
-            and self.field == other.field
-            and self.lines == other.lines
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.lines))
-
-    def __repr__(self):
-        inner = ", ".join(l.render() for l in self.lines)
-        return f"AffineArrangement2[{self.field.name}; {inner}]"
+        return len(self.forms)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +257,7 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     forms = arr.forms
     for i in range(arr.h):
         for j in range(i + 1, arr.h):
-            d = _cross(forms[i].coeffs, forms[j].coeffs)
+            d = _cross(forms[i].ints, forms[j].ints)
             key = canonical_coefficients(field, d)
             if key not in flats:
                 flats[key] = set()
@@ -347,7 +266,7 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     for key in sorted(flats, key=lambda k: tuple(field.format(e) for e in k)):
         members = tuple(sorted(flats[key]))
         rank2.append(Rank2Flat(key, members, len(members) - 1))
-    rank3 = Matrix(field, [f.coeffs for f in forms]).rank() == 3
+    rank3 = Matrix(field, [f.ints for f in forms]).rank() == 3
     origin_mu = None
     if rank3:
         origin_mu = -(1 - arr.h + sum(f.mu for f in rank2))
@@ -371,7 +290,7 @@ def affine_poset(aff: AffineArrangement2) -> AffinePoset2:
     """Intersection points of the lines with their Moebius values."""
     field = aff.field
     pts: dict = {}
-    lines = aff.lines
+    lines = aff.forms
     for i in range(aff.k):
         for j in range(i + 1, aff.k):
             li, lj = lines[i], lines[j]
@@ -408,9 +327,9 @@ def cone(aff: AffineArrangement2):
     infinite hyperplane z = 0 is appended last.
     """
     field = aff.field
-    forms = [(l.a, l.b, -l.c) for l in aff.lines]
+    forms = [(l.a, l.b, -l.c) for l in aff.forms]
     forms.append((field.zero, field.zero, field.one))
-    return Arrangement3(field, forms), len(aff.lines)
+    return Arrangement3(field, forms), aff.k
 
 
 def _scalar_rank(c: int) -> int:
@@ -458,8 +377,8 @@ def _plane_frame(alpha: LinearForm3):
 
 
 def _independent_pair(field, u, v) -> bool:
-    c = _cross(tuple(field(x) for x in u), tuple(field(x) for x in v))
-    return any(c)
+    p = field.char
+    return any(c % p if p else c for c in _cross(u, v))
 
 
 def decone(arr: Arrangement3, h0: int) -> AffineArrangement2:
@@ -563,7 +482,7 @@ def _infinite_restriction(aff: AffineArrangement2):
     """
     if aff.field.char:
         return None, None, "characteristic-zero hypothesis fails"
-    if not aff.lines:
+    if not aff.forms:
         return None, None, "cone has a single hyperplane"
     restricted, mult = ziegler_restriction(*cone(aff))
     if restricted.h <= 2:

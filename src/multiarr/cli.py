@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -510,8 +509,16 @@ def cmd_verify_all(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_USAGE, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiarr",
         description="Exact exponents, multiplicity lattices and freeness of arrangements.",
     )
@@ -524,8 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--jobs",
                 type=int,
-                default=os.cpu_count() or 1,
-                help="scan worker processes (output is independent of this)",
+                default=1,
+                help="scan worker processes, at most the CPU count (output is independent of this)",
             )
 
     p = sub.add_parser("exp", help="exponents and lower basis of a 2-multiarrangement")

@@ -21,6 +21,8 @@ __all__ = [
     "PrimeField",
     "FpElement",
     "Scalar",
+    "CanonicalForm",
+    "FormTuple",
     "LinearForm2",
     "BinaryForm",
     "Matrix",
@@ -266,19 +268,101 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
 # linear and binary forms
 
 
-class LinearForm2:
-    """A nonzero linear form a*x1 + b*x2, stored in canonical scaling."""
+class CanonicalForm:
+    """A nonzero coefficient vector over a field, stored in canonical scaling.
 
-    __slots__ = ("field", "a", "b", "ints")
+    ``ints`` is the same vector as coprime ints over Q and as residues over
+    GF(p).  The hash is taken once, from the characteristic and ``ints``,
+    so it is the same in every process.  Two forms are equal when they
+    have the same class, field and coefficients.
+    """
 
-    def __init__(self, field: Field, a, b):
+    __slots__ = ("field", "coeffs", "ints", "_hash")
+    names: tuple = ()  # variable names for render
+
+    def __init__(self, field: Field, coeffs: Iterable):
         self.field = field
-        self.a, self.b = canonical_coefficients(field, (a, b))
-        self.ints = _int_row(field, (self.a, self.b))  # coprime ints over Q, residues over GF(p)
+        self.coeffs = canonical_coefficients(field, coeffs)
+        self.ints = _int_row(field, self.coeffs)
+        self._hash = hash((field.char, self.ints))
+
+    def render(self, names=None) -> str:
+        return _render_terms(self.field, list(zip(self.coeffs, names or self.names)))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self.field == other.field
+            and self.ints == other.ints
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class FormTuple:
+    """An ordered tuple of distinct canonical forms over one field.
+
+    Entries may be forms of ``form_type`` or plain coefficient tuples; the
+    hash is taken once, like that of the forms.
+    """
+
+    __slots__ = ("field", "forms", "_hash")
+    form_type: type  # set by each subclass
+    allow_empty = False
+    duplicate_error = "forms must be pairwise non-proportional"
+
+    def __init__(self, field: Field, forms: Iterable):
+        fs = []
+        for f in forms:
+            if isinstance(f, self.form_type):
+                if f.field != field:
+                    raise TypeError("form field disagrees with arrangement field")
+                fs.append(f)
+            else:
+                fs.append(self.form_type(field, *f))
+        if not fs and not self.allow_empty:
+            raise ValueError("arrangement needs at least one hyperplane")
+        if len(set(fs)) != len(fs):
+            raise ValueError(self.duplicate_error)
+        self.field = field
+        self.forms = tuple(fs)
+        self._hash = hash((field.char, self.forms))
 
     @property
-    def coeffs(self):
-        return (self.a, self.b)
+    def h(self) -> int:
+        return len(self.forms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self.field == other.field
+            and self.forms == other.forms
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        inner = ", ".join(f.render() for f in self.forms)
+        return f"{type(self).__name__}[{self.field.name}; {inner}]"
+
+
+class LinearForm2(CanonicalForm):
+    """A nonzero linear form a*x1 + b*x2, stored in canonical scaling."""
+
+    __slots__ = ()
+    names = ("x1", "x2")
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
+
+    def __init__(self, field: Field, a, b):
+        super().__init__(field, (a, b))
 
     def form(self) -> "BinaryForm":
         """This form as a degree-1 BinaryForm."""
@@ -286,23 +370,6 @@ class LinearForm2:
 
     def power(self, k: int) -> "BinaryForm":
         return _linear_power(self, k)
-
-    def render(self, names=("x1", "x2")) -> str:
-        return _render_terms(self.field, [(self.a, names[0]), (self.b, names[1])])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm2)
-            and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
-    def __repr__(self):
-        return f"LinearForm2({self.render()})"
 
 
 @lru_cache(maxsize=None)

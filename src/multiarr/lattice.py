@@ -15,6 +15,7 @@ canonical order, so the output is independent of the schedule.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -223,9 +224,10 @@ def _exponent_chunk(args):
 def exponent_map(region: LatticeRegion, jobs: int = 1) -> dict:
     """Exponents of every point of the region, keyed by multiplicity.
 
-    With jobs > 1 the points are partitioned over worker processes; the
-    result is identical regardless of the partition.
+    With jobs > 1 the points are partitioned over worker processes, at
+    most one per CPU; the result is identical regardless of the partition.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     pts = list(region.points())
     arr = region.arrangement
     if jobs <= 1 or len(pts) < 64:

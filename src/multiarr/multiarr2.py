@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactalg import (
     BinaryForm,
+    FormTuple,
     LinearForm2,
     Matrix,
     canonical_coefficients,
@@ -43,30 +44,11 @@ __all__ = [
 Multiplicity = tuple  # tuple[int, ...], aligned with Arrangement2.forms
 
 
-class Arrangement2:
+class Arrangement2(FormTuple):
     """An ordered list of pairwise non-proportional linear forms in 2 variables."""
 
-    __slots__ = ("field", "forms")
-
-    def __init__(self, field, forms: Iterable):
-        fs = []
-        for f in forms:
-            if isinstance(f, LinearForm2):
-                if f.field != field:
-                    raise TypeError("form field disagrees with arrangement field")
-                fs.append(f)
-            else:
-                fs.append(LinearForm2(field, *f))
-        if not fs:
-            raise ValueError("arrangement needs at least one hyperplane")
-        if len(set(fs)) != len(fs):
-            raise ValueError("forms must be pairwise non-proportional")
-        self.field = field
-        self.forms = tuple(fs)
-
-    @property
-    def h(self) -> int:
-        return len(self.forms)
+    __slots__ = ()
+    form_type = LinearForm2
 
     def check_multiplicity(self, m: Sequence[int]) -> Multiplicity:
         mt = tuple(int(v) for v in m)
@@ -75,20 +57,6 @@ class Arrangement2:
         if any(v < 0 for v in mt):
             raise ValueError("multiplicities must be nonnegative")
         return mt
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Arrangement2)
-            and self.field == other.field
-            and self.forms == other.forms
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.forms))
-
-    def __repr__(self):
-        inner = ", ".join(f.render() for f in self.forms)
-        return f"Arrangement2[{self.field.name}; {inner}]"
 
 
 @dataclass(frozen=True)

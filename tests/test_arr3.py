@@ -88,7 +88,7 @@ def central_coeff_triples(arr):
 
 
 def affine_coeff_triples(aff):
-    return [[Fraction(l.a), Fraction(l.b), Fraction(l.c)] for l in aff.lines]
+    return [[Fraction(l.a), Fraction(l.b), Fraction(l.c)] for l in aff.forms]
 
 
 # --- tests ------------------------------------------------------------------
@@ -116,7 +116,7 @@ class TestConeDecone:
             assert decone(arr, h0) == aff
 
     def test_braid_deconed(self):
-        lines = decone(braid3(), 2).lines  # view from z
+        lines = decone(braid3(), 2).forms  # view from z
         rendered = {l.render() for l in lines}
         assert rendered == {"x = 0", "y = 0", "x - y = 0", "x = 1", "y = 1"}
 

@@ -381,3 +381,29 @@ class TestVerifyAll:
         code, out, _ = run(capsys, "verify-all", "--jobs", "1")
         assert code == EXIT_VIOLATION
         assert "FAIL" in out and "suite: FAIL" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "bogus"],
+            ["exp"],
+            ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "one", "--jobs", "x"],
+            ["bogus"],
+        ],
+        ids=["bad-choice", "missing-file", "bad-jobs", "unknown-command"],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multiarr") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["exp", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out
