@@ -56,7 +56,7 @@ def _scan_regions():
     ]
 
 
-def criterion_simple_baseline(jobs: int = 1) -> CriterionResult:
+def criterion_simple_baseline() -> CriterionResult:
     """Random simple arrangements have exponents (1, h-1) and Euler below."""
     started = time.perf_counter()
     rng = random.Random(20260810)
@@ -88,13 +88,13 @@ def criterion_simple_baseline(jobs: int = 1) -> CriterionResult:
                    f"{trials} random arrangements, all (1, h-1) with Euler-proportional lower basis")
 
 
-def criterion_gap_bound_scan(jobs: int = 1) -> CriterionResult:
+def criterion_gap_bound_scan() -> CriterionResult:
     """Balanced gaps never exceed h - 2; gap parity matches |m| everywhere."""
     started = time.perf_counter()
     checked = 0
     balanced = 0
     for region in _scan_regions():
-        report = lattice.verify_theorem_limit(region, jobs=jobs)
+        report = lattice.verify_theorem_limit(region)
         checked += report.points_total
         balanced += report.balanced_count
         if not report.passed:
@@ -104,7 +104,7 @@ def criterion_gap_bound_scan(jobs: int = 1) -> CriterionResult:
                    f"{checked} lattice points ({balanced} balanced), no violations, parity law holds")
 
 
-def criterion_char2_remark(jobs: int = 1) -> CriterionResult:
+def criterion_char2_remark() -> CriterionResult:
     """Characteristic 2 breaks the gap bound exactly as documented."""
     started = time.perf_counter()
     arr = corpus.remark_arrangement()
@@ -137,7 +137,7 @@ def criterion_char2_remark(jobs: int = 1) -> CriterionResult:
     own_scal = multiarr2.saito_det(*own).proportional_scalar(multiarr2.defining_form(arr, m))
     if own_scal is None or not own_scal:
         problems.append("solver basis fails the determinant criterion")
-    report = lattice.verify_theorem_limit(lattice.LatticeRegion(arr, (4, 4, 4)), jobs=jobs)
+    report = lattice.verify_theorem_limit(lattice.LatticeRegion(arr, (4, 4, 4)))
     if report.hypothesis_met:
         problems.append("characteristic-2 scan not flagged")
     if ((4, 4, 4), 4) not in report.violations:
@@ -148,7 +148,7 @@ def criterion_char2_remark(jobs: int = 1) -> CriterionResult:
                    expected_violation=ok)
 
 
-def criterion_a2_parity_law(jobs: int = 1) -> CriterionResult:
+def criterion_a2_parity_law() -> CriterionResult:
     """On the 3-line arrangement, balanced gaps are exactly |m| mod 2."""
     started = time.perf_counter()
     arr = corpus.a2()
@@ -169,17 +169,17 @@ def criterion_a2_parity_law(jobs: int = 1) -> CriterionResult:
                    f"{checked} balanced multiplicities with |m| <= 15, gap = |m| mod 2")
 
 
-def criterion_lattice_structure(jobs: int = 1) -> CriterionResult:
+def criterion_lattice_structure() -> CriterionResult:
     """Unit steps change the gap by one; components are balls around unique peaks."""
     started = time.perf_counter()
     regions = [_scan_regions()[0], _scan_regions()[1]]
     details = []
     for region in regions:
-        one = lattice.verify_lemma_one(region, jobs=jobs)
+        one = lattice.verify_lemma_one(region)
         if not one.passed:
             return _result(5, "lattice structure scan", None, started, False,
                            f"adjacent-gap law failed: {one.failures[:3]}")
-        strrep = lattice.verify_theorem_str(region, jobs=jobs)
+        strrep = lattice.verify_theorem_str(region)
         if not strrep.passed:
             return _result(5, "lattice structure scan", None, started, False,
                            f"component structure failed: {strrep.failures[:3]}")
@@ -193,7 +193,7 @@ def criterion_lattice_structure(jobs: int = 1) -> CriterionResult:
     return _result(5, "lattice structure scan", None, started, True, "; ".join(details))
 
 
-def criterion_shift_certificates(jobs: int = 1) -> CriterionResult:
+def criterion_shift_certificates() -> CriterionResult:
     """The connection against the lower basis maps bases to bases for 0/1 shifts."""
     started = time.perf_counter()
     cert_b2 = shift.shift_isomorphism_check(corpus.b2_lines(), (1, 1, 1, 1))
@@ -209,7 +209,7 @@ def criterion_shift_certificates(jobs: int = 1) -> CriterionResult:
                    "; ".join(problems) or "16 + 8 shifts certified via the determinant criterion")
 
 
-def criterion_dihedral_constant_odd(jobs: int = 1) -> CriterionResult:
+def criterion_dihedral_constant_odd() -> CriterionResult:
     """Constant odd multiplicity on the dihedral 3- and 4-line arrangements."""
     started = time.perf_counter()
     for arr, h in ((corpus.a2(), 3), (corpus.b2_lines(), 4)):
@@ -227,7 +227,7 @@ def criterion_dihedral_constant_odd(jobs: int = 1) -> CriterionResult:
                    "constant multiplicity 1, 3, 5 gives gap h - 2 with exponents (hk+1, hk+h-1)")
 
 
-def criterion_freeness_decisions(jobs: int = 1) -> CriterionResult:
+def criterion_freeness_decisions() -> CriterionResult:
     """Freeness verdicts with certificates, independent of the chosen hyperplane."""
     started = time.perf_counter()
     problems = []
@@ -253,7 +253,7 @@ def criterion_freeness_decisions(jobs: int = 1) -> CriterionResult:
                    "braid free (1,2,3) via product shape; generic-4 not free; verdicts hyperplane-independent")
 
 
-def criterion_coning_zaslavsky(jobs: int = 1) -> CriterionResult:
+def criterion_coning_zaslavsky() -> CriterionResult:
     """Coning multiplies the polynomial by (t - 1); chambers match the subdivision."""
     started = time.perf_counter()
     problems = []
@@ -280,7 +280,7 @@ def criterion_coning_zaslavsky(jobs: int = 1) -> CriterionResult:
                    f"{len(samples)} conings factor exactly; 12 chambers; equality case confirms freeness")
 
 
-def criterion_property_suite(jobs: int = 1) -> CriterionResult:
+def criterion_property_suite() -> CriterionResult:
     """Determinant law on bases, descent of lower bases, crossing independence."""
     started = time.perf_counter()
     problems = []
@@ -316,7 +316,7 @@ def criterion_property_suite(jobs: int = 1) -> CriterionResult:
     pair_count = 0
     for region in _scan_regions()[1:]:
         arr = region.arrangement
-        emap = lattice.exponent_map(region, jobs=jobs)
+        emap = lattice.exponent_map(region)
         h = arr.h
         for base in region.points():
             for i in range(h):
@@ -354,6 +354,6 @@ CRITERIA = (
 )
 
 
-def run_suite(jobs: int = 1) -> list:
+def run_suite() -> list:
     """Run all criteria in order; expected violations count as passes."""
-    return [fn(jobs=jobs) for fn in CRITERIA]
+    return [fn() for fn in CRITERIA]

@@ -340,16 +340,19 @@ def _vec_key(v):
     return tuple(_scalar_rank(c) for c in reversed(v))
 
 
-def _int_vectors(limit: int = 64):
-    for n in range(1, limit + 1):
-        shell = [
-            v
-            for v in _iter_product(range(-n, n + 1), repeat=3)
-            if max(abs(c) for c in v) == n
-        ]
-        shell.sort(key=_vec_key)
-        yield from shell
-    raise RuntimeError("integer vector search exhausted (canonical basis not found)")
+_FRAME_LIMIT = 64  # largest max-norm of a frame vector
+
+
+def _int_vectors():
+    """Integer vectors by max-norm 1.._FRAME_LIMIT, each shell in _vec_key order."""
+    for n in range(1, _FRAME_LIMIT + 1):
+        shell = {
+            v[:i] + (s,) + v[i:]
+            for i in range(3)
+            for s in (-n, n)
+            for v in _iter_product(range(-n, n + 1), repeat=2)
+        }
+        yield from sorted(shell, key=_vec_key)
 
 
 def _plane_frame(alpha: LinearForm3):
@@ -373,7 +376,9 @@ def _plane_frame(alpha: LinearForm3):
             v0 = v
         if u1 is not None and u2 is not None and v0 is not None:
             return u1, u2, v0
-    raise RuntimeError("unreachable")
+    raise ValueError(
+        f"the plane {alpha.render()} has no integer frame of max-norm at most {_FRAME_LIMIT}"
+    )
 
 
 def _independent_pair(field, u, v) -> bool:

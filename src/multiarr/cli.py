@@ -278,7 +278,7 @@ def cmd_lattice(args) -> int:
         "limit": lattice.verify_theorem_limit,
         "str": lattice.verify_theorem_str,
     }[args.verify]
-    report = verifier(region, jobs=args.jobs)
+    report = verifier(region)
     results = _lattice_results(args.verify, report)
     lines = _lattice_lines(args.verify, report)
     _emit(args, _envelope(f"lattice/{args.verify}", doc, digest, results), lines, started)
@@ -471,9 +471,6 @@ def cmd_free(args) -> int:
 
 def cmd_verify_all(args) -> int:
     started = time.perf_counter()
-    if args.suite != "desk":
-        print(f"unknown suite {args.suite!r}; available: desk", file=sys.stderr)
-        return EXIT_USAGE
     # the bundled corpus must parse and round-trip before the suite runs
     for name in corpus.document_names():
         path = corpus.document_path(name)
@@ -481,12 +478,12 @@ def cmd_verify_all(args) -> int:
         again = parse_document(serialize_document(doc))
         if serialize_document(again) != serialize_document(doc):
             raise DocumentError(f"corpus document {name} does not round-trip")
-    results = acceptance.run_suite(jobs=args.jobs)
+    results = acceptance.run_suite()
     ok = all(r.passed for r in results)
     report = {
         "command": "verify-all",
         "version": __version__,
-        "suite": args.suite,
+        "suite": "desk",
         "results": [
             {
                 "index": r.index,
@@ -525,15 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_jobs=False):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit canonical JSON instead of text")
-        if with_jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="scan worker processes, at most the CPU count (output is independent of this)",
-            )
 
     p = sub.add_parser("exp", help="exponents and lower basis of a 2-multiarrangement")
     p.add_argument("file", help="arrangement document (path or '-')")
@@ -545,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caps", required=True, help="per-hyperplane caps, comma separated")
     p.add_argument("--total", type=int, default=None, help="optional cap on |m|")
     p.add_argument("--verify", required=True, choices=("one", "limit", "str"))
-    common(p, with_jobs=True)
+    common(p)
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("shift", help="certify the shift map at m0")
@@ -561,8 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_free)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--suite", default="desk")
-    common(p, with_jobs=True)
+    common(p)
     p.set_defaults(fn=cmd_verify_all)
     return parser
 

@@ -8,23 +8,18 @@ exhaustive scans over finite regions machine-check the structural laws:
 adjacent gaps differ by exactly one, balanced gaps are bounded by h - 2,
 and each fully-enclosed component is the open L1-ball around its peak
 with the linear law gap(mu) = gap(peak) - d(peak, mu).
-
-Scans are data-parallel over lattice points (``jobs``); reports merge in
-canonical order, so the output is independent of the schedule.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from itertools import product
 from typing import Iterator, Sequence
 
 from .exactalg import char_warning
-from .multiarr2 import Arrangement2, Exponents2, Multiplicity, exponents, is_balanced
+from .multiarr2 import Arrangement2, Multiplicity, exponents, is_balanced
 
 __all__ = [
     "LatticeRegion",
@@ -216,31 +211,9 @@ def component_of(arr: Arrangement2, m: Sequence[int]) -> ComponentReport:
     return ComponentReport(peak, radius, tuple(members))
 
 
-def _exponent_chunk(args):
-    arr, chunk = args
-    return [(m, exponents(arr, m).pair) for m in chunk]
-
-
-def exponent_map(region: LatticeRegion, jobs: int = 1) -> dict:
-    """Exponents of every point of the region, keyed by multiplicity.
-
-    With jobs > 1 the points are partitioned over worker processes, at
-    most one per CPU; the result is identical regardless of the partition.
-    """
-    jobs = min(jobs, os.cpu_count() or 1)
-    pts = list(region.points())
-    arr = region.arrangement
-    if jobs <= 1 or len(pts) < 64:
-        pairs = {m: exponents(arr, m) for m in pts}
-    else:
-        chunks = [pts[i::jobs] for i in range(jobs) if pts[i::jobs]]
-        pairs = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            for part in ex.map(_exponent_chunk, [(arr, c) for c in chunks]):
-                for m, (d1, d2) in part:
-                    pairs[m] = Exponents2(d1, d2)
-        pairs = {m: pairs[m] for m in pts}
-    return pairs
+def exponent_map(region: LatticeRegion) -> dict:
+    """Exponents of every point of the region, keyed by multiplicity."""
+    return {m: exponents(region.arrangement, m) for m in region.points()}
 
 
 _CHAR_CONSEQUENCE = "characteristic-zero hypotheses do not apply"
@@ -264,8 +237,8 @@ class LemmaOneReport:
         return not self.failures
 
 
-def verify_lemma_one(region: LatticeRegion, jobs: int = 1) -> LemmaOneReport:
-    emap = exponent_map(region, jobs)
+def verify_lemma_one(region: LatticeRegion) -> LemmaOneReport:
+    emap = exponent_map(region)
     failures = []
     checked = 0
     for m in emap:
@@ -308,9 +281,9 @@ class LimitReport:
         return bool(self.violations) and not self.hypothesis_met
 
 
-def verify_theorem_limit(region: LatticeRegion, jobs: int = 1) -> LimitReport:
+def verify_theorem_limit(region: LatticeRegion) -> LimitReport:
     arr = region.arrangement
-    emap = exponent_map(region, jobs)
+    emap = exponent_map(region)
     h = arr.h
     violations = []
     maximizers = []
@@ -386,9 +359,9 @@ def _ball_enclosed(region: LatticeRegion, peak: Multiplicity, radius: int) -> bo
     return peak in region
 
 
-def verify_theorem_str(region: LatticeRegion, jobs: int = 1) -> StrReport:
+def verify_theorem_str(region: LatticeRegion) -> StrReport:
     arr = region.arrangement
-    emap = exponent_map(region, jobs)
+    emap = exponent_map(region)
 
     def gap(m):
         return emap[m].delta if m in emap else exponents(arr, m).delta

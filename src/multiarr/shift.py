@@ -178,12 +178,11 @@ class ShiftCertificate:
         return [c for c in self.checked_shifts if not c.passed]
 
 
-def shift_isomorphism_check(
-    arr: Arrangement2,
-    m0: Sequence[int],
-    exhaustive_limit: int = 12,
-    sample_size: int = 256,
-) -> ShiftCertificate:
+_EXHAUSTIVE_H = 12  # up to this h every 0/1-shift is checked
+_SAMPLED_SHIFTS = 256  # above it, this many distinct seeded shifts
+
+
+def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertificate:
     """Certify the shift map at m0 over all (or a sample of) 0/1-shifts.
 
     Preconditions (violations raise ValueError): m0 strictly positive and
@@ -202,16 +201,16 @@ def shift_isomorphism_check(
     theta0 = lower_degree_basis(arr, mt)
     d = theta0.degree
 
-    if h <= exhaustive_limit:
+    if h <= _EXHAUSTIVE_H:
         shifts = [tuple(bits) for bits in _binary_tuples(h)]
         mode = "exhaustive"
     else:
         rng = random.Random(2024)
         seen = set()
-        while len(seen) < sample_size:
+        while len(seen) < _SAMPLED_SHIFTS:
             seen.add(tuple(rng.randint(0, 1) for _ in range(h)))
         shifts = sorted(seen)
-        mode = f"sampled({sample_size})"
+        mode = f"sampled({_SAMPLED_SHIFTS})"
 
     degree_identity_ok = True
     checks = []

@@ -247,8 +247,6 @@ class TestJsonDeterminism:
     )
     def test_byte_identical_reruns(self, capsys, argv):
         cmd = [argv[0], corpus_file(argv[1]), *argv[2:], "--json"]
-        if argv[0] == "lattice":
-            cmd += ["--jobs", "1"]
         code1, out1, _ = run(capsys, *cmd)
         code2, out2, _ = run(capsys, *cmd)
         assert code1 == code2 == EXIT_OK
@@ -256,17 +254,11 @@ class TestJsonDeterminism:
         body = json.loads(out1)
         assert json.dumps(body, sort_keys=True) == json.dumps(body)  # keys sorted
 
-    def test_jobs_do_not_change_output(self, capsys):
-        base = ["lattice", corpus_file("a2"), "--caps", "3,3,3", "--verify", "limit", "--json"]
-        _, out1, _ = run(capsys, *base, "--jobs", "1")
-        _, out2, _ = run(capsys, *base, "--jobs", "3")
-        assert out1 == out2
-
 
 class TestLatticeCommand:
     def test_verify_one_passes(self, capsys):
         code, out, _ = run(
-            capsys, "lattice", corpus_file("a2"), "--caps", "3,3,3", "--verify", "one", "--jobs", "1"
+            capsys, "lattice", corpus_file("a2"), "--caps", "3,3,3", "--verify", "one"
         )
         assert code == EXIT_OK
         assert "verdict: PASS" in out
@@ -275,7 +267,7 @@ class TestLatticeCommand:
         code, out, _ = run(
             capsys,
             "lattice", corpus_file("remark_f2"), "--caps", "4,4,4",
-            "--verify", "limit", "--jobs", "1",
+            "--verify", "limit",
         )
         assert code == EXIT_OK
         assert "EXPECTED-VIOLATION" in out
@@ -284,13 +276,13 @@ class TestLatticeCommand:
         code, _, err = run(
             capsys,
             "lattice", corpus_file("five_lines"), "--caps", "20,20,20,20,20",
-            "--verify", "one", "--jobs", "1",
+            "--verify", "one",
         )
         assert code == EXIT_USAGE
         assert "too large" in err
 
     def test_mult_budget(self, capsys):
-        argv = ("lattice", corpus_file("a2"), "--caps", "100,100,0", "--verify", "one", "--jobs", "1")
+        argv = ("lattice", corpus_file("a2"), "--caps", "100,100,0", "--verify", "one")
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert f"the largest |m| of the region = 200 exceeds the multiplicity budget of {MULT_BUDGET}" in err
@@ -299,7 +291,7 @@ class TestLatticeCommand:
 
     def test_caps_length_checked(self, capsys):
         code, _, err = run(
-            capsys, "lattice", corpus_file("a2"), "--caps", "1,1", "--verify", "one", "--jobs", "1"
+            capsys, "lattice", corpus_file("a2"), "--caps", "1,1", "--verify", "one"
         )
         assert code == EXIT_IO
         assert "--caps" in err
@@ -357,12 +349,32 @@ class TestFreeCommand:
         assert "out of range" in err
 
 
-class TestVerifyAll:
-    def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "verify-all", "--suite", "bogus")
-        assert code == EXIT_USAGE
-        assert "unknown suite" in err
+class TestFrameLimit:
+    def write_plane(self, tmp_path):
+        doc = {
+            "dim": 3,
+            "field": "Q",
+            "hyperplanes": [{"coeffs": c} for c in (["1", "2", "4"], ["1", "0", "0"], ["0", "1", "0"])],
+        }
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
 
+    def test_frame_beyond_the_limit_exits_one(self, capsys, tmp_path, monkeypatch):
+        from multiarr import arr3
+
+        monkeypatch.setattr(arr3, "_FRAME_LIMIT", 1)
+        code, _, err = run(capsys, "free", self.write_plane(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "x + 2*y + 4*z" in err and "at most 1" in err
+        assert "Traceback" not in err
+
+    def test_frame_within_the_limit(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "free", self.write_plane(tmp_path))
+        assert code == EXIT_OK and "FREE" in out
+
+
+class TestVerifyAll:
     def test_corrupt_corpus_exits_three(self, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "a2.json"
         bad.write_text("{broken")
@@ -377,8 +389,8 @@ class TestVerifyAll:
         from multiarr import cli as climod
 
         failing = acceptance.CriterionResult(1, "stub", False, 0.0, None, "forced failure")
-        monkeypatch.setattr(climod.acceptance, "run_suite", lambda jobs=1: [failing])
-        code, out, _ = run(capsys, "verify-all", "--jobs", "1")
+        monkeypatch.setattr(climod.acceptance, "run_suite", lambda: [failing])
+        code, out, _ = run(capsys, "verify-all")
         assert code == EXIT_VIOLATION
         assert "FAIL" in out and "suite: FAIL" in out
 
@@ -389,10 +401,13 @@ class TestUsageErrors:
         [
             ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "bogus"],
             ["exp"],
-            ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "one", "--jobs", "x"],
+            ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "one", "--total", "x"],
             ["bogus"],
+            ["lattice", corpus_file("a2"), "--caps", "1,1,1", "--verify", "one", "--jobs", "2"],
+            ["verify-all", "--suite", "desk"],
         ],
-        ids=["bad-choice", "missing-file", "bad-jobs", "unknown-command"],
+        ids=["bad-choice", "missing-file", "bad-total", "unknown-command",
+             "removed-option-jobs", "removed-option-suite"],
     )
     def test_usage_errors_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -33,7 +33,7 @@ def corpus_commands():
             out[f"exp {name}"] = ["exp", path]
             for which in ("one", "limit", "str"):
                 out[f"lattice {which} {name}"] = [
-                    "lattice", path, "--caps", caps, "--verify", which, "--jobs", "1",
+                    "lattice", path, "--caps", caps, "--verify", which,
                 ]
             out[f"shift {name}"] = ["shift", path]
             continue
@@ -41,6 +41,7 @@ def corpus_commands():
         out[f"free {name}"] = ["free", path]
         for h0 in range(h):
             out[f"free {name} H0={h0}"] = ["free", path, "--H0", str(h0)]
+    out["verify-all"] = ["verify-all"]
     return out
 
 

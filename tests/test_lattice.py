@@ -2,14 +2,12 @@
 
 import pytest
 
-from multiarr import lattice
 from multiarr.exactalg import GF, QQ
 from multiarr.lattice import (
     ComponentTag,
     LatticeRegion,
     classify,
     component_of,
-    exponent_map,
     lattice_distance,
     verify_lemma_one,
     verify_theorem_limit,
@@ -174,37 +172,3 @@ class TestTheoremStr:
         assert report.char_warning is not None
         assert not report.hypothesis_met
         assert report.components or report.clipped
-
-
-class TestParallel:
-    def test_jobs_do_not_change_anything(self):
-        region = LatticeRegion(a2(), (3, 3, 3))
-        assert exponent_map(region, jobs=1) == exponent_map(region, jobs=2)
-        r1 = verify_theorem_limit(region, jobs=1)
-        r2 = verify_theorem_limit(region, jobs=2)
-        assert r1.violations == r2.violations
-        assert r1.maximizers == r2.maximizers
-
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        started = []
-
-        class InProcessPool:
-            """Records max_workers and maps in this process; starts no process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(lattice, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
-        region = LatticeRegion(a2(), (4, 4, 4))  # 125 points, enough for the pool
-        assert exponent_map(region, jobs=10**6) == exponent_map(region, jobs=1)
-        assert started == [3]

@@ -165,6 +165,14 @@ class TestShiftCertificate:
         with pytest.raises(ValueError):
             shift_isomorphism_check(b2(), b2_m)
 
+    def test_thirteen_lines_are_sampled(self):
+        # above h = 12 a seeded sample of 256 distinct 0/1-shifts is checked
+        arr = Arrangement2(QQ, [(1, k) for k in range(12)] + [(0, 1)])
+        cert = shift_isomorphism_check(arr, (1,) * 13)
+        assert cert.mode == "sampled(256)"
+        assert len(cert.checked_shifts) == 256
+        assert cert.passed
+
 
 class TestAmEuler:
     def test_euler_for_simple(self):
