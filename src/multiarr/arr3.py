@@ -364,15 +364,19 @@ def _plane_frame(alpha: LinearForm3):
     vector with alpha(v0) = 1.
     """
     field = alpha.field
+    p = field.char
+    a, b, c = alpha.ints
     u1 = u2 = v0 = None
     for v in _int_vectors():
-        val = alpha.value(v)
-        if not val:
+        val = a * v[0] + b * v[1] + c * v[2]
+        if p:
+            val %= p
+        if val == 0:
             if u1 is None:
                 u1 = v
             elif u2 is None and _independent_pair(field, u1, v):
                 u2 = v
-        elif v0 is None and val == field.one:
+        elif v0 is None and val == 1:
             v0 = v
         if u1 is not None and u2 is not None and v0 is not None:
             return u1, u2, v0

@@ -728,18 +728,25 @@ def divisibility_constraints(alpha: LinearForm2, k: int, d: int) -> Matrix:
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
+    return Matrix(alpha.field, [_constraint_row(alpha, j, d) for j in range(k)], ncols=d + 1)
+
+
+def _constraint_row(alpha: LinearForm2, j: int, d: int) -> list:
+    """Row j of :func:`divisibility_constraints` for any k > j, as ints (residues over GF(p))."""
     a, b = alpha.ints
+    row = [0] * (d + 1)
     if not a:
-        rows = [[int(i == d - j) for i in range(d + 1)] for j in range(k)]
-    else:
-        mod = alpha.field.char or None
-        pa = [pow(a, e, mod) for e in range(d + 1)]
-        pb = [pow(-b, e, mod) for e in range(d + 1)]
-        rows = [
-            [math.comb(i, j) * pb[i - j] * pa[d - i] if i >= j else 0 for i in range(d + 1)]
-            for j in range(k)
-        ]
-    return Matrix(alpha.field, rows, ncols=d + 1)
+        if j <= d:
+            row[d - j] = 1
+        return row
+    mod = alpha.field.char or None
+    comb, pb = 1, 1  # C(i, j) and (-b)^(i-j)
+    for i in range(j, d + 1):
+        e = comb * pb * pow(a, d - i, mod)
+        row[i] = e % mod if mod else e
+        comb = comb * (i + 1) // (i + 1 - j)
+        pb = -b * pb % mod if mod else -b * pb
+    return row
 
 
 def binary_form_divides(alpha: LinearForm2, k: int, form: BinaryForm) -> bool:

@@ -101,7 +101,7 @@ def classify(arr: Arrangement2, m: Sequence[int]) -> LatticeClassification:
     """Partition the lattice: gap zero / finite component / infinite cone at K.
 
     The unbalanced test is purely combinatorial; the gap itself always
-    comes from the exact solver (one rank per exponent).
+    comes from the exact solver (one unit step per exponent in a scan).
     """
     mt = arr.check_multiplicity(m)
     dv = exponents(arr, mt).delta

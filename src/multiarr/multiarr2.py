@@ -6,12 +6,20 @@ per form.  Its module of tangent derivations is always free of rank two;
 this module computes the degrees (d1 <= d2) of a homogeneous basis, the
 gap d2 - d1, and canonical basis elements, all in exact arithmetic.
 
+The exponents come from a basis built one unit of multiplicity at a time
+(the addition step of Abe-Terao-Wakefield): raising m(H) by one either
+keeps the lower basis element and multiplies the other by alpha_H, or
+multiplies the lower one by alpha_H and cancels one residue in the other.
+Each state is read from the state one unit below, which a lexicographic
+scan has just built, through a bounded cache.
+
 Everything is a pure function of immutable values; results are memoised,
 so repeated lattice-scan queries are cheap and thread-safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -24,6 +32,7 @@ from .exactalg import (
     canonical_coefficients,
     binary_form_divides,
     divisibility_constraints,
+    _constraint_row,
 )
 
 __all__ = [
@@ -51,10 +60,11 @@ class Arrangement2(FormTuple):
     form_type = LinearForm2
 
     def check_multiplicity(self, m: Sequence[int]) -> Multiplicity:
-        mt = tuple(int(v) for v in m)
-        if len(mt) != self.h:
-            raise ValueError(f"multiplicity has {len(mt)} entries, arrangement has {self.h}")
-        if any(v < 0 for v in mt):
+        mt = tuple(map(int, m))
+        h = len(self.forms)
+        if len(mt) != h:
+            raise ValueError(f"multiplicity has {len(mt)} entries, arrangement has {h}")
+        if min(mt) < 0:
             raise ValueError("multiplicities must be nonnegative")
         return mt
 
@@ -189,25 +199,109 @@ def derivation_space_dim(arr: Arrangement2, m: Sequence[int], d: int) -> int:
 
 
 def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
-    """Exponents (d1, d2), d1 + d2 = |m|, from one rank computation.
+    """Exponents (d1, d2), d1 + d2 = |m|, as the degrees of a unit-step basis.
 
-    The module is free of rank two in any characteristic, so its degree-d
-    part has dimension (d-d1+1)_+ + (d-d2+1)_+.  At d = (|m|-1)//2 < d2
-    only the first term can be positive: d1 = d + 1 - dim, and dim == 0
-    means d1 = |m|//2.
+    A basis of D(arr, m) is built from the basis at m - e_j by one addition
+    step (see :func:`_unit_step`), so no tangency system is solved.  The
+    states sit in a cache bounded at _STATE_CACHE entries; a lexicographic
+    scan has just built the state one unit below each point, so it pays
+    one step per point.
     """
     return _exponents(arr, arr.check_multiplicity(m))
 
 
 @lru_cache(maxsize=None)
 def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
+    """The degrees of the unit-step state at m; unlike the states, kept for good."""
+    d1, d2, _, _ = _unit_state(arr, m)
+    return Exponents2(d1, d2)
+
+
+_STATE_CACHE = 4096  # unit-step states kept; a scan reads each one a step later
+_CHECKPOINT = 128  # states at multiples of this |m| are walked up from the previous one
+
+
+@lru_cache(maxsize=_STATE_CACHE)
+def _unit_state(arr: Arrangement2, m: Multiplicity):
+    """(d1, d2, theta1, theta2): a basis of D(arr, m), each theta = (f, g).
+
+    f and g are int coefficient vectors in BinaryForm order, primitive over
+    Q and residues over GF(p).  The chain to m fills m(H) from the first
+    hyperplane on, so the state before m is at m - e_j for j the last
+    nonzero index.  A state at a multiple of _CHECKPOINT is walked up from
+    the previous multiple without caching the states between, which keeps
+    the recursion below _CHECKPOINT + |m| / _CHECKPOINT frames.
+    """
     total = sum(m)
-    if total == 0:
-        return Exponents2(0, 0)
-    d = (total - 1) // 2
-    dim = derivation_space_dim(arr, m, d)
-    d1 = d + 1 - dim if dim else total // 2
-    return Exponents2(d1, total - d1)
+    if not total:
+        return 0, 0, ((1,), (0,)), ((0,), (1,))
+    start = total - 1 if total % _CHECKPOINT else total - _CHECKPOINT
+    steps = [(j, k) for j, v in enumerate(m) for k in range(v)][start:]
+    prev = list(m)
+    for j, _ in steps:
+        prev[j] -= 1
+    state = _unit_state(arr, tuple(prev))
+    for j, k in steps:
+        state = _unit_step(arr.forms[j], k, state)
+    return state
+
+
+def _unit_step(alpha: LinearForm2, k: int, state):
+    """The state after m(H) goes from k to k + 1, for H the line alpha = 0.
+
+    With c_i the coefficient of row k of divisibility_constraints(alpha,
+    k + 1, d_i) on theta_i(alpha), theta is tangent at k + 1 iff its c is
+    0.  If c1 = 0 the new basis is (theta1, alpha*theta2); otherwise it is
+    (alpha*theta1, c1*s^delta*theta2 - c2*l^delta*theta1) with delta =
+    d2 - d1, where l is a linear form and s = l(P) != 0 at the point P of
+    alpha = 0 that row k reads: l = x1 and s = -b at P = (-b, a); l = x1
+    and s = 1 for alpha = x2, whose rows are unit rows (P = (1, 0)); l = x2
+    and s = a for alpha = x1.  Both pairs have determinant a nonzero
+    multiple of alpha * det(theta1, theta2), so Saito's criterion makes
+    them a basis.
+    """
+    p = alpha.field.char
+    a, b = alpha.ints
+    d1, d2, t1, t2 = state
+    c1 = _residue(alpha, k, d1, t1)
+    if not c1:
+        d2, t2 = d2 + 1, _normalise(p, _times_alpha(a, b, t2))
+    else:
+        c2 = _residue(alpha, k, d2, t2)
+        delta = d2 - d1
+        pad = (0,) * delta
+        if b:
+            s, lifted = (-b if a else 1), tuple(pad + v for v in t1)
+        else:
+            s, lifted = a, tuple(v + pad for v in t1)
+        c1 *= pow(s, delta, p or None)
+        combo = tuple(tuple(c1 * x - c2 * y for x, y in zip(v, w)) for v, w in zip(t2, lifted))
+        d1, t1, t2 = d1 + 1, _normalise(p, _times_alpha(a, b, t1)), _normalise(p, combo)
+        if d1 > d2:
+            d1, d2, t1, t2 = d2, d1, t2, t1
+    return d1, d2, t1, t2
+
+
+def _residue(alpha: LinearForm2, k: int, d: int, theta) -> int:
+    """Row k of the degree-d divisibility rows applied to theta(alpha)."""
+    a, b = alpha.ints
+    f, g = theta
+    c = sum(r * (a * x + b * y) for r, x, y in zip(_constraint_row(alpha, k, d), f, g) if r)
+    p = alpha.field.char
+    return c % p if p else c
+
+
+def _times_alpha(a: int, b: int, theta):
+    """alpha * theta for alpha = a*x1 + b*x2 (index i holds x1^i)."""
+    return tuple(tuple(a * x + b * y for x, y in zip((0,) + v, v + (0,))) for v in theta)
+
+
+def _normalise(p: int, theta):
+    """theta reduced mod p, or divided by the gcd of its entries over Q."""
+    if p:
+        return tuple(tuple(x % p for x in v) for v in theta)
+    g = math.gcd(*theta[0], *theta[1])
+    return theta if g == 1 else tuple(tuple(x // g for x in v) for v in theta)
 
 
 def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:

@@ -1,5 +1,7 @@
 """Exponents, bases and the determinant criterion for 2-multiarrangements."""
 
+import sys
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -222,6 +224,32 @@ def scan_exponents(arr, m):
     return (d1, total - d1)
 
 
+def one_rank_exponents(arr, m):
+    """Oracle: d1 from the dimension of one degree, one rank computation.
+
+    The module is free of rank two in any characteristic, so its degree-d
+    part has dimension (d-d1+1)_+ + (d-d2+1)_+.  At d = (|m|-1)//2 < d2
+    only the first term can be positive: d1 = d + 1 - dim, and dim == 0
+    means d1 = |m|//2.
+    """
+    total = sum(m)
+    if total == 0:
+        return (0, 0)
+    d = (total - 1) // 2
+    dim = derivation_space_dim(arr, m, d)
+    d1 = d + 1 - dim if dim else total // 2
+    return (d1, total - d1)
+
+
+def clear_multiarr_caches():
+    """cache_clear on every module-level lru_cache of the multiarr package."""
+    for name, mod in list(sys.modules.items()):
+        if name == "multiarr" or name.startswith("multiarr."):
+            for v in vars(mod).values():
+                if hasattr(v, "cache_clear"):
+                    v.cache_clear()
+
+
 SOLVER_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**31 - 1))
 RATIONAL_FORMS = tuple(
     dict.fromkeys(LinearForm2(QQ, a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0))
@@ -247,9 +275,13 @@ class TestOneRankSolver:
     @example(case=(Arrangement2(GF(7), [(1, 0), (0, 1), (1, 1)]), (0, 0, 0)))
     @example(case=(Arrangement2(GF(2), [(1, 0), (0, 1), (1, 1)]), (6, 1, 0)))
     @example(case=(Arrangement2(QQ, [(1, 2), (3, -1)]), (6, 6)))
+    # steps along x2 after other lines, where the cancelling scalar s must be 1
+    @example(case=(Arrangement2(GF(7), [(1, 6), (1, 0), (0, 1), (1, 2)]), (1, 2, 1, 2)))
+    @example(case=(Arrangement2(GF(3), [(1, 2), (1, 0), (0, 1), (1, 1)]), (1, 1, 3, 3)))
     def test_matches_degree_scan_with_one_rank(self, case):
+        """The unit-step solver makes no rank call and agrees with both oracles."""
         arr, m = case
-        multiarr2._exponents.cache_clear()
+        clear_multiarr_caches()
         calls = []
         rank = Matrix.rank
 
@@ -260,8 +292,8 @@ class TestOneRankSolver:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Matrix, "rank", counted)
             got = exponents(arr, m)
-        assert len(calls) == (1 if sum(m) else 0)
-        assert got.pair == scan_exponents(arr, m)
+        assert calls == []
+        assert got.pair == one_rank_exponents(arr, m) == scan_exponents(arr, m)
 
     @given(case=multiarrangements(), d=st.integers(0, 12))
     def test_rank_matches_sympy(self, case, d):
@@ -276,3 +308,34 @@ class TestOneRankSolver:
         domain = sympy.GF(arr.field.char) if arr.field.char else sympy.QQ
         want = DomainMatrix.from_list([list(r) for r in mat.rows], sympy.ZZ).convert_to(domain).rank()
         assert mat.rank() == want
+
+
+class TestUnitSteps:
+    @given(
+        forms=st.lists(st.sampled_from(RATIONAL_FORMS), min_size=3, max_size=3, unique=True),
+        m=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    )
+    def test_three_lines_closed_form(self, forms, m):
+        # Wakamiko (Tokyo J. Math. 30, 2007): three lines in characteristic 0
+        arr = Arrangement2(QQ, forms)
+        total, k = sum(m), max(m)
+        want = (total - k, k) if 2 * k >= total else (total // 2, total - total // 2)
+        assert exponents(arr, m).pair == want
+
+    def test_deep_chain_has_bounded_recursion(self):
+        arr = Arrangement2(GF(2**31 - 1), [(1, 0), (0, 1), (1, 1)])
+        clear_multiarr_caches()
+        assert exponents(arr, (500, 500, 500)).pair == (750, 750)
+        clear_multiarr_caches()
+
+    def test_state_cache_is_bounded_and_clearable(self):
+        state = multiarr2._unit_state
+        assert state.cache_info().maxsize is not None
+        cases = [(a2(), (3, 2, 2)), (b2(), (2, 1, 2, 1)), (remark(), (4, 4, 4))]
+        clear_multiarr_caches()
+        before = [exponents(arr, m).pair for arr, m in cases]
+        assert state.cache_info().currsize > 0
+        assert before == [one_rank_exponents(arr, m) for arr, m in cases]
+        clear_multiarr_caches()
+        assert state.cache_info().currsize == 0
+        assert [exponents(arr, m).pair for arr, m in cases] == before

@@ -6,6 +6,7 @@ an alias would silently read as zero calls.
 """
 
 import ast
+import importlib.util
 import inspect
 from importlib import import_module
 from pathlib import Path
@@ -13,6 +14,10 @@ from pathlib import Path
 import pytest
 
 import multiarr
+from multiarr import multiarr2
+from multiarr.exactalg import QQ
+
+LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layer_trace.py"
 
 MODULES = ("exactalg", "multiarr2", "lattice", "shift", "arr3", "corpus", "acceptance", "cli")
 
@@ -65,3 +70,34 @@ def test_traced_methods_are_defined_on_their_class():
                 assert inspect.isfunction(getattr(mod, cls_name).__dict__.get(meth)), (
                     f"{layer}.{cls_name}.{meth}"
                 )
+
+
+def test_benchmark_tracer_counts_exponents_ranks_and_constraint_rows():
+    spec = importlib.util.spec_from_file_location("layer_trace", LAYER_TRACE)
+    layer_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_trace)
+    arr = multiarr2.Arrangement2(QQ, [(1, 0), (0, 1), (1, 1)])
+    multiarr2._exponents.cache_clear()
+    multiarr2._unit_state.cache_clear()
+    tracer = layer_trace.Tracer()
+    tracer.install()
+    try:
+        multiarr2.exponents(arr, (2, 2, 1))
+        after_exponents = tracer.metrics()
+        multiarr2.derivation_space_dim(arr, (2, 2, 1), 2)
+        after_dim = tracer.metrics()
+    finally:
+        tracer.restore()
+    assert after_exponents["multiarr2.exponents_calls"] == 1
+    assert after_exponents["exactalg.rank_calls"] == 0
+    assert after_dim["exactalg.rank_calls"] == 1
+    assert after_dim["exactalg.constraint_calls"] == 3  # one per line
+
+
+def test_multiarr2_memos_are_bounded_or_known():
+    unbounded = {
+        name
+        for name, v in vars(multiarr2).items()
+        if hasattr(v, "cache_info") and v.cache_info().maxsize is None
+    }
+    assert unbounded <= {"_exponents", "_lower_basis"}
