@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 from .exactalg import (
     CanonicalForm,
     FormTuple,
     LinearForm2,
     Matrix,
+    QQ,
     _render_terms,
     canonical_coefficients,
     char_warning,
@@ -177,22 +177,8 @@ class CharPoly:
         return CharPoly(tuple(out))
 
     def __str__(self):
-        n = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            p = n - i
-            mono = "" if p == 0 else ("t" if p == 1 else f"t^{p}")
-            if mono and abs(c) == 1:
-                text = ("-" if c < 0 else "") + mono
-            else:
-                text = f"{c}*{mono}" if mono else str(c)
-            parts.append(text)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        monos = ("" if p == 0 else "t" if p == 1 else f"t^{p}" for p in range(self.degree, -1, -1))
+        return _render_terms(QQ, zip(self.coeffs, monos))
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +318,31 @@ def cone(aff: AffineArrangement2):
     return Arrangement3(field, forms), aff.k
 
 
-def _scalar_rank(c: int) -> int:
-    return 0 if c == 0 else (2 * c - 1 if c > 0 else -2 * c)
-
-
-def _vec_key(v):
-    return tuple(_scalar_rank(c) for c in reversed(v))
+def _ranked(n: int):
+    """0, 1, -1, ..., n, -n."""
+    yield 0
+    for c in range(1, n + 1):
+        yield from (c, -c)
 
 
 _FRAME_LIMIT = 64  # largest max-norm of a frame vector
 
 
 def _int_vectors():
-    """Integer vectors by max-norm 1.._FRAME_LIMIT, each shell in _vec_key order."""
+    """Integer vectors by max-norm 1.._FRAME_LIMIT; each shell runs z, y, x through _ranked."""
     for n in range(1, _FRAME_LIMIT + 1):
-        shell = {
-            v[:i] + (s,) + v[i:]
-            for i in range(3)
-            for s in (-n, n)
-            for v in _iter_product(range(-n, n + 1), repeat=2)
-        }
-        yield from sorted(shell, key=_vec_key)
+        for z in _ranked(n):
+            for y in _ranked(n):
+                yield from ((x, y, z) for x in (_ranked(n) if n in (abs(y), abs(z)) else (n, -n)))
 
 
 def _plane_frame(alpha: LinearForm3):
     """Deterministic integer frame for the plane alpha = 0.
 
     u1, u2 are the first two independent integer vectors annihilated by
-    alpha (smallest max-norm, then a fixed component order that prefers
-    small nonnegative early coordinates), and v0 is the first integer
-    vector with alpha(v0) = 1.
+    alpha in the order of _int_vectors (smallest max-norm, then small z, y
+    and x in turn, positive first), and v0 is the first integer vector
+    with alpha(v0) = 1.
     """
     field = alpha.field
     p = field.char

@@ -208,9 +208,9 @@ def _parse_ints(text: str, expect: int, what: str):
     try:
         vals = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise DocumentError(f"{what}: expected comma-separated integers") from exc
+        raise ValueError(f"{what}: expected comma-separated integers") from exc
     if len(vals) != expect:
-        raise DocumentError(f"{what}: expected {expect} entries, got {len(vals)}")
+        raise ValueError(f"{what}: expected {expect} entries, got {len(vals)}")
     return vals
 
 

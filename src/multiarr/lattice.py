@@ -133,12 +133,10 @@ def _ascend(arr: Arrangement2, m: Multiplicity) -> Multiplicity:
     cur = m
     for _ in range(_ASCENT_LIMIT):
         dv = exponents(arr, cur).delta
-        best = None
-        for nb in _neighbours(cur):
-            cls = classify(arr, nb)
-            if cls.tag is ComponentTag.FINITE_COMPONENT and cls.delta_value > dv:
-                if best is None or nb < best:
-                    best = nb
+        best = min(
+            (nb for nb in _neighbours(cur) if is_balanced(arr, nb) and exponents(arr, nb).delta > dv),
+            default=None,
+        )
         if best is None:
             return cur
         cur = best

@@ -6,12 +6,12 @@ per form.  Its module of tangent derivations is always free of rank two;
 this module computes the degrees (d1 <= d2) of a homogeneous basis, the
 gap d2 - d1, and canonical basis elements, all in exact arithmetic.
 
-The exponents come from a basis built one unit of multiplicity at a time
-(the addition step of Abe-Terao-Wakefield): raising m(H) by one either
-keeps the lower basis element and multiplies the other by alpha_H, or
-multiplies the lower one by alpha_H and cancels one residue in the other.
-Each state is read from the state one unit below, which a lexicographic
-scan has just built, through a bounded cache.
+The exponents and the canonical basis both come from a basis built one
+unit of multiplicity at a time (the addition step of Abe-Terao-Wakefield):
+raising m(H) by one either keeps the lower element and multiplies the
+other by alpha_H, or multiplies the lower one by alpha_H and cancels one
+residue in the other.  Each state is read, through a bounded cache, from
+the state one unit below, which a lexicographic scan has just built.
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated lattice-scan queries are cheap and thread-safe.
@@ -313,23 +313,53 @@ def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:
 def lower_degree_basis(arr: Arrangement2, m: Sequence[int]) -> Derivation2:
     """Canonical nonzero derivation of minimal degree d1.
 
-    The choice is the first canonical kernel vector of the degree-d1
-    tangency system; for d1 < d2 this is unique up to scalar, for
-    d1 == d2 it is a deterministic convention.
+    It is the first vector Matrix.kernel gives for the degree-d1 tangency
+    system, read off the unit-step state (see :func:`_canonical_basis`):
+    unique up to scalar for d1 < d2, a deterministic convention for d1 == d2.
     """
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0: every constant derivation is tangent, no canonical choice")
-    return _lower_basis(arr, mt)
+    return _canonical_basis(arr, mt)[0]
 
 
-@lru_cache(maxsize=None)
-def _lower_basis(arr: Arrangement2, m: Multiplicity) -> Derivation2:
-    e = _exponents(arr, m)
-    vecs = _tangency_matrix(arr, m, e.d1).kernel()
-    if not vecs:
-        raise RuntimeError("empty kernel at the computed lower exponent (solver bug)")
-    return Derivation2.from_vector(arr.field, e.d1, vecs[0])
+@lru_cache(maxsize=_STATE_CACHE)
+def _canonical_basis(arr: Arrangement2, m: Multiplicity):
+    """(theta1, theta2) of :func:`basis`, read off the unit-step state at m.
+
+    Read as f then g, Matrix.kernel gives one vector per last nonzero index
+    of the null space, zero at the other such indices, leading 1, ascending.
+    theta1 is the lower state element, or at d1 == d2 the one ending first,
+    zeroed where the other ends.  The kernel vectors before theta2 lie in
+    theta1*S_delta, so theta2 is the other element zeroed where each
+    x1^i*x2^(delta-i)*theta1 ends, for i from delta down to 0.
+    """
+    d1, d2, lo, hi = _unit_state(arr, m)
+    p, delta = arr.field.char, d2 - d1
+    if d1 == d2:
+        lo, hi = sorted((lo, hi), key=_last_index)
+        lo = _cancel(p, lo, hi)
+    for i in range(delta, -1, -1):
+        hi = _cancel(p, hi, tuple((0,) * i + v + (0,) * (delta - i) for v in lo))
+    return _leading_one(arr.field, d1, lo), _leading_one(arr.field, d2, hi)
+
+
+def _last_index(theta) -> int:
+    """The last nonzero index of theta read as f then g."""
+    return max(i for i, x in enumerate(theta[0] + theta[1]) if x)
+
+
+def _cancel(p: int, theta, other):
+    """theta plus a multiple of other, up to a scalar, zero where other ends."""
+    k = _last_index(other)
+    x, y = (theta[0] + theta[1])[k], (other[0] + other[1])[k]
+    return _normalise(p, tuple(tuple(y * s - x * t for s, t in zip(v, w)) for v, w in zip(theta, other)))
+
+
+def _leading_one(field, d: int, theta) -> Derivation2:
+    """theta as a degree-d Derivation2 whose first nonzero coefficient is 1."""
+    lead = field(next(x for x in theta[0] + theta[1] if x))
+    return Derivation2.from_vector(field, d, [field(x) / lead for x in theta[0] + theta[1]])
 
 
 def defining_form(arr: Arrangement2, m: Sequence[int]) -> BinaryForm:
@@ -350,32 +380,23 @@ def saito_det(theta1: Derivation2, theta2: Derivation2) -> BinaryForm:
 def basis(arr: Arrangement2, m: Sequence[int]):
     """A homogeneous basis (theta1, theta2) with degrees (d1, d2).
 
-    theta1 is the canonical lower-degree basis; theta2 is the first
-    degree-d2 kernel vector whose determinant with theta1 is nonzero.
+    theta1 is lower_degree_basis; theta2 is the first degree-d2 kernel vector
+    whose determinant with theta1 is nonzero (see :func:`_canonical_basis`).
     The determinant is verified to be a nonzero scalar multiple of the
     defining polynomial, which certifies the pair is a basis.
     """
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0 has no canonical basis choice")
-    e = _exponents(arr, mt)
-    theta1 = _lower_basis(arr, mt)
+    theta1, theta2 = _canonical_basis(arr, mt)
     target = defining_form(arr, mt)
-    for vec in _tangency_matrix(arr, mt, e.d2).kernel():
-        cand = Derivation2.from_vector(arr.field, e.d2, vec)
-        det = saito_det(theta1, cand)
-        if det.is_zero():
-            continue
-        c = det.proportional_scalar(target)
-        if c is None or not c:
-            raise RuntimeError(
-                "independent pair fails the determinant criterion (solver bug): "
-                f"det={det.render()}, expected scalar multiple of {target.render()}"
-            )
-        return theta1, cand
-    raise RuntimeError(
-        f"no degree-{e.d2} complement found for m={mt}; contradicts freeness (solver bug)"
-    )
+    det = saito_det(theta1, theta2)
+    if not det.proportional_scalar(target):
+        raise RuntimeError(
+            "independent pair fails the determinant criterion (solver bug): "
+            f"det={det.render()}, expected scalar multiple of {target.render()}"
+        )
+    return theta1, theta2
 
 
 def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):

@@ -1,10 +1,11 @@
 """Coning, intersection lattices, restrictions and freeness tests."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from multiarr import arr3
 from multiarr.arr3 import (
     AffineArrangement2,
     Arrangement3,
@@ -225,6 +226,24 @@ class TestZieglerRestriction:
     def test_near_pencil_unbalanced(self):
         restricted, mult = ziegler_restriction(near_pencil5(), 0)
         assert not is_balanced(restricted, mult)
+
+    def test_frame_shells_keep_the_sorted_order(self, monkeypatch):
+        # the order the frame search used when it sorted each shell
+        def rank(c):
+            return 0 if c == 0 else (2 * c - 1 if c > 0 else -2 * c)
+
+        def sorted_shells(limit):
+            for n in range(1, limit + 1):
+                shell = {
+                    v[:i] + (s,) + v[i:]
+                    for i in range(3)
+                    for s in (-n, n)
+                    for v in product(range(-n, n + 1), repeat=2)
+                }
+                yield from sorted(shell, key=lambda v: tuple(rank(c) for c in reversed(v)))
+
+        monkeypatch.setattr(arr3, "_FRAME_LIMIT", 12)
+        assert list(arr3._int_vectors()) == list(sorted_shells(12))
 
 
 class TestFreeness:

@@ -290,11 +290,15 @@ class TestLatticeCommand:
         assert code == EXIT_OK and "verdict: PASS" in out
 
     def test_caps_length_checked(self, capsys):
-        code, _, err = run(
-            capsys, "lattice", corpus_file("a2"), "--caps", "1,1", "--verify", "one"
-        )
-        assert code == EXIT_IO
-        assert "--caps" in err
+        # malformed integer lists on the command line are usage errors, not document errors
+        for argv in (
+            ("lattice", corpus_file("a2"), "--caps", "1,1", "--verify", "one"),
+            ("lattice", corpus_file("a2"), "--caps", "a,b,c", "--verify", "one"),
+            ("shift", corpus_file("a2"), "--m0", "1,1"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert err.startswith("error: ") and argv[2] in err
 
 
 class TestShiftCommand:

@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from multiarr import multiarr2
@@ -339,3 +339,43 @@ class TestUnitSteps:
         clear_multiarr_caches()
         assert state.cache_info().currsize == 0
         assert [exponents(arr, m).pair for arr, m in cases] == before
+
+
+def kernel_bases(arr, m):
+    """Oracle: the canonical basis as kernel vectors of the tangency systems.
+
+    theta1 is the first kernel vector at degree d1, theta2 the first kernel
+    vector at degree d2 whose determinant with theta1 is nonzero.
+    """
+    e, system = exponents(arr, m), multiarr2._tangency_matrix
+    theta1 = Derivation2.from_vector(arr.field, e.d1, system(arr, m, e.d1).kernel()[0])
+    for vec in system(arr, m, e.d2).kernel():
+        theta2 = Derivation2.from_vector(arr.field, e.d2, vec)
+        if not saito_det(theta1, theta2).is_zero():
+            return theta1, theta2
+    raise AssertionError(f"no degree-{e.d2} complement at m={m}")
+
+
+class TestCanonicalBasis:
+    @given(case=multiarrangements())
+    @example(case=(a2(), (1, 1, 1)))  # d1 < d2
+    @example(case=(a2(), (1, 2, 1)))  # d1 == d2, the lower state element ends first
+    @example(case=(a2(), (1, 2, 3)))  # d1 == d2, both state elements end at one index
+    @example(case=(b2(), (0, 0, 2, 2)))  # d1 == d2, the upper state element ends first
+    @example(case=(Arrangement2(QQ, [(1, 2), (3, -1), (1, 1)]), (30, 4, 3)))  # unbalanced, gap 23
+    def test_matches_kernel_route_without_solving(self, case):
+        """Bases read from the unit-step state equal the kernel vectors, with no solve."""
+        arr, m = case
+        assume(sum(m))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("kernel", "rank"):
+                method = getattr(Matrix, name)
+                mp.setattr(Matrix, name, lambda mat, method=method: calls.append(mat) or method(mat))
+            clear_multiarr_caches()
+            lower = lower_degree_basis(arr, m)
+            clear_multiarr_caches()
+            pair = basis(arr, m)
+        assert calls == []
+        assert pair == kernel_bases(arr, m)
+        assert lower == pair[0]

@@ -100,4 +100,4 @@ def test_multiarr2_memos_are_bounded_or_known():
         for name, v in vars(multiarr2).items()
         if hasattr(v, "cache_info") and v.cache_info().maxsize is None
     }
-    assert unbounded <= {"_exponents", "_lower_basis"}
+    assert unbounded <= {"_exponents"}
