@@ -18,7 +18,6 @@ from .exactalg import (
     CanonicalForm,
     FormTuple,
     LinearForm2,
-    Matrix,
     QQ,
     _render_terms,
     canonical_coefficients,
@@ -252,9 +251,9 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     for key in sorted(flats, key=lambda k: tuple(field.format(e) for e in k)):
         members = tuple(sorted(flats[key]))
         rank2.append(Rank2Flat(key, members, len(members) - 1))
-    rank3 = Matrix(field, [f.ints for f in forms]).rank() == 3
+    # normals of rank <= 2 all meet in one line; rank 3 gives two distinct lines
     origin_mu = None
-    if rank3:
+    if len(rank2) > 1:
         origin_mu = -(1 - arr.h + sum(f.mu for f in rank2))
     return CentralLattice3(arr, tuple(rank2), origin_mu)
 

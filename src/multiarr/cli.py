@@ -7,8 +7,14 @@ input).  Human tables go to stdout; ``--json`` switches to canonical
 JSON (sorted keys, scalars as decimal strings, no floats), which is
 byte-identical across runs of the same document.
 
-Exit codes: 0 success, 1 hypothesis or usage error, 2 theorem violation,
-3 I/O or parse error.
+Every document command runs through :func:`main`, which loads and builds
+the document once, times the command and emits what it returns; a command
+refuses an input by raising ``ValueError`` (printed as ``error: ...``).
+
+Exit codes: 0 success, including a failure flagged as expected because a
+hypothesis fails (positive characteristic); 1 hypothesis or usage error;
+2 theorem violation under every hypothesis, with a reproducer; 3 I/O or
+parse error.  :func:`_verdict` is the one rule behind the choice of 0 or 2.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ class ArrangementDocument:
     dim: int
     central: bool
     hyperplanes: list  # (coeff string tuple, multiplicity)
+    built: tuple = None  # build_arrangement(self), set by parse_document
 
     @property
     def field(self):
@@ -108,7 +115,7 @@ def parse_document(text: str) -> ArrangementDocument:
         out.append((tuple(coeffs), mult))
     doc = ArrangementDocument(name, field_desc, dim, central, out)
     try:
-        build_arrangement(doc)
+        doc.built = build_arrangement(doc)
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc)) from exc
     except ZeroDivisionError as exc:
@@ -164,20 +171,18 @@ def build_arrangement(doc: ArrangementDocument):
 
 
 def _envelope(command: str, doc, digest: str, results: dict) -> dict:
-    body = {
-        "command": command,
-        "version": __version__,
-        "results": results,
+    body = {"command": command, "version": __version__}
+    if doc is None:
+        return body | results  # verify-all reports at the top level
+    body["results"] = results
+    body["input"] = {
+        "digest": digest,
+        "name": doc.name,
+        "field": doc.field_desc,
+        "dim": doc.dim,
+        "central": doc.central,
+        "hyperplanes": len(doc.hyperplanes),
     }
-    if doc is not None:
-        body["input"] = {
-            "digest": digest,
-            "name": doc.name,
-            "field": doc.field_desc,
-            "dim": doc.dim,
-            "central": doc.central,
-            "hyperplanes": len(doc.hyperplanes),
-        }
     return body
 
 
@@ -199,6 +204,15 @@ def _derivation_json(theta, field):
     }
 
 
+def _verdict(report) -> tuple[str, int]:
+    """PASS, or a failure that is EXPECTED-VIOLATION when a hypothesis fails."""
+    if report.passed:
+        return "PASS", EXIT_OK
+    if not report.hypothesis_met:
+        return "EXPECTED-VIOLATION", EXIT_OK
+    return "VIOLATION", EXIT_VIOLATION
+
+
 def _check_mult_budget(total: int, what: str) -> None:
     if total > MULT_BUDGET:
         raise ValueError(f"{what} = {total} exceeds the multiplicity budget of {MULT_BUDGET}")
@@ -218,10 +232,8 @@ def _parse_ints(text: str, expect: int, what: str):
 # commands
 
 
-def cmd_exp(args) -> int:
-    started = time.perf_counter()
-    doc, digest = load_document(args.file)
-    kind, arr, mult = _require_arr2(doc)
+def cmd_exp(args, doc):
+    _, arr, mult = _require_arr2(doc)
     _check_mult_budget(sum(mult), "|m|")
     e = multiarr2.exponents(arr, mult)
     balanced = multiarr2.is_balanced(arr, mult)
@@ -247,30 +259,24 @@ def cmd_exp(args) -> int:
         lines.append("lower basis: undefined for |m| = 0")
     if results["char_warning"]:
         lines.append(f"warning: {results['char_warning']}")
-    _emit(args, _envelope("exp", doc, digest, results), lines, started)
-    return EXIT_OK
+    return "exp", results, lines, EXIT_OK
 
 
 def _require_arr2(doc):
-    built = build_arrangement(doc)
-    if built[0] != "arr2":
+    if doc.built[0] != "arr2":
         raise DocumentError("this command needs a planar central document (dim 2, central)")
-    return built
+    return doc.built
 
 
-def cmd_lattice(args) -> int:
-    started = time.perf_counter()
-    doc, digest = load_document(args.file)
+def cmd_lattice(args, doc):
     _, arr, _ = _require_arr2(doc)
     caps = _parse_ints(args.caps, arr.h, "--caps")
     region = lattice.LatticeRegion(arr, caps, args.total)
     if region.size_bound() > POINT_BUDGET:
-        print(
+        raise ValueError(
             f"region too large: about {region.size_bound()} points exceeds the "
-            f"budget of {POINT_BUDGET}",
-            file=sys.stderr,
+            f"budget of {POINT_BUDGET}"
         )
-        return EXIT_USAGE
     top = sum(caps) if args.total is None else min(sum(caps), args.total)
     _check_mult_budget(top, "the largest |m| of the region")
     verifier = {
@@ -279,12 +285,10 @@ def cmd_lattice(args) -> int:
         "str": lattice.verify_theorem_str,
     }[args.verify]
     report = verifier(region)
-    results = _lattice_results(args.verify, report)
+    status, code = _verdict(report)
     lines = _lattice_lines(args.verify, report)
-    _emit(args, _envelope(f"lattice/{args.verify}", doc, digest, results), lines, started)
-    if not report.passed and report.hypothesis_met:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    lines.append(f"verdict: {status}")
+    return f"lattice/{args.verify}", _lattice_results(args.verify, report), lines, code
 
 
 def _lattice_results(which: str, report) -> dict:
@@ -357,24 +361,15 @@ def _lattice_lines(which: str, report) -> list:
             lines.append(f"  FAIL {f}")
     if report.char_warning:
         lines.append(f"warning: {report.char_warning}")
-    status = "PASS" if report.passed else (
-        "EXPECTED-VIOLATION" if not report.hypothesis_met else "VIOLATION"
-    )
-    lines.append(f"verdict: {status}")
     return lines
 
 
-def cmd_shift(args) -> int:
-    started = time.perf_counter()
-    doc, digest = load_document(args.file)
+def cmd_shift(args, doc):
     _, arr, mult = _require_arr2(doc)
     m0 = _parse_ints(args.m0, arr.h, "--m0") if args.m0 else mult
     _check_mult_budget(sum(m0), "|m0|")
-    try:
-        cert = shift.shift_isomorphism_check(arr, m0)
-    except ValueError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = shift.shift_isomorphism_check(arr, m0)
+    status, code = _verdict(cert)
     field = arr.field
     results = {
         "m0": list(cert.m0),
@@ -403,30 +398,25 @@ def cmd_shift(args) -> int:
         mark = "pass" if c.passed else "FAIL"
         scal = field.format(c.saito_scalar) if c.saito_scalar is not None else "-"
         lines.append(f"  m={c.m} -> {c.target}: {mark} scalar={scal}")
+    if cert.char_warning:
+        lines.append(f"warning: {cert.char_warning}")
     lines.append(
-        f"certificate: {'PASS' if cert.passed else 'THEOREM VIOLATION'} "
+        f"certificate: {status} "
         f"({sum(c.passed for c in cert.checked_shifts)}/{len(cert.checked_shifts)})"
     )
-    _emit(args, _envelope("shift", doc, digest, results), lines, started)
-    return EXIT_OK if cert.passed else EXIT_VIOLATION
+    return "shift", results, lines, code
 
 
-def cmd_free(args) -> int:
-    started = time.perf_counter()
-    doc, digest = load_document(args.file)
-    built = build_arrangement(doc)
-    if built[0] == "arr2":
+def cmd_free(args, doc):
+    kind, arrangement = doc.built[:2]
+    if kind == "arr2":
         raise DocumentError("freeness needs a central dim-3 or affine dim-2 document")
     coned = None
-    if built[0] == "aff2":
-        arrangement, infinite = arr3.cone(built[1])
-        coned = infinite
-    else:
-        arrangement = built[1]
-    h0 = args.H0 if args.H0 is not None else (coned if coned is not None else 0)
+    if kind == "aff2":
+        arrangement, coned = arr3.cone(arrangement)
+    h0 = args.H0 if args.H0 is not None else (coned or 0)
     if not 0 <= h0 < arrangement.h:
-        print(f"--H0 index {h0} out of range (0..{arrangement.h - 1})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--H0 index {h0} out of range (0..{arrangement.h - 1})")
     verdict = arr3.is_free(arrangement, h0)
     field = arrangement.field
     zieg = None
@@ -465,12 +455,10 @@ def cmd_free(args) -> int:
         )
     if verdict.char_warning:
         lines.append(f"warning: {verdict.char_warning}")
-    _emit(args, _envelope("free", doc, digest, results), lines, started)
-    return EXIT_OK
+    return "free", results, lines, EXIT_OK
 
 
-def cmd_verify_all(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_all(args, doc):
     # the bundled corpus must parse and round-trip before the suite runs
     for name in corpus.document_names():
         path = corpus.document_path(name)
@@ -481,8 +469,6 @@ def cmd_verify_all(args) -> int:
     results = acceptance.run_suite()
     ok = all(r.passed for r in results)
     report = {
-        "command": "verify-all",
-        "version": __version__,
         "suite": "desk",
         "results": [
             {
@@ -498,8 +484,7 @@ def cmd_verify_all(args) -> int:
     }
     lines = [r.describe() for r in results]
     lines.append(f"suite: {'PASS' if ok else 'FAIL'}")
-    _emit(args, report, lines, started)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return "verify-all", report, lines, EXIT_OK if ok else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +542,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        doc, digest = load_document(args.file) if "file" in args else (None, None)
+        command, results, lines, code = args.fn(args, doc)
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(args, _envelope(command, doc, digest, results), lines, started)
+    return code
 
 
 def entry() -> None:

@@ -20,6 +20,7 @@ so repeated lattice-scan queries are cheap and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -60,7 +61,7 @@ class Arrangement2(FormTuple):
     form_type = LinearForm2
 
     def check_multiplicity(self, m: Sequence[int]) -> Multiplicity:
-        mt = tuple(map(int, m))
+        mt = tuple(map(operator.index, m))
         h = len(self.forms)
         if len(mt) != h:
             raise ValueError(f"multiplicity has {len(mt)} entries, arrangement has {h}")

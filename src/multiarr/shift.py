@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .exactalg import BinaryForm, binary_form_divides
+from .exactalg import BinaryForm, binary_form_divides, char_warning
 from .multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -168,7 +168,12 @@ class ShiftCertificate:
     hypothesis: str
     mode: str  # "exhaustive" or "sampled"
     degree_identity_ok: bool
+    char_warning: str | None
     checked_shifts: list = dc_field(default_factory=list)
+
+    @property
+    def hypothesis_met(self) -> bool:
+        return self.char_warning is None
 
     @property
     def passed(self) -> bool:
@@ -189,7 +194,8 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     balanced with gap exactly h - 2, and either h = 3 with m0 - 1 balanced
     or h >= 4.  For each shift m the images of a basis at m must land in
     the module at m0 + m - 1 and satisfy the determinant criterion there;
-    each check records its determinant scalar.
+    each check records its determinant scalar.  Over GF(p) the certificate
+    carries a char_warning and its hypothesis_met is False.
     """
     mt = arr.check_multiplicity(m0)
     h = arr.h
@@ -214,6 +220,7 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
 
     degree_identity_ok = True
     checks = []
+    field = arr.field
     for m in shifts:
         target = tuple(a + b - 1 for a, b in zip(mt, m))
         if sum(target) != 2 * d + sum(m) - 2:
@@ -234,8 +241,8 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
         repro = None
         if not ok:
             repro = {
-                "arrangement": [f.coeffs for f in arr.forms],
-                "field": arr.field.name,
+                "arrangement": [[field.format(c) for c in f.coeffs] for f in arr.forms],
+                "field": field.name,
                 "m0": mt,
                 "m": m,
                 "theta0": theta0.render(),
@@ -245,7 +252,8 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
                 "membership_ok": membership_ok,
             }
         checks.append(ShiftCheck(m, target, membership_ok, scalar, ok, repro))
-    return ShiftCertificate(arr, mt, theta0, hypothesis, mode, degree_identity_ok, checks)
+    warning = char_warning(field, "the shift theorem assumes characteristic zero")
+    return ShiftCertificate(arr, mt, theta0, hypothesis, mode, degree_identity_ok, warning, checks)
 
 
 def _binary_tuples(n: int):
@@ -260,7 +268,8 @@ def is_am_euler(arr: Arrangement2, m: Sequence[int], theta: Derivation2):
     balanced with gap h - 2, the structural hypothesis (h = 3 with m - 1
     balanced, or h >= 4), and theta a nonzero degree-d1 member of the
     module.  When everything holds the shift certificate is also run and
-    must pass; its failure would be a genuine counterexample and raises.
+    must pass.  Over GF(p) its failure is a diagnostic naming the
+    characteristic; over Q it would be a genuine counterexample and raises.
     """
     mt = arr.check_multiplicity(m)
     diags = _failed_hypotheses(arr, mt)
@@ -280,12 +289,14 @@ def is_am_euler(arr: Arrangement2, m: Sequence[int], theta: Derivation2):
     if diags:
         return False, diags
     cert = shift_isomorphism_check(arr, mt)
-    if not cert.passed:
-        raise RuntimeError(
-            "shift certificate failed although every hypothesis holds; "
-            f"reproducers: {[c.reproducer for c in cert.failures()]}"
-        )
-    return True, []
+    if cert.passed:
+        return True, []
+    if not cert.hypothesis_met:
+        return False, [f"shift certificate failed: {cert.char_warning}"]
+    raise RuntimeError(
+        "shift certificate failed although every hypothesis holds; "
+        f"reproducers: {[c.reproducer for c in cert.failures()]}"
+    )
 
 
 @dataclass

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiarr import arr3
 from multiarr.arr3 import (
@@ -34,7 +36,7 @@ from multiarr.corpus import (
     generic5_lines,
     near_pencil5,
 )
-from multiarr.exactalg import QQ
+from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import is_balanced
 
 
@@ -150,6 +152,33 @@ class TestIntersectionLattice:
         lat = intersection_lattice(arr)
         assert lat.origin_mu is None
         assert len(lat.rank2) == 1 and lat.rank2[0].mu == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([0, 2, 3, 5, 7]),
+        gens=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=3, max_size=3),
+        combos=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7),
+        pencil=st.booleans(),
+    )
+    def test_origin_is_a_flat_iff_the_normals_have_rank_three(self, p, gens, combos, pencil):
+        # normals are combinations of three generators; a pencil uses only two
+        field = QQ if p == 0 else GF(p)
+        normals = [
+            tuple(a * u + b * v + (0 if pencil else c) * w for u, v, w in zip(*gens))
+            for a, b, c in combos
+        ]
+        forms = {}
+        for n in normals:
+            if any(field(x) for x in n):
+                forms.setdefault(canonical_coefficients(field, n), n)
+        if not forms:
+            return
+        arr = Arrangement3(field, list(forms.values()))
+        rank = Matrix(field, [f.ints for f in arr.forms]).rank()
+        lat = intersection_lattice(arr)
+        assert (lat.origin_mu is not None) == (rank == 3)
+        if pencil:
+            assert lat.origin_mu is None
 
     def test_mobius_values_sum_to_zero(self):
         for arr in (boolean3(), braid3(), generic4(), near_pencil5()):

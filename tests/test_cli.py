@@ -1,5 +1,7 @@
 """Document parsing, command output, exit codes and JSON determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multiarr
-from multiarr import corpus
+from multiarr import cli, corpus, shift
 from multiarr.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -48,6 +50,9 @@ def write_a2(tmp_path, coeffs, mult=1, field="Q"):
     path = tmp_path / "a2.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+A2 = [("1", "0"), ("0", "1"), ("1", "1")]
 
 
 def input_digest(capsys, path):
@@ -322,6 +327,36 @@ class TestShiftCommand:
         assert code == EXIT_USAGE
         assert "gap" in err
 
+    def test_positive_characteristic_is_an_expected_violation(self, capsys, tmp_path):
+        path = write_a2(tmp_path, A2, field={"p": 2})
+        code, out, _ = run(capsys, "shift", path, "--m0", "2,2,1")
+        assert code == EXIT_OK
+        assert "warning: field has characteristic 2; the shift theorem assumes characteristic zero" in out
+        assert "certificate: EXPECTED-VIOLATION (0/8)" in out
+        code, out, err = run(capsys, "shift", path, "--m0", "2,2,1", "--json")
+        assert code == EXIT_OK and err == ""
+        results = json.loads(out)["results"]
+        assert not results["passed"] and "char_warning" not in results
+        assert len(results["reproducers"]) == 8
+        for repro in results["reproducers"]:
+            assert repro["arrangement"] == [list(c) for c in A2]
+            assert repro["field"] == "GF(2)"
+
+    def test_failing_certificate_over_q_exits_two(self, capsys, monkeypatch):
+        # a determinant check forced to fail: the path of a genuine counterexample
+        real = shift.defining_form
+        monkeypatch.setattr(shift, "defining_form", lambda arr, m: real(arr, tuple(v + 1 for v in m)))
+        code, out, _ = run(capsys, "shift", corpus_file("a2"), "--json")
+        assert code == EXIT_VIOLATION
+        results = json.loads(out)["results"]
+        assert not results["passed"] and len(results["reproducers"]) == 8
+        repro = results["reproducers"][0]
+        assert repro["arrangement"] == [list(c) for c in A2]
+        assert repro["m0"] == [1, 1, 1] and repro["field"] == "Q"
+        code, out, _ = run(capsys, "shift", corpus_file("a2"))
+        assert code == EXIT_VIOLATION
+        assert "certificate: VIOLATION (0/8)" in out and "warning" not in out
+
 
 class TestFreeCommand:
     def test_braid(self, capsys):
@@ -351,6 +386,73 @@ class TestFreeCommand:
         code, _, err = run(capsys, "free", corpus_file("braid3"), "--H0", "7")
         assert code == EXIT_USAGE
         assert "out of range" in err
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exp", "a2"),
+            ("lattice", "a2", "--caps", "1,1,1", "--verify", "str"),
+            ("shift", "b2_lines"),
+            ("free", "braid3"),
+            ("free", "braid_deconing"),
+        ],
+    )
+    def test_each_document_is_built_once(self, capsys, monkeypatch, argv):
+        built = []
+        real = cli.build_arrangement
+        monkeypatch.setattr(cli, "build_arrangement", lambda doc: built.append(doc) or real(doc))
+        code, _, _ = run(capsys, argv[0], corpus_file(argv[1]), *argv[2:])
+        assert code == EXIT_OK
+        assert len(built) == 1
+
+
+LINES = {  # pairwise non-proportional lines of each field, as coefficient pairs
+    p: [(0, 1)] + [(1, a) for a in (range(-3, 4) if p == 0 else range(p))] for p in (0, 2, 3, 5)
+}
+
+
+@st.composite
+def planar_documents(draw):
+    p = draw(st.sampled_from(sorted(LINES)))
+    lines = draw(st.lists(st.sampled_from(LINES[p]), min_size=1, max_size=4, unique=True))
+    mult = draw(st.lists(st.integers(0, 4), min_size=len(lines), max_size=len(lines)))
+    while sum(mult) > 8:
+        mult[mult.index(max(mult))] -= 1
+    sign = draw(st.sampled_from([1, -1]))
+    doc = {
+        "central": True,
+        "dim": 2,
+        "field": "Q" if p == 0 else {"p": p},
+        "hyperplanes": [
+            {"coeffs": [str(sign * a), str(sign * b)], "mult": k} for (a, b), k in zip(lines, mult)
+        ],
+    }
+    return p, mult, json.dumps(doc)
+
+
+class TestCommandProperties:
+    """exp, shift and lattice on small random documents exit 0, 1 or 2 cleanly."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(planar_documents())
+    def test_exit_codes_and_json(self, monkeypatch, case):
+        p, mult, text = case
+        caps = ",".join(map(str, mult))
+        for argv in (["exp", "-"], ["shift", "-"], ["lattice", "-", "--caps", caps, "--verify", "one"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--json"])
+            assert "Traceback" not in err.getvalue()
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION), argv
+            if code == EXIT_VIOLATION:
+                assert p == 0, argv
+            if code == EXIT_USAGE:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            else:
+                assert json.loads(out.getvalue())["command"].startswith(argv[0])
 
 
 class TestFrameLimit:

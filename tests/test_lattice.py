@@ -102,6 +102,22 @@ class TestEnumeration:
         region = LatticeRegion(a2(), (1, 1, 1), total=1)
         assert list(region.points()) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
+    @pytest.mark.parametrize(
+        "caps, total, exc, match",
+        [
+            ((2.7, 2, 2), None, TypeError, "'float' object cannot be interpreted as an integer"),
+            (("2", 2, 2), None, TypeError, "'str' object cannot be interpreted as an integer"),
+            ((2, 2, 2), 2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+            ((2, 2), None, ValueError, "caps length disagrees with the arrangement"),
+            ((2, -1, 2), None, ValueError, "caps must be nonnegative"),
+            ((2, 2, 2), -1, ValueError, "total cap must be nonnegative"),
+        ],
+        ids=["float-cap", "string-cap", "float-total", "length", "negative-cap", "negative-total"],
+    )
+    def test_caps_are_checked_not_truncated(self, caps, total, exc, match):
+        with pytest.raises(exc, match=match):
+            LatticeRegion(a2(), caps, total)
+
     def test_size_bound(self):
         assert LatticeRegion(a2(), (4, 4, 4)).size_bound() == 125
 

@@ -41,10 +41,15 @@ class TestArrangement:
 
     def test_multiplicity_validation(self):
         arr = a2()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="multiplicity has 2 entries, arrangement has 3"):
             arr.check_multiplicity((1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
             arr.check_multiplicity((1, 1, -1))
+
+    @pytest.mark.parametrize("m", [(1.9, 1, 1), ("2", 1, 1), (1, 1.0, 1)], ids=["float", "string", "float-one"])
+    def test_multiplicities_are_checked_not_truncated(self, m):
+        with pytest.raises(TypeError, match="object cannot be interpreted as an integer"):
+            exponents(a2(), m)
 
     def test_hashable_value_semantics(self):
         assert a2() == a2()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multiarr.exactalg import QQ, BinaryForm
+from multiarr import shift
+from multiarr.exactalg import GF, QQ, BinaryForm
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -129,6 +130,7 @@ class TestShiftCertificate:
         assert len(cert.checked_shifts) == 8
         assert cert.hypothesis == "h=3 and m0-1 balanced"
         assert cert.degree_identity_ok
+        assert cert.hypothesis_met and cert.char_warning is None
 
     def test_b2_all_sixteen(self):
         cert = shift_isomorphism_check(b2(), (1, 1, 1, 1))
@@ -165,6 +167,16 @@ class TestShiftCertificate:
         with pytest.raises(ValueError):
             shift_isomorphism_check(b2(), b2_m)
 
+    def test_positive_characteristic_is_flagged(self):
+        # the paper's remark: over GF(2) the shift map at (2,2,1) fails every check
+        arr = Arrangement2(GF(2), [(1, 0), (0, 1), (1, 1)])
+        cert = shift_isomorphism_check(arr, (2, 2, 1))
+        assert not cert.passed and not cert.hypothesis_met
+        assert "characteristic 2" in cert.char_warning
+        assert len(cert.failures()) == 8
+        repro = cert.failures()[0].reproducer
+        assert repro["arrangement"] == [["1", "0"], ["0", "1"], ["1", "1"]]
+
     def test_thirteen_lines_are_sampled(self):
         # above h = 12 a seeded sample of 256 distinct 0/1-shifts is checked
         arr = Arrangement2(QQ, [(1, k) for k in range(12)] + [(0, 1)])
@@ -194,6 +206,19 @@ class TestAmEuler:
         ok, diags = is_am_euler(a2(), (2, 2, 1), theta)
         assert not ok
         assert any("degree" in d for d in diags)
+
+    def test_positive_characteristic_is_a_diagnostic(self):
+        arr = Arrangement2(GF(2), [(1, 0), (0, 1), (1, 1)])
+        ok, diags = is_am_euler(arr, (2, 2, 1), lower_degree_basis(arr, (2, 2, 1)))
+        assert not ok
+        assert diags == ["shift certificate failed: field has characteristic 2; "
+                         "the shift theorem assumes characteristic zero"]
+
+    def test_failure_under_every_hypothesis_raises(self, monkeypatch):
+        real = shift.defining_form
+        monkeypatch.setattr(shift, "defining_form", lambda arr, m: real(arr, tuple(v + 1 for v in m)))
+        with pytest.raises(RuntimeError, match="every hypothesis holds"):
+            is_am_euler(a2(), (2, 2, 1), lower_degree_basis(a2(), (2, 2, 1)))
 
     def test_nontangent_is_not(self):
         theta = Derivation2(BinaryForm(QQ, 2, (1, 0, 0)), BinaryForm.zero(QQ, 2))
