@@ -33,6 +33,7 @@ from .multiarr2 import (
     lower_degree_basis,
     nonbalanced_exponents,
     saito_det,
+    untangent_forms,
 )
 from .lattice import (
     ComponentReport,

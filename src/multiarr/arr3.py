@@ -152,7 +152,7 @@ class CharPoly:
             raise ValueError("quadratic part is defined for cubics")
         q = self.quotient_by_root(1)
         if q is None:
-            raise RuntimeError("(t - 1) does not divide a central characteristic polynomial")
+            raise ValueError("(t - 1) does not divide this cubic, so no central arrangement has it")
         return (-q.coeffs[1], q.coeffs[2])
 
     def integer_roots_quadratic(self):
@@ -379,17 +379,11 @@ def decone(arr: Arrangement3, h0: int) -> AffineArrangement2:
     """
     if not 0 <= h0 < arr.h:
         raise ValueError(f"h0 index {h0} out of range")
-    field = arr.field
     u1, u2, v0 = _plane_frame(arr.forms[h0])
-    lines = []
-    for i, alpha in enumerate(arr.forms):
-        if i == h0:
-            continue
-        a, b = alpha.value(u1), alpha.value(u2)
-        if not a and not b:
-            raise RuntimeError("plane proportional to h0 survived dedup (bug)")
-        lines.append((a, b, -alpha.value(v0)))
-    return AffineArrangement2(field, lines)
+    # a plane vanishing at u1 and u2 would be proportional to h0, so every
+    # line keeps a nonzero direction part
+    lines = [(a.value(u1), a.value(u2), -a.value(v0)) for i, a in enumerate(arr.forms) if i != h0]
+    return AffineArrangement2(arr.field, lines)
 
 
 def ziegler_restriction(arr: Arrangement3, h0: int):

@@ -14,7 +14,10 @@ refuses an input by raising ``ValueError`` (printed as ``error: ...``).
 Exit codes: 0 success, including a failure flagged as expected because a
 hypothesis fails (positive characteristic); 1 hypothesis or usage error;
 2 theorem violation under every hypothesis, with a reproducer; 3 I/O or
-parse error.  :func:`_verdict` is the one rule behind the choice of 0 or 2.
+parse error; 4 internal error (a broken invariant of the library), which
+:func:`main` reports once on stderr with its innermost frame, the input
+digest and the command line, and no traceback.  :func:`_verdict` is the
+one rule behind the choice of 0 or 2.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
@@ -542,18 +548,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    digest = None
     try:
         doc, digest = load_document(args.file) if "file" in args else (None, None)
         command, results, lines, code = args.fn(args, doc)
+        _emit(args, _envelope(command, doc, digest, results), lines, started)
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, _envelope(command, doc, digest, results), lines, started)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc}\n"
+            f"  at {frame.filename}:{frame.lineno} in {frame.name}\n"
+            f"input sha256: {digest or 'none'}\n"
+            f"reproduce: multiarr {shlex.join(argv)}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
     return code
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "lower_degree_basis",
     "basis",
     "saito_det",
+    "untangent_forms",
     "nonbalanced_exponents",
     "defining_form",
 ]
@@ -378,6 +379,20 @@ def saito_det(theta1: Derivation2, theta2: Derivation2) -> BinaryForm:
     return theta1.f * theta2.g - theta2.f * theta1.g
 
 
+def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> list:
+    """The forms alpha of arr for which alpha^m(H) does not divide theta(alpha).
+
+    theta lies in D(arr, m) iff the list is empty.  The test is polynomial
+    division, independent of the rows the exponent solver uses.
+    """
+    mt = arr.check_multiplicity(m)
+    return [
+        alpha
+        for alpha, k in zip(arr.forms, mt)
+        if not binary_form_divides(alpha, k, theta.apply_to_linear(alpha))
+    ]
+
+
 def basis(arr: Arrangement2, m: Sequence[int]):
     """A homogeneous basis (theta1, theta2) with degrees (d1, d2).
 
@@ -420,8 +435,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
         if i != k_idx and k:
             prod = prod * alpha.power(k)
     theta = Derivation2(prod.scaled(u), prod.scaled(v))
-    for alpha, k in zip(arr.forms, mt):
-        if not binary_form_divides(alpha, k, theta.apply_to_linear(alpha)):
-            raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
+    if untangent_forms(arr, mt, theta):
+        raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
     lo, hi = sorted((mt[k_idx], total - mt[k_idx]))
     return Exponents2(lo, hi), theta

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .exactalg import BinaryForm, binary_form_divides, char_warning
+from .exactalg import BinaryForm, char_warning
 from .multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -27,6 +27,7 @@ from .multiarr2 import (
     is_balanced,
     lower_degree_basis,
     saito_det,
+    untangent_forms,
 )
 
 __all__ = [
@@ -46,21 +47,15 @@ __all__ = [
 def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
     """The connection: theta applied to each coefficient of phi.
 
-    The result is homogeneous of degree deg(theta) + deg(phi) - 1 when
-    nonzero; a negative target degree can only be the zero derivation.
+    The result is homogeneous of degree deg(theta) + deg(phi) - 1, since
+    form products carry declared degrees; a constant phi gives zero.
     """
     if theta.field != phi.field:
         raise TypeError("mixed-field derivations")
-    target = theta.degree + phi.degree - 1
-    u = theta.apply_to_form(phi.f)
-    v = theta.apply_to_form(phi.g)
-    if target < 0 or phi.degree == 0:
-        # structurally zero (derivative of constants); keep a clean degree
-        deg = max(target, 0)
-        return Derivation2(BinaryForm.zero(theta.field, deg), BinaryForm.zero(theta.field, deg))
-    if u.degree != target or v.degree != target:
-        raise RuntimeError("degree bookkeeping error in nabla")
-    return Derivation2(u, v)
+    if phi.degree == 0:
+        zero = BinaryForm.zero(theta.field, max(theta.degree - 1, 0))
+        return Derivation2(zero, zero)
+    return Derivation2(theta.apply_to_form(phi.f), theta.apply_to_form(phi.g))
 
 
 def coordinate_duals(arr: Arrangement2):
@@ -73,9 +68,7 @@ def coordinate_duals(arr: Arrangement2):
         raise ValueError("need at least two hyperplanes for coordinates")
     a1, b1 = arr.forms[0].coeffs
     a2, b2 = arr.forms[1].coeffs
-    det = a1 * b2 - a2 * b1
-    if not det:
-        raise RuntimeError("first two forms are proportional (arrangement invariant broken)")
+    det = a1 * b2 - a2 * b1  # nonzero: arrangement forms are pairwise non-proportional
 
     def const(u, v):
         return Derivation2(
@@ -120,10 +113,7 @@ def nabla_descent_check(arr: Arrangement2, m: Sequence[int], theta: Derivation2 
     for i, d_i in enumerate(duals):
         eta = nabla(d_i, theta)
         reduced = _descent_multiplicity(mt, keep_index=1 - i)
-        bad = []
-        for alpha, k in zip(arr.forms, reduced):
-            if not binary_form_divides(alpha, k, eta.apply_to_linear(alpha)):
-                bad.append(alpha)
+        bad = untangent_forms(arr, reduced, eta)
         items.append((i, reduced, eta.is_zero(), not bad, bad))
     return DescentReport(arr, mt, theta, items)
 
@@ -230,11 +220,7 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
         else:
             pair = basis(arr, m)
         images = [nabla(t, theta0) for t in pair]
-        membership_ok = all(
-            binary_form_divides(alpha, k, eta.apply_to_linear(alpha))
-            for eta in images
-            for alpha, k in zip(arr.forms, target)
-        )
+        membership_ok = not any(untangent_forms(arr, target, eta) for eta in images)
         det = saito_det(*images)
         scalar = det.proportional_scalar(defining_form(arr, target))
         ok = membership_ok and scalar is not None and bool(scalar)
@@ -279,11 +265,7 @@ def is_am_euler(arr: Arrangement2, m: Sequence[int], theta: Derivation2):
     elif theta.degree != d1:
         diags.append(f"theta has degree {theta.degree}, lower exponent is {d1}")
     else:
-        bad = [
-            alpha
-            for alpha, k in zip(arr.forms, mt)
-            if not binary_form_divides(alpha, k, theta.apply_to_linear(alpha))
-        ]
+        bad = untangent_forms(arr, mt, theta)
         if bad:
             diags.append(f"theta is not tangent at {[a.render() for a in bad]}")
     if diags:

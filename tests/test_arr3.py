@@ -202,6 +202,12 @@ class TestCharPoly:
         assert cp.coeffs == (1, -4, 6, -3)
         assert cp.quadratic_coeffs() == (3, 3)
 
+    def test_quadratic_coeffs_needs_the_root_one(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            CharPoly((1, 0, 0, 1)).quadratic_coeffs()
+        with pytest.raises(ValueError, match="cubics"):
+            CharPoly((1, -1)).quadratic_coeffs()
+
     def test_whitney_oracle_central(self):
         for arr in (boolean3(), braid3(), generic4(), near_pencil5()):
             w = whitney_central(central_coeff_triples(arr))

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multiarr
-from multiarr import cli, corpus, shift
+from multiarr import cli, corpus, multiarr2, shift
+from multiarr.exactalg import BinaryForm
 from multiarr.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -53,6 +57,15 @@ def write_a2(tmp_path, coeffs, mult=1, field="Q"):
 
 
 A2 = [("1", "0"), ("0", "1"), ("1", "1")]
+
+
+def run_stdin(monkeypatch, text, *argv):
+    """main on a document read from stdin; returns (code, stdout, stderr)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def input_digest(capsys, path):
@@ -441,18 +454,126 @@ class TestCommandProperties:
         p, mult, text = case
         caps = ",".join(map(str, mult))
         for argv in (["exp", "-"], ["shift", "-"], ["lattice", "-", "--caps", caps, "--verify", "one"]):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, "--json"])
-            assert "Traceback" not in err.getvalue()
+            code, out, err = run_stdin(monkeypatch, text, *argv, "--json")
+            assert "Traceback" not in err
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION), argv
             if code == EXIT_VIOLATION:
                 assert p == 0, argv
             if code == EXIT_USAGE:
-                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+                assert out == "" and err.startswith("error: ")
             else:
-                assert json.loads(out.getvalue())["command"].startswith(argv[0])
+                assert json.loads(out)["command"].startswith(argv[0])
+
+
+FREE_FIELDS = ("Q", {"p": 2}, {"p": 3}, {"p": 2**31 - 1})
+
+
+@st.composite
+def free_documents(draw):
+    """Central dim-3 documents (h <= 8) and affine planar ones, |coeff| <= 9."""
+    central = draw(st.booleans())
+    bound = draw(st.sampled_from([1, 2, 9]))  # small bounds make free arrangements common
+    coeffs = st.tuples(*[st.integers(-bound, bound)] * 3)
+    if central:
+        coeffs = coeffs.filter(any)
+    else:
+        coeffs = coeffs.filter(lambda c: c[0] or c[1])
+    h = draw(st.integers(2, 8 if central else 7))
+    planes = draw(st.lists(coeffs, min_size=h, max_size=h, unique=True))
+    field = draw(st.sampled_from(FREE_FIELDS))
+    doc = {
+        "central": central,
+        "dim": 3 if central else 2,
+        "field": field,
+        "hyperplanes": [{"coeffs": [str(c) for c in plane]} for plane in planes],
+    }
+    return field, json.dumps(doc)
+
+
+def expand(roots):
+    """Coefficients of prod (t - r), highest power first."""
+    out = [1]
+    for r in roots:
+        out = [a - r * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+class TestFreeProperties:
+    """free on random documents: clean exits, and over Q an H0-independent verdict."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(free_documents())
+    def test_exit_codes_verdicts_and_char_poly(self, monkeypatch, case):
+        field, text = case
+        code, out, err = run_stdin(monkeypatch, text, "free", "-", "--json")
+        assert "Traceback" not in err
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+        if code != EXIT_OK:
+            assert out == ""
+            return
+        results = json.loads(out)["results"]
+        if field != "Q":
+            return
+        if results["free"]:
+            assert results["char_poly"] == expand(results["exponents"])
+        verdicts = set()
+        for h0 in range(len(json.loads(text)["hyperplanes"]) + results["coned"]):
+            code, out, err = run_stdin(monkeypatch, text, "free", "-", "--json", "--H0", str(h0))
+            assert code == EXIT_OK, err
+            other = json.loads(out)["results"]
+            verdicts.add((other["free"], str(other["exponents"])))
+        assert verdicts == {(results["free"], str(results["exponents"]))}
+
+
+class TestInternalError:
+    def test_broken_invariant_is_reported_once(self, capsys, monkeypatch):
+        path = corpus_file("a2")
+        _, digest = load_document(path)
+        monkeypatch.setattr(
+            multiarr2, "saito_det", lambda t1, t2: BinaryForm.zero(t1.field, t1.degree + t2.degree)
+        )
+        monkeypatch.setattr(sys, "argv", ["multiarr", "shift", path])
+        for argv in (None, ["shift", path]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_INTERNAL and captured.out == ""
+            assert "Traceback" not in captured.err
+            lines = captured.err.splitlines()
+            assert len(lines) == 4
+            assert lines[0].startswith(
+                "internal error: RuntimeError: independent pair fails the determinant criterion"
+            )
+            assert re.fullmatch(r"  at .*multiarr2\.py:\d+ in basis", lines[1])
+            assert lines[2] == f"input sha256: {digest}"
+            assert lines[3] == f"reproduce: multiarr {shlex.join(['shift', path])}"
+
+
+class TestCorpusDocuments:
+    PAIRS = {  # corpus builder: (bundled document, multiplicity of a planar central one)
+        "a2": ("a2", (1, 1, 1)),
+        "b2_lines": ("b2_lines", (1, 1, 1, 1)),
+        "four_lines": ("four_lines", (1, 1, 1, 1)),
+        "five_lines": ("five_lines", (1, 1, 1, 1, 1)),
+        "remark_arrangement": ("remark_f2", (4, 4, 4)),
+        "braid3": ("braid3", None),
+        "boolean3": ("boolean3", None),
+        "generic4": ("generic4", None),
+        "near_pencil5": ("near_pencil5", None),
+        "braid_deconing": ("braid_deconing", None),
+        "b2_deformation_a": ("b2_deform_a", None),
+        "b2_deformation_b": ("b2_deform_b", None),
+        "generic5_lines": ("generic5_lines", None),
+    }
+
+    def test_every_document_has_a_builder(self):
+        assert sorted(name for name, _ in self.PAIRS.values()) == sorted(corpus.document_names())
+
+    @pytest.mark.parametrize("builder", sorted(PAIRS))
+    def test_builder_equals_document(self, builder):
+        name, mult = self.PAIRS[builder]
+        built = parse_document(corpus.document_path(name).read_text(encoding="utf-8")).built
+        assert built[1] == getattr(corpus, builder)()
+        assert (built[2] if built[0] == "arr2" else None) == mult
 
 
 class TestFrameLimit:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from multiarr import lattice
 from multiarr.exactalg import GF, QQ
 from multiarr.lattice import (
     ComponentTag,
@@ -81,6 +82,14 @@ class TestComponents:
         rep = component_of(b2(), (1, 1, 1, 1))
         for m, _ in rep.members:
             assert component_of(b2(), m).peak == rep.peak
+
+    def test_every_member_must_ascend_to_the_peak(self, monkeypatch):
+        # (1, 0, 1, 1) is a member of the radius-2 ball no sampled probe reached
+        real = lattice._ascend
+        stray = (1, 0, 1, 1)
+        monkeypatch.setattr(lattice, "_ascend", lambda arr, m: (9, 9, 9, 9) if m == stray else real(arr, m))
+        with pytest.raises(RuntimeError, match=r"ascent from member \(1, 0, 1, 1\) missed the peak"):
+            component_of(b2(), (1, 1, 1, 1))
 
     def test_rejects_wrong_stratum(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from multiarr.multiarr2 import (
     lower_degree_basis,
     nonbalanced_exponents,
     saito_det,
+    untangent_forms,
 )
 
 
@@ -156,6 +157,14 @@ class TestLowerBasis:
             theta = lower_degree_basis(arr, m)
             for alpha, k in zip(arr.forms, arr.check_multiplicity(m)):
                 assert binary_form_divides(alpha, k, theta.apply_to_linear(alpha))
+
+    def test_untangent_forms(self):
+        arr = a2()
+        assert untangent_forms(arr, (2, 2, 1), lower_degree_basis(arr, (2, 2, 1))) == []
+        # theta_E(alpha) = alpha: tangent to a line of multiplicity one only
+        assert untangent_forms(arr, (2, 2, 1), Derivation2.euler(QQ)) == list(arr.forms[:2])
+        with pytest.raises(ValueError, match="multiplicity has 2 entries"):
+            untangent_forms(arr, (1, 1), Derivation2.euler(QQ))
 
 
 class TestBasis:
