@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactalg import (
     CanonicalForm,
@@ -66,7 +67,7 @@ class LinearForm3(CanonicalForm):
         super().__init__(field, (a, b, c))
 
     def value(self, vec):
-        """The form at an integer vector, as a field element."""
+        """The form at a vector of ints or field scalars, as a field element."""
         return self.field(sum(u * v for u, v in zip(self.ints, vec)))
 
 
@@ -317,65 +318,53 @@ def cone(aff: AffineArrangement2):
     return Arrangement3(field, forms), aff.k
 
 
-def _ranked(n: int):
-    """0, 1, -1, ..., n, -n."""
-    yield 0
-    for c in range(1, n + 1):
-        yield from (c, -c)
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
-_FRAME_LIMIT = 64  # largest max-norm of a frame vector
+def _lagrange(u, v):
+    """Lagrange-reduce a basis of a rank-2 integer lattice, exactly."""
+    while True:
+        if _dot(v, v) < _dot(u, u):
+            u, v = v, u
+        q = round(Fraction(_dot(u, v), _dot(u, u)))  # ties go to even, which keeps the corpus frames
+        if not q:
+            return u, v
+        v = tuple(x - q * y for x, y in zip(v, u))
 
 
-def _int_vectors():
-    """Integer vectors by max-norm 1.._FRAME_LIMIT; each shell runs z, y, x through _ranked."""
-    for n in range(1, _FRAME_LIMIT + 1):
-        for z in _ranked(n):
-            for y in _ranked(n):
-                yield from ((x, y, z) for x in (_ranked(n) if n in (abs(y), abs(z)) else (n, -n)))
+def _shell_key(v):
+    """Max-norm, then z, y and x ranked 0, 1, -1, 2, -2, ..."""
+    return (max(map(abs, v)), *(2 * abs(c) - (c > 0) for c in reversed(v)))
 
 
 def _plane_frame(alpha: LinearForm3):
-    """Deterministic integer frame for the plane alpha = 0.
+    """Deterministic frame (u1, u2, v0) of the plane alpha = 0, in closed form.
 
-    u1, u2 are the first two independent integer vectors annihilated by
-    alpha in the order of _int_vectors (smallest max-norm, then small z, y
-    and x in turn, positive first), and v0 is the first integer vector
-    with alpha(v0) = 1.
+    With a_k the first nonzero coefficient of alpha, the integer vectors
+    u = a_k*e_i - a_i*e_k for the two other indices i span the plane, and
+    v0 = e_k / a_k (a field scalar) has alpha(v0) = 1.  Over GF(p), a_k = 1
+    and the pair is used as built.  Over Q it is Lagrange-reduced, each
+    vector gets its last nonzero entry positive, and the two are ordered by
+    :func:`_shell_key`.
     """
-    field = alpha.field
-    p = field.char
-    a, b, c = alpha.ints
-    u1 = u2 = v0 = None
-    for v in _int_vectors():
-        val = a * v[0] + b * v[1] + c * v[2]
-        if p:
-            val %= p
-        if val == 0:
-            if u1 is None:
-                u1 = v
-            elif u2 is None and _independent_pair(field, u1, v):
-                u2 = v
-        elif v0 is None and val == 1:
-            v0 = v
-        if u1 is not None and u2 is not None and v0 is not None:
-            return u1, u2, v0
-    raise ValueError(
-        f"the plane {alpha.render()} has no integer frame of max-norm at most {_FRAME_LIMIT}"
-    )
-
-
-def _independent_pair(field, u, v) -> bool:
-    p = field.char
-    return any(c % p if p else c for c in _cross(u, v))
+    a = alpha.ints
+    k = next(i for i, c in enumerate(a) if c)
+    u1, u2 = (tuple(a[k] if j == i else -a[i] if j == k else 0 for j in range(3)) for i in range(3) if i != k)
+    v0 = tuple(alpha.field.one / alpha.coeffs[k] if j == k else 0 for j in range(3))
+    if not alpha.field.char:
+        # of u and -u, the one with its last nonzero entry positive ranks first
+        pair = (min(u, tuple(-c for c in u), key=_shell_key) for u in _lagrange(u1, u2))
+        u1, u2 = sorted(pair, key=_shell_key)
+    return u1, u2, v0
 
 
 def decone(arr: Arrangement3, h0: int) -> AffineArrangement2:
     """Restrict away the hyperplane at index h0, viewing it as infinity.
 
     The remaining planes are evaluated on the affine chart v0 + s*u1 +
-    t*u2 of the deterministic frame of h0, inverting :func:`cone` exactly
-    when h0 is the appended infinite hyperplane.
+    t*u2 of the closed-form frame of h0, inverting :func:`cone` exactly
+    when h0 is the appended infinite hyperplane (frame e1, e2, e3).
     """
     if not 0 <= h0 < arr.h:
         raise ValueError(f"h0 index {h0} out of range")
@@ -389,8 +378,9 @@ def decone(arr: Arrangement3, h0: int) -> AffineArrangement2:
 def ziegler_restriction(arr: Arrangement3, h0: int):
     """Restrict onto the hyperplane h0, counting coinciding restrictions.
 
-    Returns (Arrangement2 on the deterministic frame of h0, multiplicity
-    tuple); the multiplicities sum to |arr| - 1.
+    Returns (Arrangement2 in the frame coordinates u1, u2 of h0, multiplicity
+    tuple); the multiplicities sum to |arr| - 1.  Only the forms depend on
+    the frame, not the multiplicities or the exponents.
     """
     if not 0 <= h0 < arr.h:
         raise ValueError(f"h0 index {h0} out of range")
@@ -485,6 +475,8 @@ def is_free(arr: Arrangement3, h0: int = 0) -> FreenessVerdict:
     criterion on the deconed characteristic polynomial, a 3-line
     restriction, or a 4-line restriction of an even-sized arrangement.
     """
+    if not 0 <= h0 < arr.h:
+        raise ValueError(f"h0 index {h0} out of range (0..{arr.h - 1})")
     cp = char_poly(arr)
     warning = char_warning(arr.field, "the freeness criterion assumes characteristic zero")
     if arr.h == 1:

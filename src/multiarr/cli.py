@@ -420,10 +420,7 @@ def cmd_free(args, doc):
     coned = None
     if kind == "aff2":
         arrangement, coned = arr3.cone(arrangement)
-    h0 = args.H0 if args.H0 is not None else (coned or 0)
-    if not 0 <= h0 < arrangement.h:
-        raise ValueError(f"--H0 index {h0} out of range (0..{arrangement.h - 1})")
-    verdict = arr3.is_free(arrangement, h0)
+    verdict = arr3.is_free(arrangement, args.H0 if args.H0 is not None else (coned or 0))
     field = arrangement.field
     zieg = None
     if verdict.ziegler is not None:

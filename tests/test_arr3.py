@@ -1,10 +1,11 @@
 """Coning, intersection lattices, restrictions and freeness tests."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multiarr import arr3
@@ -12,6 +13,7 @@ from multiarr.arr3 import (
     AffineArrangement2,
     Arrangement3,
     CharPoly,
+    LinearForm3,
     chamber_count,
     char_poly,
     cone,
@@ -37,7 +39,7 @@ from multiarr.corpus import (
     near_pencil5,
 )
 from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
-from multiarr.multiarr2 import is_balanced
+from multiarr.multiarr2 import exponents, is_balanced
 
 
 # --- independent oracles ---------------------------------------------------
@@ -92,6 +94,61 @@ def central_coeff_triples(arr):
 
 def affine_coeff_triples(aff):
     return [[Fraction(l.a), Fraction(l.b), Fraction(l.c)] for l in aff.forms]
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def ranked(n):
+    """0, 1, -1, ..., n, -n."""
+    yield 0
+    for c in range(1, n + 1):
+        yield from (c, -c)
+
+
+def shell_vectors(limit):
+    """Integer vectors by max-norm 1..limit; each shell runs z, y, x through ranked."""
+    for n in range(1, limit + 1):
+        for z in ranked(n):
+            for y in ranked(n):
+                yield from ((x, y, z) for x in (ranked(n) if n in (abs(y), abs(z)) else (n, -n)))
+
+
+def shell_rank(v):
+    """Position of v in the order of shell_vectors, as a sortable tuple."""
+    n = max(map(abs, v))
+    order = list(ranked(n))
+    return (n, *(order.index(c) for c in reversed(v)))
+
+
+def search_frame(alpha, limit):
+    """The bounded frame search, in shell order: the first two independent
+    vectors with alpha = 0 and the first v0 with alpha(v0) = 1, or None when
+    one of them needs a max-norm above limit."""
+    field = alpha.field
+    u1 = u2 = v0 = None
+    for v in shell_vectors(limit):
+        val = alpha.value(v)
+        if not val:
+            if u1 is None:
+                u1 = v
+            elif u2 is None and any(field(c) for c in cross(u1, v)):
+                u2 = v
+        elif v0 is None and val == field.one:
+            v0 = v
+        if None not in (u1, u2, v0):
+            return u1, u2, v0
+    return None
+
+
+def assert_valid_frame(alpha, frame):
+    u1, u2, v0 = frame
+    field = alpha.field
+    assert all(type(c) is int for c in u1 + u2)
+    assert not alpha.value(u1) and not alpha.value(u2)
+    assert any(field(c) for c in cross(u1, u2))
+    assert alpha.value(v0) == field.one
 
 
 # --- tests ------------------------------------------------------------------
@@ -262,23 +319,77 @@ class TestZieglerRestriction:
         restricted, mult = ziegler_restriction(near_pencil5(), 0)
         assert not is_balanced(restricted, mult)
 
-    def test_frame_shells_keep_the_sorted_order(self, monkeypatch):
-        # the order the frame search used when it sorted each shell
-        def rank(c):
-            return 0 if c == 0 else (2 * c - 1 if c > 0 else -2 * c)
 
-        def sorted_shells(limit):
-            for n in range(1, limit + 1):
-                shell = {
-                    v[:i] + (s,) + v[i:]
-                    for i in range(3)
-                    for s in (-n, n)
-                    for v in product(range(-n, n + 1), repeat=2)
-                }
-                yield from sorted(shell, key=lambda v: tuple(rank(c) for c in reversed(v)))
+FRAME_FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**31 - 1))
+SEARCH_LIMIT = 64  # the max-norm bound the frame search ran with
 
-        monkeypatch.setattr(arr3, "_FRAME_LIMIT", 12)
-        assert list(arr3._int_vectors()) == list(sorted_shells(12))
+
+@st.composite
+def random_arrangements(draw):
+    """Central 3-arrangements of 2 to 8 planes with coefficients of at most 9."""
+    field = draw(st.sampled_from(FRAME_FIELDS))
+    coeffs = st.tuples(*[st.integers(-9, 9)] * 3).filter(lambda c: any(field(x) for x in c))
+    forms = {}
+    for c in draw(st.lists(coeffs, min_size=2, max_size=8)):
+        forms.setdefault(canonical_coefficients(field, c), c)
+    assume(len(forms) >= 2)
+    return Arrangement3(field, list(forms.values()))
+
+
+def restriction_summary(arr, h0):
+    """What the restriction onto h0 decides, which no choice of frame may change."""
+    restricted, mult = ziegler_restriction(arr, h0)
+    v = is_free(arr, h0)
+    return mult, exponents(restricted, mult).pair, v.free, v.exponents, v.coker_dim
+
+
+class TestPlaneFrame:
+    """The closed-form frame against the bounded search it replaced."""
+
+    def test_shell_key_sorts_the_search_order(self):
+        vectors = [v for v in product(range(-6, 7), repeat=3) if any(v)]
+        assert list(shell_vectors(6)) == sorted(vectors, key=arr3._shell_key)
+
+    @pytest.mark.parametrize("field", FRAME_FIELDS, ids=repr)
+    def test_frames_of_small_planes_are_valid(self, field):
+        coeffs = product(range(-9, 10), repeat=3)
+        for alpha in {LinearForm3(field, *c) for c in coeffs if any(field(x) for x in c)}:
+            assert_valid_frame(alpha, arr3._plane_frame(alpha))
+
+    def test_rational_frames_take_the_first_sign_and_order(self):
+        # of u and -u the one with its last nonzero entry positive, u1 before u2
+        for c in product(range(-9, 10), repeat=3):
+            if any(c):
+                u1, u2, _ = arr3._plane_frame(LinearForm3(QQ, *c))
+                assert shell_rank(u1) < shell_rank(u2)
+                for u in (u1, u2):
+                    assert shell_rank(u) < shell_rank(tuple(-x for x in u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(FRAME_FIELDS), c=st.tuples(*[st.integers(-10**30, 10**30)] * 3))
+    def test_frames_of_large_planes_are_valid(self, field, c):
+        assume(any(field(x) for x in c))
+        alpha = LinearForm3(field, *c)
+        assert_valid_frame(alpha, arr3._plane_frame(alpha))
+
+    def test_corpus_restrictions_match_the_search(self, monkeypatch):
+        arrangements = [braid3(), boolean3(), generic4(), near_pencil5()]
+        for aff in (braid_deconing(), b2_deformation_a(), b2_deformation_b(), generic5_lines()):
+            arrangements.append(cone(aff)[0])
+        closed = [ziegler_restriction(arr, h0)[0] for arr in arrangements for h0 in range(arr.h)]
+        monkeypatch.setattr(arr3, "_plane_frame", lambda alpha: search_frame(alpha, SEARCH_LIMIT))
+        searched = [ziegler_restriction(arr, h0)[0] for arr in arrangements for h0 in range(arr.h)]
+        assert len(closed) == 43 and closed == searched
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_arrangements())
+    def test_random_restrictions_agree_with_the_search(self, arr):
+        for h0 in range(arr.h):
+            closed = restriction_summary(arr, h0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arr3, "_plane_frame", lambda alpha: search_frame(alpha, SEARCH_LIMIT))
+                searched = restriction_summary(arr, h0)
+            assert closed == searched
 
 
 class TestFreeness:
@@ -324,6 +435,40 @@ class TestFreeness:
     def test_single_plane(self):
         v = is_free(Arrangement3(QQ, [(1, 0, 0)]))
         assert v.free and v.exponents == (1, 0, 0)
+
+    def test_h0_out_of_range(self):
+        for arr in (Arrangement3(QQ, [(1, 0, 0)]), braid3()):
+            with pytest.raises(ValueError, match=rf"h0 index {arr.h} out of range \(0\.\.{arr.h - 1}\)"):
+                is_free(arr, arr.h)
+            with pytest.raises(ValueError, match="out of range"):
+                is_free(arr, -1)
+
+    def test_abe_division_oracle(self):
+        # Abe's division theorem (Invent. Math. 204, 2016): if chi(A^H; t) =
+        # (t - 1)(t - |A^H| + 1) divides chi(A; t), then A is free with
+        # exponents (1, |A^H| - 1, h - |A^H|).  Both share the root 1, so the
+        # test is on q = chi(A; t) / (t - 1), not on chi.
+        rng = random.Random(2016)
+        met = 0
+        for _ in range(300):
+            forms = {}
+            for _ in range(rng.randint(2, 8)):
+                c = [rng.randint(-2, 2) for _ in range(3)]
+                if any(c):
+                    forms.setdefault(canonical_coefficients(QQ, c), c)
+            if len(forms) < 2:
+                continue
+            arr = Arrangement3(QQ, list(forms.values()))
+            c1, c2 = char_poly(arr).quadratic_coeffs()
+            q = CharPoly((1, -c1, c2))
+            sizes = sorted({ziegler_restriction(arr, h0)[0].h for h0 in range(arr.h)})
+            n = next((n for n in sizes if q(n - 1) == 0), None)
+            if n is None:
+                continue
+            met += 1
+            v = is_free(arr)
+            assert v.free and v.exponents == tuple(sorted((1, n - 1, arr.h - n))), arr
+        assert met >= 50
 
     def test_four_line_even_rule(self):
         # 4-line restriction of an even arrangement is combinatorial even
