@@ -49,10 +49,10 @@ def _result(index, name, limit, started, ok, detail, expected_violation=False):
 
 def _scan_regions():
     return [
-        lattice.LatticeRegion(corpus.a2(), (4, 4, 4)),
-        lattice.LatticeRegion(corpus.b2_lines(), (3, 3, 3, 3)),
-        lattice.LatticeRegion(corpus.four_lines(), (3, 3, 3, 3)),
-        lattice.LatticeRegion(corpus.five_lines(), (3, 3, 3, 3, 3)),
+        lattice.LatticeRegion(corpus.arrangement("a2"), (4, 4, 4)),
+        lattice.LatticeRegion(corpus.arrangement("b2_lines"), (3, 3, 3, 3)),
+        lattice.LatticeRegion(corpus.arrangement("four_lines"), (3, 3, 3, 3)),
+        lattice.LatticeRegion(corpus.arrangement("five_lines"), (3, 3, 3, 3, 3)),
     ]
 
 
@@ -107,7 +107,7 @@ def criterion_gap_bound_scan() -> CriterionResult:
 def criterion_char2_remark() -> CriterionResult:
     """Characteristic 2 breaks the gap bound exactly as documented."""
     started = time.perf_counter()
-    arr = corpus.remark_arrangement()
+    arr = corpus.arrangement("remark_f2")
     field = arr.field
     m = (4, 4, 4)
     e = multiarr2.exponents(arr, m)
@@ -150,7 +150,7 @@ def criterion_char2_remark() -> CriterionResult:
 def criterion_a2_parity_law() -> CriterionResult:
     """On the 3-line arrangement, balanced gaps are exactly |m| mod 2."""
     started = time.perf_counter()
-    arr = corpus.a2()
+    arr = corpus.arrangement("a2")
     checked = 0
     for total in range(16):
         for m1 in range(total + 1):
@@ -171,7 +171,7 @@ def criterion_a2_parity_law() -> CriterionResult:
 def criterion_lattice_structure() -> CriterionResult:
     """Unit steps change the gap by one; components are balls around unique peaks."""
     started = time.perf_counter()
-    regions = [_scan_regions()[0], _scan_regions()[1]]
+    regions = _scan_regions()[:2]
     details = []
     for region in regions:
         one = lattice.verify_lemma_one(region)
@@ -195,8 +195,8 @@ def criterion_lattice_structure() -> CriterionResult:
 def criterion_shift_certificates() -> CriterionResult:
     """The connection against the lower basis maps bases to bases for 0/1 shifts."""
     started = time.perf_counter()
-    cert_b2 = shift.shift_isomorphism_check(corpus.b2_lines(), (1, 1, 1, 1))
-    cert_a2 = shift.shift_isomorphism_check(corpus.a2(), (2, 2, 1))
+    cert_b2 = shift.shift_isomorphism_check(corpus.arrangement("b2_lines"), (1, 1, 1, 1))
+    cert_a2 = shift.shift_isomorphism_check(corpus.arrangement("a2"), (2, 2, 1))
     problems = []
     if not (cert_b2.passed and len(cert_b2.checked_shifts) == 16 and cert_b2.mode == "exhaustive"):
         problems.append(f"4-line certificate: {len(cert_b2.failures())} failures")
@@ -211,7 +211,7 @@ def criterion_shift_certificates() -> CriterionResult:
 def criterion_dihedral_constant_odd() -> CriterionResult:
     """Constant odd multiplicity on the dihedral 3- and 4-line arrangements."""
     started = time.perf_counter()
-    for arr, h in ((corpus.a2(), 3), (corpus.b2_lines(), 4)):
+    for arr, h in ((corpus.arrangement("a2"), 3), (corpus.arrangement("b2_lines"), 4)):
         for k in range(3):
             m = (2 * k + 1,) * h
             e = multiarr2.exponents(arr, m)
@@ -230,20 +230,22 @@ def criterion_freeness_decisions() -> CriterionResult:
     """Freeness verdicts with certificates, independent of the chosen hyperplane."""
     started = time.perf_counter()
     problems = []
-    braid = corpus.braid3()
+    braid, generic, boolean, pencil = (
+        corpus.arrangement(name) for name in ("braid3", "generic4", "boolean3", "near_pencil5")
+    )
     v = arr3.is_free(braid)
     if not (v.free and v.exponents == (1, 2, 3) and v.coker_dim == 0):
         problems.append(f"braid verdict wrong: {v}")
-    fc = arr3.thm_fc_check(corpus.braid_deconing())
+    fc = arr3.thm_fc_check(corpus.arrangement("braid_deconing"))
     if not (fc.applies and fc.free and fc.h == 3 and fc.d == 2):
         problems.append(f"product-shape check on the braid deconing: {fc}")
-    g = arr3.is_free(corpus.generic4())
+    g = arr3.is_free(generic)
     if g.free or g.coker_dim != 1:
         problems.append(f"generic-4 verdict wrong: {g}")
-    b = arr3.is_free(corpus.boolean3())
+    b = arr3.is_free(boolean)
     if not (b.free and b.exponents == (1, 1, 1)):
         problems.append(f"boolean verdict wrong: {b}")
-    for arr in (braid, corpus.generic4(), corpus.boolean3(), corpus.near_pencil5()):
+    for arr in (braid, generic, boolean, pencil):
         verdicts = [arr3.is_free(arr, h0) for h0 in range(arr.h)]
         if len({(w.free, w.exponents) for w in verdicts}) != 1:
             problems.append(f"verdict depends on the hyperplane choice for {arr!r}")
@@ -258,17 +260,17 @@ def criterion_coning_zaslavsky() -> CriterionResult:
     problems = []
     t_minus_1 = arr3.CharPoly((1, -1))
     samples = [
-        corpus.braid_deconing(),
-        corpus.b2_deformation_a(),
-        corpus.b2_deformation_b(),
-        corpus.generic5_lines(),
-        arr3.decone(corpus.boolean3(), 2),
+        corpus.arrangement("braid_deconing"),
+        corpus.arrangement("b2_deform_a"),
+        corpus.arrangement("b2_deform_b"),
+        corpus.arrangement("generic5_lines"),
+        arr3.decone(corpus.arrangement("boolean3"), 2),
     ]
     for aff in samples:
         coned, _ = arr3.cone(aff)
         if arr3.char_poly(coned).coeffs != (t_minus_1 * arr3.char_poly(aff)).coeffs:
             problems.append(f"coning factorisation fails for {aff!r}")
-    bd = corpus.braid_deconing()
+    bd = corpus.arrangement("braid_deconing")
     if arr3.chamber_count(bd) != 12 or arr3.euler_chamber_count(bd) != 12:
         problems.append("braid deconing chamber count is not 12")
     r2 = arr3.thm_rest2_check(bd)
@@ -286,10 +288,11 @@ def criterion_property_suite() -> CriterionResult:
     # determinant = nonzero scalar times the defining polynomial
     basis_count = 0
     basis_pool = [
-        (corpus.a2(), lattice.LatticeRegion(corpus.a2(), (2, 2, 2))),
-        (corpus.b2_lines(), lattice.LatticeRegion(corpus.b2_lines(), (2, 2, 2, 2))),
+        lattice.LatticeRegion(corpus.arrangement("a2"), (2, 2, 2)),
+        lattice.LatticeRegion(corpus.arrangement("b2_lines"), (2, 2, 2, 2)),
     ]
-    for arr, region in basis_pool:
+    for region in basis_pool:
+        arr = region.arrangement
         for m in region.points():
             if sum(m) == 0:
                 continue

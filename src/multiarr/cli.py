@@ -1,11 +1,9 @@
-"""Command-line frontend: parse arrangement documents, dispatch, report.
+"""The ``multiarr`` entry point: load an arrangement document, dispatch, report.
 
-Documents are JSON: a field descriptor ("Q" or {"p": prime}), a
-dimension, a centrality flag and a list of hyperplanes with exact
-coefficient strings (plus optional multiplicities for planar central
-input).  Human tables go to stdout; ``--json`` switches to canonical
-JSON (sorted keys, scalars as decimal strings, no floats), which is
-byte-identical across runs of the same document.
+Documents are read by :mod:`multiarr.corpus`.  Human tables go to stdout;
+``--json`` switches to canonical JSON (sorted keys, scalars as decimal
+strings, no floats), which is byte-identical across runs of the same
+document.
 
 Every document command runs through :func:`main`, which loads and builds
 the document once, times the command and emits what it returns; a command
@@ -14,26 +12,27 @@ refuses an input by raising ``ValueError`` (printed as ``error: ...``).
 Exit codes: 0 success, including a failure flagged as expected because a
 hypothesis fails (positive characteristic); 1 hypothesis or usage error;
 2 theorem violation under every hypothesis, with a reproducer; 3 I/O or
-parse error; 4 internal error (a broken invariant of the library), which
-:func:`main` reports once on stderr with its innermost frame, the input
-digest and the command line, and no traceback.  :func:`_verdict` is the
-one rule behind the choice of 0 or 2.
+parse error, or a stdout closed by its reader (with nothing on stderr);
+4 internal error (a broken invariant of the library), which :func:`main`
+reports once on stderr with its innermost frame, the input digest and
+the command line, and no traceback.  :func:`_verdict` is the one rule
+behind the choice of 0 or 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import os
 import shlex
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, acceptance, arr3, corpus, lattice, multiarr2, shift
-from .exactalg import GF, QQ, char_warning
+from .corpus import ArrangementDocument, DocumentError, canonical_json, parse_document, serialize_document
+from .exactalg import char_warning
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,111 +44,6 @@ POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 
 
-class DocumentError(Exception):
-    """Malformed arrangement document."""
-
-
-@dataclass
-class ArrangementDocument:
-    name: str | None
-    field_desc: object  # "Q" or {"p": int}
-    dim: int
-    central: bool
-    hyperplanes: list  # (coeff string tuple, multiplicity)
-    built: tuple = None  # build_arrangement(self), set by parse_document
-
-    @property
-    def field(self):
-        if self.field_desc == "Q":
-            return QQ
-        return GF(self.field_desc["p"])
-
-
-def parse_document(text: str) -> ArrangementDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise DocumentError("invalid JSON: nesting too deep") from exc
-    if not isinstance(raw, dict):
-        raise DocumentError("document must be a JSON object")
-    name = raw.get("name")
-    if name is not None and not isinstance(name, str):
-        raise DocumentError("name: expected a string")
-    field_desc = raw.get("field")
-    if field_desc != "Q":
-        if not (isinstance(field_desc, dict) and set(field_desc) == {"p"} and type(field_desc["p"]) is int):
-            raise DocumentError('field: expected "Q" or {"p": prime}')
-        try:
-            GF(field_desc["p"])
-        except ValueError as exc:
-            raise DocumentError(f"field: {exc}") from exc
-    dim = raw.get("dim")
-    if type(dim) is not int or dim not in (2, 3):
-        raise DocumentError("dim: expected 2 or 3")
-    central = raw.get("central", True)
-    if not isinstance(central, bool):
-        raise DocumentError("central: expected a boolean")
-    if dim == 3 and not central:
-        raise DocumentError("dim 3 supports only central arrangements")
-    width = dim if central else dim + 1
-    hyps = raw.get("hyperplanes")
-    if not isinstance(hyps, list) or not hyps:
-        raise DocumentError("hyperplanes: expected a nonempty list")
-    out = []
-    mult_allowed = dim == 2 and central
-    for i, entry in enumerate(hyps):
-        where = f"hyperplanes[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: expected an object")
-        unknown = set(entry) - {"coeffs", "mult"}
-        if unknown:
-            raise DocumentError(f"{where}: unknown keys {sorted(unknown)}")
-        coeffs = entry.get("coeffs")
-        if not isinstance(coeffs, list) or len(coeffs) != width:
-            raise DocumentError(f"{where}.coeffs: expected {width} entries")
-        if not all(isinstance(c, str) for c in coeffs):
-            raise DocumentError(f"{where}.coeffs: coefficients are exact-number strings")
-        if field_desc == "Q" and any(ch in c for c in coeffs for ch in "eE"):
-            raise DocumentError(f"{where}.coeffs: exponent notation is not accepted")
-        mult = entry.get("mult", 1)
-        if "mult" in entry and not mult_allowed:
-            raise DocumentError(f"{where}.mult: multiplicities only apply to planar central input")
-        if type(mult) is not int or mult < 0:
-            raise DocumentError(f"{where}.mult: expected a nonnegative integer")
-        out.append((tuple(coeffs), mult))
-    doc = ArrangementDocument(name, field_desc, dim, central, out)
-    try:
-        doc.built = build_arrangement(doc)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(str(exc)) from exc
-    except ZeroDivisionError as exc:
-        raise DocumentError(f"coefficient with a zero denominator: {exc}") from exc
-    return doc
-
-
-def serialize_document(doc: ArrangementDocument) -> str:
-    field = doc.field
-    obj = {
-        "field": doc.field_desc,
-        "dim": doc.dim,
-        "central": doc.central,
-        "hyperplanes": [
-            {"coeffs": [field.format(field(c)) for c in coeffs]}
-            | ({"mult": mult} if doc.dim == 2 and doc.central else {})
-            for coeffs, mult in doc.hyperplanes
-        ],
-    }
-    if doc.name is not None:
-        obj["name"] = doc.name
-    return canonical_json(obj)
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def load_document(path: str) -> tuple[ArrangementDocument, str]:
     """Read a document from a path (or '-' for stdin); returns (doc, digest)."""
     try:
@@ -159,21 +53,6 @@ def load_document(path: str) -> tuple[ArrangementDocument, str]:
     doc = parse_document(text)
     digest = hashlib.sha256(serialize_document(doc).encode()).hexdigest()
     return doc, digest
-
-
-def build_arrangement(doc: ArrangementDocument):
-    """Instantiate the arrangement described by a document.
-
-    Returns ("arr2", Arrangement2, multiplicity), ("arr3", Arrangement3)
-    or ("aff2", AffineArrangement2).
-    """
-    field = doc.field
-    if doc.dim == 2 and doc.central:
-        arr = multiarr2.Arrangement2(field, [c for c, _ in doc.hyperplanes])
-        return "arr2", arr, tuple(m for _, m in doc.hyperplanes)
-    if doc.dim == 3:
-        return "arr3", arr3.Arrangement3(field, [c for c, _ in doc.hyperplanes])
-    return "aff2", arr3.AffineArrangement2(field, [c for c, _ in doc.hyperplanes])
 
 
 def _envelope(command: str, doc, digest: str, results: dict) -> dict:
@@ -544,6 +423,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_stdout() -> None:
+    """Point a closed stdout at the null device, so the flush at exit stays quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, so nothing flushes at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
@@ -553,6 +443,10 @@ def main(argv=None) -> int:
         doc, digest = load_document(args.file) if "file" in args else (None, None)
         command, results, lines, code = args.fn(args, doc)
         _emit(args, _envelope(command, doc, digest, results), lines, started)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early: not a fault, and nothing to say
+        _detach_stdout()
+        return EXIT_IO
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -405,6 +405,15 @@ def _render_terms(field, terms) -> str:
     return out
 
 
+def _proportional_scalar(field, mine: Sequence, theirs: Sequence):
+    """Scalar c with mine == c * theirs entrywise, or None; 0 when both are zero."""
+    i = next((i for i, b in enumerate(theirs) if b), None)
+    if i is None:
+        return None if any(mine) else field.zero
+    c = mine[i] / theirs[i]
+    return c if all(a == c * b for a, b in zip(mine, theirs)) else None
+
+
 class BinaryForm:
     """A homogeneous polynomial in x1, x2 of a declared degree.
 
@@ -519,13 +528,7 @@ class BinaryForm:
         self._check(other)
         if self.degree != other.degree:
             return None
-        if other.is_zero():
-            return self.field.zero if self.is_zero() else None
-        i = next(i for i, c in enumerate(other.coeffs) if c)
-        c = self.coeffs[i] / other.coeffs[i]
-        if all(a == c * b for a, b in zip(self.coeffs, other.coeffs)):
-            return c
-        return None
+        return _proportional_scalar(self.field, self.coeffs, other.coeffs)
 
     def render(self, names=("x1", "x2")) -> str:
         terms = []

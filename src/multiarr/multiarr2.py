@@ -34,6 +34,7 @@ from .exactalg import (
     binary_form_divides,
     divisibility_constraints,
     _constraint_row,
+    _proportional_scalar,
 )
 
 __all__ = [
@@ -153,15 +154,9 @@ class Derivation2:
         """Scalar c with self == c * other, or None."""
         if self.degree != other.degree:
             return None
-        mine = self.f.coeffs + self.g.coeffs
-        theirs = other.f.coeffs + other.g.coeffs
-        if not any(theirs):
-            return self.field.zero if not any(mine) else None
-        i = next(i for i, c in enumerate(theirs) if c)
-        c = mine[i] / theirs[i]
-        if all(a == c * b for a, b in zip(mine, theirs)):
-            return c
-        return None
+        return _proportional_scalar(
+            self.field, self.f.coeffs + self.g.coeffs, other.f.coeffs + other.g.coeffs
+        )
 
     def render(self, names=("x1", "x2")) -> str:
         def wrap(form):

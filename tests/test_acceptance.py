@@ -85,17 +85,17 @@ def test_spot_simple_exponents_formula():
 
 
 def test_spot_maximizer_inventory_a2():
-    report = lattice.verify_theorem_limit(lattice.LatticeRegion(corpus.a2(), (4, 4, 4)))
+    report = lattice.verify_theorem_limit(lattice.LatticeRegion(corpus.arrangement("a2"), (4, 4, 4)))
     # the simple multiplicity attains the bound
     assert (1, 1, 1) in report.maximizers
     assert all(sum(m) % 2 == 1 for m in report.maximizers)  # gap 1 needs odd |m|
 
 
 def test_spot_dihedral_values():
-    assert multiarr2.exponents(corpus.a2(), (3, 3, 3)).pair == (4, 5)
-    assert multiarr2.exponents(corpus.a2(), (5, 5, 5)).pair == (7, 8)
-    assert multiarr2.exponents(corpus.b2_lines(), (3, 3, 3, 3)).pair == (5, 7)
-    assert multiarr2.exponents(corpus.b2_lines(), (5, 5, 5, 5)).pair == (9, 11)
+    assert multiarr2.exponents(corpus.arrangement("a2"), (3, 3, 3)).pair == (4, 5)
+    assert multiarr2.exponents(corpus.arrangement("a2"), (5, 5, 5)).pair == (7, 8)
+    assert multiarr2.exponents(corpus.arrangement("b2_lines"), (3, 3, 3, 3)).pair == (5, 7)
+    assert multiarr2.exponents(corpus.arrangement("b2_lines"), (5, 5, 5, 5)).pair == (9, 11)
 
 
 def test_spot_char2_solver_basis_shape():
@@ -103,7 +103,7 @@ def test_spot_char2_solver_basis_shape():
     from multiarr.multiarr2 import basis, saito_det
 
     F = GF(2)
-    arr = corpus.remark_arrangement()
+    arr = corpus.arrangement("remark_f2")
     t1, t2 = basis(arr, (4, 4, 4))
     assert t1.f == BinaryForm(F, 4, (0, 0, 0, 0, 1))
     # the second element differs from x1^8*D1 + x2^8*D2 by a multiple of t1

@@ -28,21 +28,27 @@ from multiarr.arr3 import (
     yoshinaga_coker_dim,
     ziegler_restriction,
 )
-from multiarr.corpus import (
-    b2_deformation_a,
-    b2_deformation_b,
-    boolean3,
-    braid3,
-    braid_deconing,
-    generic4,
-    generic5_lines,
-    near_pencil5,
-)
+from multiarr.corpus import arrangement
 from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import exponents, is_balanced
 
 
 # --- independent oracles ---------------------------------------------------
+
+
+def division_size(arr):
+    """|A^H| of a restriction meeting Abe's division condition, or None.
+
+    Abe's division theorem (Invent. Math. 204, 2016): if chi(A^H; t) =
+    (t - 1)(t - |A^H| + 1) divides chi(A; t), then A is free with exponents
+    (1, |A^H| - 1, h - |A^H|).  Both share the root 1, so the test is on
+    q = chi(A; t) / (t - 1), not on chi.
+    """
+    lattice = intersection_lattice(arr)
+    c1, c2 = lattice.char_poly().quadratic_coeffs()
+    q = CharPoly((1, -c1, c2))
+    sizes = sorted({sum(i in f.hyperplanes for f in lattice.rank2) for i in range(arr.h)})
+    return next((n for n in sizes if q(n - 1) == 0), None)
 
 
 def oracle_rank(rows):
@@ -170,36 +176,36 @@ class TestConeDecone:
         assert decone(arr, h0) == aff
 
     def test_round_trip_corpus(self):
-        for aff in (braid_deconing(), b2_deformation_a(), b2_deformation_b(), generic5_lines()):
+        for aff in map(arrangement, ("braid_deconing", "b2_deform_a", "b2_deform_b", "generic5_lines")):
             arr, h0 = cone(aff)
             assert arr.h == aff.k + 1
             assert decone(arr, h0) == aff
 
     def test_braid_deconed(self):
-        lines = decone(braid3(), 2).forms  # view from z
+        lines = decone(arrangement("braid3"), 2).forms  # view from z
         rendered = {l.render() for l in lines}
         assert rendered == {"x = 0", "y = 0", "x - y = 0", "x = 1", "y = 1"}
 
     def test_h0_out_of_range(self):
         with pytest.raises(ValueError):
-            decone(boolean3(), 5)
+            decone(arrangement("boolean3"), 5)
 
 
 class TestIntersectionLattice:
     def test_boolean(self):
-        lat = intersection_lattice(boolean3())
+        lat = intersection_lattice(arrangement("boolean3"))
         assert len(lat.rank2) == 3
         assert all(f.mu == 1 for f in lat.rank2)
         assert lat.origin_mu == -1
 
     def test_braid_flats(self):
-        lat = intersection_lattice(braid3())
+        lat = intersection_lattice(arrangement("braid3"))
         mus = sorted(f.mu for f in lat.rank2)
         assert mus == [1, 1, 1, 2, 2, 2, 2]  # 3 double points, 4 triple points
         assert lat.origin_mu == -6
 
     def test_generic4(self):
-        lat = intersection_lattice(generic4())
+        lat = intersection_lattice(arrangement("generic4"))
         assert len(lat.rank2) == 6
         assert all(f.mu == 1 for f in lat.rank2)
         assert lat.origin_mu == -3
@@ -238,7 +244,7 @@ class TestIntersectionLattice:
             assert lat.origin_mu is None
 
     def test_mobius_values_sum_to_zero(self):
-        for arr in (boolean3(), braid3(), generic4(), near_pencil5()):
+        for arr in map(arrangement, ("boolean3", "braid3", "generic4", "near_pencil5")):
             lat = intersection_lattice(arr)
             assert lat.ambient_mu == 1
             assert lat.hyperplane_mus == (-1,) * arr.h
@@ -247,15 +253,15 @@ class TestIntersectionLattice:
 
 class TestCharPoly:
     def test_boolean_cube(self):
-        assert char_poly(boolean3()).coeffs == (1, -3, 3, -1)
+        assert char_poly(arrangement("boolean3")).coeffs == (1, -3, 3, -1)
 
     def test_braid(self):
-        cp = char_poly(braid3())
+        cp = char_poly(arrangement("braid3"))
         assert cp.coeffs == (1, -6, 11, -6)
         assert cp.quadratic_coeffs() == (5, 6)
 
     def test_generic4(self):
-        cp = char_poly(generic4())
+        cp = char_poly(arrangement("generic4"))
         assert cp.coeffs == (1, -4, 6, -3)
         assert cp.quadratic_coeffs() == (3, 3)
 
@@ -266,25 +272,25 @@ class TestCharPoly:
             CharPoly((1, -1)).quadratic_coeffs()
 
     def test_whitney_oracle_central(self):
-        for arr in (boolean3(), braid3(), generic4(), near_pencil5()):
+        for arr in map(arrangement, ("boolean3", "braid3", "generic4", "near_pencil5")):
             w = whitney_central(central_coeff_triples(arr))
             got = char_poly(arr)
             # oracle stores the coefficient of t^dim = t^(3-rank)
             assert got.coeffs == (w[0], w[1], w[2], w[3])
 
     def test_whitney_oracle_affine(self):
-        for aff in (braid_deconing(), b2_deformation_a(), b2_deformation_b(), generic5_lines()):
+        for aff in map(arrangement, ("braid_deconing", "b2_deform_a", "b2_deform_b", "generic5_lines")):
             w = whitney_affine(affine_coeff_triples(aff))
             assert char_poly(aff).coeffs == w
 
     def test_coning_factorisation(self):
         t1 = CharPoly((1, -1))
         for aff in (
-            braid_deconing(),
-            b2_deformation_a(),
-            b2_deformation_b(),
-            generic5_lines(),
-            decone(boolean3(), 0),
+            arrangement("braid_deconing"),
+            arrangement("b2_deform_a"),
+            arrangement("b2_deform_b"),
+            arrangement("generic5_lines"),
+            decone(arrangement("boolean3"), 0),
         ):
             arr, _ = cone(aff)
             assert char_poly(arr).coeffs == (t1 * char_poly(aff)).coeffs
@@ -297,26 +303,26 @@ class TestCharPoly:
 
 class TestZieglerRestriction:
     def test_braid_onto_z(self):
-        restricted, mult = ziegler_restriction(braid3(), 2)
+        restricted, mult = ziegler_restriction(arrangement("braid3"), 2)
         assert [f.render() for f in restricted.forms] == ["x1", "x2", "x1 - x2"]
         assert mult == (2, 2, 1)
 
     def test_boolean(self):
-        restricted, mult = ziegler_restriction(boolean3(), 2)
+        restricted, mult = ziegler_restriction(arrangement("boolean3"), 2)
         assert restricted.h == 2 and mult == (1, 1)
 
     def test_generic_no_coincidences(self):
-        restricted, mult = ziegler_restriction(generic4(), 3)
+        restricted, mult = ziegler_restriction(arrangement("generic4"), 3)
         assert restricted.h == 3 and mult == (1, 1, 1)
 
     def test_multiplicity_sum_rule(self):
-        for arr in (braid3(), boolean3(), generic4(), near_pencil5()):
+        for arr in map(arrangement, ("braid3", "boolean3", "generic4", "near_pencil5")):
             for h0 in range(arr.h):
                 _, mult = ziegler_restriction(arr, h0)
                 assert sum(mult) == arr.h - 1
 
     def test_near_pencil_unbalanced(self):
-        restricted, mult = ziegler_restriction(near_pencil5(), 0)
+        restricted, mult = ziegler_restriction(arrangement("near_pencil5"), 0)
         assert not is_balanced(restricted, mult)
 
 
@@ -373,8 +379,8 @@ class TestPlaneFrame:
         assert_valid_frame(alpha, arr3._plane_frame(alpha))
 
     def test_corpus_restrictions_match_the_search(self, monkeypatch):
-        arrangements = [braid3(), boolean3(), generic4(), near_pencil5()]
-        for aff in (braid_deconing(), b2_deformation_a(), b2_deformation_b(), generic5_lines()):
+        arrangements = list(map(arrangement, ("braid3", "boolean3", "generic4", "near_pencil5")))
+        for aff in map(arrangement, ("braid_deconing", "b2_deform_a", "b2_deform_b", "generic5_lines")):
             arrangements.append(cone(aff)[0])
         closed = [ziegler_restriction(arr, h0)[0] for arr in arrangements for h0 in range(arr.h)]
         monkeypatch.setattr(arr3, "_plane_frame", lambda alpha: search_frame(alpha, SEARCH_LIMIT))
@@ -394,37 +400,37 @@ class TestPlaneFrame:
 
 class TestFreeness:
     def test_coker_values(self):
-        assert yoshinaga_coker_dim(braid3(), 0) == 0
-        assert yoshinaga_coker_dim(generic4(), 0) == 1
-        assert yoshinaga_coker_dim(boolean3(), 0) == 0
+        assert yoshinaga_coker_dim(arrangement("braid3"), 0) == 0
+        assert yoshinaga_coker_dim(arrangement("generic4"), 0) == 1
+        assert yoshinaga_coker_dim(arrangement("boolean3"), 0) == 0
 
     def test_braid(self):
-        v = is_free(braid3())
+        v = is_free(arrangement("braid3"))
         assert v.free and v.exponents == (1, 2, 3) and v.coker_dim == 0
         assert v.combinatorial and v.rule == "fc"
 
     def test_generic4(self):
-        v = is_free(generic4())
+        v = is_free(arrangement("generic4"))
         assert not v.free and v.coker_dim == 1 and v.exponents is None
         assert v.combinatorial and v.rule == "A2"  # 3-line restriction
 
     def test_boolean(self):
-        v = is_free(boolean3())
+        v = is_free(arrangement("boolean3"))
         assert v.free and v.exponents == (1, 1, 1)
 
     def test_near_pencil_rule(self):
-        v = is_free(near_pencil5())
+        v = is_free(arrangement("near_pencil5"))
         assert v.rule == "nb" and v.combinatorial
         # pencil of 4 planes plus a transversal one is free: exp (1, 1, 3)
         assert v.free and v.exponents == (1, 1, 3)
 
     def test_h0_independence(self):
-        for arr in (braid3(), generic4(), boolean3(), near_pencil5()):
+        for arr in map(arrangement, ("braid3", "generic4", "boolean3", "near_pencil5")):
             verdicts = [is_free(arr, h0) for h0 in range(arr.h)]
             assert len({(v.free, v.exponents) for v in verdicts}) == 1
 
     def test_terao_factorisation_direction(self):
-        for arr in (braid3(), boolean3(), near_pencil5()):
+        for arr in map(arrangement, ("braid3", "boolean3", "near_pencil5")):
             v = is_free(arr)
             if not v.free:
                 continue
@@ -437,17 +443,13 @@ class TestFreeness:
         assert v.free and v.exponents == (1, 0, 0)
 
     def test_h0_out_of_range(self):
-        for arr in (Arrangement3(QQ, [(1, 0, 0)]), braid3()):
+        for arr in (Arrangement3(QQ, [(1, 0, 0)]), arrangement("braid3")):
             with pytest.raises(ValueError, match=rf"h0 index {arr.h} out of range \(0\.\.{arr.h - 1}\)"):
                 is_free(arr, arr.h)
             with pytest.raises(ValueError, match="out of range"):
                 is_free(arr, -1)
 
     def test_abe_division_oracle(self):
-        # Abe's division theorem (Invent. Math. 204, 2016): if chi(A^H; t) =
-        # (t - 1)(t - |A^H| + 1) divides chi(A; t), then A is free with
-        # exponents (1, |A^H| - 1, h - |A^H|).  Both share the root 1, so the
-        # test is on q = chi(A; t) / (t - 1), not on chi.
         rng = random.Random(2016)
         met = 0
         for _ in range(300):
@@ -459,16 +461,43 @@ class TestFreeness:
             if len(forms) < 2:
                 continue
             arr = Arrangement3(QQ, list(forms.values()))
-            c1, c2 = char_poly(arr).quadratic_coeffs()
-            q = CharPoly((1, -c1, c2))
-            sizes = sorted({ziegler_restriction(arr, h0)[0].h for h0 in range(arr.h)})
-            n = next((n for n in sizes if q(n - 1) == 0), None)
+            n = division_size(arr)
             if n is None:
                 continue
             met += 1
             v = is_free(arr)
             assert v.free and v.exponents == tuple(sorted((1, n - 1, arr.h - n))), arr
         assert met >= 50
+
+    def test_fc_rule_and_chamber_equality_oracle(self):
+        # The paper's product-shape rule (thm_fc_check) and the equality case of
+        # its chamber bound (thm_rest2_check) both declare the cone free.  The
+        # two agree, since chambers = chi(-1) = 1 + k + c2, and is_free at
+        # another H0 and Abe's division theorem check them from outside.  The
+        # rule applies often at coefficient bounds 1 to 3 and seldom at 30.
+        rng = random.Random(1989)
+        applies = 0
+        for bound in (1, 2, 3, 30):
+            for _ in range(75):
+                k, lines = rng.randint(3, 7), {}
+                while len(lines) < k:
+                    c = [rng.randint(-bound, bound) for _ in range(3)]
+                    if any(c[:2]):
+                        lines.setdefault(canonical_coefficients(QQ, c), c)
+                aff = AffineArrangement2(QQ, list(lines.values()))
+                arr = cone(aff)[0]
+                v = is_free(arr)
+                fc, r2 = thm_fc_check(aff), thm_rest2_check(aff)
+                if fc.applies:
+                    applies += 1
+                    gap = fc.h - 2 if fc.case == 1 else fc.h - 3
+                    assert v.free and v.exponents == tuple(sorted((1, fc.d, fc.d + gap))), aff
+                if r2.applicable:
+                    assert fc.applies == r2.equality, aff
+                n = division_size(arr)
+                if n is not None:
+                    assert v.free and v.exponents == tuple(sorted((1, n - 1, arr.h - n))), aff
+        assert applies >= 12
 
     def test_four_line_even_rule(self):
         # 4-line restriction of an even arrangement is combinatorial even
@@ -484,7 +513,7 @@ class TestFreeness:
         assert v.combinatorial and v.rule == "four"
 
     def test_four_line_even_rule_fc_priority(self):
-        arr, h0 = cone(b2_deformation_a())
+        arr, h0 = cone(arrangement("b2_deform_a"))
         v = is_free(arr, h0)
         assert v.free and v.exponents == (1, 2, 3)
         assert v.ziegler[0].h == 4 and arr.h % 2 == 0
@@ -493,18 +522,18 @@ class TestFreeness:
 
 class TestFcCheck:
     def test_braid_deconing_applies(self):
-        rep = thm_fc_check(braid_deconing())
+        rep = thm_fc_check(arrangement("braid_deconing"))
         assert rep.applies and rep.free
         assert rep.h == 3 and rep.case == 1 and rep.d == 2
 
     def test_deformation_case2(self):
         # five lines: x, y, x-y, x+y, x=1; chi = (t-2)(t-3) with h = 4
-        rep = thm_fc_check(b2_deformation_a())
+        rep = thm_fc_check(arrangement("b2_deform_a"))
         assert rep.applies and rep.free
         assert rep.h == 4 and rep.case == 2 and rep.d == 2
 
     def test_generic4_not_applicable(self):
-        rep = thm_fc_check(decone(generic4(), 0))
+        rep = thm_fc_check(decone(arrangement("generic4"), 0))
         assert not rep.applies
         assert "factor" in rep.reason
 
@@ -519,28 +548,28 @@ class TestFcCheck:
 
     def test_deformation_b_square_shape(self):
         # chi = (t-3)^2 matches neither product shape
-        rep = thm_fc_check(b2_deformation_b())
+        rep = thm_fc_check(arrangement("b2_deform_b"))
         assert not rep.applies
 
 
 class TestRestBounds:
     def test_braid_deconing(self):
-        rep = thm_rest_check(braid_deconing())
+        rep = thm_rest_check(arrangement("braid_deconing"))
         assert rep.applicable and rep.passed
         assert rep.roots == (2, 3) and rep.case == 1 and rep.d == 2
 
     def test_boolean_gate(self):
-        rep = thm_rest_check(decone(boolean3(), 2))
+        rep = thm_rest_check(decone(arrangement("boolean3"), 2))
         assert not rep.applicable
         assert "h = 2" in rep.reason
 
     def test_deformation_b_bounds(self):
-        rep = thm_rest_check(b2_deformation_b())
+        rep = thm_rest_check(arrangement("b2_deform_b"))
         assert rep.applicable and rep.passed
         assert rep.roots == (3, 3) and rep.case == 1 and rep.d == 2
 
     def test_non_split_gate(self):
-        rep = thm_rest_check(generic5_lines())
+        rep = thm_rest_check(arrangement("generic5_lines"))
         assert not rep.applicable
         assert "split" in rep.reason
 
@@ -555,12 +584,12 @@ class TestChambers:
         assert chamber_count(parallel) == 3
 
     def test_braid_deconing_twelve(self):
-        bd = braid_deconing()
+        bd = arrangement("braid_deconing")
         assert chamber_count(bd) == 12
         assert euler_chamber_count(bd) == 12
 
     def test_oracle_agreement_corpus(self):
-        for aff in (b2_deformation_a(), b2_deformation_b(), generic5_lines()):
+        for aff in map(arrangement, ("b2_deform_a", "b2_deform_b", "generic5_lines")):
             assert chamber_count(aff) == euler_chamber_count(aff)
 
     def test_empty_plane(self):
@@ -569,32 +598,32 @@ class TestChambers:
 
 class TestRest2:
     def test_braid_equality_confirms_freeness(self):
-        rep = thm_rest2_check(braid_deconing())
+        rep = thm_rest2_check(arrangement("braid_deconing"))
         assert rep.applicable and rep.passed
         assert rep.chambers == 12 and rep.bound == 12
         assert rep.equality and rep.freeness_confirmed
 
     def test_generic5_strict(self):
-        rep = thm_rest2_check(generic5_lines())
+        rep = thm_rest2_check(arrangement("generic5_lines"))
         assert rep.applicable and rep.passed
         assert rep.chambers > rep.bound
         assert not rep.equality and rep.freeness_confirmed is None
 
     def test_gate(self):
-        rep = thm_rest2_check(decone(boolean3(), 0))
+        rep = thm_rest2_check(decone(arrangement("boolean3"), 0))
         assert not rep.applicable
 
 
 class TestPb3:
     def test_braid_member(self):
-        rep = pb3_membership(braid3())
+        rep = pb3_membership(arrangement("braid3"))
         assert rep.member and rep.roots == (2, 3)
         assert rep.witness_h0 == 0
 
     def test_near_pencil_not_member(self):
-        rep = pb3_membership(near_pencil5())
+        rep = pb3_membership(arrangement("near_pencil5"))
         assert not rep.member and rep.unbalanced_h0 is not None
 
     def test_generic4_not_member(self):
-        rep = pb3_membership(generic4())
+        rep = pb3_membership(arrangement("generic4"))
         assert not rep.member and "split" in rep.reason

@@ -414,8 +414,8 @@ class TestSinglePath:
     )
     def test_each_document_is_built_once(self, capsys, monkeypatch, argv):
         built = []
-        real = cli.build_arrangement
-        monkeypatch.setattr(cli, "build_arrangement", lambda doc: built.append(doc) or real(doc))
+        real = corpus.build_arrangement
+        monkeypatch.setattr(corpus, "build_arrangement", lambda doc: built.append(doc) or real(doc))
         code, _, _ = run(capsys, argv[0], corpus_file(argv[1]), *argv[2:])
         assert code == EXIT_OK
         assert len(built) == 1
@@ -548,32 +548,76 @@ class TestInternalError:
             assert lines[3] == f"reproduce: multiarr {shlex.join(['shift', path])}"
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 3 and an empty stderr."""
+
+    class Closed:  # a stdout whose reader is gone, with no file descriptor
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_in_process(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(sys, "stdout", self.Closed())
+        assert main(["free", corpus_file("braid3"), *flags]) == EXIT_IO
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe(self, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(multiarr.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "multiarr.cli", "free", corpus_file("braid3")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_IO
+        assert err == b""
+
+
 class TestCorpusDocuments:
-    PAIRS = {  # corpus builder: (bundled document, multiplicity of a planar central one)
-        "a2": ("a2", (1, 1, 1)),
-        "b2_lines": ("b2_lines", (1, 1, 1, 1)),
-        "four_lines": ("four_lines", (1, 1, 1, 1)),
-        "five_lines": ("five_lines", (1, 1, 1, 1, 1)),
-        "remark_arrangement": ("remark_f2", (4, 4, 4)),
-        "braid3": ("braid3", None),
-        "boolean3": ("boolean3", None),
-        "generic4": ("generic4", None),
-        "near_pencil5": ("near_pencil5", None),
-        "braid_deconing": ("braid_deconing", None),
-        "b2_deformation_a": ("b2_deform_a", None),
-        "b2_deformation_b": ("b2_deform_b", None),
-        "generic5_lines": ("generic5_lines", None),
+    PINS = {  # bundled document: multiplicity of a planar central one
+        "a2": (1, 1, 1),
+        "b2_deform_a": None,
+        "b2_deform_b": None,
+        "b2_lines": (1, 1, 1, 1),
+        "boolean3": None,
+        "braid3": None,
+        "braid_deconing": None,
+        "five_lines": (1, 1, 1, 1, 1),
+        "four_lines": (1, 1, 1, 1),
+        "generic4": None,
+        "generic5_lines": None,
+        "near_pencil5": None,
+        "remark_f2": (4, 4, 4),
     }
 
     def test_every_document_has_a_builder(self):
-        assert sorted(name for name, _ in self.PAIRS.values()) == sorted(corpus.document_names())
+        data = Path(corpus.__file__).with_name("corpus") / "data"
+        files = sorted(p.stem for p in data.glob("*.json"))
+        assert list(corpus.document_names()) == files == sorted(self.PINS)
 
-    @pytest.mark.parametrize("builder", sorted(PAIRS))
-    def test_builder_equals_document(self, builder):
-        name, mult = self.PAIRS[builder]
-        built = parse_document(corpus.document_path(name).read_text(encoding="utf-8")).built
-        assert built[1] == getattr(corpus, builder)()
-        assert (built[2] if built[0] == "arr2" else None) == mult
+    def test_package_data_ships_every_document(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        globs = tomllib.loads(pyproject.read_text(encoding="utf-8"))["tool"]["setuptools"]["package-data"]
+        package = Path(multiarr.__file__).parent
+        shipped = {p for g in globs["multiarr"] for p in package.glob(g)}
+        data = {p for p in (package / "corpus" / "data").rglob("*") if p.is_file()}
+        assert data and data <= shipped
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_builder_equals_document(self, name):
+        doc = parse_document(corpus.document_path(name).read_text(encoding="utf-8"))
+        assert doc.name == name
+        arr = corpus.arrangement(name)
+        assert arr == doc.built[1] and arr is not corpus.arrangement(name)
+        assert (doc.built[2] if doc.built[0] == "arr2" else None) == self.PINS[name]
 
 
 class TestFrameLimit:

@@ -177,6 +177,18 @@ class TestBinaryForm:
         x2 = LinearForm2(QQ, 0, 1).form()
         assert x1sq.divide_exact(x2) is None
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_proportional_scalar(self, field):
+        f = BinaryForm(field, 2, (0, 2, 3))
+        zero = BinaryForm.zero(field, 2)
+        assert BinaryForm(field, 2, (0, 6, 9)).proportional_scalar(f) == field(3)
+        assert BinaryForm(field, 2, (0, 6, 8)).proportional_scalar(f) is None
+        assert BinaryForm(field, 2, (1, 2, 3)).proportional_scalar(f) is None
+        assert zero.proportional_scalar(f) == field.zero
+        assert zero.proportional_scalar(zero) == field.zero
+        assert f.proportional_scalar(zero) is None
+        assert f.proportional_scalar(BinaryForm(field, 1, (2, 3))) is None
+
     def test_char2_frobenius_power(self):
         F = GF(2)
         a = LinearForm2(F, 1, 1)

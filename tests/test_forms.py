@@ -74,14 +74,15 @@ class TestFormValues:
 
 DUMP = """
 import pickle, sys
-from multiarr.corpus import braid3, braid_deconing, five_lines
-sys.stdout.buffer.write(pickle.dumps([five_lines(), braid3(), braid_deconing()]))
+from multiarr.corpus import arrangement
+sys.stdout.buffer.write(pickle.dumps([arrangement(n) for n in ("five_lines", "braid3", "braid_deconing")]))
 """
 
 LOAD = """
 import pickle, sys
-from multiarr.corpus import braid3, braid_deconing, five_lines
-for old, new in zip(pickle.loads(sys.stdin.buffer.read()), [five_lines(), braid3(), braid_deconing()]):
+from multiarr.corpus import arrangement
+news = [arrangement(n) for n in ("five_lines", "braid3", "braid_deconing")]
+for old, new in zip(pickle.loads(sys.stdin.buffer.read()), news):
     assert old == new, (old, new)
     assert hash(old) == hash(new), type(new).__name__
     assert len({old, new}) == 1

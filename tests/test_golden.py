@@ -26,8 +26,7 @@ def corpus_commands():
     out = {}
     for name in corpus.document_names():
         path = str(corpus.document_path(name))
-        doc = cli.parse_document(corpus.document_path(name).read_text(encoding="utf-8"))
-        kind = cli.build_arrangement(doc)
+        kind = corpus.parse_document(corpus.document_path(name).read_text(encoding="utf-8")).built
         if kind[0] == "arr2":
             caps = ",".join(["2"] * kind[1].h)
             out[f"exp {name}"] = ["exp", path]

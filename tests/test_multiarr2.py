@@ -122,6 +122,19 @@ class TestExponents:
                 assert exponents(moved, m).pair == e.pair
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_derivation_proportional_scalar(field):
+    f, g = BinaryForm(field, 1, (1, 2)), BinaryForm(field, 1, (0, 3))
+    theta = Derivation2(f, g)
+    assert Derivation2(f + f, g + g).proportional_scalar(theta) == field(2)
+    assert Derivation2(f + f, g).proportional_scalar(theta) is None  # only f scales
+    assert Derivation2(g, f).proportional_scalar(theta) is None
+    zero = Derivation2(BinaryForm.zero(field, 1), BinaryForm.zero(field, 1))
+    assert zero.proportional_scalar(theta) == field.zero
+    assert theta.proportional_scalar(zero) is None
+    assert theta.proportional_scalar(Derivation2.euler(field)) is None
+
+
 class TestBalanced:
     def test_examples(self):
         assert is_balanced(a2(), (1, 1, 1))
