@@ -593,8 +593,11 @@ def euler_chamber_count(aff: AffineArrangement2) -> int:
     """
     if aff.field.char:
         raise ValueError("real chambers need characteristic zero")
-    poset = affine_poset(aff)
-    on_line = [0] * aff.k
+    return _euler_count(affine_poset(aff))
+
+
+def _euler_count(poset: AffinePoset2) -> int:
+    on_line = [0] * poset.k
     for _, members, _ in poset.points:
         for i in members:
             on_line[i] += 1
@@ -611,9 +614,13 @@ def chamber_count(aff: AffineArrangement2) -> int:
     """
     if aff.field.char:
         raise ValueError("real chambers need characteristic zero")
-    count = char_poly(aff)(-1)
-    if aff.k <= 10:
-        geometric = euler_chamber_count(aff)
+    return _chamber_count(affine_poset(aff))
+
+
+def _chamber_count(poset: AffinePoset2) -> int:
+    count = poset.char_poly()(-1)
+    if poset.k <= 10:
+        geometric = _euler_count(poset)
         if geometric != count:
             raise RuntimeError(
                 f"chamber counts disagree: polynomial {count} vs subdivision {geometric} (bug)"
@@ -652,12 +659,13 @@ def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
     k = aff.k
     case, d, gap = _product_shape(k, restricted.h)
     prod = d * (d + gap)
-    chambers = chamber_count(aff)
+    poset = affine_poset(aff)
+    chambers = _chamber_count(poset)
     bound = 1 + k + prod
     equality = chambers == bound
     return Rest2Report(
         applicable=True, reason="hypotheses hold", case=case, d=d, chambers=chambers, bound=bound,
-        c2_ok=char_poly(aff).coeffs[2] >= prod, equality=equality,
+        c2_ok=poset.char_poly().coeffs[2] >= prod, equality=equality,
         freeness_confirmed=is_free(cone(aff)[0]).free if equality else None,
     )
 

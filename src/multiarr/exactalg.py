@@ -366,7 +366,8 @@ class LinearForm2(CanonicalForm):
 
     def form(self) -> "BinaryForm":
         """This form as a degree-1 BinaryForm."""
-        return BinaryForm(self.field, 1, (self.b, self.a))
+        a, b = self.ints
+        return BinaryForm.from_ints(self.field, 1, (b, a))
 
     def power(self, k: int) -> "BinaryForm":
         return _linear_power(self, k)
@@ -406,91 +407,209 @@ def _render_terms(field, terms) -> str:
 
 
 def _proportional_scalar(field, mine: Sequence, theirs: Sequence):
-    """Scalar c with mine == c * theirs entrywise, or None; 0 when both are zero."""
-    i = next((i for i, b in enumerate(theirs) if b), None)
-    if i is None:
-        return None if any(mine) else field.zero
-    c = mine[i] / theirs[i]
-    return c if all(a == c * b for a, b in zip(mine, theirs)) else None
+    """Scalar c with mine == c * theirs partwise, or None; 0 when both are zero.
+
+    mine and theirs are equal-length sequences of forms, read as one vector
+    (a derivation is its f then its g).  Over Q each nonzero form is
+    content * ints with ints unique, so the parts are proportional iff the
+    nonzero parts share their ints and one content ratio.  Over GF(p) the
+    rule runs on the residues.
+    """
+    p = field.char
+    if p:
+        a = [x for f in mine for x in f.ints]
+        b = [x for f in theirs for x in f.ints]
+        i = next((i for i, y in enumerate(b) if y), None)
+        if i is None:
+            return None if any(a) else field.zero
+        c = a[i] * pow(b[i], -1, p) % p
+        return FpElement(c, p) if all((x - c * y) % p == 0 for x, y in zip(a, b)) else None
+    c = None
+    for f, g in zip(mine, theirs):
+        if not g.content:
+            if f.content:
+                return None
+            continue
+        if f.content and f.ints != g.ints:
+            return None
+        r = f.content / g.content
+        if c is None:
+            c = r
+        elif r != c:
+            return None
+    return field.zero if c is None else c
+
+
+def _normal(field: Field, ints, num: int, den: int):
+    """(ints, content) of the form (num / den) * ints, for Python ints and den != 0.
+
+    Over Q the ints come back primitive with the first nonzero entry
+    positive, and the content absorbs their gcd; over GF(p) they come back
+    as residues of num * den^-1 * ints, and the content is 1.
+    """
+    p = field.char
+    if p:
+        num *= pow(den, -1, p)
+        return tuple(x * num % p for x in ints), 1
+    g = math.gcd(*ints)
+    if not g:
+        return tuple(ints), _ZERO
+    for x in ints:
+        if x:
+            break
+    if x < 0:
+        g = -g
+    return (tuple(ints) if g == 1 else tuple(x // g for x in ints)), Fraction(num * g, den)
+
+
+_ZERO = Fraction(0)
 
 
 class BinaryForm:
     """A homogeneous polynomial in x1, x2 of a declared degree.
 
-    ``coeffs[i]`` is the coefficient of x1^i * x2^(degree-i).  The zero
-    form may be declared at any degree.
+    The form is ``content * ints``, with ``ints[i]`` the integer belonging
+    to x1^i * x2^(degree-i).  Over Q, ``ints`` is primitive with its first
+    nonzero entry positive and ``content`` is an exact Fraction (0 for the
+    zero form); over GF(p), ``ints`` are residues and ``content`` is 1.
+    Each form has one such representation, so equality and hash read it
+    directly.  ``coeffs`` is the read-only tuple of field scalars, built on
+    first use.  The zero form may be declared at any degree.
     """
 
-    __slots__ = ("field", "degree", "coeffs")
+    __slots__ = ("field", "degree", "ints", "content", "_coeffs")
 
     def __init__(self, field: Field, degree: int, coeffs: Sequence):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple(field(c) for c in coeffs)
-        if len(cs) != degree + 1:
-            raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(cs)}")
+        den = 1
+        if field.char:
+            ints = [c if type(c) is int else field(c).val for c in coeffs]
+        else:
+            vals = [c if type(c) is int else field(c) for c in coeffs]
+            den = reduce(math.lcm, (v.denominator for v in vals), 1)
+            ints = [v.numerator * (den // v.denominator) for v in vals]
+        if len(ints) != degree + 1:
+            raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(ints)}")
         self.field = field
         self.degree = degree
-        self.coeffs = cs
+        self.ints, self.content = _normal(field, ints, 1, den)
+        self._coeffs = None
+
+    @classmethod
+    def _new(cls, field: Field, degree: int, ints: tuple, content) -> "BinaryForm":
+        """The form content * ints, which must already be in normal form."""
+        out = object.__new__(cls)
+        out.field = field
+        out.degree = degree
+        out.ints = ints
+        out.content = content
+        out._coeffs = None
+        return out
+
+    @classmethod
+    def from_ints(cls, field: Field, degree: int, ints: Sequence[int], num: int = 1, den: int = 1) -> "BinaryForm":
+        """The form (num / den) * ints, for Python ints and den != 0 in the field."""
+        return cls._new(field, degree, *_normal(field, ints, num, den))
 
     @classmethod
     def zero(cls, field: Field, degree: int) -> "BinaryForm":
-        return cls(field, degree, (field.zero,) * (degree + 1))
+        return cls._new(field, degree, (0,) * (degree + 1), 1 if field.char else _ZERO)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field scalars; coeffs[i] belongs to x1^i * x2^(degree-i)."""
+        cs = self._coeffs
+        if cs is None:
+            p = self.field.char
+            if p:
+                cs = tuple(FpElement(x, p) for x in self.ints)
+            else:
+                c = self.content
+                cs = tuple(c * x for x in self.ints)
+            self._coeffs = cs
+        return cs
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.ints)
 
     def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in form addition")
-        return BinaryForm(self.field, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self.combine(1, other, 1)
 
     def __sub__(self, other):
+        return self.combine(1, other, -1)
+
+    def combine(self, a: int, other: "BinaryForm", b: int) -> "BinaryForm":
+        """a * self + b * other for ints a and b, over a common denominator of the contents."""
         self._check(other)
         if self.degree != other.degree:
-            raise ValueError("degree mismatch in form subtraction")
-        return BinaryForm(self.field, self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+            raise ValueError("degree mismatch in form combination")
+        p = self.field.char
+        if p:
+            ints = tuple((a * x + b * y) % p for x, y in zip(self.ints, other.ints))
+            return BinaryForm._new(self.field, self.degree, ints, 1)
+        c1, c2 = self.content, other.content
+        d1, d2 = c1.denominator, c2.denominator
+        den = math.lcm(d1, d2)
+        u, v = a * c1.numerator * (den // d1), b * c2.numerator * (den // d2)
+        ints = [u * x + v * y for x, y in zip(self.ints, other.ints)]
+        return BinaryForm.from_ints(self.field, self.degree, ints, 1, den)
 
     def __neg__(self):
-        return BinaryForm(self.field, self.degree, tuple(-a for a in self.coeffs))
+        return self.scaled(-1)
 
     def scaled(self, c) -> "BinaryForm":
-        c = self.field(c)
-        return BinaryForm(self.field, self.degree, tuple(c * a for a in self.coeffs))
+        p = self.field.char
+        if type(c) is not int:
+            c = self.field(c)
+            if p:
+                c = c.val
+        if p:
+            return BinaryForm._new(self.field, self.degree, tuple(x * c % p for x in self.ints), 1)
+        if not (c and self.content):
+            return BinaryForm.zero(self.field, self.degree)
+        return BinaryForm._new(self.field, self.degree, self.ints, self.content * c)
 
     def __mul__(self, other):
+        """The product; over Q the ints of a product of primitive forms are primitive (Gauss)."""
         self._check(other)
         deg = self.degree + other.degree
-        out = [self.field.zero] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.field, deg, out)
+        b = other.ints
+        out = [0] * (deg + 1)
+        for i, x in enumerate(self.ints):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = self.field.char
+        if p:
+            return BinaryForm._new(self.field, deg, tuple(v % p for v in out), 1)
+        return BinaryForm._new(self.field, deg, tuple(out), self.content * other.content)
 
     def dx1(self) -> "BinaryForm":
         """Partial derivative with respect to x1."""
         if self.degree == 0:
             return BinaryForm.zero(self.field, 0)
-        out = [self.field.zero] * self.degree
-        for i in range(1, self.degree + 1):
-            out[i - 1] = i * self.coeffs[i]
-        return BinaryForm(self.field, self.degree - 1, out)
+        c = self.content
+        ints = [i * x for i, x in enumerate(self.ints)][1:]
+        return BinaryForm.from_ints(self.field, self.degree - 1, ints, c.numerator, c.denominator)
 
     def dx2(self) -> "BinaryForm":
         """Partial derivative with respect to x2."""
         if self.degree == 0:
             return BinaryForm.zero(self.field, 0)
-        out = [self.field.zero] * self.degree
-        for i in range(self.degree):
-            out[i] = (self.degree - i) * self.coeffs[i]
-        return BinaryForm(self.field, self.degree - 1, out)
+        d, c = self.degree, self.content
+        ints = [(d - i) * x for i, x in enumerate(self.ints[:d])]
+        return BinaryForm.from_ints(self.field, d - 1, ints, c.numerator, c.denominator)
 
     def divide_exact(self, other: "BinaryForm"):
-        """Return self / other if the division is exact, else None."""
+        """Return self / other if the division is exact, else None.
+
+        Synthetic division on the ints, from the top.  Over Q it stops at
+        the first step whose divmod by the divisor's leading int leaves a
+        remainder: both int vectors are primitive, so by Gauss's lemma an
+        exact quotient has integer (and primitive) ints.  Over GF(p) each
+        step multiplies by the inverse of that leading residue.
+        """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero form")
@@ -498,27 +617,39 @@ class BinaryForm:
             return BinaryForm.zero(self.field, max(self.degree - other.degree, 0))
         if other.degree > self.degree:
             return None
-        p = list(self.coeffs)
-        q = other.coeffs
-        dp = max(i for i, c in enumerate(p) if c)
-        dq = max(i for i, c in enumerate(q) if c)
+        rem = list(self.ints)
+        q = other.ints
+        dp, dq = self.degree, other.degree
+        while not rem[dp]:
+            dp -= 1
+        while not q[dq]:
+            dq -= 1
         if dp < dq:
             return None
         # x2-adic valuations must also divide: (deg-dp) >= (deg'-dq)
         if (self.degree - dp) < (other.degree - dq):
             return None
-        quot = [self.field.zero] * (dp - dq + 1)
-        for i in range(dp, dq - 1, -1):
-            c = p[i] / q[dq]
-            quot[i - dq] = c
-            if c:
-                for s in range(dq + 1):
-                    p[i - dq + s] = p[i - dq + s] - c * q[s]
-        if any(p):
-            return None
+        p = self.field.char
+        lead = q[dq]
+        inv = pow(lead, -1, p) if p else None
         deg = self.degree - other.degree
-        quot.extend([self.field.zero] * (deg + 1 - len(quot)))
-        return BinaryForm(self.field, deg, quot)
+        quot = [0] * (deg + 1)
+        for i in range(dp, dq - 1, -1):
+            if p:
+                c = rem[i] * inv % p
+            else:
+                c, r = divmod(rem[i], lead)
+                if r:
+                    return None
+            quot[i - dq] = c
+            if c:  # rem[i] itself cancels and is never read again
+                for s in range(dq):
+                    rem[i - dq + s] -= c * q[s]
+        if any(x % p for x in rem[:dq]) if p else any(rem[:dq]):
+            return None
+        if p:
+            return BinaryForm._new(self.field, deg, tuple(quot), 1)
+        return BinaryForm._new(self.field, deg, tuple(quot), self.content / other.content)
 
     def proportional_scalar(self, other: "BinaryForm"):
         """Scalar c with self == c * other, or None if no such c exists.
@@ -528,7 +659,7 @@ class BinaryForm:
         self._check(other)
         if self.degree != other.degree:
             return None
-        return _proportional_scalar(self.field, self.coeffs, other.coeffs)
+        return _proportional_scalar(self.field, (self,), (other,))
 
     def render(self, names=("x1", "x2")) -> str:
         terms = []
@@ -545,7 +676,7 @@ class BinaryForm:
     def _check(self, other):
         if not isinstance(other, BinaryForm):
             raise TypeError(f"expected BinaryForm, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise TypeError("mixed-field operands")
 
     def __eq__(self, other):
@@ -553,11 +684,12 @@ class BinaryForm:
             isinstance(other, BinaryForm)
             and self.field == other.field
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.ints == other.ints
+            and self.content == other.content
         )
 
     def __hash__(self):
-        return hash((self.field, self.degree, self.coeffs))
+        return hash((self.field.char, self.degree, self.ints, self.content))
 
     def __repr__(self):
         return f"BinaryForm({self.render()})"

@@ -144,7 +144,8 @@ class Derivation2:
 
     def apply_to_linear(self, alpha: LinearForm2) -> BinaryForm:
         """theta(alpha) = a*f + b*g for alpha = a*x1 + b*x2."""
-        return self.f.scaled(alpha.a) + self.g.scaled(alpha.b)
+        a, b = alpha.ints
+        return self.f.combine(a, self.g, b)
 
     def apply_to_form(self, form: BinaryForm) -> BinaryForm:
         """theta acting as a derivation on a polynomial."""
@@ -154,9 +155,7 @@ class Derivation2:
         """Scalar c with self == c * other, or None."""
         if self.degree != other.degree:
             return None
-        return _proportional_scalar(
-            self.field, self.f.coeffs + self.g.coeffs, other.f.coeffs + other.g.coeffs
-        )
+        return _proportional_scalar(self.field, (self.f, self.g), (other.f, other.g))
 
     def render(self, names=("x1", "x2")) -> str:
         def wrap(form):
@@ -355,8 +354,8 @@ def _cancel(p: int, theta, other):
 
 def _leading_one(field, d: int, theta) -> Derivation2:
     """theta as a degree-d Derivation2 whose first nonzero coefficient is 1."""
-    lead = field(next(x for x in theta[0] + theta[1] if x))
-    return Derivation2.from_vector(field, d, [field(x) / lead for x in theta[0] + theta[1]])
+    lead = next(x for x in theta[0] + theta[1] if x)
+    return Derivation2(*(BinaryForm.from_ints(field, d, v, 1, lead) for v in theta))
 
 
 def defining_form(arr: Arrangement2, m: Sequence[int]) -> BinaryForm:

@@ -613,6 +613,25 @@ class TestRest2:
         rep = thm_rest2_check(decone(arrangement("boolean3"), 0))
         assert not rep.applicable
 
+    @pytest.mark.parametrize(
+        "name, fields, posets",
+        [
+            ("braid_deconing", dict(applicable=True, reason="hypotheses hold", case=1, d=2, chambers=12,
+                                    bound=12, c2_ok=True, equality=True, freeness_confirmed=True), 1),
+            ("generic5_lines", dict(applicable=True, reason="hypotheses hold", case=1, d=1, chambers=16,
+                                    bound=10, c2_ok=True, equality=False, freeness_confirmed=None), 1),
+            ("decone(boolean3, 0)", dict(applicable=False, reason="restriction has h = 2 <= 2"), 0),
+        ],
+        ids=["braid_deconing", "generic5_lines", "decone_boolean3"],
+    )
+    def test_one_affine_poset_per_check(self, monkeypatch, name, fields, posets):
+        aff = decone(arrangement("boolean3"), 0) if name.startswith("decone") else arrangement(name)
+        calls = []
+        real = arr3.affine_poset
+        monkeypatch.setattr(arr3, "affine_poset", lambda a: calls.append(a) or real(a))
+        assert thm_rest2_check(aff) == arr3.Rest2Report(**fields)
+        assert len(calls) == posets
+
 
 class TestPb3:
     def test_braid_member(self):

@@ -1,6 +1,7 @@
 """Document parsing, command output, exit codes and JSON determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -369,6 +370,22 @@ class TestShiftCommand:
         code, out, _ = run(capsys, "shift", corpus_file("a2"))
         assert code == EXIT_VIOLATION
         assert "certificate: VIOLATION (0/8)" in out and "warning" not in out
+
+
+    # sha256 of `shift --json` at m0 beyond the corpus multiplicities, where the
+    # content and gcd arithmetic of the forms does the most work
+    SHIFT_PINS = [
+        ("b2_lines", "Q", "9,9,9,9", "1003d61cb692bc24bdc725f62d8dc56a7fd221298d53c0ad8015160783fe1781"),
+        ("a2", "Q", "9,9,9", "8ebcc36e53b285ca1a32209faaca74a96583de9e611e25ec474af8b4eccde86f"),
+        ("a2", {"p": 2147483647}, "3,3,3", "a8490ea5be2ea0dcf1984fb48ed45dbb7fa5f1eb995423ffd1252e6bf83b93b5"),
+    ]
+
+    @pytest.mark.parametrize("name, field, m0, digest", SHIFT_PINS)
+    def test_output_pinned_beyond_corpus_m0(self, capsys, tmp_path, name, field, m0, digest):
+        path = corpus_file(name) if field == "Q" else write_a2(tmp_path, A2, field=field)
+        code, out, _ = run(capsys, "shift", path, "--m0", m0, "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFreeCommand:

@@ -16,6 +16,9 @@ from multiarr.exactalg import (
     binary_form_divides,
     divisibility_constraints,
 )
+from multiarr.multiarr2 import Derivation2
+from oracles import FieldForm
+from oracles import proportional_scalar as oracle_proportional_scalar
 
 
 def naive_rank(rows):
@@ -194,6 +197,214 @@ class TestBinaryForm:
         a = LinearForm2(F, 1, 1)
         # (x1 + x2)^4 = x1^4 + x2^4 over GF(2)
         assert a.power(4).coeffs == (F.one, F.zero, F.zero, F.zero, F.one)
+
+
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(2**31 - 1)]
+
+
+def scalars(field):
+    """Coefficient inputs: small, large and negative ints, and field scalars or strings."""
+    ints = st.just(0) | st.integers(-3, 3) | st.integers(-(10**12), 10**12)
+    if field.char:
+        return ints | ints.map(field) | ints.map(str)
+    fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    return ints | fracs | fracs.map(str)
+
+
+@st.composite
+def coefficient_lists(draw, field, degree=None):
+    """(degree, coefficients), the zero form at any degree included."""
+    d = draw(st.integers(0, 6)) if degree is None else degree
+    if draw(st.integers(0, 5)) == 0:
+        return d, [0] * (d + 1)
+    return d, draw(st.lists(scalars(field), min_size=d + 1, max_size=d + 1))
+
+
+def both(field, d, cs):
+    return BinaryForm(field, d, cs), FieldForm(field, d, cs)
+
+
+def assert_same(form, oracle):
+    """form and the oracle hold the same field scalars, render alike and rebuild alike."""
+    assert isinstance(form, BinaryForm)
+    assert form.degree == oracle.degree
+    assert form.coeffs == oracle.coeffs
+    assert [type(c) for c in form.coeffs] == [type(c) for c in oracle.coeffs]
+    assert form.is_zero() == oracle.is_zero()
+    assert form.render() == oracle.render()
+    assert form.render(("x", "y")) == oracle.render(("x", "y"))
+    rebuilt = BinaryForm(form.field, oracle.degree, oracle.coeffs)
+    assert rebuilt == form and hash(rebuilt) == hash(form)
+
+
+def assert_same_scalar(got, want):
+    assert got == want and type(got) is type(want)
+
+
+class TestFormOracle:
+    """Differential test: BinaryForm on ints against the field-scalar oracle."""
+
+    @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS))
+    def test_ring_operations(self, data, field):
+        d, cs = data.draw(coefficient_lists(field))
+        a, oa = both(field, d, cs)
+        assert_same(a, oa)
+        _, cs_same = data.draw(coefficient_lists(field, d))
+        b, ob = both(field, d, cs_same)
+        e, other = data.draw(coefficient_lists(field))
+        c, oc = both(field, e, other)
+        assert_same(a + b, oa + ob)
+        assert_same(a - b, oa - ob)
+        assert_same(a - a, oa - oa)
+        assert_same(a * c, oa * oc)
+        assert_same(c * a, oc * oa)
+        assert_same(-a, -oa)
+        k = data.draw(scalars(field))
+        assert_same(a.scaled(k), oa.scaled(k))
+        assert_same(a.dx1(), oa.dx1())
+        assert_same(a.dx2(), oa.dx2())
+        assert_same(a.dx1().dx2(), oa.dx1().dx2())
+        assert (a == b) == (oa == ob)
+        assert (a == c) == (oa == oc)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(ORACLE_FIELDS),
+        divisor=st.sampled_from(["random", "x1", "x2", "linear"]),
+        remainder=st.sampled_from([None, "last step", "constant term"]),
+    )
+    def test_divide_exact(self, data, field, divisor, remainder):
+        if divisor == "random":
+            e, ds = data.draw(coefficient_lists(field, data.draw(st.integers(0, 4))))
+            q, oq = both(field, e, ds)
+        else:
+            k = data.draw(st.integers(1, 4))
+            if divisor == "linear":
+                a, b = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+                if not (field(a) or field(b)):
+                    a = 1
+            else:
+                a, b = (1, 0) if divisor == "x1" else (0, 1)
+            q = LinearForm2(field, a, b).power(k)
+            oq = FieldForm(field, k, q.coeffs)
+        d, cs = data.draw(coefficient_lists(field))
+        quotient, oquotient = both(field, d, cs)
+        num, onum = quotient * q, oquotient * oq
+        if remainder is not None and not oq.is_zero():
+            top = max(i for i, c in enumerate(oq.coeffs) if c)
+            j = top if remainder == "last step" else 0
+            cs = [0] * (num.degree + 1)
+            cs[j] = data.draw(scalars(field))
+            num, onum = num + BinaryForm(field, num.degree, cs), onum + FieldForm(field, num.degree, cs)
+        assert_same(num, onum)
+        if oq.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                num.divide_exact(q)
+            return
+        got, want = num.divide_exact(q), onum.divide_exact(oq)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same(got, want)
+        if remainder is None:
+            assert want is not None
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS)
+    def test_divide_exact_small_cases(self, field):
+        """Divisors with a non-unit leading int, exact or off by one term at the last step or the end."""
+        divisors = [(1, 2), (1, 0, 3), (2, 1, 5), (0, 1, 2), (3, 0), (4, 6, 9)]
+        quotients = [(0,), (1,), (5,), (1, 1), (2, 0, 3), (-1, 4)]
+        for dc in divisors:
+            q, oq = both(field, len(dc) - 1, dc)
+            if oq.is_zero():
+                continue
+            top = max(i for i, c in enumerate(oq.coeffs) if c)
+            for qc in quotients:
+                quotient, oquotient = both(field, len(qc) - 1, qc)
+                num, onum = quotient * q, oquotient * oq
+                for j, r in ((0, 0), (top, 1), (top, 2), (0, 1)):
+                    cs = [0] * (num.degree + 1)
+                    cs[j] = r
+                    n, on = num + BinaryForm(field, num.degree, cs), onum + FieldForm(field, num.degree, cs)
+                    got, want = n.divide_exact(q), on.divide_exact(oq)
+                    assert (got is None) == (want is None), (dc, qc, j, r)
+                    if want is not None:
+                        assert_same(got, want)
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(ORACLE_FIELDS),
+        relation=st.sampled_from(["scaled", "random", "zero"]),
+    )
+    def test_proportional_scalar(self, data, field, relation):
+        d, cs = data.draw(coefficient_lists(field))
+        a, oa = both(field, d, cs)
+        if relation == "scaled":
+            k = data.draw(scalars(field))
+            b, ob = a.scaled(k), oa.scaled(k)
+        elif relation == "zero":
+            b, ob = BinaryForm.zero(field, d), FieldForm.zero(field, d)
+        else:
+            e, other = data.draw(coefficient_lists(field))
+            b, ob = both(field, e, other)
+        for x, y, ox, oy in ((a, b, oa, ob), (b, a, ob, oa), (a, a, oa, oa)):
+            want = ox.proportional_scalar(oy)
+            got = x.proportional_scalar(y)
+            if want is None:
+                assert got is None
+            else:
+                assert_same_scalar(got, want)
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(ORACLE_FIELDS),
+        relation=st.sampled_from(["scaled", "random", "f zero", "g zero"]),
+    )
+    def test_derivation_proportional_scalar(self, data, field, relation):
+        d = data.draw(st.integers(0, 4))
+        parts = [data.draw(coefficient_lists(field, d))[1] for _ in range(4)]
+        if relation == "f zero":
+            parts[0] = parts[2] = [0] * (d + 1)
+        elif relation == "g zero":
+            parts[1] = [0] * (d + 1)
+        theta = Derivation2(BinaryForm(field, d, parts[0]), BinaryForm(field, d, parts[1]))
+        if relation == "scaled":
+            k = data.draw(scalars(field))
+            other = Derivation2(theta.f.scaled(k), theta.g.scaled(k))
+        else:
+            other = Derivation2(BinaryForm(field, d, parts[2]), BinaryForm(field, d, parts[3]))
+        for x, y in ((theta, other), (other, theta), (theta, theta)):
+            want = oracle_proportional_scalar(field, x.f.coeffs + x.g.coeffs, y.f.coeffs + y.g.coeffs)
+            got = x.proportional_scalar(y)
+            if want is None:
+                assert got is None
+            else:
+                assert_same_scalar(got, want)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS)
+    def test_built_equals_reached(self, field):
+        assert BinaryForm(QQ, 1, (2, 4)) == BinaryForm(QQ, 1, (1, 2)).scaled(2)
+        pairs = [
+            (BinaryForm(field, 1, (2, 4)), BinaryForm(field, 1, (1, 2)).scaled(2)),
+            (BinaryForm(field, 2, (-1, 0, 3)), -BinaryForm(field, 2, (1, 0, -3))),
+            (BinaryForm(field, 2, (0, 0, 0)), BinaryForm(field, 2, (1, 2, 3)).scaled(0)),
+            (BinaryForm(field, 1, (0, 0)), BinaryForm(field, 1, (5, 1)) - BinaryForm(field, 1, (5, 1))),
+            (BinaryForm(field, 2, (1, 2, 1)), LinearForm2(field, 1, 1).power(2)),
+            (BinaryForm(field, 1, (3, 2)), BinaryForm(field, 2, (1, 3, 3)).dx1() - BinaryForm(field, 1, (0, 4))),
+        ]
+        for built, reached in pairs:
+            assert built == reached and hash(built) == hash(reached)
+            assert built.coeffs == reached.coeffs
+
+    def test_equal_values_over_q(self):
+        half = BinaryForm(QQ, 1, (Fraction(1, 2), 1))
+        assert half == BinaryForm(QQ, 1, ("1/2", 1)) == BinaryForm(QQ, 1, (1, 2)).scaled(Fraction(1, 2))
+        assert half.ints == (1, 2) and half.content == Fraction(1, 2)
+        assert BinaryForm(QQ, 1, (-2, 4)).ints == (1, -2)
+        assert BinaryForm(QQ, 1, (-2, 4)).content == -2
+        assert BinaryForm(QQ, 2, (0, 0, 0)) != BinaryForm(QQ, 1, (0, 0))
+        assert BinaryForm(QQ, 1, (1, 2)) != BinaryForm(GF(7), 1, (1, 2))
 
 
 class TestKernel:
