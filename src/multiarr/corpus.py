@@ -76,6 +76,9 @@ def parse_document(text: str) -> ArrangementDocument:
         raise DocumentError("invalid JSON: nesting too deep") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
+    unknown = set(raw) - {"name", "field", "dim", "central", "hyperplanes"}
+    if unknown:
+        raise DocumentError(f"unknown keys {sorted(unknown)}")
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError("name: expected a string")

@@ -244,24 +244,32 @@ Field = Union[RationalField, PrimeField]
 
 
 def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
-    """Canonical representative of a nonzero coefficient tuple up to scaling.
+    """Canonical int representative of a nonzero coefficient tuple up to scaling.
 
     Over Q: coprime integers with the first nonzero entry positive.
-    Over GF(p): the first nonzero entry scaled to 1.
+    Over GF(p): residues with the first nonzero entry 1.
     """
-    vals = [field(c) for c in coeffs]
-    if not any(vals):
+    ints = _scaled_ints(field, coeffs)[0]
+    lead = next((x for x in ints if x), 0)
+    if not lead:
         raise ValueError("zero coefficient vector has no canonical form")
-    if field.char == 0:
-        ints = _int_row(field, vals)
-        g = reduce(math.gcd, ints)
-        lead = next(i for i in ints if i)
-        if lead < 0:
-            g = -g
-        return tuple(Fraction(i // g) for i in ints)
-    lead = next(v for v in vals if v)
-    inv = field.one / lead
-    return tuple(v * inv for v in vals)
+    return _normal(field, ints, 1, lead)[0] if field.char else _primitive(ints)[0]
+
+
+def _scaled_ints(field: Field, row) -> tuple:
+    """(ints, den) with ints = den * row as Python ints, for a row of ints, scalars or strings.
+
+    Over Q, den is the lcm of the denominators; over GF(p), the ints are
+    residues and den is 1.
+    """
+    p = field.char
+    if p:
+        return tuple(e % p if type(e) is int else field(e).val for e in row), 1
+    if set(map(type, row)) <= {int}:
+        return tuple(row), 1
+    vals = [e if type(e) is int else field(e) for e in row]
+    den = reduce(math.lcm, (e.denominator for e in vals), 1)
+    return tuple(e.numerator * (den // e.denominator) for e in vals), den
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +279,20 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
 class CanonicalForm:
     """A nonzero coefficient vector over a field, stored in canonical scaling.
 
-    ``ints`` is the same vector as coprime ints over Q and as residues over
-    GF(p).  The hash is taken once, from the characteristic and ``ints``,
-    so it is the same in every process.  Two forms are equal when they
-    have the same class, field and coefficients.
+    ``ints`` is the vector from :func:`canonical_coefficients`; ``coeffs``
+    is a read-only view of the same values as field scalars.  The hash is
+    taken once, from the characteristic and ``ints``, so it is the same in
+    every process.  Two forms are equal when they have the same class,
+    field and coefficients.
     """
 
-    __slots__ = ("field", "coeffs", "ints", "_hash")
+    __slots__ = ("field", "ints", "_hash")
     names: tuple = ()  # variable names for render
+    coeffs = property(lambda self: tuple(map(self.field, self.ints)))
 
     def __init__(self, field: Field, coeffs: Iterable):
         self.field = field
-        self.coeffs = canonical_coefficients(field, coeffs)
-        self.ints = _int_row(field, self.coeffs)
+        self.ints = canonical_coefficients(field, coeffs)
         self._hash = hash((field.char, self.ints))
 
     def render(self, names=None) -> str:
@@ -451,15 +460,19 @@ def _normal(field: Field, ints, num: int, den: int):
     if p:
         num *= pow(den, -1, p)
         return tuple(x * num % p for x in ints), 1
+    ints, g = _primitive(ints)
+    return ints, Fraction(num * g, den) if g else _ZERO
+
+
+def _primitive(ints) -> tuple:
+    """(ints / g, g) for g the gcd of ints signed so the first nonzero quotient is positive, or 0."""
     g = math.gcd(*ints)
-    if not g:
-        return tuple(ints), _ZERO
     for x in ints:
         if x:
+            if x < 0:
+                g = -g
             break
-    if x < 0:
-        g = -g
-    return (tuple(ints) if g == 1 else tuple(x // g for x in ints)), Fraction(num * g, den)
+    return (tuple(ints) if g in (0, 1) else tuple(x // g for x in ints)), g
 
 
 _ZERO = Fraction(0)
@@ -482,13 +495,7 @@ class BinaryForm:
     def __init__(self, field: Field, degree: int, coeffs: Sequence):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        den = 1
-        if field.char:
-            ints = [c if type(c) is int else field(c).val for c in coeffs]
-        else:
-            vals = [c if type(c) is int else field(c) for c in coeffs]
-            den = reduce(math.lcm, (v.denominator for v in vals), 1)
-            ints = [v.numerator * (den // v.denominator) for v in vals]
+        ints, den = _scaled_ints(field, coeffs)
         if len(ints) != degree + 1:
             raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(ints)}")
         self.field = field
@@ -711,7 +718,7 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
-        rs = tuple(_int_row(field, row) for row in rows)
+        rs = tuple(_scaled_ints(field, row)[0] for row in rows)
         if rs:
             ncols_seen = {len(r) for r in rs}
             if len(ncols_seen) != 1:
@@ -743,18 +750,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
-
-
-def _int_row(field, row) -> tuple:
-    """One matrix row as Python ints with the same span (see Matrix)."""
-    p = field.char
-    if p:
-        return tuple(e % p if type(e) is int else field(e).val for e in row)
-    if set(map(type, row)) <= {int}:
-        return tuple(row)
-    vals = [e if type(e) is int else field(e) for e in row]
-    den = reduce(math.lcm, (e.denominator for e in vals), 1)
-    return tuple(e.numerator * (den // e.denominator) for e in vals)
 
 
 def _echelon(field, rows):

@@ -423,7 +423,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     if k_idx is None:
         raise ValueError("multiplicity is balanced; use exponents() instead")
     alpha_k = arr.forms[k_idx]
-    u, v = canonical_coefficients(arr.field, (-alpha_k.b, alpha_k.a))
+    u, v = canonical_coefficients(arr.field, (-alpha_k.ints[1], alpha_k.ints[0]))
     prod = BinaryForm(arr.field, 0, (arr.field.one,))
     for i, (alpha, k) in enumerate(zip(arr.forms, mt)):
         if i != k_idx and k:

@@ -1,16 +1,55 @@
-"""Field-scalar binary forms: the test oracle of ``exactalg.BinaryForm``.
+"""Field-scalar forms: the test oracles of the int-backed forms in ``exactalg``.
 
 ``FieldForm`` keeps every coefficient as a field scalar (``Fraction`` over
 Q, ``FpElement`` over GF(p)) and does its arithmetic entry by entry, with
-no int vector, content or gcd.  The differential test in
-``test_exactalg.py`` runs both side by side.
+no int vector, content or gcd.  ``canonical_coefficients`` scales a
+coefficient vector to its canonical field scalars, and ``_int_row`` turns
+a row of scalars into ints with the same span.  The differential tests in
+``test_exactalg.py`` and ``test_arr3.py`` run them side by side with the
+library.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from fractions import Fraction
+from functools import reduce
+from typing import Iterable, Sequence
 
 from multiarr.exactalg import _render_terms
+
+
+def canonical_coefficients(field, coeffs: Iterable) -> tuple:
+    """Canonical representative of a nonzero coefficient tuple up to scaling.
+
+    Over Q: coprime integers with the first nonzero entry positive.
+    Over GF(p): the first nonzero entry scaled to 1.
+    """
+    vals = [field(c) for c in coeffs]
+    if not any(vals):
+        raise ValueError("zero coefficient vector has no canonical form")
+    if field.char == 0:
+        ints = _int_row(field, vals)
+        g = reduce(math.gcd, ints)
+        lead = next(i for i in ints if i)
+        if lead < 0:
+            g = -g
+        return tuple(Fraction(i // g) for i in ints)
+    lead = next(v for v in vals if v)
+    inv = field.one / lead
+    return tuple(v * inv for v in vals)
+
+
+def _int_row(field, row) -> tuple:
+    """One matrix row as Python ints with the same span."""
+    p = field.char
+    if p:
+        return tuple(e % p if type(e) is int else field(e).val for e in row)
+    if set(map(type, row)) <= {int}:
+        return tuple(row)
+    vals = [e if type(e) is int else field(e) for e in row]
+    den = reduce(math.lcm, (e.denominator for e in vals), 1)
+    return tuple(e.numerator * (den // e.denominator) for e in vals)
 
 
 def proportional_scalar(field, mine: Sequence, theirs: Sequence):

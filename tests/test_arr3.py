@@ -31,6 +31,8 @@ from multiarr.arr3 import (
 from multiarr.corpus import arrangement
 from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import exponents, is_balanced
+from oracles import _int_row as oracle_int_row
+from oracles import canonical_coefficients as oracle_canonical_coefficients
 
 
 # --- independent oracles ---------------------------------------------------
@@ -398,6 +400,23 @@ class TestPlaneFrame:
             assert closed == searched
 
 
+class TestLatticeOracle:
+    """Rank-2 flats keyed by int vectors against a run keyed by canonical field scalars."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_arrangements())
+    def test_rank2_flats_match_the_scalar_keys(self, arr):
+        field = arr.field
+        flats: dict = {}
+        for i, j in combinations(range(arr.h), 2):
+            key = oracle_canonical_coefficients(field, cross(arr.forms[i].coeffs, arr.forms[j].coeffs))
+            flats.setdefault(key, set()).update((i, j))
+        order = sorted(flats, key=lambda k: tuple(field.format(e) for e in k))
+        want = [(oracle_int_row(field, k), tuple(sorted(flats[k])), len(flats[k]) - 1) for k in order]
+        got = [(f.direction, f.hyperplanes, f.mu) for f in intersection_lattice(arr).rank2]
+        assert got == want
+
+
 class TestFreeness:
     def test_coker_values(self):
         assert yoshinaga_coker_dim(arrangement("braid3"), 0) == 0
@@ -494,6 +513,8 @@ class TestFreeness:
                     assert v.free and v.exponents == tuple(sorted((1, fc.d, fc.d + gap))), aff
                 if r2.applicable:
                     assert fc.applies == r2.equality, aff
+                if r2.equality:
+                    assert r2.freeness_confirmed == v.free, aff
                 n = division_size(arr)
                 if n is not None:
                     assert v.free and v.exponents == tuple(sorted((1, n - 1, arr.h - n))), aff
@@ -626,11 +647,13 @@ class TestRest2:
     )
     def test_one_affine_poset_per_check(self, monkeypatch, name, fields, posets):
         aff = decone(arrangement("boolean3"), 0) if name.startswith("decone") else arrangement(name)
-        calls = []
-        real = arr3.affine_poset
+        calls, restrictions = [], []
+        real, restrict = arr3.affine_poset, arr3.ziegler_restriction
         monkeypatch.setattr(arr3, "affine_poset", lambda a: calls.append(a) or real(a))
+        monkeypatch.setattr(arr3, "ziegler_restriction", lambda *a: restrictions.append(a) or restrict(*a))
         assert thm_rest2_check(aff) == arr3.Rest2Report(**fields)
         assert len(calls) == posets
+        assert len(restrictions) == 1  # the equality case reuses the restriction onto the infinite plane
 
 
 class TestPb3:

@@ -127,6 +127,20 @@ class TestDocuments:
         assert code == EXIT_IO and out == ""
         assert "document error" in err
 
+    @pytest.mark.parametrize(
+        "extra, unknown",
+        [({"H0": 2, "multiplicity": [1, 2, 3]}, "['H0', 'multiplicity']"), ({"centrl": False}, "['centrl']")],
+        ids=["H0-multiplicity", "misspelled-central"],
+    )
+    def test_unknown_top_level_keys_exit_three(self, capsys, tmp_path, extra, unknown):
+        planes = (["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"])
+        doc = {"dim": 3, "field": "Q", "hyperplanes": [{"coeffs": c} for c in planes]} | extra
+        bad = tmp_path / "doc.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "free", str(bad))
+        assert code == EXIT_IO and out == ""
+        assert err == f"document error: unknown keys {unknown}\n"
+
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "doc.json"
         bad.write_bytes(b"\xff\xfe{")
@@ -173,7 +187,7 @@ DOCUMENT = st.fixed_dictionaries(
         "dim": st.sampled_from([2, 3]) | JSON,
         "hyperplanes": st.lists(HYPERPLANE, max_size=4) | JSON,
     },
-    optional={"name": st.text(max_size=4) | JSON, "central": st.booleans() | JSON},
+    optional={"name": st.text(max_size=4) | JSON, "central": st.booleans() | JSON, "extra": JSON},
 )
 
 
@@ -252,6 +266,21 @@ class TestExpCommand:
         code, out, _ = run(capsys, "exp", "-")
         assert code == EXIT_OK
         assert "exp=(1,2)" in out
+
+    # sha256 of `exp --json` on planar documents with a fractional line over Q
+    # and a line with negative coefficients over GF(7), beyond the corpus
+    EXP_PINS = [
+        ("Q", ["1/2", "-3/4"], "92a4f2da9378c51fb20f01c57ba6e9ae5acf0778e37614f091393ecebd2ddad7"),
+        ({"p": 7}, ["-3", "5"], "2c752fba91a173613664f2e3c4c30c8c56b22d8f36cbc261804911001e9394d6"),
+    ]
+
+    @pytest.mark.parametrize("field, line, digest", EXP_PINS, ids=["Q", "GF(7)"])
+    def test_output_pinned_beyond_corpus(self, monkeypatch, field, line, digest):
+        lines = (["1", "0"], ["0", "1"], line)
+        doc = {"dim": 2, "field": field, "hyperplanes": [{"coeffs": c, "mult": 2} for c in lines]}
+        code, out, err = run_stdin(monkeypatch, json.dumps(doc), "exp", "-", "--json")
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestJsonDeterminism:
@@ -416,6 +445,45 @@ class TestFreeCommand:
         code, _, err = run(capsys, "free", corpus_file("braid3"), "--H0", "7")
         assert code == EXIT_USAGE
         assert "out of range" in err
+
+    # sha256 of `free --json` at every H0, beyond the corpus: planes with large
+    # coefficients over Q and over GF(2^31 - 1), and affine lines with
+    # fractional coefficients (H0 = 4 is the infinite plane of the cone)
+    LARGE = (["1000", "1001", "1003"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"])
+    FRACTIONAL = (["1", "0", "1/2"], ["2/3", "1", "1"], ["1", "-1", "-3/4"], ["0", "1", "0"])
+    FREE_PINS = [
+        ({"dim": 3, "field": "Q"}, LARGE, [
+            "d26b29737252cb476cb9b419630f89eef0b3302cff9b70311a98d4a9b8876629",
+            "c7b6446ba07133717349e6596eda2ff3860ba34e80cc82f3821f7fa8a3c8f975",
+            "857d8adfb2d05d90ca9a266e5f7cb260834e68f012583efdcffb8f7512ab0fa6",
+            "33805419080ae16d41316402645a7fdd6f62731c21c818f243d2a9f436196919",
+            "c99a62529aff6b84a57580b4e167349333f07e47a1060b12c69f972ad900bff2",
+        ]),
+        ({"dim": 3, "field": {"p": 2**31 - 1}}, LARGE, [
+            "3db0d908b912a97d7ccb0f64a98bd4bf0eff4f532333bc6fece08a477cae92a8",
+            "341a0161ed12363340057b38cf05bb1f04e3da0ec61903a4a91af44d92c1cf86",
+            "aa64b95fcdfd1c92db73975e5a708921358402e4ea3788a8f828991f7e2fcddf",
+            "47d97b3e9349470858bb6c68daaffe07a121ca82641ec39ed92cfb3610c9b00c",
+            "e0aa38a9ce63ad0a6b9e82ad80787dedca9fc05cffe4afbec7bd044702f43a58",
+        ]),
+        ({"dim": 2, "central": False, "field": "Q"}, FRACTIONAL, [
+            "6013bcab146c8016030a6faf1ad14d81c1921864bf184eccf95fc5a5807817c2",
+            "b74605e8f300e51232eaa2538e2eb67b62707f1119a4ccfdec981a835a82bc03",
+            "2e43e67bfad8fb34ddc90d66433a111da8c798b9476d3f7a3aec3fde9076cdc6",
+            "2de3738fd3358899cd1fb4d0abf8a289b019d70e97d092659423b088985b3919",
+            "c727980c791ad7cdcf3253572e694065a62ccffae904794edf2a9e3026bf575d",
+        ]),
+    ]
+
+    @pytest.mark.parametrize(
+        "head, planes, digests", FREE_PINS, ids=["large-Q", "large-GF(2^31-1)", "fractional-affine"]
+    )
+    def test_output_pinned_beyond_corpus(self, monkeypatch, head, planes, digests):
+        doc = head | {"hyperplanes": [{"coeffs": c} for c in planes]}
+        for h0, digest in enumerate(digests):
+            code, out, err = run_stdin(monkeypatch, json.dumps(doc), "free", "-", "--json", "--H0", str(h0))
+            assert code == EXIT_OK, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSinglePath:

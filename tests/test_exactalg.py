@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiarr.arr3 import AffineLine, LinearForm3
 from multiarr.exactalg import (
     GF,
     QQ,
@@ -14,10 +15,13 @@ from multiarr.exactalg import (
     Matrix,
     _is_prime,
     binary_form_divides,
+    canonical_coefficients,
     divisibility_constraints,
 )
 from multiarr.multiarr2 import Derivation2
 from oracles import FieldForm
+from oracles import _int_row as oracle_int_row
+from oracles import canonical_coefficients as oracle_canonical_coefficients
 from oracles import proportional_scalar as oracle_proportional_scalar
 
 
@@ -405,6 +409,57 @@ class TestFormOracle:
         assert BinaryForm(QQ, 1, (-2, 4)).content == -2
         assert BinaryForm(QQ, 2, (0, 0, 0)) != BinaryForm(QQ, 1, (0, 0))
         assert BinaryForm(QQ, 1, (1, 2)) != BinaryForm(GF(7), 1, (1, 2))
+
+
+@st.composite
+def coefficient_vectors(draw, field, width):
+    """Coefficient vectors of one width, zero entries and the zero vector included."""
+    if draw(st.integers(0, 7)) == 0:
+        return [0] * width
+    return draw(st.lists(st.just(0) | scalars(field), min_size=width, max_size=width))
+
+
+class TestCanonicalOracle:
+    """Differential test: canonical int vectors against the field-scalar oracle."""
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(ORACLE_FIELDS),
+        cls_width=st.sampled_from([(LinearForm2, 2), (LinearForm3, 3), (AffineLine, 3)]),
+    )
+    def test_forms(self, data, field, cls_width):
+        cls, width = cls_width
+        cs = data.draw(coefficient_vectors(field, width))
+        if cls is AffineLine and not any(map(field, cs[:2])):
+            with pytest.raises(ValueError, match="^line needs a nonzero direction part$"):
+                cls(field, *cs)
+            return
+        if not any(map(field, cs)):
+            with pytest.raises(ValueError, match="^zero coefficient vector has no canonical form$"):
+                oracle_canonical_coefficients(field, cs)
+            with pytest.raises(ValueError, match="^zero coefficient vector has no canonical form$"):
+                cls(field, *cs)
+            return
+        want = oracle_canonical_coefficients(field, cs)
+        form = cls(field, *cs)
+        assert canonical_coefficients(field, cs) == form.ints == oracle_int_row(field, want)
+        assert all(type(x) is int for x in form.ints)
+        assert form.coeffs == want
+        assert [type(c) for c in form.coeffs] == [type(c) for c in want]
+        built = cls(field, *want)
+        assert built == form and hash(built) == hash(form)
+
+    # width 2 up: the oracle's reduce(math.gcd, ...) keeps the sign of a lone entry
+    @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS), width=st.integers(2, 5))
+    def test_matrix_rows_and_binary_forms(self, data, field, width):
+        rows = data.draw(st.lists(coefficient_vectors(field, width), min_size=1, max_size=4))
+        assert Matrix(field, rows).rows == tuple(oracle_int_row(field, r) for r in rows)
+        for r in rows:
+            form = BinaryForm(field, width - 1, r)
+            assert_same(form, FieldForm(field, width - 1, r))
+            ints = oracle_int_row(field, r)
+            # over GF(p) the ints are the residues; over Q the primitive vector
+            assert form.ints == (ints if field.char or not any(ints) else oracle_canonical_coefficients(field, ints))
 
 
 class TestKernel:
