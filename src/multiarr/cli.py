@@ -423,6 +423,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args keeps no state, and help and usage are formatted when printed
+_PARSER = _build_parser()
+
+
 def _detach_stdout() -> None:
     """Point a closed stdout at the null device, so the flush at exit stays quiet."""
     try:
@@ -436,7 +440,7 @@ def _detach_stdout() -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     digest = None
     try:

@@ -783,3 +783,99 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == EXIT_OK
         assert capsys.readouterr().out
+
+
+WELL_FORMED = {  # the option groups each subcommand accepts; "bogus" is an unknown command
+    "exp": [("--json",)],
+    "lattice": [("--json",), ("--caps", "1,1,1"), ("--verify", "one"), ("--verify", "str"), ("--total", "3")],
+    "shift": [("--json",), ("--m0", "1,2,3")],
+    "free": [("--json",), ("--H0", "2")],
+    "verify-all": [("--json",)],
+    "bogus": [("--json",)],
+}
+OPTION = st.sampled_from([  # every group above, bad values and removed options
+    *dict.fromkeys(g for groups in WELL_FORMED.values() for g in groups),
+    ("--H0", "x"), ("--caps",), ("--verify", "bogus"), ("--total", "x"), ("--jobs", "2"), ("--suite", "desk"),
+])
+FILE = st.sampled_from([(), ("doc.json",), ("-",)])
+EXITS = st.sampled_from([(), ("-h",), ("--version",)])
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the grammar; half use only the groups their command accepts, so they may parse."""
+    well_formed = draw(st.booleans())
+    head = [] if well_formed else list(draw(EXITS | st.just(("--json",))))
+    command = draw(st.sampled_from([None, *WELL_FORMED]))
+    if command is None:
+        return head
+    groups = draw(st.lists(st.sampled_from(WELL_FORMED[command]) if well_formed else OPTION, max_size=4))
+    groups.append(draw(FILE))
+    if not well_formed:
+        groups.append(draw(EXITS))
+    return head + [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
+def parse_outcome(parser, argv):
+    """The namespace of parse_args, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    """main parses with the one parser of the process; a fresh build is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(command_lines(), min_size=1, max_size=6))
+    def test_same_outcome_as_a_fresh_parser(self, argvs):
+        # one shared parser sees the whole sequence, so state left by a call would show
+        for argv in argvs:
+            assert parse_outcome(cli._PARSER, argv) == parse_outcome(cli._build_parser(), argv)
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        braid3, a2 = corpus_file("braid3"), corpus_file("a2")
+        cases = (["free", braid3, "--json"], ["exp", a2], ["free", braid3, "--H0", "2"])
+
+        def stdout(argv):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_OK and err == ""
+            return re.sub(r"elapsed: .*\n", "", out)  # the text output ends with a wall time
+
+        before = [stdout(argv) for argv in cases]
+
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert [stdout(argv) for argv in cases] == before
+        with pytest.raises(SystemExit) as exc:
+            main(["free", braid3, "--H0", "x"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: multiarr free")
+
+
+class TestModuleEntry:
+    """``python -m multiarr`` runs the command line of ``multiarr.cli``."""
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(multiarr.__file__).parents[1]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+    def test_version(self):
+        proc = self.python("-m", "multiarr", "--version")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == f"multiarr {multiarr.__version__}\n".encode() == b"multiarr 0.1.0\n"
+
+    def test_same_output_as_the_cli_module(self):
+        argv = ["free", corpus_file("braid3"), "--json"]
+        package = self.python("-m", "multiarr", *argv)
+        module = self.python("-m", "multiarr.cli", *argv)
+        assert package.returncode == module.returncode == EXIT_OK
+        assert package.stdout == module.stdout != b""
+        assert package.stderr == module.stderr == b""
