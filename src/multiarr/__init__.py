@@ -32,6 +32,7 @@ from .multiarr2 import (
     is_balanced,
     lower_degree_basis,
     nonbalanced_exponents,
+    saito_criterion,
     saito_det,
     untangent_forms,
 )

@@ -586,8 +586,10 @@ def euler_chamber_count(aff: AffineArrangement2) -> int:
     """Chambers counted from the planar subdivision (V - E + F on the sphere).
 
     Vertices are the intersection points plus the point at infinity; each
-    line contributes one more edge than it has vertices.  This is the
-    independent geometric oracle for :func:`chamber_count`.
+    line contributes one more edge than it has vertices.  Since a point on
+    n lines has mu = n - 1, the count equals chi(-1) for every poset: it is
+    a second formula for :func:`chamber_count` on the same points, not an
+    independent check.
     """
     if aff.field.char:
         raise ValueError("real chambers need characteristic zero")
@@ -607,23 +609,11 @@ def _euler_count(poset: AffinePoset2) -> int:
 def chamber_count(aff: AffineArrangement2) -> int:
     """Number of connected components of the real plane minus the lines.
 
-    Evaluates the characteristic polynomial at -1; for at most ten lines
-    the planar-subdivision count is recomputed and must agree.
+    Evaluates the characteristic polynomial at -1 (Zaslavsky's theorem).
     """
     if aff.field.char:
         raise ValueError("real chambers need characteristic zero")
-    return _chamber_count(affine_poset(aff))
-
-
-def _chamber_count(poset: AffinePoset2) -> int:
-    count = poset.char_poly()(-1)
-    if poset.k <= 10:
-        geometric = _euler_count(poset)
-        if geometric != count:
-            raise RuntimeError(
-                f"chamber counts disagree: polynomial {count} vs subdivision {geometric} (bug)"
-            )
-    return count
+    return affine_poset(aff).char_poly()(-1)
 
 
 @dataclass(kw_only=True)
@@ -657,9 +647,8 @@ def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
     k = aff.k
     case, d, gap = _product_shape(k, restricted.h)
     prod = d * (d + gap)
-    poset = affine_poset(aff)
-    c2 = poset.char_poly().coeffs[2]
-    chambers = _chamber_count(poset)
+    chi = affine_poset(aff).char_poly()
+    c2, chambers = chi.coeffs[2], chi(-1)
     bound = 1 + k + prod
     equality = chambers == bound
     # by Yoshinaga's criterion the restriction onto any H0, here the infinite one, decides freeness

@@ -48,6 +48,7 @@ __all__ = [
     "lower_degree_basis",
     "basis",
     "saito_det",
+    "saito_criterion",
     "untangent_forms",
     "nonbalanced_exponents",
     "defining_form",
@@ -387,24 +388,42 @@ def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> 
     ]
 
 
+def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, theta2: Derivation2):
+    """Saito's criterion for the pair (theta1, theta2) at (arr, m): (tangent, scalar).
+
+    The pair is a basis of D(arr, m) iff both derivations are tangent and
+    det(theta1, theta2) = c * Q(arr, m) with c != 0.  tangent is the first
+    condition; scalar is c, 0 for a zero determinant, or None when the
+    determinant is not a multiple of the defining form.
+    """
+    mt = arr.check_multiplicity(m)
+    tangent = not (untangent_forms(arr, mt, theta1) or untangent_forms(arr, mt, theta2))
+    return tangent, saito_det(theta1, theta2).proportional_scalar(defining_form(arr, mt))
+
+
 def basis(arr: Arrangement2, m: Sequence[int]):
     """A homogeneous basis (theta1, theta2) with degrees (d1, d2).
 
     theta1 is lower_degree_basis; theta2 is the first degree-d2 kernel vector
     whose determinant with theta1 is nonzero (see :func:`_canonical_basis`).
-    The determinant is verified to be a nonzero scalar multiple of the
-    defining polynomial, which certifies the pair is a basis.
+    The pair is certified by :func:`saito_criterion`: both are tangent and
+    their determinant is a nonzero scalar multiple of the defining form.
     """
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0 has no canonical basis choice")
     theta1, theta2 = _canonical_basis(arr, mt)
-    target = defining_form(arr, mt)
-    det = saito_det(theta1, theta2)
-    if not det.proportional_scalar(target):
+    tangent, scalar = saito_criterion(arr, mt, theta1, theta2)
+    if not scalar:
         raise RuntimeError(
             "independent pair fails the determinant criterion (solver bug): "
-            f"det={det.render()}, expected scalar multiple of {target.render()}"
+            f"det={saito_det(theta1, theta2).render()}, "
+            f"expected scalar multiple of {defining_form(arr, mt).render()}"
+        )
+    if not tangent:
+        raise RuntimeError(
+            f"basis pair is not tangent at m={mt} (solver bug): "
+            f"theta1={theta1.render()}, theta2={theta2.render()}"
         )
     return theta1, theta2
 
@@ -424,10 +443,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
         raise ValueError("multiplicity is balanced; use exponents() instead")
     alpha_k = arr.forms[k_idx]
     u, v = canonical_coefficients(arr.field, (-alpha_k.ints[1], alpha_k.ints[0]))
-    prod = BinaryForm(arr.field, 0, (arr.field.one,))
-    for i, (alpha, k) in enumerate(zip(arr.forms, mt)):
-        if i != k_idx and k:
-            prod = prod * alpha.power(k)
+    prod = defining_form(arr, mt[:k_idx] + (0,) + mt[k_idx + 1 :])
     theta = Derivation2(prod.scaled(u), prod.scaled(v))
     if untangent_forms(arr, mt, theta):
         raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")

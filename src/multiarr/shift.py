@@ -4,10 +4,10 @@
 balanced multiplicity m0 attains the maximal gap h - 2, mapping theta to
 ``nabla(theta, theta0)`` (theta0 the lower-degree basis) carries a basis
 of the derivation module at any 0/1-multiplicity m to a basis at
-m0 + m - 1; :func:`shift_isomorphism_check` certifies this via the
-determinant criterion for every shift.  A failure under satisfied
-hypotheses is the most interesting possible output, so failing checks
-carry a full reproducer.
+m0 + m - 1; :func:`shift_isomorphism_check` certifies this via Saito's
+criterion for every shift.  A failure under satisfied hypotheses is the
+most interesting possible output, so failing checks carry a full
+reproducer.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .multiarr2 import (
     Derivation2,
     Multiplicity,
     basis,
-    defining_form,
     exponents,
     is_balanced,
     lower_degree_basis,
+    saito_criterion,
     saito_det,
     untangent_forms,
 )
@@ -182,10 +182,11 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
 
     Preconditions (violations raise ValueError): m0 strictly positive and
     balanced with gap exactly h - 2, and either h = 3 with m0 - 1 balanced
-    or h >= 4.  For each shift m the images of a basis at m must land in
-    the module at m0 + m - 1 and satisfy the determinant criterion there;
-    each check records its determinant scalar.  Over GF(p) the certificate
-    carries a char_warning and its hypothesis_met is False.
+    or h >= 4.  For each shift m the images of a basis at m must satisfy
+    Saito's criterion at m0 + m - 1: both tangent, and their determinant a
+    nonzero multiple of the defining form; each check records that scalar.
+    Over GF(p) the certificate carries a char_warning and its
+    hypothesis_met is False.
     """
     mt = arr.check_multiplicity(m0)
     h = arr.h
@@ -220,10 +221,8 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
         else:
             pair = basis(arr, m)
         images = [nabla(t, theta0) for t in pair]
-        membership_ok = not any(untangent_forms(arr, target, eta) for eta in images)
-        det = saito_det(*images)
-        scalar = det.proportional_scalar(defining_form(arr, target))
-        ok = membership_ok and scalar is not None and bool(scalar)
+        membership_ok, scalar = saito_criterion(arr, target, *images)
+        ok = membership_ok and bool(scalar)
         repro = None
         if not ok:
             repro = {
@@ -234,7 +233,7 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
                 "theta0": theta0.render(),
                 "basis_at_m": [t.render() for t in pair],
                 "images": [eta.render() for eta in images],
-                "det": det.render(),
+                "det": saito_det(*images).render(),
                 "membership_ok": membership_ok,
             }
         checks.append(ShiftCheck(m, target, membership_ok, scalar, ok, repro))

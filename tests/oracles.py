@@ -6,7 +6,8 @@ no int vector, content or gcd.  ``canonical_coefficients`` scales a
 coefficient vector to its canonical field scalars, and ``_int_row`` turns
 a row of scalars into ints with the same span.  The differential tests in
 ``test_exactalg.py`` and ``test_arr3.py`` run them side by side with the
-library.
+library.  ``sweep_chamber_count`` counts the chambers of a real affine line
+arrangement by sampling points, with no intersection poset.
 """
 
 from __future__ import annotations
@@ -208,3 +209,35 @@ class FieldForm:
 
     def __repr__(self):
         return f"FieldForm({self.render()})"
+
+
+def sweep_chamber_count(lines: Iterable) -> int:
+    """Chambers of the real plane minus the lines a*x + b*y = c, by sampling.
+
+    The closure of a chamber is a polyhedron, so its x-range is an open
+    interval whose finite ends are critical: the x of an intersection point
+    or of a vertical line.  A vertical line x = x0 strictly between two
+    consecutive critical values (or beyond the extremes) therefore meets
+    every chamber whose range holds x0, in an open interval between two
+    consecutive crossings.  Distinct chambers have distinct sign vectors.
+    """
+    lines = [tuple(map(Fraction, abc)) for abc in lines]
+    critical = {c / a for a, b, c in lines if not b}
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1 :]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                critical.add((c1 * b2 - c2 * b1) / det)
+    signs = set()
+    for x in _gap_points(critical):
+        for y in _gap_points({(c - a * x) / b for a, b, c in lines if b}):
+            signs.add(tuple(a * x + b * y > c for a, b, c in lines))
+    return len(signs)
+
+
+def _gap_points(values) -> list:
+    """One point in each open interval that the given values cut the real line into."""
+    v = sorted(values)
+    if not v:
+        return [Fraction(0)]
+    return [v[0] - 1] + [(s + t) / 2 for s, t in zip(v, v[1:])] + [v[-1] + 1]

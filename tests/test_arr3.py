@@ -33,6 +33,7 @@ from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import exponents, is_balanced
 from oracles import _int_row as oracle_int_row
 from oracles import canonical_coefficients as oracle_canonical_coefficients
+from oracles import sweep_chamber_count
 
 
 # --- independent oracles ---------------------------------------------------
@@ -615,6 +616,23 @@ class TestChambers:
 
     def test_empty_plane(self):
         assert chamber_count(AffineArrangement2(QQ, [])) == 1
+
+    def test_sweep_oracle_agreement(self):
+        # seeded lines a*x + b*y = c with |a|, |b|, |c| <= 3: parallels and concurrences are common
+        rng = random.Random(7)
+        parallels = concurrences = 0
+        for _ in range(400):
+            lines = {}
+            for _ in range(rng.randint(0, 7)):
+                abc = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+                if abc[:2] != (0, 0):
+                    lines.setdefault(oracle_canonical_coefficients(QQ, abc), abc)
+            aff = AffineArrangement2(QQ, list(lines.values()))
+            assert chamber_count(aff) == sweep_chamber_count(f.ints for f in aff.forms), aff
+            points = arr3.affine_poset(aff).points
+            parallels += sum(len(ms) * (len(ms) - 1) for _, ms, _ in points) < aff.k * (aff.k - 1)
+            concurrences += any(len(ms) > 2 for _, ms, _ in points)
+        assert min(parallels, concurrences) > 40
 
 
 class TestRest2:

@@ -387,8 +387,8 @@ class TestShiftCommand:
 
     def test_failing_certificate_over_q_exits_two(self, capsys, monkeypatch):
         # a determinant check forced to fail: the path of a genuine counterexample
-        real = shift.defining_form
-        monkeypatch.setattr(shift, "defining_form", lambda arr, m: real(arr, tuple(v + 1 for v in m)))
+        real = shift.saito_criterion
+        monkeypatch.setattr(shift, "saito_criterion", lambda *args: (real(*args)[0], None))
         code, out, _ = run(capsys, "shift", corpus_file("a2"), "--json")
         assert code == EXIT_VIOLATION
         results = json.loads(out)["results"]
@@ -611,12 +611,9 @@ class TestFreeProperties:
 
 
 class TestInternalError:
-    def test_broken_invariant_is_reported_once(self, capsys, monkeypatch):
+    def assert_reported_once(self, capsys, monkeypatch, message):
         path = corpus_file("a2")
         _, digest = load_document(path)
-        monkeypatch.setattr(
-            multiarr2, "saito_det", lambda t1, t2: BinaryForm.zero(t1.field, t1.degree + t2.degree)
-        )
         monkeypatch.setattr(sys, "argv", ["multiarr", "shift", path])
         for argv in (None, ["shift", path]):
             code = main(argv)
@@ -625,12 +622,26 @@ class TestInternalError:
             assert "Traceback" not in captured.err
             lines = captured.err.splitlines()
             assert len(lines) == 4
-            assert lines[0].startswith(
-                "internal error: RuntimeError: independent pair fails the determinant criterion"
-            )
+            assert lines[0].startswith(f"internal error: RuntimeError: {message}")
             assert re.fullmatch(r"  at .*multiarr2\.py:\d+ in basis", lines[1])
             assert lines[2] == f"input sha256: {digest}"
             assert lines[3] == f"reproduce: multiarr {shlex.join(['shift', path])}"
+
+    def test_broken_invariant_is_reported_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            multiarr2, "saito_det", lambda t1, t2: BinaryForm.zero(t1.field, t1.degree + t2.degree)
+        )
+        self.assert_reported_once(
+            capsys, monkeypatch, "independent pair fails the determinant criterion"
+        )
+
+    def test_non_tangent_basis_is_reported_once(self, capsys, monkeypatch):
+        # d1 and Q(A, m)*d2 have the defining form as determinant, but d1 is not tangent to x1 + x2
+        monkeypatch.setattr(multiarr2, "_canonical_basis", lambda arr, m: (
+            multiarr2.Derivation2.coordinate(arr.field, 0),
+            multiarr2.Derivation2(BinaryForm.zero(arr.field, sum(m)), multiarr2.defining_form(arr, m)),
+        ))
+        self.assert_reported_once(capsys, monkeypatch, "basis pair is not tangent at m=(0, 0, 1)")
 
 
 class TestClosedStdout:

@@ -18,6 +18,7 @@ from multiarr.multiarr2 import (
     is_balanced,
     lower_degree_basis,
     nonbalanced_exponents,
+    saito_criterion,
     saito_det,
     untangent_forms,
 )
@@ -217,6 +218,16 @@ class TestBasis:
                 for alpha, k in zip(arr.forms, mt):
                     assert binary_form_divides(alpha, k, theta.apply_to_linear(alpha))
 
+    def test_rejects_a_non_tangent_pair(self, monkeypatch):
+        # det(x1*d1, x2*(x1+x2)*d2) is the defining form, but x1*d1 is not tangent to x1 + x2
+        theta1 = Derivation2(BinaryForm(QQ, 1, (0, 1)), BinaryForm.zero(QQ, 1))
+        theta2 = Derivation2(BinaryForm.zero(QQ, 2), BinaryForm(QQ, 2, (1, 1, 0)))
+        monkeypatch.setattr(multiarr2, "_canonical_basis", lambda arr, m: (theta1, theta2))
+        assert saito_criterion(a2(), (1, 1, 1), theta1, theta2) == (False, 1)
+        with pytest.raises(RuntimeError, match=r"not tangent at m=\(1, 1, 1\)") as info:
+            basis(a2(), (1, 1, 1))
+        assert theta1.render() in str(info.value) and theta2.render() in str(info.value)
+
 
 class TestNonbalanced:
     def test_spec_values(self):
@@ -406,3 +417,47 @@ class TestCanonicalBasis:
         assert calls == []
         assert pair == kernel_bases(arr, m)
         assert lower == pair[0]
+
+
+def tampered(theta: Derivation2, part: int, index: int) -> Derivation2:
+    """theta with one coefficient of its f (part 0) or g (part 1) raised by one."""
+    forms = [theta.f, theta.g]
+    form = forms[part]
+    coeffs = list(form.coeffs)
+    coeffs[index % len(coeffs)] += form.field.one
+    forms[part] = BinaryForm(form.field, form.degree, coeffs)
+    return Derivation2(*forms)
+
+
+class TestSaitoCriterion:
+    @given(
+        case=multiarrangements(),
+        tamper=st.none() | st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 40)),
+    )
+    def test_matches_tangency_and_determinant(self, case, tamper):
+        arr, m = case
+        assume(sum(m))
+        pair = list(basis(arr, m))
+        if tamper is not None:
+            which, part, index = tamper
+            pair[which] = tampered(pair[which], part, index)
+        tangent = not (untangent_forms(arr, m, pair[0]) or untangent_forms(arr, m, pair[1]))
+        scalar = saito_det(*pair).proportional_scalar(defining_form(arr, m))
+        assert saito_criterion(arr, m, *pair) == (tangent, scalar)
+        if tamper is None:
+            assert tangent and scalar
+
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_one_tampered_coefficient(self, field):
+        arr = Arrangement2(field, [(1, 0), (0, 1), (1, 1)])
+        m = (2, 2, 1)
+        theta1, theta2 = basis(arr, m)
+        tangent, scalar = saito_criterion(arr, m, theta1, theta2)
+        assert tangent and scalar
+        for part in (0, 1):
+            for index in range(theta1.degree + 1):
+                bad = tampered(theta1, part, index)
+                tangent, scalar = saito_criterion(arr, m, bad, theta2)
+                assert not (tangent and scalar)
+                assert tangent == (not untangent_forms(arr, m, bad))
+                assert scalar == saito_det(bad, theta2).proportional_scalar(defining_form(arr, m))

@@ -101,3 +101,17 @@ def test_multiarr2_memos_are_bounded_or_known():
         if hasattr(v, "cache_info") and v.cache_info().maxsize is None
     }
     assert unbounded <= {"_exponents"}
+
+
+def test_only_multiarr2_builds_the_defining_form():
+    """Saito's criterion has one copy: no other module checks a determinant itself."""
+    src = Path(multiarr.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "defining_form":
+                    callers.add(path.stem)
+    assert callers == {"multiarr2"}

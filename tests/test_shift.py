@@ -215,8 +215,8 @@ class TestAmEuler:
                          "the shift theorem assumes characteristic zero"]
 
     def test_failure_under_every_hypothesis_raises(self, monkeypatch):
-        real = shift.defining_form
-        monkeypatch.setattr(shift, "defining_form", lambda arr, m: real(arr, tuple(v + 1 for v in m)))
+        real = shift.saito_criterion
+        monkeypatch.setattr(shift, "saito_criterion", lambda *args: (real(*args)[0], None))
         with pytest.raises(RuntimeError, match="every hypothesis holds"):
             is_am_euler(a2(), (2, 2, 1), lower_degree_basis(a2(), (2, 2, 1)))
 
