@@ -443,8 +443,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     digest = None
+    digit_limit = sys.get_int_max_str_digits()
     try:
         doc, digest = load_document(args.file) if "file" in args else (None, None)
+        sys.set_int_max_str_digits(0)  # exact results may print far more digits than any input holds
         command, results, lines, code = args.fn(args, doc)
         _emit(args, _envelope(command, doc, digest, results), lines, started)
         sys.stdout.flush()
@@ -467,6 +469,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return code
 
 

@@ -379,16 +379,11 @@ class LinearForm2(CanonicalForm):
         return BinaryForm.from_ints(self.field, 1, (b, a))
 
     def power(self, k: int) -> "BinaryForm":
-        return _linear_power(self, k)
-
-
-@lru_cache(maxsize=None)
-def _linear_power(alpha: LinearForm2, k: int) -> "BinaryForm":
-    out = BinaryForm(alpha.field, 0, (alpha.field.one,))
-    base = alpha.form()
-    for _ in range(k):
-        out = out * base
-    return out
+        out = BinaryForm(self.field, 0, (self.field.one,))
+        base = self.form()
+        for _ in range(k):
+            out = out * base
+        return out
 
 
 def _render_terms(field, terms) -> str:
@@ -607,56 +602,6 @@ class BinaryForm:
         d, c = self.degree, self.content
         ints = [(d - i) * x for i, x in enumerate(self.ints[:d])]
         return BinaryForm.from_ints(self.field, d - 1, ints, c.numerator, c.denominator)
-
-    def divide_exact(self, other: "BinaryForm"):
-        """Return self / other if the division is exact, else None.
-
-        Synthetic division on the ints, from the top.  Over Q it stops at
-        the first step whose divmod by the divisor's leading int leaves a
-        remainder: both int vectors are primitive, so by Gauss's lemma an
-        exact quotient has integer (and primitive) ints.  Over GF(p) each
-        step multiplies by the inverse of that leading residue.
-        """
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero form")
-        if self.is_zero():
-            return BinaryForm.zero(self.field, max(self.degree - other.degree, 0))
-        if other.degree > self.degree:
-            return None
-        rem = list(self.ints)
-        q = other.ints
-        dp, dq = self.degree, other.degree
-        while not rem[dp]:
-            dp -= 1
-        while not q[dq]:
-            dq -= 1
-        if dp < dq:
-            return None
-        # x2-adic valuations must also divide: (deg-dp) >= (deg'-dq)
-        if (self.degree - dp) < (other.degree - dq):
-            return None
-        p = self.field.char
-        lead = q[dq]
-        inv = pow(lead, -1, p) if p else None
-        deg = self.degree - other.degree
-        quot = [0] * (deg + 1)
-        for i in range(dp, dq - 1, -1):
-            if p:
-                c = rem[i] * inv % p
-            else:
-                c, r = divmod(rem[i], lead)
-                if r:
-                    return None
-            quot[i - dq] = c
-            if c:  # rem[i] itself cancels and is never read again
-                for s in range(dq):
-                    rem[i - dq + s] -= c * q[s]
-        if any(x % p for x in rem[:dq]) if p else any(rem[:dq]):
-            return None
-        if p:
-            return BinaryForm._new(self.field, deg, tuple(quot), 1)
-        return BinaryForm._new(self.field, deg, tuple(quot), self.content / other.content)
 
     def proportional_scalar(self, other: "BinaryForm"):
         """Scalar c with self == c * other, or None if no such c exists.
@@ -879,8 +824,41 @@ def _constraint_row(alpha: LinearForm2, j: int, d: int) -> list:
     return row
 
 
+def _divide_linear(alpha: LinearForm2, k: int, ints: Sequence[int]):
+    """The ints of form / alpha^k, or None when alpha^k does not divide the form.
+
+    ints is a form in BinaryForm order (index i holds x1^i), as residues
+    over GF(p), whose degree is at least k.  For alpha = a*x1 + b*x2 with
+    b != 0, each of the k synthetic divisions runs from the x2 end,
+    q[i] = (f[i] - a*q[i-1]) / b, and leaves the remainder f[d] - a*q[d-1].
+    Over Q the divmod by b is exact whenever alpha divides, by Gauss's lemma,
+    since alpha.ints are primitive; over GF(p) it multiplies by b^-1.  For
+    alpha = x1 (b = 0, a = 1) the quotient is the ints shifted down by k.
+    """
+    a, b = alpha.ints
+    q = list(ints)
+    if not b:
+        return None if any(q[:k]) else q[k:]
+    p = alpha.field.char
+    inv = pow(b, -1, p) if p else None
+    for _ in range(k):
+        c = 0
+        for i in range(len(q) - 1):
+            if p:
+                c = (q[i] - a * c) * inv % p
+            else:
+                c, r = divmod(q[i] - a * c, b)
+                if r:
+                    return None
+            q[i] = c
+        last = q.pop() - a * c
+        if last % p if p else last:
+            return None
+    return q
+
+
 def binary_form_divides(alpha: LinearForm2, k: int, form: BinaryForm) -> bool:
-    """True iff alpha^k divides the form (the zero form divides everything)."""
+    """True iff alpha^k divides the form, by k synthetic divisions (the zero form divides everything)."""
     if alpha.field != form.field:
         raise TypeError("mixed-field operands")
     if k < 0:
@@ -889,4 +867,4 @@ def binary_form_divides(alpha: LinearForm2, k: int, form: BinaryForm) -> bool:
         return True
     if k > form.degree:
         return False
-    return form.divide_exact(alpha.power(k)) is not None
+    return _divide_linear(alpha, k, form.ints) is not None

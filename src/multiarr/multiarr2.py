@@ -34,6 +34,7 @@ from .exactalg import (
     binary_form_divides,
     divisibility_constraints,
     _constraint_row,
+    _divide_linear,
     _proportional_scalar,
 )
 
@@ -377,8 +378,8 @@ def saito_det(theta1: Derivation2, theta2: Derivation2) -> BinaryForm:
 def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> list:
     """The forms alpha of arr for which alpha^m(H) does not divide theta(alpha).
 
-    theta lies in D(arr, m) iff the list is empty.  The test is polynomial
-    division, independent of the rows the exponent solver uses.
+    theta lies in D(arr, m) iff the list is empty.  The test is synthetic
+    division by alpha, independent of the rows the exponent solver uses.
     """
     mt = arr.check_multiplicity(m)
     return [
@@ -394,11 +395,22 @@ def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, th
     The pair is a basis of D(arr, m) iff both derivations are tangent and
     det(theta1, theta2) = c * Q(arr, m) with c != 0.  tangent is the first
     condition; scalar is c, 0 for a zero determinant, or None when the
-    determinant is not a multiple of the defining form.
+    determinant is not a multiple of the defining form.  Q(arr, m) is not
+    built: the determinant's ints are divided by each alpha_H^m(H) in turn
+    (see :func:`exactalg._divide_linear`), and c is the determinant's
+    content times the constant left.
     """
     mt = arr.check_multiplicity(m)
     tangent = not (untangent_forms(arr, mt, theta1) or untangent_forms(arr, mt, theta2))
-    return tangent, saito_det(theta1, theta2).proportional_scalar(defining_form(arr, mt))
+    det = saito_det(theta1, theta2)
+    if det.degree != sum(mt):
+        return tangent, None
+    q = det.ints
+    for alpha, k in zip(arr.forms, mt):
+        q = _divide_linear(alpha, k, q)
+        if q is None:
+            return tangent, None
+    return tangent, arr.field(q[0]) * det.content
 
 
 def basis(arr: Arrangement2, m: Sequence[int]):

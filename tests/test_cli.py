@@ -258,6 +258,26 @@ class TestExpCommand:
         assert code == EXIT_USAGE and out == ""
         assert f"|m| = 600 exceeds the multiplicity budget of {MULT_BUDGET}" in err
 
+    def test_results_past_the_int_digit_limit_print(self, capsys, tmp_path):
+        """Only parsing keeps Python's int-to-str digit limit, and main puts it back."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            big = write_a2(tmp_path, [("1", "0"), ("0", "1"), ("1", "1" + "0" * 300)], mult=20)
+            code, out, err = run(capsys, "exp", big, "--json")
+            assert (code, err) == (EXIT_OK, "")
+            results = json.loads(out)["results"]
+            assert results["exponents"] == [30, 30]
+            basis = results["lower_basis"]
+            assert max(len(part) for c in basis["f"] + basis["g"] for part in c.split("/")) > 4300
+            assert sys.get_int_max_str_digits() == 4300
+            code, out, err = run(capsys, "exp", write_a2(tmp_path, [*A2[:2], ("1", "1" + "0" * 4300)]))
+            assert (code, out) == (EXIT_IO, "")
+            assert "document error: Exceeds the limit (4300 digits)" in err
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

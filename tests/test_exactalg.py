@@ -173,17 +173,6 @@ class TestBinaryForm:
         assert f.dx1().coeffs == (0, 2, 0)
         assert f.dx2().coeffs == (0, 0, 1)
 
-    def test_divide_exact(self):
-        a = LinearForm2(QQ, 1, 1)
-        p = a.power(3)
-        q = p.divide_exact(a.power(2))
-        assert q == a.power(1)
-        assert a.power(2).divide_exact(a.power(3)) is None
-        # x2-valuation mismatch: x1^2 not divisible by x2
-        x1sq = BinaryForm(QQ, 2, (0, 0, 1))
-        x2 = LinearForm2(QQ, 0, 1).form()
-        assert x1sq.divide_exact(x2) is None
-
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_proportional_scalar(self, field):
         f = BinaryForm(field, 2, (0, 2, 3))
@@ -222,6 +211,13 @@ def coefficient_lists(draw, field, degree=None):
     if draw(st.integers(0, 5)) == 0:
         return d, [0] * (d + 1)
     return d, draw(st.lists(scalars(field), min_size=d + 1, max_size=d + 1))
+
+
+def oracle_power(alpha: FieldForm, k: int) -> FieldForm:
+    out = FieldForm(alpha.field, 0, (alpha.field.one,))
+    for _ in range(k):
+        out = out * alpha
+    return out
 
 
 def both(field, d, cs):
@@ -276,65 +272,61 @@ class TestFormOracle:
     @given(
         data=st.data(),
         field=st.sampled_from(ORACLE_FIELDS),
-        divisor=st.sampled_from(["random", "x1", "x2", "linear"]),
-        remainder=st.sampled_from([None, "last step", "constant term"]),
+        divisor=st.sampled_from(["x1", "x2", "linear"]),
+        tamper=st.sampled_from([None, "first", "last", "any"]),
     )
-    def test_divide_exact(self, data, field, divisor, remainder):
-        if divisor == "random":
-            e, ds = data.draw(coefficient_lists(field, data.draw(st.integers(0, 4))))
-            q, oq = both(field, e, ds)
+    def test_divide_exact(self, data, field, divisor, tamper):
+        """binary_form_divides against the oracle's long division by alpha^k, k up to degree + 2."""
+        if divisor == "linear":
+            ints = st.integers(-5, 5) | st.integers(-(10**12), 10**12)
+            a, b = data.draw(st.tuples(ints, ints).filter(lambda ab: field(ab[0]) or field(ab[1])))
         else:
-            k = data.draw(st.integers(1, 4))
-            if divisor == "linear":
-                a, b = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
-                if not (field(a) or field(b)):
-                    a = 1
+            a, b = (1, 0) if divisor == "x1" else (0, 1)
+        alpha, oalpha = LinearForm2(field, a, b), FieldForm(field, 1, (b, a))
+        # a multiple of alpha^j whose quotient may have zero coefficients at both ends
+        lo, hi = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        d, cs = data.draw(coefficient_lists(field, data.draw(st.integers(0, 4))))
+        onum = FieldForm(field, lo + d + hi, [0] * lo + cs + [0] * hi)
+        j = data.draw(st.integers(0, 3))
+        for _ in range(j):
+            onum = onum * oalpha
+        if tamper is not None:
+            if tamper == "any":
+                i = data.draw(st.integers(0, onum.degree))
             else:
-                a, b = (1, 0) if divisor == "x1" else (0, 1)
-            q = LinearForm2(field, a, b).power(k)
-            oq = FieldForm(field, k, q.coeffs)
-        d, cs = data.draw(coefficient_lists(field))
-        quotient, oquotient = both(field, d, cs)
-        num, onum = quotient * q, oquotient * oq
-        if remainder is not None and not oq.is_zero():
-            top = max(i for i, c in enumerate(oq.coeffs) if c)
-            j = top if remainder == "last step" else 0
-            cs = [0] * (num.degree + 1)
-            cs[j] = data.draw(scalars(field))
-            num, onum = num + BinaryForm(field, num.degree, cs), onum + FieldForm(field, num.degree, cs)
-        assert_same(num, onum)
-        if oq.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                num.divide_exact(q)
-            return
-        got, want = num.divide_exact(q), onum.divide_exact(oq)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert_same(got, want)
-        if remainder is None:
-            assert want is not None
+                i = 0 if tamper == "first" else onum.degree
+            bump = [0] * (onum.degree + 1)
+            bump[i] = data.draw(scalars(field))
+            onum = onum + FieldForm(field, onum.degree, bump)
+        num = BinaryForm(field, onum.degree, onum.coeffs)
+        for k in range(onum.degree + 3):
+            want = onum.divide_exact(oracle_power(oalpha, k)) is not None
+            assert binary_form_divides(alpha, k, num) == want, (a, b, k)
+            if tamper is None and k <= j:
+                assert want
 
     @pytest.mark.parametrize("field", ORACLE_FIELDS)
     def test_divide_exact_small_cases(self, field):
-        """Divisors with a non-unit leading int, exact or off by one term at the last step or the end."""
-        divisors = [(1, 2), (1, 0, 3), (2, 1, 5), (0, 1, 2), (3, 0), (4, 6, 9)]
-        quotients = [(0,), (1,), (5,), (1, 1), (2, 0, 3), (-1, 4)]
-        for dc in divisors:
-            q, oq = both(field, len(dc) - 1, dc)
-            if oq.is_zero():
-                continue
-            top = max(i for i, c in enumerate(oq.coeffs) if c)
+        """Exact multiples of alpha^j, and the same off by one term at either end or inside."""
+        alphas = [(1, 0), (0, 1), (1, 1), (1, 2), (2, -3), (5, 7)]
+        quotients = [(0,), (1,), (5,), (1, 1), (2, 0, 3), (-1, 4), (0, 1, 0), (0, 0, 2, 0, 0)]
+        for a, b in alphas:
+            alpha, oalpha = LinearForm2(field, a, b), FieldForm(field, 1, (b, a))
             for qc in quotients:
-                quotient, oquotient = both(field, len(qc) - 1, qc)
-                num, onum = quotient * q, oquotient * oq
-                for j, r in ((0, 0), (top, 1), (top, 2), (0, 1)):
-                    cs = [0] * (num.degree + 1)
-                    cs[j] = r
-                    n, on = num + BinaryForm(field, num.degree, cs), onum + FieldForm(field, num.degree, cs)
-                    got, want = n.divide_exact(q), on.divide_exact(oq)
-                    assert (got is None) == (want is None), (dc, qc, j, r)
-                    if want is not None:
-                        assert_same(got, want)
+                for j in range(3):
+                    onum = FieldForm(field, len(qc) - 1, qc) * oracle_power(oalpha, j)
+                    top = onum.degree
+                    for i, r in ((None, 0), (0, 1), (top, 1), (top, 2), (top // 2, 1)):
+                        bump = [0] * (top + 1)
+                        if i is not None:
+                            bump[i] = r
+                        on = onum + FieldForm(field, top, bump)
+                        n = BinaryForm(field, top, on.coeffs)
+                        for k in range(top + 3):
+                            want = on.divide_exact(oracle_power(oalpha, k)) is not None
+                            assert binary_form_divides(alpha, k, n) == want, ((a, b), qc, j, i, r, k)
+                            if i is None and k <= j:
+                                assert want
 
     @given(
         data=st.data(),

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from multiarr import multiarr2
-from multiarr.exactalg import GF, QQ, BinaryForm, LinearForm2, Matrix, binary_form_divides
+from multiarr.exactalg import GF, QQ, BinaryForm, LinearForm2, Matrix, binary_form_divides, divisibility_constraints
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -429,21 +429,67 @@ def tampered(theta: Derivation2, part: int, index: int) -> Derivation2:
     return Derivation2(*forms)
 
 
+def tangent_by_rows(arr, m, theta) -> bool:
+    """Oracle: theta(alpha) lies in the kernel of the divisibility rows of every line."""
+    return all(
+        not any(divisibility_constraints(alpha, k, theta.degree).mul_vec(theta.apply_to_linear(alpha).coeffs))
+        for alpha, k in zip(arr.forms, m)
+    )
+
+
+@st.composite
+def non_basis_pairs(draw, arr, m):
+    """Pairs with d1 + d2 in {|m| - 1, |m|, |m| + 1}: random, with a zero determinant, or off a basis."""
+    field, total = arr.field, sum(m)
+    ints = st.integers(-3, 3) | st.integers(-(10**9), 10**9)
+
+    def form(d):
+        return BinaryForm(field, d, draw(st.lists(ints, min_size=d + 1, max_size=d + 1)))
+
+    kind = draw(st.sampled_from(["random", "zero det", "form times basis", "defining form"]))
+    if kind == "form times basis":  # det = u * c * Q(arr, m), one degree too high
+        pair = list(basis(arr, m))
+        u, which = form(1), draw(st.integers(0, 1))
+        pair[which] = Derivation2(u * pair[which].f, u * pair[which].g)
+        return tuple(pair)
+    if kind == "defining form":  # det = c * Q(arr, m), but c * D2 is tangent only to x1 (or zero)
+        q = defining_form(arr, m)
+        return Derivation2(q, BinaryForm.zero(field, total)), Derivation2(BinaryForm.zero(field, 0), form(0))
+    s = total + draw(st.integers(-1, 1))
+    d1 = draw(st.integers(0, max(s, 0)))
+    d2 = max(s - d1, 0)
+    theta1 = Derivation2(form(d1), form(d1))
+    if kind == "random":
+        return theta1, Derivation2(form(d2), form(d2))
+    if d2 < d1:
+        return Derivation2(BinaryForm.zero(field, d1), BinaryForm.zero(field, d1)), Derivation2(form(d2), form(d2))
+    u = form(d2 - d1)
+    return theta1, Derivation2(u * theta1.f, u * theta1.g)
+
+
 class TestSaitoCriterion:
     @given(
         case=multiarrangements(),
-        tamper=st.none() | st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 40)),
+        tamper=st.none() | st.just("pair") | st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 40)),
+        data=st.data(),
     )
-    def test_matches_tangency_and_determinant(self, case, tamper):
+    def test_matches_tangency_and_determinant(self, case, tamper, data):
+        """saito_criterion against the division rows and proportional_scalar(defining_form)."""
         arr, m = case
         assume(sum(m))
-        pair = list(basis(arr, m))
-        if tamper is not None:
-            which, part, index = tamper
-            pair[which] = tampered(pair[which], part, index)
-        tangent = not (untangent_forms(arr, m, pair[0]) or untangent_forms(arr, m, pair[1]))
+        if tamper == "pair":
+            pair = data.draw(non_basis_pairs(arr, m))
+        else:
+            pair = list(basis(arr, m))
+            if tamper is not None:
+                which, part, index = tamper
+                pair[which] = tampered(pair[which], part, index)
+        tangent = tangent_by_rows(arr, m, pair[0]) and tangent_by_rows(arr, m, pair[1])
+        assert tangent == (not (untangent_forms(arr, m, pair[0]) or untangent_forms(arr, m, pair[1])))
         scalar = saito_det(*pair).proportional_scalar(defining_form(arr, m))
-        assert saito_criterion(arr, m, *pair) == (tangent, scalar)
+        got = saito_criterion(arr, m, *pair)
+        assert got == (tangent, scalar)
+        assert type(got[1]) is type(scalar) and str(got[1]) == str(scalar)
         if tamper is None:
             assert tangent and scalar
 

@@ -8,6 +8,7 @@ an alias would silently read as zero calls.
 import ast
 import importlib.util
 import inspect
+import pkgutil
 from importlib import import_module
 from pathlib import Path
 
@@ -95,12 +96,13 @@ def test_benchmark_tracer_counts_exponents_ranks_and_constraint_rows():
 
 
 def test_multiarr2_memos_are_bounded_or_known():
-    unbounded = {
-        name
-        for name, v in vars(multiarr2).items()
-        if hasattr(v, "cache_info") and v.cache_info().maxsize is None
-    }
-    assert unbounded <= {"_exponents"}
+    """Every module-level memo in the package is bounded, but for two kept for good."""
+    unbounded = set()
+    for info in pkgutil.iter_modules(multiarr.__path__):
+        for v in vars(import_module(f"multiarr.{info.name}")).values():
+            if hasattr(v, "cache_info") and v.cache_info().maxsize is None:
+                unbounded.add(f"{v.__module__}.{v.__qualname__}")
+    assert unbounded <= {"multiarr.exactalg.GF", "multiarr.multiarr2._exponents"}
 
 
 def test_only_multiarr2_builds_the_defining_form():
