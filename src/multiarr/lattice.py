@@ -7,7 +7,9 @@ components are explored via greedy gap-ascent to their unique peak, and
 exhaustive scans over finite regions machine-check the structural laws:
 adjacent gaps differ by exactly one, balanced gaps are bounded by h - 2,
 and each fully-enclosed component is the open L1-ball around its peak
-with the linear law gap(mu) = gap(peak) - d(peak, mu).
+with the linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans
+read one table per region, walked once by unit steps (see
+:func:`_region_table`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
+from . import multiarr2
 from .exactalg import char_warning
-from .multiarr2 import Arrangement2, Multiplicity, exponents, is_balanced
+from .multiarr2 import Arrangement2, Exponents2, Multiplicity, _balanced, exponents
 
 __all__ = [
     "LatticeRegion",
@@ -103,7 +107,7 @@ def classify(arr: Arrangement2, m: Sequence[int]) -> LatticeClassification:
     """Partition the lattice: gap zero / finite component / infinite cone at K.
 
     The unbalanced test is purely combinatorial; the gap itself always
-    comes from the exact solver (one unit step per exponent in a scan).
+    comes from the exact solver.
     """
     mt = arr.check_multiplicity(m)
     dv = exponents(arr, mt).delta
@@ -126,22 +130,34 @@ def _neighbours(m: Multiplicity) -> Iterator[Multiplicity]:
 _ASCENT_LIMIT = 10_000
 
 
-def _ascend(arr: Arrangement2, m: Multiplicity) -> Multiplicity:
+def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multiplicity:
     """Greedy gap-ascent inside the balanced nonzero-gap stratum.
 
     Ties go to the lexicographically smallest neighbour; the unique-peak
-    structure makes the endpoint independent of this choice.
+    structure makes the endpoint independent of this choice.  The ascent
+    is deterministic, so every point of a walk ascends to the walk's end:
+    peaks maps each point already walked to its end, the walk stops at the
+    first point it holds, and its own points are added.  gap maps a
+    multiplicity to its exponent gap (by default through exponents).
     """
+    if gap is None:
+        def gap(mu):
+            return exponents(arr, mu).delta
+    walked = []
     cur = m
     for _ in range(_ASCENT_LIMIT):
-        dv = exponents(arr, cur).delta
-        best = min(
-            (nb for nb in _neighbours(cur) if is_balanced(arr, nb) and exponents(arr, nb).delta > dv),
-            default=None,
-        )
-        if best is None:
-            return cur
-        cur = best
+        peak = peaks.get(cur)
+        if peak is None:
+            walked.append(cur)
+            dv = gap(cur)
+            best = min((nb for nb in _neighbours(cur) if _balanced(nb) and gap(nb) > dv), default=None)
+            if best is not None:
+                cur = best
+                continue
+            peak = cur
+        for mu in walked:
+            peaks[mu] = peak
+        return peak
     raise RuntimeError(
         f"gap ascent from {m} did not terminate within {_ASCENT_LIMIT} steps; "
         "finite components should be bounded balls"
@@ -157,37 +173,50 @@ def _ball_offsets(ncoords: int, budget: int):
             yield (v,) + rest
 
 
-def _open_ball(center: Multiplicity, radius: int) -> list[Multiplicity]:
+def _ball_shape(shapes: dict, ncoords: int, radius: int):
+    """(inner, sphere): the offsets of L1 norm below radius and of norm radius.
+
+    Both lists keep the order of _ball_offsets.  shapes holds them by radius
+    for one caller, so each is built once per radius per call.
+    """
+    got = shapes.get(radius)
+    if got is None:
+        inner = list(_ball_offsets(ncoords, radius - 1))
+        sphere = [off for off in _ball_offsets(ncoords, radius) if sum(map(abs, off)) == radius]
+        got = shapes[radius] = inner, sphere
+    return got
+
+
+def _open_ball(center: Multiplicity, radius: int, shapes: dict) -> list[Multiplicity]:
     out = []
-    for off in _ball_offsets(len(center), radius - 1):
+    for off in _ball_shape(shapes, len(center), radius)[0]:
         pt = tuple(c + o for c, o in zip(center, off))
         if all(v >= 0 for v in pt):
             out.append(pt)
     return sorted(out)
 
 
-def _ball_failures(arr: Arrangement2, peak: Multiplicity, radius: int, gap) -> list:
+def _ball_failures(peak: Multiplicity, radius: int, gap, shapes: dict) -> list:
     """Findings against the open-ball law of the component peaked at peak.
 
     Every member of the open ball of the given radius must be balanced with
     gap(mu) = radius - d(peak, mu); every point of the sphere at that
     radius must leave the balanced nonzero-gap stratum.  gap maps a
-    multiplicity to its exponent gap.
+    multiplicity to its exponent gap; shapes is the caller's dict for
+    :func:`_ball_shape`.
     """
     failures = []
-    for mu in _open_ball(peak, radius):
+    for mu in _open_ball(peak, radius, shapes):
         want = radius - lattice_distance(peak, mu)
         if gap(mu) != want:
             failures.append(f"gap law fails at {mu}: gap {gap(mu)} != {want} (peak {peak})")
-        if not is_balanced(arr, mu):
+        if not _balanced(mu):
             failures.append(f"ball member {mu} of peak {peak} is not balanced")
-    for off in _ball_offsets(len(peak), radius):
-        if sum(abs(v) for v in off) != radius:
-            continue
+    for off in _ball_shape(shapes, len(peak), radius)[1]:
         mu = tuple(p + o for p, o in zip(peak, off))
         if any(v < 0 for v in mu):
             continue
-        if gap(mu) != 0 and is_balanced(arr, mu):
+        if gap(mu) != 0 and _balanced(mu):
             failures.append(
                 f"boundary point {mu} at distance {radius} from peak {peak} "
                 "is still in the balanced nonzero-gap stratum"
@@ -220,21 +249,78 @@ def component_of(arr: Arrangement2, m: Sequence[int]) -> ComponentReport:
     cls = classify(arr, mt)
     if cls.tag is not ComponentTag.FINITE_COMPONENT:
         raise ValueError(f"{mt} is not in a finite component (tag {cls.tag.value})")
-    peak = _ascend(arr, mt)
+    peaks = {}
+    peak = _ascend(arr, mt, peaks=peaks)
     radius = exponents(arr, peak).delta
-    failures = _ball_failures(arr, peak, radius, lambda mu: exponents(arr, mu).delta)
+    shapes = {}
+    failures = _ball_failures(peak, radius, lambda mu: exponents(arr, mu).delta, shapes)
     if failures:
         raise RuntimeError(f"component structure violated: {failures[0]}")
-    ball = _open_ball(peak, radius)
+    ball = _open_ball(peak, radius, shapes)
     for mu in ball:
-        if _ascend(arr, mu) != peak:
+        if _ascend(arr, mu, peaks=peaks) != peak:
             raise RuntimeError(f"ascent from member {mu} missed the peak {peak}")
     return ComponentReport(peak, radius, tuple((mu, radius - lattice_distance(peak, mu)) for mu in ball))
 
 
 def exponent_map(region: LatticeRegion) -> dict:
-    """Exponents of every point of the region, keyed by multiplicity."""
-    return {m: exponents(region.arrangement, m) for m in region.points()}
+    """Exponents of every point of the region, keyed by multiplicity (a fresh dict)."""
+    return dict(_region_table(region)[0])
+
+
+@lru_cache(maxsize=1)
+def _region_table(region: LatticeRegion):
+    """(table, shell): the exponents at every point of the region, and gaps one step past it.
+
+    The region is walked once in points() order.  The state at each point
+    is one multiarr2._unit_step from the state at m - e_j, j the last
+    nonzero index: the chain of multiarr2._unit_state, so the states are
+    the same.  path[i] holds the state at m[:i + 1] followed by zeros, so
+    only the states of the current path are kept.  The table shares one
+    Exponents2 per degree pair.
+
+    The shell holds the gaps at the outside points an ascent from inside
+    the region reads: for m balanced with a nonzero gap, shell[m][i] is
+    the gap at m + e_i when that point is balanced and outside the region,
+    by multiarr2._step_degrees from the state at m, and None otherwise.
+    It is keyed by region points, so it stores no new multiplicity.
+    """
+    forms, caps, total = region.arrangement.forms, region.caps, region.total
+    h = len(caps)
+    path = [multiarr2._BASE_STATE] * h
+    table, shell, pairs = {}, {}, {}
+    for m in region.points():
+        j = h - 1
+        while j >= 0 and not m[j]:
+            j -= 1
+        if j < 0:
+            state = multiarr2._BASE_STATE
+        else:
+            state = multiarr2._unit_step(forms[j], m[j] - 1, path[j])
+            path[j:] = [state] * (h - j)
+        d1, d2 = key = state[:2]
+        table[m] = pairs.get(key) or pairs.setdefault(key, Exponents2(d1, d2))
+        if d1 == d2 or not _balanced(m):
+            continue
+        full = total is not None and sum(m) == total
+        if full or any(v == cap for v, cap in zip(m, caps)):
+            gaps = [None] * h
+            for i, (v, cap) in enumerate(zip(m, caps)):
+                if (full or v == cap) and _balanced(m[:i] + (v + 1,) + m[i + 1 :]):
+                    e1, e2 = multiarr2._step_degrees(forms[i], v, state)
+                    gaps[i] = e2 - e1
+            shell[m] = tuple(gaps)
+    return table, shell
+
+
+def _shell_gap(shell: dict, mu: Multiplicity):
+    """The gap at mu, outside the region, as some mu - e_i in the shell holds it, or None."""
+    for i, v in enumerate(mu):
+        if v:
+            gaps = shell.get(mu[:i] + (v - 1,) + mu[i + 1 :])
+            if gaps is not None and gaps[i] is not None:
+                return gaps[i]
+    return None
 
 
 _CHAR_CONSEQUENCE = "characteristic-zero hypotheses do not apply"
@@ -313,7 +399,7 @@ def verify_theorem_limit(region: LatticeRegion) -> LimitReport:
     for m, e in emap.items():
         if (e.delta - sum(m)) % 2:
             parity_failures.append((m, e.delta))
-        if is_balanced(arr, m):
+        if _balanced(m):
             balanced_count += 1
             if e.delta > h - 2:
                 violations.append((m, e.delta))
@@ -372,19 +458,23 @@ def _ball_enclosed(region: LatticeRegion, peak: Multiplicity, radius: int) -> bo
 def verify_theorem_str(region: LatticeRegion) -> StrReport:
     arr = region.arrangement
     emap = exponent_map(region)
+    shell = _region_table(region)[1]
 
     def gap(m):
-        return emap[m].delta if m in emap else exponents(arr, m).delta
+        e = emap.get(m)
+        if e is not None:
+            return e.delta
+        # an ascent that leaves the region past the shell reads exponents
+        g = _shell_gap(shell, m)
+        return exponents(arr, m).delta if g is None else g
 
-    lambda0 = [
-        m
-        for m, e in emap.items()
-        if e.delta != 0 and is_balanced(arr, m)
-    ]
+    peaks: dict = {}
     groups: dict = {}
-    for m in lambda0:
-        groups.setdefault(_ascend(arr, m), []).append(m)
+    for m, e in emap.items():
+        if e.delta != 0 and _balanced(m):
+            groups.setdefault(_ascend(arr, m, peaks=peaks, gap=gap), []).append(m)
 
+    shapes: dict = {}
     components = []
     clipped = []
     failures = []
@@ -395,18 +485,18 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
         if not _ball_enclosed(region, peak, radius):
             clipped.append((peak, radius, len(members)))
             continue
-        ball = _open_ball(peak, radius)
+        ball = _open_ball(peak, radius, shapes)
         found = []
         if set(ball) != set(members):
             found.append(f"component of {peak}: members {members} differ from the open ball {ball}")
-        found += _ball_failures(arr, peak, radius, gap)
+        found += _ball_failures(peak, radius, gap, shapes)
         failures += found
         # connectivity reading (see the docstring): note when a member is
         # adjacent to an unbalanced nonzero-gap point, which would merge
         # components under adjacency inside the bigger stratum
         for m in members:
             for nb in _neighbours(m):
-                if nb in emap and emap[nb].delta != 0 and not is_balanced(arr, nb):
+                if nb in emap and emap[nb].delta != 0 and not _balanced(nb):
                     notes.append(
                         f"member {m} of peak {peak} is adjacent to unbalanced {nb}; "
                         "adjacency inside the full nonzero-gap stratum would differ"

@@ -10,11 +10,13 @@ The exponents and the canonical basis both come from a basis built one
 unit of multiplicity at a time (the addition step of Abe-Terao-Wakefield):
 raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
-residue in the other.  Each state is read, through a bounded cache, from
-the state one unit below, which a lexicographic scan has just built.
+residue in the other.  A single query reads each state, through a bounded
+cache, from the state one unit below; a lattice scan does not use that
+cache, but walks its region one unit step per point itself (see
+:func:`multiarr.lattice._region_table`).
 
 Everything is a pure function of immutable values; results are memoised,
-so repeated lattice-scan queries are cheap and thread-safe.
+so repeated queries are cheap and thread-safe.
 """
 
 from __future__ import annotations
@@ -201,9 +203,9 @@ def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
 
     A basis of D(arr, m) is built from the basis at m - e_j by one addition
     step (see :func:`_unit_step`), so no tangency system is solved.  The
-    states sit in a cache bounded at _STATE_CACHE entries; a lexicographic
-    scan has just built the state one unit below each point, so it pays
-    one step per point.
+    states sit in a cache bounded at _STATE_CACHE entries, so queries near
+    an earlier one pay a few steps.  The lattice verifiers call this only
+    for points their region table does not hold.
     """
     return _exponents(arr, arr.check_multiplicity(m))
 
@@ -215,8 +217,9 @@ def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
     return Exponents2(d1, d2)
 
 
-_STATE_CACHE = 4096  # unit-step states kept; a scan reads each one a step later
+_STATE_CACHE = 4096  # unit-step states kept for single queries; region scans keep their own
 _CHECKPOINT = 128  # states at multiples of this |m| are walked up from the previous one
+_BASE_STATE = (0, 0, ((1,), (0,)), ((0,), (1,)))  # D1 and D2, a basis at m = 0
 
 
 @lru_cache(maxsize=_STATE_CACHE)
@@ -232,7 +235,7 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     """
     total = sum(m)
     if not total:
-        return 0, 0, ((1,), (0,)), ((0,), (1,))
+        return _BASE_STATE
     start = total - 1 if total % _CHECKPOINT else total - _CHECKPOINT
     steps = [(j, k) for j, v in enumerate(m) for k in range(v)][start:]
     prev = list(m)
@@ -280,6 +283,17 @@ def _unit_step(alpha: LinearForm2, k: int, state):
     return d1, d2, t1, t2
 
 
+def _step_degrees(alpha: LinearForm2, k: int, state):
+    """The degrees (d1, d2) of _unit_step(alpha, k, state), from its first residue alone.
+
+    c1 = 0 raises d2, as theta1 stays tangent; otherwise d1 goes up by one.
+    """
+    d1, d2, t1, _ = state
+    if not _residue(alpha, k, d1, t1):
+        return d1, d2 + 1
+    return (d1 + 1, d2) if d1 < d2 else (d2, d1 + 1)
+
+
 def _residue(alpha: LinearForm2, k: int, d: int, theta) -> int:
     """Row k of the degree-d divisibility rows applied to theta(alpha)."""
     a, b = alpha.ints
@@ -304,7 +318,11 @@ def _normalise(p: int, theta):
 
 def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:
     """True iff no hyperplane carries more than half the total multiplicity."""
-    mt = arr.check_multiplicity(m)
+    return _balanced(arr.check_multiplicity(m))
+
+
+def _balanced(mt: Multiplicity) -> bool:
+    """is_balanced for a multiplicity already checked against its arrangement."""
     return 2 * max(mt) <= sum(mt)
 
 

@@ -1,4 +1,4 @@
-"""Field-scalar forms: the test oracles of the int-backed forms in ``exactalg``.
+"""Slow paths kept as test oracles: field-scalar forms and lattice lookups.
 
 ``FieldForm`` keeps every coefficient as a field scalar (``Fraction`` over
 Q, ``FpElement`` over GF(p)) and does its arithmetic entry by entry, with
@@ -8,6 +8,9 @@ a row of scalars into ints with the same span.  The differential tests in
 ``test_exactalg.py`` and ``test_arr3.py`` run them side by side with the
 library.  ``sweep_chamber_count`` counts the chambers of a real affine line
 arrangement by sampling points, with no intersection poset.
+``exponent_map`` and ``ascend`` are the lattice verifiers' lookups before
+the region table: one ``exponents`` query per point, and a greedy ascent
+that queries every neighbour at every step, with no memo.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from multiarr.exactalg import _render_terms
+from multiarr.lattice import _ASCENT_LIMIT, _neighbours
+from multiarr.multiarr2 import exponents, is_balanced
 
 
 def canonical_coefficients(field, coeffs: Iterable) -> tuple:
@@ -241,3 +246,26 @@ def _gap_points(values) -> list:
     if not v:
         return [Fraction(0)]
     return [v[0] - 1] + [(s + t) / 2 for s, t in zip(v, v[1:])] + [v[-1] + 1]
+
+
+def exponent_map(region) -> dict:
+    """Exponents of every point of a lattice region, one exponents query each."""
+    return {m: exponents(region.arrangement, m) for m in region.points()}
+
+
+def ascend(arr, m):
+    """Greedy gap-ascent to the peak, reading exponents at every step.
+
+    Ties go to the lexicographically smallest neighbour.
+    """
+    cur = m
+    for _ in range(_ASCENT_LIMIT):
+        dv = exponents(arr, cur).delta
+        best = min(
+            (nb for nb in _neighbours(cur) if is_balanced(arr, nb) and exponents(arr, nb).delta > dv),
+            default=None,
+        )
+        if best is None:
+            return cur
+        cur = best
+    raise RuntimeError(f"gap ascent from {m} did not terminate within {_ASCENT_LIMIT} steps")

@@ -1,8 +1,12 @@
 """Classification, components and exhaustive verification of lattice laws."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from multiarr import lattice
+import oracles
+from multiarr import corpus, lattice, multiarr2
 from multiarr.exactalg import GF, QQ
 from multiarr.lattice import (
     ComponentTag,
@@ -87,7 +91,9 @@ class TestComponents:
         # (1, 0, 1, 1) is a member of the radius-2 ball no sampled probe reached
         real = lattice._ascend
         stray = (1, 0, 1, 1)
-        monkeypatch.setattr(lattice, "_ascend", lambda arr, m: (9, 9, 9, 9) if m == stray else real(arr, m))
+        monkeypatch.setattr(
+            lattice, "_ascend", lambda arr, m, **kw: (9, 9, 9, 9) if m == stray else real(arr, m, **kw)
+        )
         with pytest.raises(RuntimeError, match=r"ascent from member \(1, 0, 1, 1\) missed the peak"):
             component_of(b2(), (1, 1, 1, 1))
 
@@ -197,3 +203,201 @@ class TestTheoremStr:
         assert report.char_warning is not None
         assert not report.hypothesis_met
         assert report.components or report.clipped
+
+
+# --- the region table against the per-point oracle ------------------------
+
+TABLE_FIELDS = (QQ, GF(2), GF(3), GF(2**31 - 1))
+RATIONAL_LINES = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1), (1, 3)]
+MAX_CAP = {3: 5, 4: 3, 5: 2}  # keeps each seeded region near 200 points or fewer
+
+
+def seeded_regions():
+    """Three seeded small regions over each field, each drawn with and without a bound on |m|."""
+    rng = random.Random(7)
+    out = []
+    for field in TABLE_FIELDS:
+        p = field.char
+        pool = [(0, 1)] + [(1, t) for t in range(p)] if 0 < p < 8 else RATIONAL_LINES
+        for _ in range(3):
+            h = rng.randint(3, min(5, len(pool)))
+            arr = Arrangement2(field, rng.sample(pool, h))
+            caps = tuple(rng.randint(1, MAX_CAP[h]) for _ in range(h))
+            out.append(LatticeRegion(arr, caps))
+            out.append(LatticeRegion(arr, caps, rng.randint(1, sum(caps))))
+    return out
+
+
+# regions whose ascents walk past the shell, so the str verifier falls back
+# to exponents, with the number of such calls
+FALLBACK_REGIONS = [
+    (LatticeRegion(corpus.arrangement("b2_lines"), (2,) * 4), 28),
+    (LatticeRegion(corpus.arrangement("five_lines"), (2,) * 5), 64),
+    (LatticeRegion(corpus.arrangement("five_lines"), (3,) * 5, 7), 60),
+]
+TABLE_REGIONS = seeded_regions() + [region for region, _ in FALLBACK_REGIONS]
+
+
+def region_id(region):
+    arr = region.arrangement
+    return f"p{arr.field.char}-h{arr.h}-caps{''.join(map(str, region.caps))}-total{region.total}"
+
+
+def up(m, i):
+    return m[:i] + (m[i] + 1,) + m[i + 1 :]
+
+
+def expected_shell_steps(region, emap):
+    """(m, i) for m balanced with a nonzero gap in the region and m + e_i balanced outside it."""
+    arr = region.arrangement
+    return {
+        (m, i)
+        for m, e in emap.items()
+        if e.delta and multiarr2.is_balanced(arr, m)
+        for i in range(len(m))
+        if up(m, i) not in region and multiarr2.is_balanced(arr, up(m, i))
+    }
+
+
+def shell_steps(shell):
+    """The (m, i) whose gap at m + e_i the shell holds, with that gap."""
+    return {(m, i): g for m, gaps in shell.items() for i, g in enumerate(gaps) if g is not None}
+
+
+VERIFIERS = (verify_lemma_one, verify_theorem_limit, verify_theorem_str)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the multiarr memos before and after the test."""
+    memos = (lattice._region_table, multiarr2._unit_state, multiarr2._exponents, multiarr2._canonical_basis)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def steps(monkeypatch, cold_caches):
+    """Calls of multiarr2._unit_step (full steps) and _step_degrees (shell steps), by name."""
+    calls = Counter()
+    for name in ("_unit_step", "_step_degrees"):
+        real = getattr(multiarr2, name)
+
+        def counted(alpha, k, state, name=name, real=real):
+            calls[name] += 1
+            return real(alpha, k, state)
+
+        monkeypatch.setattr(multiarr2, name, counted)
+    return calls
+
+
+@pytest.fixture
+def lattice_exponents(monkeypatch):
+    """A list of the multiplicities lattice passes to exponents."""
+    calls = []
+    real = lattice.exponents
+
+    def counted(arr, m):
+        calls.append(m)
+        return real(arr, m)
+
+    monkeypatch.setattr(lattice, "exponents", counted)
+    return calls
+
+
+class TestRegionTable:
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_table_and_shell_match_exponents(self, region):
+        table, shell = lattice._region_table(region)
+        emap = oracles.exponent_map(region)
+        assert table == emap
+        steps = shell_steps(shell)
+        assert set(steps) == expected_shell_steps(region, emap)
+        for (m, i), g in steps.items():
+            assert g == exponents(region.arrangement, up(m, i)).delta, (m, i)
+
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_reports_match_the_oracle(self, region, monkeypatch):
+        got = [verify(region) for verify in VERIFIERS]
+        # the same verifiers on the per-point map, an empty shell and the plain ascent
+        monkeypatch.setattr(lattice, "_region_table", lambda region: (oracles.exponent_map(region), {}))
+        monkeypatch.setattr(lattice, "_ascend", lambda arr, m, **kw: oracles.ascend(arr, m))
+        assert got == [verify(region) for verify in VERIFIERS]
+
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_memoised_peaks_match_the_plain_ascent(self, region, monkeypatch):
+        peaks = {}
+        real = lattice._ascend
+
+        def recorded(arr, m, **kw):
+            peaks[m] = real(arr, m, **kw)
+            return peaks[m]
+
+        monkeypatch.setattr(lattice, "_ascend", recorded)
+        verify_theorem_str(region)
+        arr = region.arrangement
+        members = {m for m, e in oracles.exponent_map(region).items() if e.delta and multiarr2.is_balanced(arr, m)}
+        assert set(peaks) == members
+        for m, peak in peaks.items():
+            assert peak == oracles.ascend(arr, m), m
+
+    @pytest.mark.parametrize("region, calls", FALLBACK_REGIONS, ids=[region_id(r) for r, _ in FALLBACK_REGIONS])
+    def test_ascents_past_the_shell_fall_back_to_exponents(self, region, calls, cold_caches, lattice_exponents):
+        verify_theorem_str(region)
+        assert len(lattice_exponents) == calls
+        table, shell = lattice._region_table(region)
+        assert not any(m in table or lattice._shell_gap(shell, m) is not None for m in lattice_exponents)
+
+    def test_exponent_map_is_a_fresh_dict(self):
+        region = LatticeRegion(b2(), (2, 2, 2, 2))
+        emap = lattice.exponent_map(region)
+        emap[(0, 0, 0, 0)] = emap[(1, 1, 1, 1)]
+        emap.pop((2, 2, 2, 2))
+        assert lattice.exponent_map(region) == oracles.exponent_map(region)
+        assert lattice.exponent_map(region) is not lattice.exponent_map(region)
+
+
+class TestStepCounts:
+    """The table makes one unit step per point past the first, and one shell step per shell point."""
+
+    REGION = LatticeRegion(b2(), (5, 5, 5, 5))
+    STEPS = {"_unit_step": 1295, "_step_degrees": 380}  # 1,296 points, 380 shell gaps
+
+    def test_limit_on_b2_caps5(self, steps):
+        verify_theorem_limit(self.REGION)
+        points, shell = lattice._region_table(self.REGION)
+        assert (len(points) - 1, len(shell_steps(shell))) == (steps["_unit_step"], steps["_step_degrees"])
+        assert steps == self.STEPS
+
+    def test_three_verifiers_share_one_table(self, steps):
+        for verify in VERIFIERS:
+            assert verify(self.REGION).passed
+        assert steps == self.STEPS
+
+    @pytest.mark.parametrize(
+        "region",
+        [REGION, LatticeRegion(b2(), (3, 3, 3, 3)), LatticeRegion(a2(), (4, 4, 4))]
+        + [LatticeRegion(corpus.arrangement("four_lines"), (c,) * 4) for c in (1, 2, 3, 4)],
+        ids=region_id,
+    )
+    def test_ascents_inside_the_shell_make_no_exponents_call(self, region, cold_caches, lattice_exponents):
+        verify_theorem_str(region)
+        assert lattice_exponents == []
+
+
+class TestBoundedAscent:
+    @pytest.fixture
+    def gap_grows_with_total(self, monkeypatch):
+        """Every ascent reads gap(m) = |m|, so it climbs without end."""
+        real = lattice._ascend
+        monkeypatch.setattr(lattice, "_ascend", lambda arr, m, peaks, gap=None: real(arr, m, peaks=peaks, gap=sum))
+
+    def test_component_of(self, gap_grows_with_total):
+        with pytest.raises(RuntimeError, match=r"did not terminate within 10000 steps"):
+            component_of(b2(), (1, 1, 1, 1))
+
+    def test_verify_theorem_str(self, gap_grows_with_total):
+        with pytest.raises(RuntimeError, match=r"did not terminate within 10000 steps"):
+            verify_theorem_str(LatticeRegion(b2(), (2, 2, 2, 2)))
