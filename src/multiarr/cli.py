@@ -42,8 +42,8 @@ EXIT_INTERNAL = 4
 
 # The slowest of the corners measured inside both budgets, each `lattice
 # --verify str` on a 2-core Xeon with CPython 3.11: the 17 lines x2 and
-# x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) took 22 s of wall time,
-# and b2_lines at caps 20,20,20,20 (194,481 points) 18 s.
+# x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) took 24 s of wall time,
+# and b2_lines at caps 20,20,20,20 (194,481 points) 16 s.
 POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 

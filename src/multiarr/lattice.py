@@ -8,7 +8,7 @@ exhaustive scans over finite regions machine-check the structural laws:
 adjacent gaps differ by exactly one, balanced gaps are bounded by h - 2,
 and each fully-enclosed component is the open L1-ball around its peak
 with the linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans
-read one table per region, walked once by unit steps (see
+read one table per region, walked by unit steps (see
 :func:`_region_table`).
 """
 
@@ -21,9 +21,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from . import multiarr2
 from .exactalg import char_warning
-from .multiarr2 import Arrangement2, Exponents2, Multiplicity, _balanced, exponents
+from .multiarr2 import Arrangement2, Multiplicity, _balanced, _region_walk, _shell_points, exponents
 
 __all__ = [
     "LatticeRegion",
@@ -264,53 +263,42 @@ def component_of(arr: Arrangement2, m: Sequence[int]) -> ComponentReport:
 
 
 def exponent_map(region: LatticeRegion) -> dict:
-    """Exponents of every point of the region, keyed by multiplicity (a fresh dict)."""
-    return dict(_region_table(region)[0])
+    """Exponents of every point of the region, keyed by multiplicity (a fresh dict).
+
+    The verifiers read their table through this copy as well: called by
+    its module-global name, it is where a tracer that wraps the public
+    functions (perfbench/layer_trace.py) counts the points they scan.  The
+    copy costs under a thousandth of the walk that fills the table.
+    """
+    return dict(_region_table(region, False)[0])
 
 
 @lru_cache(maxsize=1)
-def _region_table(region: LatticeRegion):
-    """(table, shell): the exponents at every point of the region, and gaps one step past it.
+def _region_slot(region: LatticeRegion) -> list:
+    """[table, shell] of the region last scanned, filled by _region_table."""
+    return [None, None]
 
-    The region is walked once in points() order.  The state at each point
-    is one multiarr2._unit_step from the state at m - e_j, j the last
-    nonzero index: the chain of multiarr2._unit_state, so the states are
-    the same.  path[i] holds the state at m[:i + 1] followed by zeros, so
-    only the states of the current path are kept.  The table shares one
-    Exponents2 per degree pair.
 
-    The shell holds the gaps at the outside points an ascent from inside
-    the region reads: for m balanced with a nonzero gap, shell[m][i] is
-    the gap at m + e_i when that point is balanced and outside the region,
-    by multiarr2._step_degrees from the state at m, and None otherwise.
-    It is keyed by region points, so it stores no new multiplicity.
+def _region_table(region: LatticeRegion, shell: bool):
+    """(table, shell) of the region, by multiarr2._region_walk.
+
+    Only verify_theorem_str reads the shell, so the walk builds it only
+    when asked.  To add it to a table built without it, the walk visits
+    only the chains to the points that hold shell gaps.  One slot holds
+    the last region, so the three verifiers on one region share its table.
     """
-    forms, caps, total = region.arrangement.forms, region.caps, region.total
-    h = len(caps)
-    path = [multiarr2._BASE_STATE] * h
-    table, shell, pairs = {}, {}, {}
-    for m in region.points():
-        j = h - 1
-        while j >= 0 and not m[j]:
-            j -= 1
-        if j < 0:
-            state = multiarr2._BASE_STATE
+    slot = _region_slot(region)
+    table, gaps = slot
+    if table is None or (shell and gaps is None):
+        arr, caps, total = region.arrangement, region.caps, region.total
+        if table is None:
+            table, gaps = _region_walk(arr, region.points(), caps, total, shell)
         else:
-            state = multiarr2._unit_step(forms[j], m[j] - 1, path[j])
-            path[j:] = [state] * (h - j)
-        d1, d2 = key = state[:2]
-        table[m] = pairs.get(key) or pairs.setdefault(key, Exponents2(d1, d2))
-        if d1 == d2 or not _balanced(m):
-            continue
-        full = total is not None and sum(m) == total
-        if full or any(v == cap for v, cap in zip(m, caps)):
-            gaps = [None] * h
-            for i, (v, cap) in enumerate(zip(m, caps)):
-                if (full or v == cap) and _balanced(m[:i] + (v + 1,) + m[i + 1 :]):
-                    e1, e2 = multiarr2._step_degrees(forms[i], v, state)
-                    gaps[i] = e2 - e1
-            shell[m] = tuple(gaps)
-    return table, shell
+            gaps = _region_walk(arr, _shell_points(table, caps, total), caps, total, True)[1]
+        # each call returns what it read or walked, so a slot that another
+        # thread filled in between costs at most a second walk
+        slot[:] = table, gaps
+    return table, gaps
 
 
 def _shell_gap(shell: dict, mu: Multiplicity):
@@ -457,8 +445,9 @@ def _ball_enclosed(region: LatticeRegion, peak: Multiplicity, radius: int) -> bo
 
 def verify_theorem_str(region: LatticeRegion) -> StrReport:
     arr = region.arrangement
+    # the walk with the shell comes first, so that exponent_map reads its table
+    shell = _region_table(region, True)[1]
     emap = exponent_map(region)
-    shell = _region_table(region)[1]
 
     def gap(m):
         e = emap.get(m)

@@ -12,8 +12,8 @@ raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
 residue in the other.  A single query reads each state, through a bounded
 cache, from the state one unit below; a lattice scan does not use that
-cache, but walks its region one unit step per point itself (see
-:func:`multiarr.lattice._region_table`).
+cache, but walks its region one unit step per point (see
+:func:`_region_walk`).
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated queries are cheap and thread-safe.
@@ -247,6 +247,75 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     return state
 
 
+def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bool):
+    """(table, gaps): the exponents at the points of a region, and gaps one step past it.
+
+    points are in lexicographic order, and with each m they hold m - e_j,
+    j the last nonzero index of m: all the points under caps (and of |m|
+    <= total when total is not None), or the chains of _shell_points.  The
+    state at m is one _unit_step from the state at m - e_j: the chain of
+    _unit_state, so the states are the same.  path[i] holds the state at
+    m[:i + 1] followed by zeros, so only the states of the current path
+    are kept.  The table shares one Exponents2 per degree pair.
+
+    With shell, gaps[m][i], for m balanced with a nonzero gap, is the gap
+    at m + e_i when that point is balanced and outside the region (past
+    cap i or past total), and None otherwise; these are the outside points
+    a gap ascent from inside the region reads.  The first residue c1 of
+    the step from m decides it (see :func:`_unit_step`): c1 = 0 raises
+    d2, so the gap grows by one; otherwise d1 rises, and as d1 < d2 at m,
+    the gap falls by one.  Without shell, gaps is None.
+    """
+    forms, h = arr.forms, len(caps)
+    path = [_BASE_STATE] * h
+    table, pairs, gaps = {}, {}, {} if shell else None
+    for m in points:
+        j = h - 1
+        while j >= 0 and not m[j]:
+            j -= 1
+        if j < 0:
+            state = _BASE_STATE
+        else:
+            state = _unit_step(forms[j], m[j] - 1, path[j])
+            path[j:] = [state] * (h - j)
+        d1, d2 = key = state[:2]
+        table[m] = pairs.get(key) or pairs.setdefault(key, Exponents2(d1, d2))
+        if gaps is None or d1 == d2 or not _balanced(m):
+            continue
+        out = _outward(m, caps, total)
+        if out:
+            row = [None] * h
+            for i in out:
+                if _balanced(m[:i] + (m[i] + 1,) + m[i + 1 :]):
+                    row[i] = d2 - d1 + (-1 if _residue(forms[i], m[i], d1, state[2]) else 1)
+            gaps[m] = tuple(row)
+    return table, gaps
+
+
+def _outward(m: Multiplicity, caps: Multiplicity, total) -> Sequence[int]:
+    """The i for which m + e_i is past cap i or past total."""
+    if total is not None and sum(m) == total:
+        return range(len(m))
+    return [i for i, (v, cap) in enumerate(zip(m, caps)) if v == cap]
+
+
+def _shell_points(table: dict, caps: Multiplicity, total) -> list:
+    """The points a _region_walk must visit to add the shell to a table walked without it.
+
+    These are the points that hold shell gaps, balanced with a nonzero gap
+    and on the rim of the region, and the chains below them, in
+    lexicographic order.
+    """
+    need = set()
+    for m, e in table.items():
+        if e.delta and _balanced(m) and _outward(m, caps, total):
+            while m not in need and any(m):
+                need.add(m)
+                j = max(i for i, v in enumerate(m) if v)
+                m = m[:j] + (m[j] - 1,) + m[j + 1 :]
+    return sorted(need)
+
+
 def _unit_step(alpha: LinearForm2, k: int, state):
     """The state after m(H) goes from k to k + 1, for H the line alpha = 0.
 
@@ -281,17 +350,6 @@ def _unit_step(alpha: LinearForm2, k: int, state):
         if d1 > d2:
             d1, d2, t1, t2 = d2, d1, t2, t1
     return d1, d2, t1, t2
-
-
-def _step_degrees(alpha: LinearForm2, k: int, state):
-    """The degrees (d1, d2) of _unit_step(alpha, k, state), from its first residue alone.
-
-    c1 = 0 raises d2, as theta1 stays tangent; otherwise d1 goes up by one.
-    """
-    d1, d2, t1, _ = state
-    if not _residue(alpha, k, d1, t1):
-        return d1, d2 + 1
-    return (d1 + 1, d2) if d1 < d2 else (d2, d1 + 1)
 
 
 def _residue(alpha: LinearForm2, k: int, d: int, theta) -> int:

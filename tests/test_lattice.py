@@ -1,7 +1,6 @@
 """Classification, components and exhaustive verification of lattice laws."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -270,7 +269,7 @@ VERIFIERS = (verify_lemma_one, verify_theorem_limit, verify_theorem_str)
 @pytest.fixture
 def cold_caches():
     """Empty the multiarr memos before and after the test."""
-    memos = (lattice._region_table, multiarr2._unit_state, multiarr2._exponents, multiarr2._canonical_basis)
+    memos = (lattice._region_slot, multiarr2._unit_state, multiarr2._exponents, multiarr2._canonical_basis)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -280,16 +279,15 @@ def cold_caches():
 
 @pytest.fixture
 def steps(monkeypatch, cold_caches):
-    """Calls of multiarr2._unit_step (full steps) and _step_degrees (shell steps), by name."""
-    calls = Counter()
-    for name in ("_unit_step", "_step_degrees"):
-        real = getattr(multiarr2, name)
+    """A one-item list: the number of multiarr2._unit_step calls so far."""
+    calls = [0]
+    real = multiarr2._unit_step
 
-        def counted(alpha, k, state, name=name, real=real):
-            calls[name] += 1
-            return real(alpha, k, state)
+    def counted(alpha, k, state):
+        calls[0] += 1
+        return real(alpha, k, state)
 
-        monkeypatch.setattr(multiarr2, name, counted)
+    monkeypatch.setattr(multiarr2, "_unit_step", counted)
     return calls
 
 
@@ -310,7 +308,7 @@ def lattice_exponents(monkeypatch):
 class TestRegionTable:
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
     def test_table_and_shell_match_exponents(self, region):
-        table, shell = lattice._region_table(region)
+        table, shell = lattice._region_table(region, True)
         emap = oracles.exponent_map(region)
         assert table == emap
         steps = shell_steps(shell)
@@ -319,10 +317,18 @@ class TestRegionTable:
             assert g == exponents(region.arrangement, up(m, i)).delta, (m, i)
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_shell_added_later_matches_the_shell_walked_at_once(self, region, cold_caches):
+        table, shell = lattice._region_table(region, False)
+        assert shell is None
+        added = lattice._region_table(region, True)[1]
+        lattice._region_slot.cache_clear()
+        assert lattice._region_table(region, True) == (table, added)
+
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
     def test_reports_match_the_oracle(self, region, monkeypatch):
         got = [verify(region) for verify in VERIFIERS]
         # the same verifiers on the per-point map, an empty shell and the plain ascent
-        monkeypatch.setattr(lattice, "_region_table", lambda region: (oracles.exponent_map(region), {}))
+        monkeypatch.setattr(lattice, "_region_table", lambda region, shell: (oracles.exponent_map(region), {}))
         monkeypatch.setattr(lattice, "_ascend", lambda arr, m, **kw: oracles.ascend(arr, m))
         assert got == [verify(region) for verify in VERIFIERS]
 
@@ -347,7 +353,7 @@ class TestRegionTable:
     def test_ascents_past_the_shell_fall_back_to_exponents(self, region, calls, cold_caches, lattice_exponents):
         verify_theorem_str(region)
         assert len(lattice_exponents) == calls
-        table, shell = lattice._region_table(region)
+        table, shell = lattice._region_table(region, True)
         assert not any(m in table or lattice._shell_gap(shell, m) is not None for m in lattice_exponents)
 
     def test_exponent_map_is_a_fresh_dict(self):
@@ -360,21 +366,34 @@ class TestRegionTable:
 
 
 class TestStepCounts:
-    """The table makes one unit step per point past the first, and one shell step per shell point."""
+    """The table makes one unit step per point past the first; its shell reads one residue per gap."""
 
     REGION = LatticeRegion(b2(), (5, 5, 5, 5))
-    STEPS = {"_unit_step": 1295, "_step_degrees": 380}  # 1,296 points, 380 shell gaps
+    POINTS, SHELL = 1296, 380
+    CHAINS = 833  # points on the chains to the 269 points that hold shell gaps
 
-    def test_limit_on_b2_caps5(self, steps):
+    def test_limit_on_b2_caps5_walks_without_the_shell(self, steps):
         verify_theorem_limit(self.REGION)
-        points, shell = lattice._region_table(self.REGION)
-        assert (len(points) - 1, len(shell_steps(shell))) == (steps["_unit_step"], steps["_step_degrees"])
-        assert steps == self.STEPS
+        table, shell = lattice._region_table(self.REGION, False)
+        assert (len(table), shell) == (self.POINTS, None)
+        assert steps == [self.POINTS - 1]
+
+    def test_str_on_b2_caps5_adds_the_shell(self, steps):
+        verify_theorem_str(self.REGION)
+        assert len(shell_steps(lattice._region_table(self.REGION, True)[1])) == self.SHELL
+        assert steps == [self.POINTS - 1]
 
     def test_three_verifiers_share_one_table(self, steps):
+        """one and limit share a walk; str walks the shell's chains again, unless it came first."""
         for verify in VERIFIERS:
             assert verify(self.REGION).passed
-        assert steps == self.STEPS
+        assert steps == [self.POINTS - 1 + self.CHAINS]
+        assert len(multiarr2._shell_points(lattice._region_table(self.REGION, True)[0], (5,) * 4, None)) == self.CHAINS
+        steps[0] = 0
+        lattice._region_slot.cache_clear()
+        for verify in reversed(VERIFIERS):
+            assert verify(self.REGION).passed
+        assert steps == [self.POINTS - 1]
 
     @pytest.mark.parametrize(
         "region",

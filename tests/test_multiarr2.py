@@ -333,16 +333,6 @@ class TestOneRankSolver:
         assert calls == []
         assert got.pair == one_rank_exponents(arr, m) == scan_exponents(arr, m)
 
-    @given(case=multiarrangements(), i=st.integers(0, 5))
-    def test_step_degrees_match_the_unit_step(self, case, i):
-        """The degrees-only step of a lattice shell agrees with the full step."""
-        arr, m = case
-        i %= arr.h
-        state = multiarr2._unit_state(arr, m)
-        want = multiarr2._unit_step(arr.forms[i], m[i], state)[:2]
-        assert multiarr2._step_degrees(arr.forms[i], m[i], state) == want
-        assert want == exponents(arr, m[:i] + (m[i] + 1,) + m[i + 1 :]).pair
-
     @given(case=multiarrangements(), d=st.integers(0, 12))
     def test_rank_matches_sympy(self, case, d):
         sympy = pytest.importorskip("sympy")
