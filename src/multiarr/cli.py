@@ -41,9 +41,11 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # The slowest of the corners measured inside both budgets, each `lattice
-# --verify str` on a 2-core Xeon with CPython 3.11: the 17 lines x2 and
-# x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) took 24 s of wall time,
-# and b2_lines at caps 20,20,20,20 (194,481 points) 16 s.
+# --verify str` on a 2-core Xeon with CPython 3.11: b2_lines at caps
+# 20,20,20,20 (194,481 points) took 15 s of wall time, and the 17 lines x2
+# and x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) 9 s.  Under --total
+# the points are counted exactly: a2 at caps 103,103,103 with total 103
+# (192,920 points) took 11 s.
 POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 
@@ -161,13 +163,12 @@ def cmd_lattice(args, doc):
     _, arr, _ = _require_arr2(doc)
     caps = _parse_ints(args.caps, arr.h, "--caps")
     region = lattice.LatticeRegion(arr, caps, args.total)
-    if region.size_bound() > POINT_BUDGET:
-        raise ValueError(
-            f"region too large: about {region.size_bound()} points exceeds the "
-            f"budget of {POINT_BUDGET}"
-        )
+    # |m| first: it bounds the count of a region with --total
     top = sum(caps) if args.total is None else min(sum(caps), args.total)
     _check_mult_budget(top, "the largest |m| of the region")
+    size = region.size()
+    if size > POINT_BUDGET:
+        raise ValueError(f"region too large: {size} points exceeds the budget of {POINT_BUDGET}")
     verifier = {
         "one": lattice.verify_lemma_one,
         "limit": lattice.verify_theorem_limit,

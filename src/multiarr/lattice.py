@@ -14,6 +14,7 @@ read one table per region, walked by unit steps (see
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -64,9 +65,13 @@ class LatticeRegion:
             raise ValueError("total cap must be nonnegative")
 
     def points(self) -> Iterator[Multiplicity]:
-        for m in product(*(range(c + 1) for c in self.caps)):
-            if self.total is None or sum(m) <= self.total:
-                yield m
+        """The points in lexicographic order; with total, the prefixes are pruned by what is left of it."""
+        if self.total is None:
+            return product(*(range(c + 1) for c in self.caps))
+        pts = [((), self.total)]
+        for cap in self.caps:
+            pts = [(m + (v,), left - v) for m, left in pts for v in range(min(cap, left) + 1)]
+        return (m for m, _ in pts)
 
     def __contains__(self, m) -> bool:
         return (
@@ -75,11 +80,24 @@ class LatticeRegion:
             and (self.total is None or sum(m) <= self.total)
         )
 
-    def size_bound(self) -> int:
-        out = 1
-        for c in self.caps:
-            out *= c + 1
-        return out
+    def size(self) -> int:
+        """The number of points, counted without listing them.
+
+        With total, counts[s] is the number of prefixes of |m| = s, built one
+        cap at a time over s <= min(total, sum(caps)).
+        """
+        if self.total is None:
+            return math.prod(c + 1 for c in self.caps)
+        top = min(self.total, sum(self.caps))
+        counts = [1] + [0] * top
+        for cap in self.caps:
+            run = 0  # counts[s - cap] + ... + counts[s] before this cap
+            new = []
+            for s, n in enumerate(counts):
+                run += n - (counts[s - cap - 1] if s > cap else 0)
+                new.append(run)
+            counts = new
+        return sum(counts)
 
 
 class ComponentTag(Enum):
@@ -120,10 +138,12 @@ def classify(arr: Arrangement2, m: Sequence[int]) -> LatticeClassification:
 
 
 def _neighbours(m: Multiplicity) -> Iterator[Multiplicity]:
-    for i in range(len(m)):
+    """The neighbours of m in lexicographic order: m - e_i for i ascending, then m + e_i for i descending."""
+    for i, v in enumerate(m):
+        if v:
+            yield m[:i] + (v - 1,) + m[i + 1 :]
+    for i in range(len(m) - 1, -1, -1):
         yield m[:i] + (m[i] + 1,) + m[i + 1 :]
-        if m[i] > 0:
-            yield m[:i] + (m[i] - 1,) + m[i + 1 :]
 
 
 _ASCENT_LIMIT = 10_000
@@ -133,7 +153,9 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
     """Greedy gap-ascent inside the balanced nonzero-gap stratum.
 
     Ties go to the lexicographically smallest neighbour; the unique-peak
-    structure makes the endpoint independent of this choice.  The ascent
+    structure makes the endpoint independent of this choice.  Neighbours
+    are read in that order, so each step stops at the first balanced one
+    whose gap rises, and reads no gap past it.  The ascent
     is deterministic, so every point of a walk ascends to the walk's end:
     peaks maps each point already walked to its end, the walk stops at the
     first point it holds, and its own points are added.  gap maps a
@@ -149,7 +171,7 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
         if peak is None:
             walked.append(cur)
             dv = gap(cur)
-            best = min((nb for nb in _neighbours(cur) if _balanced(nb) and gap(nb) > dv), default=None)
+            best = next((nb for nb in _neighbours(cur) if _balanced(nb) and gap(nb) > dv), None)
             if best is not None:
                 cur = best
                 continue

@@ -33,9 +33,7 @@ from .exactalg import (
     LinearForm2,
     Matrix,
     canonical_coefficients,
-    binary_form_divides,
     divisibility_constraints,
-    _constraint_row,
     _divide_linear,
     _proportional_scalar,
 )
@@ -329,13 +327,18 @@ def _unit_step(alpha: LinearForm2, k: int, state):
     and s = a for alpha = x1.  Both pairs have determinant a nonzero
     multiple of alpha * det(theta1, theta2), so Saito's criterion makes
     them a basis.
+
+    Each c is one Horner pass over theta (see :func:`_residue`); c2 is read
+    only when c1 != 0.  Over Q every state is primitive, so alpha * theta
+    needs no gcd (Gauss's lemma); only the combination is divided by the
+    gcd of its entries.  Over GF(p) everything is reduced mod p.
     """
     p = alpha.field.char
     a, b = alpha.ints
     d1, d2, t1, t2 = state
     c1 = _residue(alpha, k, d1, t1)
     if not c1:
-        d2, t2 = d2 + 1, _normalise(p, _times_alpha(a, b, t2))
+        d2, t2 = d2 + 1, _times_alpha(a, b, p, t2)
     else:
         c2 = _residue(alpha, k, d2, t2)
         delta = d2 - d1
@@ -346,23 +349,53 @@ def _unit_step(alpha: LinearForm2, k: int, state):
             s, lifted = a, tuple(v + pad for v in t1)
         c1 *= pow(s, delta, p or None)
         combo = tuple(tuple(c1 * x - c2 * y for x, y in zip(v, w)) for v, w in zip(t2, lifted))
-        d1, t1, t2 = d1 + 1, _normalise(p, _times_alpha(a, b, t1)), _normalise(p, combo)
+        d1, t1, t2 = d1 + 1, _times_alpha(a, b, p, t1), _normalise(p, combo)
         if d1 > d2:
             d1, d2, t1, t2 = d2, d1, t2, t1
     return d1, d2, t1, t2
 
 
 def _residue(alpha: LinearForm2, k: int, d: int, theta) -> int:
-    """Row k of the degree-d divisibility rows applied to theta(alpha)."""
+    """Row k of the degree-d divisibility rows applied to theta(alpha), in one Horner pass.
+
+    Row k holds C(i, k) * (-b)^(i-k) * a^(d-i) at column i (see
+    exactalg.divisibility_constraints), so the residue is the Horner sum
+    acc = acc*a + C(i, k) * (-b)^(i-k) * (a*f[i] + b*g[i]) for i = k .. d,
+    with the binomial and the power of -b carried from one i to the next.
+    Over GF(p), acc and the power are reduced mod p at each i; the binomial
+    stays an exact int, since it is updated by a division.  It is 0 for
+    k > d, and b * g[d - k] for alpha = x2, whose row k is a unit row.
+    """
+    if k > d:
+        return 0
     a, b = alpha.ints
     f, g = theta
-    c = sum(r * (a * x + b * y) for r, x, y in zip(_constraint_row(alpha, k, d), f, g) if r)
     p = alpha.field.char
-    return c % p if p else c
+    if not a:
+        c = b * g[d - k]
+        return c % p if p else c
+    acc, comb, pb = 0, 1, 1  # the sum so far, C(i, k) and (-b)^(i-k)
+    if p:
+        for i in range(k, d + 1):
+            acc = (acc * a + comb * pb * (a * f[i] + b * g[i])) % p
+            comb = comb * (i + 1) // (i + 1 - k)
+            pb = -b * pb % p
+        return acc
+    for i in range(k, d + 1):
+        acc = acc * a + comb * pb * (a * f[i] + b * g[i])
+        comb = comb * (i + 1) // (i + 1 - k)
+        pb *= -b
+    return acc
 
 
-def _times_alpha(a: int, b: int, theta):
-    """alpha * theta for alpha = a*x1 + b*x2 (index i holds x1^i)."""
+def _times_alpha(a: int, b: int, p: int, theta):
+    """alpha * theta for alpha = a*x1 + b*x2 (index i holds x1^i), reduced mod p over GF(p).
+
+    Over Q no gcd is taken: alpha's ints are primitive, and so is every
+    unit-step state, so alpha * theta is primitive by Gauss's lemma.
+    """
+    if p:
+        return tuple(tuple((a * x + b * y) % p for x, y in zip((0,) + v, v + (0,))) for v in theta)
     return tuple(tuple(a * x + b * y for x, y in zip((0,) + v, v + (0,))) for v in theta)
 
 
@@ -458,11 +491,34 @@ def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> 
     division by alpha, independent of the rows the exponent solver uses.
     """
     mt = arr.check_multiplicity(m)
-    return [
-        alpha
-        for alpha, k in zip(arr.forms, mt)
-        if not binary_form_divides(alpha, k, theta.apply_to_linear(alpha))
-    ]
+    if theta.field != arr.field:
+        raise TypeError("mixed-field operands")
+    return [alpha for alpha, k in zip(arr.forms, mt) if not _divides_image(alpha, k, theta)]
+
+
+def _divides_image(alpha: LinearForm2, k: int, theta: Derivation2) -> bool:
+    """binary_form_divides(alpha, k, theta.apply_to_linear(alpha)), on one int vector.
+
+    theta(alpha) = a*f + b*g is formed as u*f.ints + v*g.ints, a multiple of
+    it by the nonzero int cf.den * cg.den over Q (cf, cg the contents), and
+    as residues over GF(p); no BinaryForm is built.
+    """
+    if k == 0:
+        return True
+    a, b = alpha.ints
+    f, g = theta.f, theta.g
+    p = alpha.field.char
+    if p:
+        image = [(a * x + b * y) % p for x, y in zip(f.ints, g.ints)]
+    else:
+        cf, cg = f.content, g.content
+        u, v = a * cf.numerator * cg.denominator, b * cg.numerator * cf.denominator
+        image = [u * x + v * y for x, y in zip(f.ints, g.ints)]
+    if not any(image):
+        return True
+    if k > theta.degree:
+        return False
+    return _divide_linear(alpha, k, image) is not None
 
 
 def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, theta2: Derivation2):

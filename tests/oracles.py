@@ -21,7 +21,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from multiarr.exactalg import _render_terms
-from multiarr.lattice import _ASCENT_LIMIT, _neighbours
+from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import exponents, is_balanced
 
 
@@ -253,19 +253,30 @@ def exponent_map(region) -> dict:
     return {m: exponents(region.arrangement, m) for m in region.points()}
 
 
-def ascend(arr, m):
-    """Greedy gap-ascent to the peak, reading exponents at every step.
+def neighbours(m) -> set:
+    """The points at L1 distance one from m with no negative entry."""
+    return {m[:i] + (m[i] + s,) + m[i + 1 :] for i in range(len(m)) for s in (-1, 1) if m[i] + s >= 0}
 
-    Ties go to the lexicographically smallest neighbour.
+
+def ascent_path(arr, m) -> list:
+    """The points of the greedy gap-ascent from m, ending at the peak, reading exponents at every step.
+
+    Each step reads every neighbour; ties go to the lexicographically smallest.
     """
-    cur = m
+    path = [m]
     for _ in range(_ASCENT_LIMIT):
+        cur = path[-1]
         dv = exponents(arr, cur).delta
         best = min(
-            (nb for nb in _neighbours(cur) if is_balanced(arr, nb) and exponents(arr, nb).delta > dv),
+            (nb for nb in neighbours(cur) if is_balanced(arr, nb) and exponents(arr, nb).delta > dv),
             default=None,
         )
         if best is None:
-            return cur
-        cur = best
+            return path
+        path.append(best)
     raise RuntimeError(f"gap ascent from {m} did not terminate within {_ASCENT_LIMIT} steps")
+
+
+def ascend(arr, m):
+    """The peak that the greedy gap-ascent from m reaches (see :func:`ascent_path`)."""
+    return ascent_path(arr, m)[-1]

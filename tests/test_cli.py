@@ -349,6 +349,23 @@ class TestLatticeCommand:
         assert code == EXIT_USAGE
         assert "too large" in err
 
+    def test_region_budget_counts_the_points_under_total(self, capsys):
+        """With --total the budget reads the exact count, not the box of the caps."""
+        argv = ("lattice", corpus_file("b2_lines"), "--caps", "30,30,30,30", "--verify", "limit")
+        code, out, _ = run(capsys, *argv, "--total", "10")  # 1,001 points in a box of 923,521
+        assert code == EXIT_OK and "verdict: PASS" in out
+        code, out, err = run(capsys, *argv, "--total", "100")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "region too large: 914666 points exceeds the budget of 200000" in err
+
+    @pytest.mark.parametrize("budget, code", [(20, EXIT_OK), (19, EXIT_USAGE)])
+    def test_region_budget_edge(self, capsys, monkeypatch, budget, code):
+        monkeypatch.setattr(cli, "POINT_BUDGET", budget)
+        argv = ("lattice", corpus_file("a2"), "--caps", "4,4,4", "--total", "3", "--verify", "one")
+        got, _, err = run(capsys, *argv)  # 20 points
+        assert got == code
+        assert ("region too large: 20 points exceeds the budget of 19" in err) == (code == EXIT_USAGE)
+
     def test_mult_budget(self, capsys):
         argv = ("lattice", corpus_file("a2"), "--caps", "100,100,0", "--verify", "one")
         code, _, err = run(capsys, *argv)

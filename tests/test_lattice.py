@@ -1,6 +1,8 @@
 """Classification, components and exhaustive verification of lattice laws."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -132,8 +134,23 @@ class TestEnumeration:
         with pytest.raises(exc, match=match):
             LatticeRegion(a2(), caps, total)
 
-    def test_size_bound(self):
-        assert LatticeRegion(a2(), (4, 4, 4)).size_bound() == 125
+    def test_size(self):
+        assert LatticeRegion(a2(), (4, 4, 4)).size() == 125
+        assert LatticeRegion(a2(), (4, 4, 4), 3).size() == 20
+        assert LatticeRegion(a2(), (4, 4, 4), 100).size() == 125
+
+    def test_total_prunes_in_lexicographic_order(self):
+        """points() under a total equals the filtered box, and size() counts it."""
+        rng = random.Random(11)
+        for _ in range(40):
+            h = rng.randint(1, 5)
+            arr = Arrangement2(QQ, RATIONAL_LINES[:h])
+            caps = tuple(rng.randint(0, 4) for _ in range(h))
+            total = rng.choice([None, rng.randint(0, sum(caps) + 1)])
+            region = LatticeRegion(arr, caps, total)
+            want = [m for m in product(*(range(c + 1) for c in caps)) if total is None or sum(m) <= total]
+            assert list(region.points()) == want, (caps, total)
+            assert region.size() == len(want), (caps, total)
 
 
 class TestLemmaOne:
@@ -348,6 +365,47 @@ class TestRegionTable:
         assert set(peaks) == members
         for m, peak in peaks.items():
             assert peak == oracles.ascend(arr, m), m
+
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_early_exit_ascent_walks_the_plain_path(self, region):
+        """Stopping at the first rising neighbour in lexicographic order takes the neighbour min() takes."""
+        arr = region.arrangement
+        for m, e in oracles.exponent_map(region).items():
+            if e.delta and multiarr2.is_balanced(arr, m):
+                peaks = {}
+                path = oracles.ascent_path(arr, m)
+                assert lattice._ascend(arr, m, peaks) == path[-1], m
+                assert peaks == dict.fromkeys(path, path[-1]), m
+
+    def test_ascent_skips_an_unbalanced_neighbour_that_rises(self):
+        """A true gap never rises into the unbalanced cone, so a made-up gap map tests the balance check."""
+        def gap(mu):
+            return 10 - lattice_distance(mu, (0, 1, 0))
+
+        # (0, 1, 0) is the first neighbour of (1, 1, 0) and the only one that rises, but it is unbalanced
+        assert lattice._ascend(a2(), (1, 1, 0), {}, gap=gap) == (1, 1, 0)
+
+    def test_neighbours_come_in_lexicographic_order(self):
+        for m in [(0,), (2,), (0, 0, 0), (1, 0, 2), (3, 1, 0, 1)]:
+            assert list(lattice._neighbours(m)) == sorted(oracles.neighbours(m)), m
+
+    @pytest.mark.parametrize("region", [r for r in TABLE_REGIONS if not r.arrangement.field.char], ids=region_id)
+    def test_states_over_q_are_primitive(self, region, monkeypatch, cold_caches):
+        """Every unit-step state is primitive, so alpha * theta needs no gcd (Gauss's lemma)."""
+        states = []
+        real = multiarr2._unit_step
+
+        def recorded(alpha, k, state):
+            states.append(real(alpha, k, state))
+            return states[-1]
+
+        monkeypatch.setattr(multiarr2, "_unit_step", recorded)
+        lattice._region_table(region, True)
+        arr = region.arrangement
+        states += [multiarr2._unit_state(arr, m) for m in region.points()]
+        assert len(states) > region.size()
+        for d1, d2, t1, t2 in states:
+            assert math.gcd(*t1[0], *t1[1]) == math.gcd(*t2[0], *t2[1]) == 1, (d1, d2, t1, t2)
 
     @pytest.mark.parametrize("region, calls", FALLBACK_REGIONS, ids=[region_id(r) for r, _ in FALLBACK_REGIONS])
     def test_ascents_past_the_shell_fall_back_to_exponents(self, region, calls, cold_caches, lattice_exponents):

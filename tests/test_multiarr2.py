@@ -1,13 +1,24 @@
 """Exponents, bases and the determinant criterion for 2-multiarrangements."""
 
+import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from multiarr import multiarr2
-from multiarr.exactalg import GF, QQ, BinaryForm, LinearForm2, Matrix, binary_form_divides, divisibility_constraints
+from multiarr.exactalg import (
+    GF,
+    QQ,
+    BinaryForm,
+    LinearForm2,
+    Matrix,
+    _constraint_row,
+    binary_form_divides,
+    divisibility_constraints,
+)
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
@@ -379,6 +390,52 @@ class TestUnitSteps:
         assert [exponents(arr, m).pair for arr, m in cases] == before
 
 
+def residue_by_row(alpha, k, d, theta) -> int:
+    """Oracle: row k of the degree-d divisibility rows, as exactalg builds them, applied to theta(alpha)."""
+    a, b = alpha.ints
+    f, g = theta
+    c = sum(r * (a * x + b * y) for r, x, y in zip(_constraint_row(alpha, k, d), f, g))
+    p = alpha.field.char
+    return c % p if p else c
+
+
+def residue_alphas(field, rng) -> list:
+    """x1, x2, lines a*x1 + b*x2, and stand-ins whose ints are not in canonical form."""
+    p = field.char
+    out = [LinearForm2(field, 1, 0), LinearForm2(field, 0, 1)]
+    out += [LinearForm2(field, 1, t) for t in (range(1, p) if 0 < p < 8 else (1, -1, 2, -3, 10**12 + 39))]
+    if not p:
+        out += [LinearForm2(field, a, b) for a, b in ((2, 3), (-5, 7), (3, -4))]
+    # the formula holds for any ints a, b; the stand-ins reach its factors of a and b
+    pairs = [(0, 3), (0, -2), (2, 0), (4, 6), (-3, 5), (rng.randint(-99, 99), rng.randint(1, 99))]
+    ints = [(a % p, b % p) if p else (a, b) for a, b in pairs]
+    out += [SimpleNamespace(field=field, ints=ab) for ab in ints if any(ab)]
+    return out
+
+
+class TestHornerResidue:
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_matches_the_constraint_row(self, field):
+        """_residue equals row k of divisibility_constraints on theta(alpha), for k from 0 to d + 2."""
+        rng = random.Random(field.char + 1)
+        p = field.char
+        cases = 0
+        for alpha in residue_alphas(field, rng):
+            for d in range(9):
+                for _ in range(3):
+                    big = rng.random() < 0.3
+                    theta = tuple(
+                        tuple(rng.randrange(p) if p else rng.randint(-(10**20), 10**20) if big else rng.randint(-9, 9)
+                              for _ in range(d + 1))
+                        for _ in range(2)
+                    )
+                    for k in range(d + 3):
+                        want = residue_by_row(alpha, k, d, theta)
+                        assert multiarr2._residue(alpha, k, d, theta) == want, (alpha.ints, k, d, theta)
+                        cases += 1
+        assert cases > 1000
+
+
 def kernel_bases(arr, m):
     """Oracle: the canonical basis as kernel vectors of the tangency systems.
 
@@ -492,6 +549,42 @@ class TestSaitoCriterion:
         assert type(got[1]) is type(scalar) and str(got[1]) == str(scalar)
         if tamper is None:
             assert tangent and scalar
+
+    @given(case=multiarrangements(), tamper=st.none() | st.tuples(st.integers(0, 1), st.integers(0, 40)), data=st.data())
+    def test_untangent_forms_match_division_of_the_form(self, case, tamper, data):
+        """untangent_forms on one int vector against binary_form_divides on theta.apply_to_linear(alpha)."""
+        arr, m = case
+        assume(sum(m))
+        theta = basis(arr, m)[data.draw(st.integers(0, 1))]
+        if tamper is not None:
+            theta = tampered(theta, *tamper)
+        want = [alpha for alpha, k in zip(arr.forms, m) if not binary_form_divides(alpha, k, theta.apply_to_linear(alpha))]
+        assert untangent_forms(arr, m, theta) == want
+        if tamper is None:
+            assert want == []
+
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_untangent_forms_with_contents(self, field):
+        """f and g with different contents, a zero part, and one tampered coefficient."""
+        p = field.char
+        arr = Arrangement2(field, [(1, 0), (0, 1), (1, 1)] + ([(1, 2)] if p != 2 else []))
+        cf, cg = (field(p - 1), field(1)) if p else (field(3) / field(5), field(7) / field(4))
+        for m in [(2, 2, 1, 0), (0, 0, 3, 2), (1, 1, 1, 1), (3, 0, 0, 1)]:
+            m = m[: arr.h]
+            if not sum(m):
+                continue
+            theta1, theta2 = basis(arr, m)
+            for theta in (theta1, theta2):
+                scaled = Derivation2(theta.f.scaled(cf), theta.g.scaled(cg))
+                variants = [theta, scaled, Derivation2(theta.f, BinaryForm.zero(field, theta.degree))]
+                variants += [tampered(v, part, i) for v in variants[:2] for part in (0, 1) for i in range(theta.degree + 1)]
+                for v in variants:
+                    want = [a for a, k in zip(arr.forms, m) if not binary_form_divides(a, k, v.apply_to_linear(a))]
+                    assert untangent_forms(arr, m, v) == want, (m, v)
+
+    def test_untangent_forms_refuses_mixed_fields(self):
+        with pytest.raises(TypeError, match="mixed-field"):
+            untangent_forms(Arrangement2(GF(3), [(1, 0), (0, 1)]), (1, 1), Derivation2.euler(QQ))
 
     @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
     def test_one_tampered_coefficient(self, field):
