@@ -198,23 +198,9 @@ class CentralLattice3:
     rank2: tuple  # Rank2Flat, deterministic order
     origin_mu: int | None  # None when the arrangement has rank < 3
 
-    ambient_mu = 1  # the whole space, the unique minimum
-
     @property
     def h(self) -> int:
         return self.arrangement.h
-
-    @property
-    def hyperplane_mus(self) -> tuple:
-        return (-1,) * self.h
-
-    def mobius_sum(self) -> int:
-        return (
-            self.ambient_mu
-            + sum(self.hyperplane_mus)
-            + sum(f.mu for f in self.rank2)
-            + (self.origin_mu or 0)
-        )
 
     def char_poly(self) -> CharPoly:
         lin = sum(f.mu for f in self.rank2)

@@ -171,6 +171,7 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
         if peak is None:
             walked.append(cur)
             dv = gap(cur)
+            # never false on exact gaps (see verify_theorem_str), but keeps a faulty gap map out of the unbalanced cone
             best = next((nb for nb in _neighbours(cur) if _balanced(nb) and gap(nb) > dv), None)
             if best is not None:
                 cur = best
@@ -186,6 +187,7 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
 
 
 def _ball_offsets(ncoords: int, budget: int):
+    """The offsets of L1 norm at most budget, in lexicographic order."""
     if ncoords == 0:
         yield ()
         return
@@ -197,24 +199,20 @@ def _ball_offsets(ncoords: int, budget: int):
 def _ball_shape(shapes: dict, ncoords: int, radius: int):
     """(inner, sphere): the offsets of L1 norm below radius and of norm radius.
 
-    Both lists keep the order of _ball_offsets.  shapes holds them by radius
-    for one caller, so each is built once per radius per call.
+    One pass of _ball_offsets fills both, in its order.  shapes holds them
+    by radius for one caller, so each is built once per radius per call.
     """
     got = shapes.get(radius)
     if got is None:
-        inner = list(_ball_offsets(ncoords, radius - 1))
-        sphere = [off for off in _ball_offsets(ncoords, radius) if sum(map(abs, off)) == radius]
-        got = shapes[radius] = inner, sphere
+        got = shapes[radius] = [], []  # inner, sphere
+        for off in _ball_offsets(ncoords, radius):
+            got[sum(map(abs, off)) == radius].append(off)
     return got
 
 
 def _open_ball(center: Multiplicity, radius: int, shapes: dict) -> list[Multiplicity]:
-    out = []
-    for off in _ball_shape(shapes, len(center), radius)[0]:
-        pt = tuple(c + o for c, o in zip(center, off))
-        if all(v >= 0 for v in pt):
-            out.append(pt)
-    return sorted(out)
+    pts = (tuple(c + o for c, o in zip(center, off)) for off in _ball_shape(shapes, len(center), radius)[0])
+    return [pt for pt in pts if all(v >= 0 for v in pt)]
 
 
 def _ball_failures(peak: Multiplicity, radius: int, gap, shapes: dict) -> list:
@@ -383,7 +381,6 @@ class LimitReport:
     maximizers: list  # balanced m with delta == h - 2
     parity_failures: list
     char_warning: str | None
-    notes: list = dc_field(default_factory=list)
 
     @property
     def hypothesis_met(self) -> bool:
@@ -415,7 +412,7 @@ def verify_theorem_limit(region: LatticeRegion) -> LimitReport:
                 violations.append((m, e.delta))
             elif e.delta == h - 2:
                 maximizers.append(m)
-    report = LimitReport(
+    return LimitReport(
         region,
         len(emap),
         balanced_count,
@@ -424,9 +421,6 @@ def verify_theorem_limit(region: LatticeRegion) -> LimitReport:
         sorted(parity_failures),
         char_warning(arr.field, _CHAR_CONSEQUENCE),
     )
-    if h <= 2:
-        report.notes.append("arrangement has h <= 2; the bound hypothesis needs h > 2")
-    return report
 
 
 @dataclass(frozen=True)
@@ -446,7 +440,7 @@ class StrReport:
     clipped: list  # (peak, delta, members_in_region) for balls leaving the region
     failures: list  # human-readable findings
     char_warning: str | None
-    notes: list = dc_field(default_factory=list)
+    notes: list = dc_field(default_factory=list)  # always empty (see verify_theorem_str); the JSON keeps it
 
     @property
     def hypothesis_met(self) -> bool:
@@ -460,12 +454,17 @@ class StrReport:
 def _ball_enclosed(region: LatticeRegion, peak: Multiplicity, radius: int) -> bool:
     if any(p + radius > c for p, c in zip(peak, region.caps)):
         return False
-    if region.total is not None and sum(peak) + radius > region.total:
-        return False
-    return peak in region
+    return region.total is None or sum(peak) + radius <= region.total
 
 
 def verify_theorem_str(region: LatticeRegion) -> StrReport:
+    """Check that each finite component the region encloses is the open ball around its peak.
+
+    Components join balanced points only, and need no more: a balanced m of nonzero gap has only
+    balanced neighbours.  Else a line H0 carries exactly |m|/2 at m, where a theta with
+    theta(alpha_H0) = 0 is f*D, D(alpha_H0) = 0, with prod_{H != H0} alpha_H^m(H) dividing f, and
+    any other theta has alpha_H0^(|m|/2) dividing theta(alpha_H0); so d1 = d2 = |m|/2, in every field.
+    """
     arr = region.arrangement
     # the walk with the shell comes first, so that exponent_map reads its table
     shell = _region_table(region, True)[1]
@@ -489,7 +488,6 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
     components = []
     clipped = []
     failures = []
-    notes = []
     for peak in sorted(groups):
         members = sorted(groups[peak])
         radius = gap(peak)
@@ -498,20 +496,10 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
             continue
         ball = _open_ball(peak, radius, shapes)
         found = []
-        if set(ball) != set(members):
+        if ball != members:
             found.append(f"component of {peak}: members {members} differ from the open ball {ball}")
         found += _ball_failures(peak, radius, gap, shapes)
         failures += found
-        # connectivity reading (see the docstring): note when a member is
-        # adjacent to an unbalanced nonzero-gap point, which would merge
-        # components under adjacency inside the bigger stratum
-        for m in members:
-            for nb in _neighbours(m):
-                if nb in emap and emap[nb].delta != 0 and not _balanced(nb):
-                    notes.append(
-                        f"member {m} of peak {peak} is adjacent to unbalanced {nb}; "
-                        "adjacency inside the full nonzero-gap stratum would differ"
-                    )
         components.append(ComponentVerification(peak, radius, len(members), not found))
     return StrReport(
         region,
@@ -519,5 +507,4 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
         sorted(clipped),
         failures,
         char_warning(arr.field, _CHAR_CONSEQUENCE),
-        notes,
     )

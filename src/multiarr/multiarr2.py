@@ -256,13 +256,13 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bo
     m[:i + 1] followed by zeros, so only the states of the current path
     are kept.  The table shares one Exponents2 per degree pair.
 
-    With shell, gaps[m][i], for m balanced with a nonzero gap, is the gap
-    at m + e_i when that point is balanced and outside the region (past
-    cap i or past total), and None otherwise; these are the outside points
-    a gap ascent from inside the region reads.  The first residue c1 of
-    the step from m decides it (see :func:`_unit_step`): c1 = 0 raises
-    d2, so the gap grows by one; otherwise d1 rises, and as d1 < d2 at m,
-    the gap falls by one.  Without shell, gaps is None.
+    With shell, gaps[m][i], for m balanced with a nonzero gap, is the gap at
+    m + e_i when that point is outside the region (past cap i or past total),
+    and None otherwise; these are the outside points a gap ascent from inside
+    the region reads, all balanced (see lattice.verify_theorem_str).  The
+    first residue c1 of the step from m decides it (see :func:`_unit_step`):
+    c1 = 0 raises d2, so the gap grows by one; otherwise d1 rises, and as
+    d1 < d2 at m, the gap falls by one.  Without shell, gaps is None.
     """
     forms, h = arr.forms, len(caps)
     path = [_BASE_STATE] * h
@@ -284,8 +284,7 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bo
         if out:
             row = [None] * h
             for i in out:
-                if _balanced(m[:i] + (m[i] + 1,) + m[i + 1 :]):
-                    row[i] = d2 - d1 + (-1 if _residue(forms[i], m[i], d1, state[2]) else 1)
+                row[i] = d2 - d1 + (-1 if _residue(forms[i], m[i], d1, state[2]) else 1)
             gaps[m] = tuple(row)
     return table, gaps
 

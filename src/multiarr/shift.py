@@ -196,7 +196,6 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     hypothesis = "h=3 and m0-1 balanced" if h == 3 else "h>=4"
 
     theta0 = lower_degree_basis(arr, mt)
-    d = theta0.degree
 
     if h <= _EXHAUSTIVE_H:
         shifts = [tuple(bits) for bits in _binary_tuples(h)]
@@ -209,13 +208,12 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
         shifts = sorted(seen)
         mode = f"sampled({_SAMPLED_SHIFTS})"
 
-    degree_identity_ok = True
+    # |m0 + m - 1| = 2 d1 + |m| - 2 for every shift m iff |m0| = 2 d1 + h - 2
+    degree_identity_ok = sum(mt) == 2 * theta0.degree + h - 2
     checks = []
     field = arr.field
     for m in shifts:
         target = tuple(a + b - 1 for a, b in zip(mt, m))
-        if sum(target) != 2 * d + sum(m) - 2:
-            degree_identity_ok = False
         if sum(m) == 0:
             pair = (Derivation2.coordinate(arr.field, 0), Derivation2.coordinate(arr.field, 1))
         else:

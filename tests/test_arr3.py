@@ -246,13 +246,6 @@ class TestIntersectionLattice:
         if pencil:
             assert lat.origin_mu is None
 
-    def test_mobius_values_sum_to_zero(self):
-        for arr in map(arrangement, ("boolean3", "braid3", "generic4", "near_pencil5")):
-            lat = intersection_lattice(arr)
-            assert lat.ambient_mu == 1
-            assert lat.hyperplane_mus == (-1,) * arr.h
-            assert lat.mobius_sum() == 0
-
 
 class TestCharPoly:
     def test_boolean_cube(self):

@@ -105,6 +105,32 @@ class TestComponents:
             component_of(a2(), (5, 1, 1))
 
 
+def two_pass_shape(ncoords, radius):
+    """(inner, sphere) as two passes of _ball_offsets build them: radius - 1, then radius filtered by norm."""
+    inner = list(lattice._ball_offsets(ncoords, radius - 1))
+    sphere = [off for off in lattice._ball_offsets(ncoords, radius) if sum(map(abs, off)) == radius]
+    return inner, sphere
+
+
+class TestBallOrder:
+    """The open ball comes out sorted without a sort, because _ball_offsets yields lexicographic order."""
+
+    SHAPES = [(n, r) for n in range(1, 6) for r in range(6)]
+
+    @pytest.mark.parametrize("ncoords, radius", SHAPES)
+    def test_one_pass_shape_equals_two_passes(self, ncoords, radius):
+        assert lattice._ball_shape({}, ncoords, radius) == two_pass_shape(ncoords, radius)
+
+    @pytest.mark.parametrize("ncoords, radius", SHAPES)
+    def test_open_ball_is_sorted(self, ncoords, radius):
+        rng = random.Random(ncoords * 10 + radius)
+        centers = [(0,) * ncoords, (radius,) * ncoords, tuple(rng.randint(0, radius + 1) for _ in range(ncoords))]
+        for center in centers:
+            box = product(*(range(max(0, c - radius), c + radius + 1) for c in center))
+            want = sorted(pt for pt in box if lattice_distance(pt, center) < radius)
+            assert lattice._open_ball(center, radius, {}) == want, center
+
+
 class TestEnumeration:
     def test_lex_order(self):
         region = LatticeRegion(Arrangement2(QQ, [(1, 0), (0, 1)]), (1, 1))
@@ -228,14 +254,14 @@ RATIONAL_LINES = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, 
 MAX_CAP = {3: 5, 4: 3, 5: 2}  # keeps each seeded region near 200 points or fewer
 
 
-def seeded_regions():
-    """Three seeded small regions over each field, each drawn with and without a bound on |m|."""
-    rng = random.Random(7)
+def seeded_regions(fields=TABLE_FIELDS, per_field=3, seed=7):
+    """per_field seeded small regions over each field, each drawn with and without a bound on |m|."""
+    rng = random.Random(seed)
     out = []
-    for field in TABLE_FIELDS:
+    for field in fields:
         p = field.char
         pool = [(0, 1)] + [(1, t) for t in range(p)] if 0 < p < 8 else RATIONAL_LINES
-        for _ in range(3):
+        for _ in range(per_field):
             h = rng.randint(3, min(5, len(pool)))
             arr = Arrangement2(field, rng.sample(pool, h))
             caps = tuple(rng.randint(1, MAX_CAP[h]) for _ in range(h))
@@ -421,6 +447,51 @@ class TestRegionTable:
         emap.pop((2, 2, 2, 2))
         assert lattice.exponent_map(region) == oracles.exponent_map(region)
         assert lattice.exponent_map(region) is not lattice.exponent_map(region)
+
+
+WALL_REGIONS = seeded_regions((QQ, GF(2), GF(3), GF(7), GF(2**31 - 1)), per_field=10, seed=20)
+
+
+def on_wall(m):
+    """Whether some line carries exactly half of |m|."""
+    return 2 * max(m) == sum(m)
+
+
+class TestWallLemma:
+    """Where a line carries exactly |m|/2 the exponents are (|m|/2, |m|/2), in every characteristic.
+
+    So a balanced point of nonzero gap has only balanced neighbours: the str
+    verifier looks for no wider adjacency, and the shell of _region_walk
+    holds every outward neighbour of such a point without a balance test.
+    """
+
+    @pytest.mark.parametrize("region", WALL_REGIONS, ids=region_id)
+    def test_wall_points_have_gap_zero(self, region):
+        for m, e in lattice.exponent_map(region).items():
+            if on_wall(m):
+                assert (e.d1, e.d2) == (sum(m) // 2, sum(m) // 2), m
+
+    @pytest.mark.parametrize("region", WALL_REGIONS, ids=region_id)
+    def test_balanced_nonzero_gaps_have_only_balanced_neighbours(self, region):
+        arr = region.arrangement
+        emap = lattice.exponent_map(region)
+        for m, e in emap.items():
+            if e.delta and multiarr2.is_balanced(arr, m):
+                for nb in oracles.neighbours(m) & emap.keys():
+                    assert multiarr2.is_balanced(arr, nb), (m, nb)
+
+    def test_the_regions_reach_the_wall(self):
+        """Both tests above read many points: nonzero wall points, and balanced pairs off the wall."""
+        walls = pairs = 0
+        for region in WALL_REGIONS:
+            emap = lattice.exponent_map(region)
+            walls += sum(1 for m in emap if any(m) and on_wall(m))
+            pairs += sum(
+                len(oracles.neighbours(m) & emap.keys())
+                for m, e in emap.items()
+                if e.delta and multiarr2.is_balanced(region.arrangement, m)
+            )
+        assert walls > 1000 and pairs > 5000, (walls, pairs)  # 1,561 and 7,138
 
 
 class TestStepCounts:
