@@ -42,10 +42,10 @@ EXIT_INTERNAL = 4
 
 # The slowest of the corners measured inside both budgets, each `lattice
 # --verify str` on a 2-core Xeon with CPython 3.11: b2_lines at caps
-# 20,20,20,20 (194,481 points) took 15 s of wall time, and the 17 lines x2
-# and x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) 9 s.  Under --total
-# the points are counted exactly: a2 at caps 103,103,103 with total 103
-# (192,920 points) took 11 s.
+# 20,20,20,20 (194,481 points) took 12-16 s of wall time, and the 17 lines
+# x2 and x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) 9-10 s.  Under
+# --total the points are counted exactly: a2 at caps 103,103,103 with total
+# 103 (192,920 points) took 8-11 s.
 POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 

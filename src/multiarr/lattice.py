@@ -2,14 +2,16 @@
 
 Multiplicities (tuples of nonnegative integers) are classified by their
 exponent gap: gap zero, finite component (balanced, nonzero gap) or the
-infinite cone where one hyperplane outweighs all others.  Finite
-components are explored via greedy gap-ascent to their unique peak, and
-exhaustive scans over finite regions machine-check the structural laws:
-adjacent gaps differ by exactly one, balanced gaps are bounded by h - 2,
-and each fully-enclosed component is the open L1-ball around its peak
-with the linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans
-read one table per region, walked by unit steps (see
-:func:`_region_table`).
+infinite cone where one hyperplane outweighs all others.  Exhaustive
+scans over finite regions machine-check the structural laws: adjacent
+gaps differ by exactly one, balanced gaps are bounded by h - 2, and each
+fully-enclosed component is the open L1-ball around its peak with the
+linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans read one
+table per region, walked by unit steps (see :func:`_region_table`).  The
+structure scan joins the stratum into components in one pass over that
+table and checks the law on the members of each (see
+:func:`_ball_failures`); only a component clipped by the region takes a
+greedy gap-ascent to its peak, from its highest point.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _neighbours(m: Multiplicity) -> Iterator[Multiplicity]:
 _ASCENT_LIMIT = 10_000
 
 
-def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multiplicity:
+def _ascend(m: Multiplicity, peaks: dict, gap) -> Multiplicity:
     """Greedy gap-ascent inside the balanced nonzero-gap stratum.
 
     Ties go to the lexicographically smallest neighbour; the unique-peak
@@ -159,11 +161,8 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
     is deterministic, so every point of a walk ascends to the walk's end:
     peaks maps each point already walked to its end, the walk stops at the
     first point it holds, and its own points are added.  gap maps a
-    multiplicity to its exponent gap (by default through exponents).
+    multiplicity to its exponent gap.
     """
-    if gap is None:
-        def gap(mu):
-            return exponents(arr, mu).delta
     walked = []
     cur = m
     for _ in range(_ASCENT_LIMIT):
@@ -186,61 +185,25 @@ def _ascend(arr: Arrangement2, m: Multiplicity, peaks: dict, gap=None) -> Multip
     )
 
 
-def _ball_offsets(ncoords: int, budget: int):
-    """The offsets of L1 norm at most budget, in lexicographic order."""
-    if ncoords == 0:
-        yield ()
-        return
-    for v in range(-budget, budget + 1):
-        for rest in _ball_offsets(ncoords - 1, budget - abs(v)):
-            yield (v,) + rest
-
-
-def _ball_shape(shapes: dict, ncoords: int, radius: int):
-    """(inner, sphere): the offsets of L1 norm below radius and of norm radius.
-
-    One pass of _ball_offsets fills both, in its order.  shapes holds them
-    by radius for one caller, so each is built once per radius per call.
-    """
-    got = shapes.get(radius)
-    if got is None:
-        got = shapes[radius] = [], []  # inner, sphere
-        for off in _ball_offsets(ncoords, radius):
-            got[sum(map(abs, off)) == radius].append(off)
-    return got
-
-
-def _open_ball(center: Multiplicity, radius: int, shapes: dict) -> list[Multiplicity]:
-    pts = (tuple(c + o for c, o in zip(center, off)) for off in _ball_shape(shapes, len(center), radius)[0])
-    return [pt for pt in pts if all(v >= 0 for v in pt)]
-
-
-def _ball_failures(peak: Multiplicity, radius: int, gap, shapes: dict) -> list:
+def _ball_failures(peak: Multiplicity, radius: int, members: dict, gap) -> list:
     """Findings against the open-ball law of the component peaked at peak.
 
-    Every member of the open ball of the given radius must be balanced with
-    gap(mu) = radius - d(peak, mu); every point of the sphere at that
-    radius must leave the balanced nonzero-gap stratum.  gap maps a
-    multiplicity to its exponent gap; shapes is the caller's dict for
-    :func:`_ball_shape`.
+    members holds the component, the peak among them, in the order the
+    findings take.  Every member must have gap(mu) = radius - d(peak, mu),
+    so the members lie inside the open ball of that radius.  Every
+    neighbour of a member whose wanted gap is above 1 must be a member, so,
+    by induction outward from the peak, the ball lies inside the members.
     """
     failures = []
-    for mu in _open_ball(peak, radius, shapes):
+    outside = {}  # ball points that are not members, in the order found
+    for mu in members:
         want = radius - lattice_distance(peak, mu)
-        if gap(mu) != want:
-            failures.append(f"gap law fails at {mu}: gap {gap(mu)} != {want} (peak {peak})")
-        if not _balanced(mu):
-            failures.append(f"ball member {mu} of peak {peak} is not balanced")
-    for off in _ball_shape(shapes, len(peak), radius)[1]:
-        mu = tuple(p + o for p, o in zip(peak, off))
-        if any(v < 0 for v in mu):
-            continue
-        if gap(mu) != 0 and _balanced(mu):
-            failures.append(
-                f"boundary point {mu} at distance {radius} from peak {peak} "
-                "is still in the balanced nonzero-gap stratum"
-            )
-    return failures
+        got = gap(mu)
+        if got != want:
+            failures.append(f"gap law fails at {mu}: gap {got} != {want} (peak {peak})")
+        if want > 1:
+            outside.update(dict.fromkeys(nb for nb in _neighbours(mu) if nb not in members))
+    return failures + [f"ball point {nb} is not in the component of {peak}" for nb in outside]
 
 
 @dataclass(frozen=True)
@@ -259,27 +222,34 @@ class ComponentReport:
 def component_of(arr: Arrangement2, m: Sequence[int]) -> ComponentReport:
     """Explore the finite component containing m.
 
-    Walks uphill to the peak, then re-verifies the open-ball law around it
-    (the linear gap law and balance at every member, the boundary sphere
-    outside the stratum) by direct exponent computation; ascent from every
-    member must land on the same peak.
+    Walks uphill to the peak, then fills the component from it through
+    exponents, over the balanced nonzero-gap points at distance at most the
+    peak gap (a bound that keeps the fill finite on a faulty gap map), and
+    checks the open-ball law on it as verify_theorem_str does.  A stratum
+    point on the sphere joins the fill and fails the gap law.
     """
     mt = arr.check_multiplicity(m)
     cls = classify(arr, mt)
     if cls.tag is not ComponentTag.FINITE_COMPONENT:
         raise ValueError(f"{mt} is not in a finite component (tag {cls.tag.value})")
-    peaks = {}
-    peak = _ascend(arr, mt, peaks=peaks)
-    radius = exponents(arr, peak).delta
-    shapes = {}
-    failures = _ball_failures(peak, radius, lambda mu: exponents(arr, mu).delta, shapes)
+
+    def gap(mu):
+        return exponents(arr, mu).delta
+
+    peak = _ascend(mt, {}, gap)
+    radius = gap(peak)
+    found = {peak}
+    todo = [peak]
+    while todo:
+        for nb in _neighbours(todo.pop()):
+            if nb not in found and lattice_distance(peak, nb) <= radius and _balanced(nb) and gap(nb):
+                found.add(nb)
+                todo.append(nb)
+    members = dict.fromkeys(sorted(found))
+    failures = _ball_failures(peak, radius, members, gap)
     if failures:
         raise RuntimeError(f"component structure violated: {failures[0]}")
-    ball = _open_ball(peak, radius, shapes)
-    for mu in ball:
-        if _ascend(arr, mu, peaks=peaks) != peak:
-            raise RuntimeError(f"ascent from member {mu} missed the peak {peak}")
-    return ComponentReport(peak, radius, tuple((mu, radius - lattice_distance(peak, mu)) for mu in ball))
+    return ComponentReport(peak, radius, tuple((mu, radius - lattice_distance(peak, mu)) for mu in members))
 
 
 def exponent_map(region: LatticeRegion) -> dict:
@@ -464,6 +434,14 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
     balanced neighbours.  Else a line H0 carries exactly |m|/2 at m, where a theta with
     theta(alpha_H0) = 0 is f*D, D(alpha_H0) = 0, with prod_{H != H0} alpha_H^m(H) dividing f, and
     any other theta has alpha_H0^(|m|/2) dividing theta(alpha_H0); so d1 = d2 = |m|/2, in every field.
+
+    A union-find joins the stratum along the in-region edges m - e_i.  A group's top (largest gap,
+    ties to the lexicographically smallest) is its peak when its ball is enclosed: a higher neighbour
+    would be balanced and in the region, so in the group.  Other tops ascend, and groups that reach
+    one peak make one clipped entry.  _ball_failures on an enclosed group is exact:
+    1. the gap law puts every member inside the open ball;
+    2. every neighbour of a member of wanted gap above 1 is a member, so the ball is inside the group;
+    3. a stratum point on the sphere is in the region next to a member, so in the group: the law fails.
     """
     arr = region.arrangement
     # the walk with the shell comes first, so that exponent_map reads its table
@@ -478,33 +456,49 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
         g = _shell_gap(shell, m)
         return exponents(arr, m).delta if g is None else g
 
-    peaks: dict = {}
-    groups: dict = {}
-    for m, e in emap.items():
-        if e.delta != 0 and _balanced(m):
-            groups.setdefault(_ascend(arr, m, peaks=peaks, gap=gap), []).append(m)
+    parent: dict = {}  # the union-find over the stratum; a root is its own parent
 
-    shapes: dict = {}
+    def find(m):
+        while parent[m] is not m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    # in points() order each m - e_i comes before m, so m is the root of every group it joins
+    for m, e in emap.items():
+        if e.delta and _balanced(m):
+            parent[m] = m
+            for i, v in enumerate(m):
+                if v:
+                    low = m[:i] + (v - 1,) + m[i + 1 :]
+                    if low in parent:
+                        parent[find(low)] = m
+    groups: dict = {}
+    for m in parent:
+        groups.setdefault(find(m), []).append(m)
+
+    enclosed = []
+    clipped: dict = {}  # peak -> members in the region
+    peaks: dict = {}
+    for members in groups.values():
+        top = max(members, key=gap)
+        radius = gap(top)
+        if _ball_enclosed(region, top, radius):
+            enclosed.append((top, radius, members))
+        else:
+            peak = _ascend(top, peaks, gap)
+            clipped[peak] = clipped.get(peak, 0) + len(members)
+
     components = []
-    clipped = []
     failures = []
-    for peak in sorted(groups):
-        members = sorted(groups[peak])
-        radius = gap(peak)
-        if not _ball_enclosed(region, peak, radius):
-            clipped.append((peak, radius, len(members)))
-            continue
-        ball = _open_ball(peak, radius, shapes)
-        found = []
-        if ball != members:
-            found.append(f"component of {peak}: members {members} differ from the open ball {ball}")
-        found += _ball_failures(peak, radius, gap, shapes)
+    for peak, radius, members in sorted(enclosed):
+        found = _ball_failures(peak, radius, dict.fromkeys(members), gap)
         failures += found
         components.append(ComponentVerification(peak, radius, len(members), not found))
     return StrReport(
         region,
         components,
-        sorted(clipped),
+        sorted((peak, gap(peak), size) for peak, size in clipped.items()),
         failures,
         char_warning(arr.field, _CHAR_CONSEQUENCE),
     )

@@ -10,7 +10,9 @@ library.  ``sweep_chamber_count`` counts the chambers of a real affine line
 arrangement by sampling points, with no intersection poset.
 ``exponent_map`` and ``ascend`` are the lattice verifiers' lookups before
 the region table: one ``exponents`` query per point, and a greedy ascent
-that queries every neighbour at every step, with no memo.
+that queries every neighbour at every step, with no memo.  ``open_ball``
+lists an open L1-ball by filtering its box, where the library checks the
+ball law on a component without listing the ball.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from typing import Iterable, Sequence
 
 from multiarr.exactalg import _render_terms
@@ -280,3 +283,9 @@ def ascent_path(arr, m) -> list:
 def ascend(arr, m):
     """The peak that the greedy gap-ascent from m reaches (see :func:`ascent_path`)."""
     return ascent_path(arr, m)[-1]
+
+
+def open_ball(center, radius) -> list:
+    """The points of Z>=0^n at L1 distance below radius from center, in lexicographic order."""
+    box = product(*(range(max(0, c - radius), c + radius + 1) for c in center))
+    return [pt for pt in box if sum(abs(a - b) for a, b in zip(pt, center)) < radius]

@@ -19,7 +19,7 @@ from multiarr.lattice import (
     verify_theorem_limit,
     verify_theorem_str,
 )
-from multiarr.multiarr2 import Arrangement2, exponents
+from multiarr.multiarr2 import Arrangement2, Exponents2, exponents
 
 
 def a2():
@@ -88,47 +88,11 @@ class TestComponents:
         for m, _ in rep.members:
             assert component_of(b2(), m).peak == rep.peak
 
-    def test_every_member_must_ascend_to_the_peak(self, monkeypatch):
-        # (1, 0, 1, 1) is a member of the radius-2 ball no sampled probe reached
-        real = lattice._ascend
-        stray = (1, 0, 1, 1)
-        monkeypatch.setattr(
-            lattice, "_ascend", lambda arr, m, **kw: (9, 9, 9, 9) if m == stray else real(arr, m, **kw)
-        )
-        with pytest.raises(RuntimeError, match=r"ascent from member \(1, 0, 1, 1\) missed the peak"):
-            component_of(b2(), (1, 1, 1, 1))
-
     def test_rejects_wrong_stratum(self):
         with pytest.raises(ValueError):
             component_of(a2(), (2, 2, 2))
         with pytest.raises(ValueError):
             component_of(a2(), (5, 1, 1))
-
-
-def two_pass_shape(ncoords, radius):
-    """(inner, sphere) as two passes of _ball_offsets build them: radius - 1, then radius filtered by norm."""
-    inner = list(lattice._ball_offsets(ncoords, radius - 1))
-    sphere = [off for off in lattice._ball_offsets(ncoords, radius) if sum(map(abs, off)) == radius]
-    return inner, sphere
-
-
-class TestBallOrder:
-    """The open ball comes out sorted without a sort, because _ball_offsets yields lexicographic order."""
-
-    SHAPES = [(n, r) for n in range(1, 6) for r in range(6)]
-
-    @pytest.mark.parametrize("ncoords, radius", SHAPES)
-    def test_one_pass_shape_equals_two_passes(self, ncoords, radius):
-        assert lattice._ball_shape({}, ncoords, radius) == two_pass_shape(ncoords, radius)
-
-    @pytest.mark.parametrize("ncoords, radius", SHAPES)
-    def test_open_ball_is_sorted(self, ncoords, radius):
-        rng = random.Random(ncoords * 10 + radius)
-        centers = [(0,) * ncoords, (radius,) * ncoords, tuple(rng.randint(0, radius + 1) for _ in range(ncoords))]
-        for center in centers:
-            box = product(*(range(max(0, c - radius), c + radius + 1) for c in center))
-            want = sorted(pt for pt in box if lattice_distance(pt, center) < radius)
-            assert lattice._open_ball(center, radius, {}) == want, center
 
 
 class TestEnumeration:
@@ -372,24 +336,26 @@ class TestRegionTable:
         got = [verify(region) for verify in VERIFIERS]
         # the same verifiers on the per-point map, an empty shell and the plain ascent
         monkeypatch.setattr(lattice, "_region_table", lambda region, shell: (oracles.exponent_map(region), {}))
-        monkeypatch.setattr(lattice, "_ascend", lambda arr, m, **kw: oracles.ascend(arr, m))
+        monkeypatch.setattr(lattice, "_ascend", lambda m, peaks, gap: oracles.ascend(region.arrangement, m))
         assert got == [verify(region) for verify in VERIFIERS]
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
-    def test_memoised_peaks_match_the_plain_ascent(self, region, monkeypatch):
-        peaks = {}
+    def test_clipped_peaks_match_the_plain_ascent(self, region, monkeypatch):
+        """str ascends from one stratum point of each clipped group, to the peak the plain ascent reaches."""
+        tops = {}
         real = lattice._ascend
 
-        def recorded(arr, m, **kw):
-            peaks[m] = real(arr, m, **kw)
-            return peaks[m]
+        def recorded(m, peaks, gap):
+            tops[m] = real(m, peaks, gap)
+            return tops[m]
 
         monkeypatch.setattr(lattice, "_ascend", recorded)
-        verify_theorem_str(region)
+        report = verify_theorem_str(region)
         arr = region.arrangement
-        members = {m for m, e in oracles.exponent_map(region).items() if e.delta and multiarr2.is_balanced(arr, m)}
-        assert set(peaks) == members
-        for m, peak in peaks.items():
+        stratum = {m for m, e in oracles.exponent_map(region).items() if e.delta and multiarr2.is_balanced(arr, m)}
+        assert set(tops) <= stratum
+        assert set(tops.values()) == {peak for peak, _, _ in report.clipped}
+        for m, peak in tops.items():
             assert peak == oracles.ascend(arr, m), m
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
@@ -400,7 +366,7 @@ class TestRegionTable:
             if e.delta and multiarr2.is_balanced(arr, m):
                 peaks = {}
                 path = oracles.ascent_path(arr, m)
-                assert lattice._ascend(arr, m, peaks) == path[-1], m
+                assert lattice._ascend(m, peaks, lambda mu: exponents(arr, mu).delta) == path[-1], m
                 assert peaks == dict.fromkeys(path, path[-1]), m
 
     def test_ascent_skips_an_unbalanced_neighbour_that_rises(self):
@@ -409,7 +375,7 @@ class TestRegionTable:
             return 10 - lattice_distance(mu, (0, 1, 0))
 
         # (0, 1, 0) is the first neighbour of (1, 1, 0) and the only one that rises, but it is unbalanced
-        assert lattice._ascend(a2(), (1, 1, 0), {}, gap=gap) == (1, 1, 0)
+        assert lattice._ascend((1, 1, 0), {}, gap) == (1, 1, 0)
 
     def test_neighbours_come_in_lexicographic_order(self):
         for m in [(0,), (2,), (0, 0, 0), (1, 0, 2), (3, 1, 0, 1)]:
@@ -494,12 +460,91 @@ class TestWallLemma:
         assert walls > 1000 and pairs > 5000, (walls, pairs)  # 1,561 and 7,138
 
 
+class TestOpenBalls:
+    @pytest.mark.parametrize("region", WALL_REGIONS, ids=region_id)
+    def test_enclosed_components_are_the_open_balls(self, region):
+        """component_of fills each enclosed component of str to the open ball, with the linear gaps."""
+        arr = region.arrangement
+        for c in verify_theorem_str(region).components:
+            ball = oracles.open_ball(c.peak, c.peak_delta)
+            assert c.size == len(ball), c
+            want = tuple((mu, c.peak_delta - lattice_distance(c.peak, mu)) for mu in ball)
+            assert component_of(arr, c.peak).members == want, c
+
+
+class TestFaultyGapMaps:
+    """Faulty gap maps around the radius-3 ball of (1, 1, 1, 1, 1) in five_lines at caps 4.
+
+    The law check catches each.  The sphere point also joins four stratum points past the sphere to the ball,
+    as two touching components would.
+    """
+
+    REGION = LatticeRegion(corpus.arrangement("five_lines"), (4,) * 5)
+    PEAK = (1, 1, 1, 1, 1)
+    MUTANTS = {
+        "member_gap_off_by_2": (
+            (1, 1, 1, 2, 2),
+            3,
+            "gap law fails at (1, 1, 1, 2, 2): gap 3 != 1 (peak (1, 1, 1, 1, 1))",
+        ),
+        "sphere_point_in_stratum": (
+            (1, 1, 1, 1, 4),
+            1,
+            "gap law fails at (1, 1, 1, 1, 4): gap 1 != 0 (peak (1, 1, 1, 1, 1))",
+        ),
+        "missing_ball_point": (
+            (1, 1, 1, 1, 2),
+            0,
+            "ball point (1, 1, 1, 1, 2) is not in the component of (1, 1, 1, 1, 1)",
+        ),
+    }
+
+    @pytest.fixture(params=MUTANTS.values(), ids=MUTANTS.keys())
+    def mutant(self, request, monkeypatch):
+        """The first failure of one mutant, whose gap the region table and exponents both read."""
+        point, g, first = request.param
+        real_map, real_exponents = lattice.exponent_map, lattice.exponents
+
+        def faulty(e):
+            return Exponents2(e.d1, e.d1 + g)
+
+        def table(region):
+            emap = real_map(region)
+            emap[point] = faulty(emap[point])
+            return emap
+
+        def exponents(arr, m):
+            e = real_exponents(arr, m)
+            return faulty(e) if m == point else e
+
+        monkeypatch.setattr(lattice, "exponent_map", table)
+        monkeypatch.setattr(lattice, "exponents", exponents)
+        return first
+
+    def test_str_fails(self, mutant):
+        report = verify_theorem_str(self.REGION)
+        assert not report.passed
+        assert report.failures[0] == mutant
+
+    def test_component_of_raises(self, mutant):
+        with pytest.raises(RuntimeError) as exc:
+            component_of(self.REGION.arrangement, self.PEAK)
+        assert str(exc.value) == f"component structure violated: {mutant}"
+
+    def test_a_clipped_peak_treated_as_enclosed(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_ball_enclosed", lambda region, peak, radius: True)
+        report = verify_theorem_str(self.REGION)
+        assert not report.passed and not report.clipped
+        assert report.failures[0] == "ball point (1, 3, 4, 5, 0) is not in the component of (1, 3, 4, 4, 0)"
+
+
 class TestStepCounts:
     """The table makes one unit step per point past the first; its shell reads one residue per gap."""
 
     REGION = LatticeRegion(b2(), (5, 5, 5, 5))
     POINTS, SHELL = 1296, 380
     CHAINS = 833  # points on the chains to the 269 points that hold shell gaps
+    STRATUM, CLIPPED_TOPS = 497, 145
 
     def test_limit_on_b2_caps5_walks_without_the_shell(self, steps):
         verify_theorem_limit(self.REGION)
@@ -524,6 +569,16 @@ class TestStepCounts:
             assert verify(self.REGION).passed
         assert steps == [self.POINTS - 1]
 
+    def test_str_ascends_only_from_clipped_tops(self, monkeypatch):
+        """One ascent per clipped group top, where one per stratum point was made before."""
+        tops = []
+        real = lattice._ascend
+        monkeypatch.setattr(lattice, "_ascend", lambda m, peaks, gap: tops.append(m) or real(m, peaks, gap))
+        report = verify_theorem_str(self.REGION)
+        emap = lattice.exponent_map(self.REGION)
+        assert sum(1 for m, e in emap.items() if e.delta and multiarr2._balanced(m)) == self.STRATUM
+        assert len(tops) == len(report.clipped) == self.CLIPPED_TOPS
+
     @pytest.mark.parametrize(
         "region",
         [REGION, LatticeRegion(b2(), (3, 3, 3, 3)), LatticeRegion(a2(), (4, 4, 4))]
@@ -540,7 +595,7 @@ class TestBoundedAscent:
     def gap_grows_with_total(self, monkeypatch):
         """Every ascent reads gap(m) = |m|, so it climbs without end."""
         real = lattice._ascend
-        monkeypatch.setattr(lattice, "_ascend", lambda arr, m, peaks, gap=None: real(arr, m, peaks=peaks, gap=sum))
+        monkeypatch.setattr(lattice, "_ascend", lambda m, peaks, gap: real(m, peaks, sum))
 
     def test_component_of(self, gap_grows_with_total):
         with pytest.raises(RuntimeError, match=r"did not terminate within 10000 steps"):
