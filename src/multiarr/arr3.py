@@ -19,7 +19,6 @@ from .exactalg import (
     CanonicalForm,
     FormTuple,
     LinearForm2,
-    QQ,
     _render_terms,
     canonical_coefficients,
     char_warning,
@@ -93,7 +92,7 @@ class AffineLine(CanonicalForm):
         super().__init__(field, (a, b, c))
 
     def render(self, names=("x", "y")) -> str:
-        lhs = _render_terms(self.field, [(self.a, names[0]), (self.b, names[1])])
+        lhs = _render_terms([(self.field.format(self.a), names[0]), (self.field.format(self.b), names[1])])
         return f"{lhs} = {self.field.format(self.c)}"
 
 
@@ -178,7 +177,7 @@ class CharPoly:
 
     def __str__(self):
         monos = ("" if p == 0 else "t" if p == 1 else f"t^{p}" for p in range(self.degree, -1, -1))
-        return _render_terms(QQ, zip(self.coeffs, monos))
+        return _render_terms(zip(map(str, self.coeffs), monos))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import time
 import traceback
 from pathlib import Path
 
-from . import __version__, acceptance, arr3, corpus, lattice, multiarr2, shift
+from . import __version__, acceptance, arr3, corpus, lattice, multiarr2, shift, stats
 from .corpus import ArrangementDocument, DocumentError, canonical_json, parse_document, serialize_document
 from .exactalg import char_warning
 
@@ -86,13 +86,9 @@ def _emit(args, report: dict, human_lines: list, started: float) -> None:
         print(f"elapsed: {time.perf_counter() - started:.3f}s")
 
 
-def _derivation_json(theta, field):
-    return {
-        "degree": theta.degree,
-        "f": [field.format(c) for c in theta.f.coeffs],
-        "g": [field.format(c) for c in theta.g.coeffs],
-        "rendered": theta.render(),
-    }
+def _derivation_json(theta):
+    f, g = theta.coefficient_strings()
+    return {"degree": theta.degree, "f": f, "g": g, "rendered": theta.render()}
 
 
 def _verdict(report) -> tuple[str, int]:
@@ -143,8 +139,8 @@ def cmd_exp(args, doc):
     ]
     if sum(mult) > 0:
         theta = multiarr2.lower_degree_basis(arr, mult)
-        results["lower_basis"] = _derivation_json(theta, field)
-        lines.append(f"lower basis: {theta.render()}  (degree {theta.degree})")
+        results["lower_basis"] = _derivation_json(theta)
+        lines.append(f"lower basis: {results['lower_basis']['rendered']}  (degree {theta.degree})")
     else:
         results["lower_basis"] = None
         lines.append("lower basis: undefined for |m| = 0")
@@ -266,7 +262,7 @@ def cmd_shift(args, doc):
         "hypothesis": cert.hypothesis,
         "mode": cert.mode,
         "degree_identity_ok": cert.degree_identity_ok,
-        "theta0": _derivation_json(cert.theta0, field),
+        "theta0": _derivation_json(cert.theta0),
         "passed": cert.passed,
         "checks": [
             {
@@ -282,7 +278,7 @@ def cmd_shift(args, doc):
     }
     lines = [
         f"m0={tuple(cert.m0)} hypothesis: {cert.hypothesis} mode: {cert.mode}",
-        f"theta0 = {cert.theta0.render()}  (degree {cert.theta0.degree})",
+        f"theta0 = {results['theta0']['rendered']}  (degree {cert.theta0.degree})",
     ]
     for c in cert.checked_shifts:
         mark = "pass" if c.passed else "FAIL"
@@ -396,6 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit canonical JSON instead of text")
+        p.add_argument("--stats", action="store_true", help="write the work counters as one JSON line to stderr")
 
     p = sub.add_parser("exp", help="exponents and lower basis of a 2-multiarrangement")
     p.add_argument("file", help="arrangement document (path or '-')")
@@ -449,12 +446,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     digest = None
     digit_limit = sys.get_int_max_str_digits()
+    if args.stats:
+        stats.reset()  # counts from empty caches, as in a fresh process
     try:
         doc, digest = load_document(args.file) if "file" in args else (None, None)
         sys.set_int_max_str_digits(0)  # exact results may print far more digits than any input holds
         command, results, lines, code = args.fn(args, doc)
         _emit(args, _envelope(command, doc, digest, results), lines, started)
         sys.stdout.flush()
+        if args.stats:
+            print(stats.report(), file=sys.stderr)
     except BrokenPipeError:  # the reader closed stdout early: not a fault, and nothing to say
         _detach_stdout()
         return EXIT_IO

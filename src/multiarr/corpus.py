@@ -59,6 +59,7 @@ class ArrangementDocument:
     central: bool
     hyperplanes: list  # (coeff string tuple, multiplicity)
     built: tuple = None  # build_arrangement(self), set by parse_document
+    scalars: list = None  # each hyperplane's coefficients as field scalars, set by build_arrangement
 
     @property
     def field(self):
@@ -141,9 +142,9 @@ def serialize_document(doc: ArrangementDocument) -> str:
         "dim": doc.dim,
         "central": doc.central,
         "hyperplanes": [
-            {"coeffs": [field.format(field(c)) for c in coeffs]}
+            {"coeffs": [field.format(c) for c in coeffs]}
             | ({"mult": mult} if doc.dim == 2 and doc.central else {})
-            for coeffs, mult in doc.hyperplanes
+            for coeffs, (_, mult) in zip(doc.scalars, doc.hyperplanes)
         ],
     }
     if doc.name is not None:
@@ -159,15 +160,33 @@ def build_arrangement(doc: ArrangementDocument):
     """Instantiate the arrangement described by a document.
 
     Returns ("arr2", Arrangement2, multiplicity), ("arr3", Arrangement3)
-    or ("aff2", AffineArrangement2).
+    or ("aff2", AffineArrangement2).  Each coefficient string is parsed
+    once, into doc.scalars, which serialize_document formats.  A row is
+    parsed just before its form is built, as the form would parse it; a
+    string that does not parse is passed on as it is, so the forms raise
+    the first fault in the order they meet it.
     """
     field = doc.field
+    doc.scalars = []
+
+    def rows():
+        for coeffs, _ in doc.hyperplanes:
+            doc.scalars.append(tuple(_parse(field, c) for c in coeffs))
+            yield doc.scalars[-1]
+
     if doc.dim == 2 and doc.central:
-        arr = multiarr2.Arrangement2(field, [c for c, _ in doc.hyperplanes])
-        return "arr2", arr, tuple(m for _, m in doc.hyperplanes)
+        return "arr2", multiarr2.Arrangement2(field, rows()), tuple(m for _, m in doc.hyperplanes)
     if doc.dim == 3:
-        return "arr3", arr3.Arrangement3(field, [c for c, _ in doc.hyperplanes])
-    return "aff2", arr3.AffineArrangement2(field, [c for c, _ in doc.hyperplanes])
+        return "arr3", arr3.Arrangement3(field, rows())
+    return "aff2", arr3.AffineArrangement2(field, rows())
+
+
+def _parse(field, text: str):
+    """The field scalar of text, or text itself when it does not parse."""
+    try:
+        return field(text)
+    except (ValueError, ZeroDivisionError):
+        return text
 
 
 def arrangement(name: str):

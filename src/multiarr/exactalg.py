@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
+from .stats import counts
+
 __all__ = [
     "QQ",
     "GF",
@@ -296,7 +298,7 @@ class CanonicalForm:
         self._hash = hash((field.char, self.ints))
 
     def render(self, names=None) -> str:
-        return _render_terms(self.field, list(zip(self.coeffs, names or self.names)))
+        return _render_terms(zip(_format_ints(self.ints), names or self.names))
 
     def __eq__(self, other):
         return (
@@ -373,26 +375,13 @@ class LinearForm2(CanonicalForm):
     def __init__(self, field: Field, a, b):
         super().__init__(field, (a, b))
 
-    def form(self) -> "BinaryForm":
-        """This form as a degree-1 BinaryForm."""
-        a, b = self.ints
-        return BinaryForm.from_ints(self.field, 1, (b, a))
 
-    def power(self, k: int) -> "BinaryForm":
-        out = BinaryForm(self.field, 0, (self.field.one,))
-        base = self.form()
-        for _ in range(k):
-            out = out * base
-        return out
-
-
-def _render_terms(field, terms) -> str:
-    # terms: [(coeff, monomial string)]; monomial "" means the constant term
+def _render_terms(terms) -> str:
+    # terms: [(coefficient string, monomial string)]; monomial "" means the constant term
     parts = []
-    for c, mono in terms:
-        if not c:
+    for cs, mono in terms:
+        if cs == "0":
             continue
-        cs = field.format(c)
         if mono == "":
             text = cs
         elif cs == "1":
@@ -410,38 +399,55 @@ def _render_terms(field, terms) -> str:
     return out
 
 
-def _proportional_scalar(field, mine: Sequence, theirs: Sequence):
-    """Scalar c with mine == c * theirs partwise, or None; 0 when both are zero.
+def _format_ints(ints, content=1) -> list:
+    """field.format of each scalar content * x, x in ints, read off the ints with no scalar built.
 
-    mine and theirs are equal-length sequences of forms, read as one vector
-    (a derivation is its f then its g).  Over Q each nonzero form is
-    content * ints with ints unique, so the parts are proportional iff the
-    nonzero parts share their ints and one content ratio.  Over GF(p) the
-    rule runs on the residues.
+    content is an int or a Fraction over Q, and 1 over GF(p), whose ints are residues.
+    """
+    n, d = content.numerator, content.denominator
+    if d == 1:
+        return [str(n * x) for x in ints]
+    out = []
+    for x in ints:
+        v = n * x
+        g = math.gcd(v, d)
+        out.append(str(v // g) if g == d else f"{v // g}/{d // g}")
+    return out
+
+
+def _render_form(strings, names) -> str:
+    """The binary form whose coefficient strings are strings, strings[i] belonging to x1^i * x2^(d-i)."""
+    d = len(strings) - 1
+    terms = []
+    for i in range(d, -1, -1):
+        pieces = []
+        if i:
+            pieces.append(names[0] if i == 1 else f"{names[0]}^{i}")
+        if d - i:
+            pieces.append(names[1] if d - i == 1 else f"{names[1]}^{d - i}")
+        terms.append((strings[i], "*".join(pieces)))
+    return _render_terms(terms)
+
+
+def _proportional_scalar(field, ints, content, other_ints, other_content):
+    """Scalar c with content * ints == c * other_content * other_ints, or None; 0 when both are zero.
+
+    Both sides are in normal form (see :func:`_normal`).  Over Q that form
+    is unique up to the content, so nonzero sides are proportional iff
+    their ints agree.  Over GF(p) the rule runs on the residues.
     """
     p = field.char
     if p:
-        a = [x for f in mine for x in f.ints]
-        b = [x for f in theirs for x in f.ints]
-        i = next((i for i, y in enumerate(b) if y), None)
+        i = next((i for i, y in enumerate(other_ints) if y), None)
         if i is None:
-            return None if any(a) else field.zero
-        c = a[i] * pow(b[i], -1, p) % p
-        return FpElement(c, p) if all((x - c * y) % p == 0 for x, y in zip(a, b)) else None
-    c = None
-    for f, g in zip(mine, theirs):
-        if not g.content:
-            if f.content:
-                return None
-            continue
-        if f.content and f.ints != g.ints:
-            return None
-        r = f.content / g.content
-        if c is None:
-            c = r
-        elif r != c:
-            return None
-    return field.zero if c is None else c
+            return None if any(ints) else field.zero
+        c = ints[i] * pow(other_ints[i], -1, p) % p
+        return FpElement(c, p) if all((x - c * y) % p == 0 for x, y in zip(ints, other_ints)) else None
+    if not other_content:
+        return None if content else field.zero
+    if content and ints != other_ints:
+        return None
+    return content / other_content
 
 
 def _normal(field: Field, ints, num: int, den: int):
@@ -456,7 +462,9 @@ def _normal(field: Field, ints, num: int, den: int):
         num *= pow(den, -1, p)
         return tuple(x * num % p for x in ints), 1
     ints, g = _primitive(ints)
-    return ints, Fraction(num * g, den) if g else _ZERO
+    if g and num:
+        return ints, Fraction(num * g, den)
+    return (0,) * len(ints), _ZERO
 
 
 def _primitive(ints) -> tuple:
@@ -483,6 +491,10 @@ class BinaryForm:
     Each form has one such representation, so equality and hash read it
     directly.  ``coeffs`` is the read-only tuple of field scalars, built on
     first use.  The zero form may be declared at any degree.
+
+    A form is a value at the library's boundary: what the library computes
+    on forms and derivations it computes on the ints (see
+    multiarr2.Derivation2), so a form has no arithmetic of its own.
     """
 
     __slots__ = ("field", "degree", "ints", "content", "_coeffs")
@@ -535,74 +547,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.ints)
 
-    def __add__(self, other):
-        return self.combine(1, other, 1)
-
-    def __sub__(self, other):
-        return self.combine(1, other, -1)
-
-    def combine(self, a: int, other: "BinaryForm", b: int) -> "BinaryForm":
-        """a * self + b * other for ints a and b, over a common denominator of the contents."""
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in form combination")
-        p = self.field.char
-        if p:
-            ints = tuple((a * x + b * y) % p for x, y in zip(self.ints, other.ints))
-            return BinaryForm._new(self.field, self.degree, ints, 1)
-        c1, c2 = self.content, other.content
-        d1, d2 = c1.denominator, c2.denominator
-        den = math.lcm(d1, d2)
-        u, v = a * c1.numerator * (den // d1), b * c2.numerator * (den // d2)
-        ints = [u * x + v * y for x, y in zip(self.ints, other.ints)]
-        return BinaryForm.from_ints(self.field, self.degree, ints, 1, den)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "BinaryForm":
-        p = self.field.char
-        if type(c) is not int:
-            c = self.field(c)
-            if p:
-                c = c.val
-        if p:
-            return BinaryForm._new(self.field, self.degree, tuple(x * c % p for x in self.ints), 1)
-        if not (c and self.content):
-            return BinaryForm.zero(self.field, self.degree)
-        return BinaryForm._new(self.field, self.degree, self.ints, self.content * c)
-
-    def __mul__(self, other):
-        """The product; over Q the ints of a product of primitive forms are primitive (Gauss)."""
-        self._check(other)
-        deg = self.degree + other.degree
-        b = other.ints
-        out = [0] * (deg + 1)
-        for i, x in enumerate(self.ints):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        p = self.field.char
-        if p:
-            return BinaryForm._new(self.field, deg, tuple(v % p for v in out), 1)
-        return BinaryForm._new(self.field, deg, tuple(out), self.content * other.content)
-
-    def dx1(self) -> "BinaryForm":
-        """Partial derivative with respect to x1."""
-        if self.degree == 0:
-            return BinaryForm.zero(self.field, 0)
-        c = self.content
-        ints = [i * x for i, x in enumerate(self.ints)][1:]
-        return BinaryForm.from_ints(self.field, self.degree - 1, ints, c.numerator, c.denominator)
-
-    def dx2(self) -> "BinaryForm":
-        """Partial derivative with respect to x2."""
-        if self.degree == 0:
-            return BinaryForm.zero(self.field, 0)
-        d, c = self.degree, self.content
-        ints = [(d - i) * x for i, x in enumerate(self.ints[:d])]
-        return BinaryForm.from_ints(self.field, d - 1, ints, c.numerator, c.denominator)
-
     def proportional_scalar(self, other: "BinaryForm"):
         """Scalar c with self == c * other, or None if no such c exists.
 
@@ -611,19 +555,10 @@ class BinaryForm:
         self._check(other)
         if self.degree != other.degree:
             return None
-        return _proportional_scalar(self.field, (self,), (other,))
+        return _proportional_scalar(self.field, self.ints, self.content, other.ints, other.content)
 
     def render(self, names=("x1", "x2")) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            pieces = []
-            if i:
-                pieces.append(names[0] if i == 1 else f"{names[0]}^{i}")
-            j = self.degree - i
-            if j:
-                pieces.append(names[1] if j == 1 else f"{names[1]}^{j}")
-            terms.append((self.coeffs[i], "*".join(pieces)))
-        return _render_terms(self.field, terms)
+        return _render_form(_format_ints(self.ints, self.content), names)
 
     def _check(self, other):
         if not isinstance(other, BinaryForm):
@@ -825,35 +760,56 @@ def _constraint_row(alpha: LinearForm2, j: int, d: int) -> list:
 
 
 def _divide_linear(alpha: LinearForm2, k: int, ints: Sequence[int]):
-    """The ints of form / alpha^k, or None when alpha^k does not divide the form.
+    """The ints of form / alpha^k, as a list, or None when alpha^k does not divide the form.
 
     ints is a form in BinaryForm order (index i holds x1^i), as residues
-    over GF(p), whose degree is at least k.  For alpha = a*x1 + b*x2 with
-    b != 0, each of the k synthetic divisions runs from the x2 end,
-    q[i] = (f[i] - a*q[i-1]) / b, and leaves the remainder f[d] - a*q[d-1].
-    Over Q the divmod by b is exact whenever alpha divides, by Gauss's lemma,
-    since alpha.ints are primitive; over GF(p) it multiplies by b^-1.  For
-    alpha = x1 (b = 0, a = 1) the quotient is the ints shifted down by k.
+    over GF(p), whose degree is at least k.  For alpha = x1 the quotient is
+    the ints shifted down by k, and for alpha = x2 the ints cut short by k.
+    For another alpha = a*x1 + b*x2, each of the k synthetic divisions runs
+    from the x2 end, q[i] = (f[i] - a*q[i-1]) / b, and leaves the remainder
+    f[d] - a*q[d-1].  Over GF(p) it multiplies by b^-1.  Over Q a quotient
+    by b = +-1 is exact; for a = +-1 the division runs from the x1 end
+    instead, on the reversed ints, which hold the form in (x2, x1), with
+    alpha then b*x2 + a*x1.  Only when neither a nor b is a unit, the
+    divmod by b is exact whenever alpha divides, by Gauss's lemma, since
+    alpha.ints are primitive.
     """
+    counts["exactalg.divide_linear"] += 1
     a, b = alpha.ints
-    q = list(ints)
     if not b:
-        return None if any(q[:k]) else q[k:]
+        return None if any(ints[:k]) else list(ints[k:])
+    if not a:
+        n = len(ints) - k
+        return None if any(ints[n:]) else list(ints[:n])
     p = alpha.field.char
+    q = list(ints)
+    flip = not p and a in (1, -1) and b not in (1, -1)
+    if flip:
+        q.reverse()
+        a, b = b, a
     inv = pow(b, -1, p) if p else None
     for _ in range(k):
         c = 0
-        for i in range(len(q) - 1):
-            if p:
-                c = (q[i] - a * c) * inv % p
-            else:
+        if p:
+            for i in range(len(q) - 1):
+                c = q[i] = (q[i] - a * c) * inv % p
+        elif b == 1:
+            for i in range(len(q) - 1):
+                c = q[i] = q[i] - a * c
+        elif b == -1:
+            for i in range(len(q) - 1):
+                c = q[i] = a * c - q[i]
+        else:
+            for i in range(len(q) - 1):
                 c, r = divmod(q[i] - a * c, b)
                 if r:
                     return None
-            q[i] = c
+                q[i] = c
         last = q.pop() - a * c
         if last % p if p else last:
             return None
+    if flip:
+        q.reverse()
     return q
 
 

@@ -26,6 +26,7 @@ from typing import Iterator, Sequence
 
 from .exactalg import char_warning
 from .multiarr2 import Arrangement2, Multiplicity, _balanced, _region_walk, _shell_points, exponents
+from .stats import counts
 
 __all__ = [
     "LatticeRegion",
@@ -260,7 +261,9 @@ def exponent_map(region: LatticeRegion) -> dict:
     functions (perfbench/layer_trace.py) counts the points they scan.  The
     copy costs under a thousandth of the walk that fills the table.
     """
-    return dict(_region_table(region, False)[0])
+    table = _region_table(region, False)[0]
+    counts["lattice.points"] += len(table)
+    return dict(table)
 
 
 @lru_cache(maxsize=1)

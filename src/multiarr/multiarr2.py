@@ -35,8 +35,13 @@ from .exactalg import (
     canonical_coefficients,
     divisibility_constraints,
     _divide_linear,
+    _format_ints,
+    _normal,
     _proportional_scalar,
+    _render_form,
+    _scaled_ints,
 )
+from .stats import counts
 
 __all__ = [
     "Arrangement2",
@@ -98,73 +103,102 @@ class Exponents2:
         return self.d1 + self.d2
 
 
-@dataclass(frozen=True)
 class Derivation2:
-    """A derivation f*D1 + g*D2 with homogeneous components of equal degree."""
+    """A derivation f*D1 + g*D2 with homogeneous components of equal degree.
 
-    f: BinaryForm
-    g: BinaryForm
+    It is held as ``content * ints``, with ``ints = (f, g)`` two int
+    vectors in BinaryForm order: over Q jointly primitive with the first
+    nonzero entry positive, and ``content`` an exact Fraction (0 for the
+    zero derivation); over GF(p) residues, and ``content`` 1.  Each
+    derivation has one such representation, so equality and hash read it.
+    The connection, Saito's criterion and the output (see
+    :meth:`coefficient_strings`) run on the ints, with no scalar per
+    coefficient; ``f`` and ``g`` are BinaryForms, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.f.field != self.g.field:
+    __slots__ = ("field", "degree", "ints", "content", "_forms")
+    f = property(lambda self: self._components()[0])
+    g = property(lambda self: self._components()[1])
+
+    def __init__(self, f: BinaryForm, g: BinaryForm):
+        if f.field != g.field:
             raise TypeError("mixed-field components")
-        if self.f.degree != self.g.degree:
+        if f.degree != g.degree:
             raise ValueError("components must have equal declared degree")
+        (u, du), (v, dv) = (f.content.as_integer_ratio(), g.content.as_integer_ratio())
+        self._set(f.field, f.degree, [u * dv * x for x in f.ints] + [v * du * y for y in g.ints], 1, du * dv)
+        self._forms = (f, g)
 
-    @property
-    def field(self):
-        return self.f.field
+    def _set(self, field, degree: int, ints, num: int, den: int) -> None:
+        ints, self.content = _normal(field, ints, num, den)
+        self.field, self.degree, self._forms = field, degree, None
+        self.ints = (ints[: degree + 1], ints[degree + 1 :])
 
-    @property
-    def degree(self) -> int:
-        return self.f.degree
+    @classmethod
+    def from_ints(cls, field, degree: int, f: Sequence[int], g: Sequence[int], num: int = 1, den: int = 1):
+        """The derivation (num / den) * (f, g), for int vectors f, g in BinaryForm order and den != 0."""
+        out = object.__new__(cls)
+        out._set(field, degree, (*f, *g), num, den)
+        return out
+
+    def _components(self):
+        if self._forms is None:
+            ratio = self.content.as_integer_ratio()
+            self._forms = tuple(BinaryForm.from_ints(self.field, self.degree, v, *ratio) for v in self.ints)
+        return self._forms
 
     def is_zero(self) -> bool:
-        return self.f.is_zero() and self.g.is_zero()
+        return not (any(self.ints[0]) or any(self.ints[1]))
 
     @classmethod
     def from_vector(cls, field, degree: int, vec: Sequence) -> "Derivation2":
         if len(vec) != 2 * (degree + 1):
             raise ValueError("coefficient vector has wrong length")
-        return cls(
-            BinaryForm(field, degree, vec[: degree + 1]),
-            BinaryForm(field, degree, vec[degree + 1 :]),
-        )
+        ints, den = _scaled_ints(field, vec)
+        return cls.from_ints(field, degree, ints[: degree + 1], ints[degree + 1 :], 1, den)
 
     @classmethod
     def euler(cls, field) -> "Derivation2":
-        x1 = BinaryForm(field, 1, (field.zero, field.one))
-        x2 = BinaryForm(field, 1, (field.one, field.zero))
-        return cls(x1, x2)
+        return cls.from_ints(field, 1, (0, 1), (1, 0))
 
     @classmethod
     def coordinate(cls, field, i: int) -> "Derivation2":
         """The constant derivation D1 (i=0) or D2 (i=1)."""
-        one = BinaryForm(field, 0, (field.one,))
-        zero = BinaryForm.zero(field, 0)
-        return cls(one, zero) if i == 0 else cls(zero, one)
+        return cls.from_ints(field, 0, (1 - i,), (i,))
 
     def apply_to_linear(self, alpha: LinearForm2) -> BinaryForm:
         """theta(alpha) = a*f + b*g for alpha = a*x1 + b*x2."""
         a, b = alpha.ints
-        return self.f.combine(a, self.g, b)
-
-    def apply_to_form(self, form: BinaryForm) -> BinaryForm:
-        """theta acting as a derivation on a polynomial."""
-        return self.f * form.dx1() + self.g * form.dx2()
+        image = [a * x + b * y for x, y in zip(*self.ints)]
+        return BinaryForm.from_ints(self.field, self.degree, image, *self.content.as_integer_ratio())
 
     def proportional_scalar(self, other: "Derivation2"):
         """Scalar c with self == c * other, or None."""
         if self.degree != other.degree:
             return None
-        return _proportional_scalar(self.field, (self.f, self.g), (other.f, other.g))
+        (f, g), (u, v) = self.ints, other.ints
+        return _proportional_scalar(self.field, f + g, self.content, u + v, other.content)
+
+    def coefficient_strings(self):
+        """(f, g) as lists of field.format strings, read off the ints."""
+        return tuple(_format_ints(v, self.content) for v in self.ints)
 
     def render(self, names=("x1", "x2")) -> str:
-        def wrap(form):
-            s = form.render(names)
+        def wrap(strings):
+            s = _render_form(strings, names)
             return f"({s})" if (" " in s) else s
 
-        return f"{wrap(self.f)}*d{names[0]} + {wrap(self.g)}*d{names[1]}"
+        f, g = self.coefficient_strings()
+        return f"{wrap(f)}*d{names[0]} + {wrap(g)}*d{names[1]}"
+
+    def _key(self):
+        return self.field, self.degree, self.ints, self.content
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Derivation2 else NotImplemented
+
+    def __hash__(self):
+        return hash((self.field.char, self.degree, self.ints, self.content))
 
     def __repr__(self):
         return f"Derivation2({self.render()})"
@@ -242,6 +276,8 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     state = _unit_state(arr, tuple(prev))
     for j, k in steps:
         state = _unit_step(arr.forms[j], k, state)
+    counts["multiarr2.unit_steps"] += len(steps)
+    counts["multiarr2.residues"] += len(steps)
     return state
 
 
@@ -267,6 +303,7 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bo
     forms, h = arr.forms, len(caps)
     path = [_BASE_STATE] * h
     table, pairs, gaps = {}, {}, {} if shell else None
+    shell_residues = 0
     for m in points:
         j = h - 1
         while j >= 0 and not m[j]:
@@ -286,6 +323,10 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bo
             for i in out:
                 row[i] = d2 - d1 + (-1 if _residue(forms[i], m[i], d1, state[2]) else 1)
             gaps[m] = tuple(row)
+            shell_residues += len(out)
+    steps = len(table) - ((0,) * h in table)
+    counts["multiarr2.unit_steps"] += steps
+    counts["multiarr2.residues"] += steps + shell_residues
     return table, gaps
 
 
@@ -340,6 +381,7 @@ def _unit_step(alpha: LinearForm2, k: int, state):
         d2, t2 = d2 + 1, _times_alpha(a, b, p, t2)
     else:
         c2 = _residue(alpha, k, d2, t2)
+        counts["multiarr2.residues"] += 1  # the first residue is counted in bulk with the step
         delta = d2 - d1
         pad = (0,) * delta
         if b:
@@ -347,7 +389,7 @@ def _unit_step(alpha: LinearForm2, k: int, state):
         else:
             s, lifted = a, tuple(v + pad for v in t1)
         c1 *= pow(s, delta, p or None)
-        combo = tuple(tuple(c1 * x - c2 * y for x, y in zip(v, w)) for v, w in zip(t2, lifted))
+        combo = tuple(tuple([c1 * x - c2 * y for x, y in zip(v, w)]) for v, w in zip(t2, lifted))
         d1, t1, t2 = d1 + 1, _times_alpha(a, b, p, t1), _normalise(p, combo)
         if d1 > d2:
             d1, d2, t1, t2 = d2, d1, t2, t1
@@ -391,19 +433,24 @@ def _times_alpha(a: int, b: int, p: int, theta):
     """alpha * theta for alpha = a*x1 + b*x2 (index i holds x1^i), reduced mod p over GF(p).
 
     Over Q no gcd is taken: alpha's ints are primitive, and so is every
-    unit-step state, so alpha * theta is primitive by Gauss's lemma.
+    unit-step state, so alpha * theta is primitive by Gauss's lemma.  For
+    alpha = x1 and x2 (canonical, so a = 1 or b = 1) it only shifts theta.
     """
+    if not b:
+        return tuple((0,) + v for v in theta)
+    if not a:
+        return tuple(v + (0,) for v in theta)
     if p:
-        return tuple(tuple((a * x + b * y) % p for x, y in zip((0,) + v, v + (0,))) for v in theta)
-    return tuple(tuple(a * x + b * y for x, y in zip((0,) + v, v + (0,))) for v in theta)
+        return tuple(tuple([(a * x + b * y) % p for x, y in zip((0,) + v, v + (0,))]) for v in theta)
+    return tuple(tuple([a * x + b * y for x, y in zip((0,) + v, v + (0,))]) for v in theta)
 
 
 def _normalise(p: int, theta):
     """theta reduced mod p, or divided by the gcd of its entries over Q."""
     if p:
-        return tuple(tuple(x % p for x in v) for v in theta)
+        return tuple(tuple([x % p for x in v]) for v in theta)
     g = math.gcd(*theta[0], *theta[1])
-    return theta if g == 1 else tuple(tuple(x // g for x in v) for v in theta)
+    return theta if g == 1 else tuple(tuple([x // g for x in v]) for v in theta)
 
 
 def is_balanced(arr: Arrangement2, m: Sequence[int]) -> bool:
@@ -443,44 +490,69 @@ def _canonical_basis(arr: Arrangement2, m: Multiplicity):
     d1, d2, lo, hi = _unit_state(arr, m)
     p, delta = arr.field.char, d2 - d1
     if d1 == d2:
-        lo, hi = sorted((lo, hi), key=_last_index)
-        lo = _cancel(p, lo, hi)
+        lo, hi = sorted((lo, hi), key=_last_entry)
+        lo = _cancel(p, lo, hi, *_last_entry(hi))
+    part, j = _last_entry(lo)
     for i in range(delta, -1, -1):
-        hi = _cancel(p, hi, tuple((0,) * i + v + (0,) * (delta - i) for v in lo))
+        if hi[part][j + i]:  # else hi is zero there already
+            hi = _cancel(p, hi, tuple((0,) * i + v + (0,) * (delta - i) for v in lo), part, j + i)
     return _leading_one(arr.field, d1, lo), _leading_one(arr.field, d2, hi)
 
 
-def _last_index(theta) -> int:
-    """The last nonzero index of theta read as f then g."""
-    return max(i for i, x in enumerate(theta[0] + theta[1]) if x)
+def _last_entry(theta):
+    """(part, i): theta[part][i] is the last nonzero entry of theta read as f then g."""
+    part = 1 if any(theta[1]) else 0
+    return part, max(i for i, x in enumerate(theta[part]) if x)
 
 
-def _cancel(p: int, theta, other):
-    """theta plus a multiple of other, up to a scalar, zero where other ends."""
-    k = _last_index(other)
-    x, y = (theta[0] + theta[1])[k], (other[0] + other[1])[k]
-    return _normalise(p, tuple(tuple(y * s - x * t for s, t in zip(v, w)) for v, w in zip(theta, other)))
+def _cancel(p: int, theta, other, part: int, i: int):
+    """theta plus a multiple of other, up to a scalar, zero at theta[part][i], where other ends."""
+    x, y = theta[part][i], other[part][i]
+    return _normalise(p, tuple(tuple([y * s - x * t for s, t in zip(v, w)]) for v, w in zip(theta, other)))
 
 
 def _leading_one(field, d: int, theta) -> Derivation2:
     """theta as a degree-d Derivation2 whose first nonzero coefficient is 1."""
     lead = next(x for x in theta[0] + theta[1] if x)
-    return Derivation2(*(BinaryForm.from_ints(field, d, v, 1, lead) for v in theta))
+    return Derivation2.from_ints(field, d, *theta, 1, lead)
 
 
 def defining_form(arr: Arrangement2, m: Sequence[int]) -> BinaryForm:
     """The product of alpha_H^{m(H)} over the arrangement."""
     mt = arr.check_multiplicity(m)
-    out = BinaryForm(arr.field, 0, (arr.field.one,))
+    q = (1,)
     for alpha, k in zip(arr.forms, mt):
-        if k:
-            out = out * alpha.power(k)
+        for _ in range(k):
+            (q,) = _times_alpha(*alpha.ints, arr.field.char, (q,))
+    return BinaryForm.from_ints(arr.field, sum(mt), q)
+
+
+def _convolve(terms, size: int) -> list:
+    """The size ints of the sum of s * u * v over terms (s, u, v), for int vectors u, v in BinaryForm order."""
+    out = [0] * size
+    for s, u, v in terms:
+        for i, x in enumerate(u):
+            if x:
+                x *= s
+                for j, y in enumerate(v, i):
+                    out[j] += x * y
     return out
 
 
+def _content_product(theta1: Derivation2, theta2: Derivation2):
+    """(num, den) of the product of the two contents, with no Fraction built."""
+    (n1, d1), (n2, d2) = theta1.content.as_integer_ratio(), theta2.content.as_integer_ratio()
+    return n1 * n2, d1 * d2
+
+
 def saito_det(theta1: Derivation2, theta2: Derivation2) -> BinaryForm:
-    """The determinant f1*g2 - f2*g1 of the coefficient matrix."""
-    return theta1.f * theta2.g - theta2.f * theta1.g
+    """The determinant f1*g2 - f2*g1 of the coefficient matrix, as one int convolution."""
+    if theta1.field != theta2.field:
+        raise TypeError("mixed-field operands")
+    (f1, g1), (f2, g2) = theta1.ints, theta2.ints
+    d = theta1.degree + theta2.degree
+    det = _convolve(((1, f1, g2), (-1, f2, g1)), d + 1)
+    return BinaryForm.from_ints(theta1.field, d, det, *_content_product(theta1, theta2))
 
 
 def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> list:
@@ -492,27 +564,28 @@ def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> 
     mt = arr.check_multiplicity(m)
     if theta.field != arr.field:
         raise TypeError("mixed-field operands")
-    return [alpha for alpha, k in zip(arr.forms, mt) if not _divides_image(alpha, k, theta)]
+    return [alpha for alpha, k in zip(arr.forms, mt) if k and not _divides_image(alpha, k, theta)]
 
 
 def _divides_image(alpha: LinearForm2, k: int, theta: Derivation2) -> bool:
-    """binary_form_divides(alpha, k, theta.apply_to_linear(alpha)), on one int vector.
+    """binary_form_divides(alpha, k, theta.apply_to_linear(alpha)) for k > 0, on theta's ints.
 
-    theta(alpha) = a*f + b*g is formed as u*f.ints + v*g.ints, a multiple of
-    it by the nonzero int cf.den * cg.den over Q (cf, cg the contents), and
-    as residues over GF(p); no BinaryForm is built.
+    theta(alpha) = a*f + b*g is content * (a*f.ints + b*g.ints), and the
+    nonzero content does not change what divides it; no BinaryForm is
+    built.  For alpha = x1 or x2 (canonical: (a, b) = (1, 0) or (0, 1))
+    the image is f.ints or g.ints itself.
     """
-    if k == 0:
-        return True
     a, b = alpha.ints
-    f, g = theta.f, theta.g
+    f, g = theta.ints
     p = alpha.field.char
-    if p:
-        image = [(a * x + b * y) % p for x, y in zip(f.ints, g.ints)]
+    if not b:
+        image = f
+    elif not a:
+        image = g
+    elif p:
+        image = [(a * x + b * y) % p for x, y in zip(f, g)]
     else:
-        cf, cg = f.content, g.content
-        u, v = a * cf.numerator * cg.denominator, b * cg.numerator * cf.denominator
-        image = [u * x + v * y for x, y in zip(f.ints, g.ints)]
+        image = [a * x + b * y for x, y in zip(f, g)]
     if not any(image):
         return True
     if k > theta.degree:
@@ -526,11 +599,17 @@ def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, th
     The pair is a basis of D(arr, m) iff both derivations are tangent and
     det(theta1, theta2) = c * Q(arr, m) with c != 0.  tangent is the first
     condition; scalar is c, 0 for a zero determinant, or None when the
-    determinant is not a multiple of the defining form.  Q(arr, m) is not
-    built: the determinant's ints are divided by each alpha_H^m(H) in turn
+    determinant is not a multiple of the defining form.  Everything runs
+    on the ints of the pair: tangency divides each theta(alpha_H) by
+    alpha_H^m(H) (see :func:`untangent_forms`), and Q(arr, m) is not built:
+    the ints of :func:`saito_det` are divided by each alpha_H^m(H) in turn
     (see :func:`exactalg._divide_linear`), and c is the determinant's
-    content times the constant left.
+    content times the constant left.  The Sum m(H) divisions also
+    cross-check the tangency test: c could be read as det(P)/Q(P) at one
+    point P once both derivations are tangent, but a faulty tangency test
+    would then go unseen.
     """
+    counts["multiarr2.saito_checks"] += 1
     mt = arr.check_multiplicity(m)
     tangent = not (untangent_forms(arr, mt, theta1) or untangent_forms(arr, mt, theta2))
     det = saito_det(theta1, theta2)
@@ -538,9 +617,10 @@ def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, th
         return tangent, None
     q = det.ints
     for alpha, k in zip(arr.forms, mt):
-        q = _divide_linear(alpha, k, q)
-        if q is None:
-            return tangent, None
+        if k:
+            q = _divide_linear(alpha, k, q)
+            if q is None:
+                return tangent, None
     return tangent, arr.field(q[0]) * det.content
 
 
@@ -587,7 +667,8 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     alpha_k = arr.forms[k_idx]
     u, v = canonical_coefficients(arr.field, (-alpha_k.ints[1], alpha_k.ints[0]))
     prod = defining_form(arr, mt[:k_idx] + (0,) + mt[k_idx + 1 :])
-    theta = Derivation2(prod.scaled(u), prod.scaled(v))
+    q, ratio = prod.ints, prod.content.as_integer_ratio()
+    theta = Derivation2.from_ints(arr.field, prod.degree, [u * x for x in q], [v * x for x in q], *ratio)
     if untangent_forms(arr, mt, theta):
         raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
     lo, hi = sorted((mt[k_idx], total - mt[k_idx]))

@@ -16,11 +16,13 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .exactalg import BinaryForm, char_warning
+from .exactalg import char_warning
 from .multiarr2 import (
     Arrangement2,
     Derivation2,
     Multiplicity,
+    _content_product,
+    _convolve,
     basis,
     exponents,
     is_balanced,
@@ -29,6 +31,7 @@ from .multiarr2 import (
     saito_det,
     untangent_forms,
 )
+from .stats import counts
 
 __all__ = [
     "nabla",
@@ -47,15 +50,25 @@ __all__ = [
 def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
     """The connection: theta applied to each coefficient of phi.
 
-    The result is homogeneous of degree deg(theta) + deg(phi) - 1, since
-    form products carry declared degrees; a constant phi gives zero.
+    The result is homogeneous of degree deg(theta) + deg(phi) - 1; a
+    constant phi gives zero, declared at degree max(deg(theta) - 1, 0).
+    theta(u) = f * du/dx1 + g * du/dx2 is formed on the ints of theta and
+    phi as one int convolution per component of phi, and the content of
+    the image is the product of theirs.
     """
+    counts["shift.nabla"] += 1
     if theta.field != phi.field:
         raise TypeError("mixed-field derivations")
-    if phi.degree == 0:
-        zero = BinaryForm.zero(theta.field, max(theta.degree - 1, 0))
-        return Derivation2(zero, zero)
-    return Derivation2(theta.apply_to_form(phi.f), theta.apply_to_form(phi.g))
+    (f, g), e = theta.ints, phi.degree
+    if e == 0:
+        d = max(theta.degree - 1, 0)
+        return Derivation2.from_ints(theta.field, d, (0,) * (d + 1), (0,) * (d + 1))
+    parts = []
+    for u in phi.ints:
+        du1 = [i * x for i, x in enumerate(u)][1:]
+        du2 = [(e - i) * x for i, x in enumerate(u[:e])]
+        parts.append(_convolve(((1, f, du1), (1, g, du2)), theta.degree + e))
+    return Derivation2.from_ints(theta.field, theta.degree + e - 1, *parts, *_content_product(theta, phi))
 
 
 def coordinate_duals(arr: Arrangement2):
@@ -66,18 +79,12 @@ def coordinate_duals(arr: Arrangement2):
     """
     if arr.h < 2:
         raise ValueError("need at least two hyperplanes for coordinates")
-    a1, b1 = arr.forms[0].coeffs
-    a2, b2 = arr.forms[1].coeffs
+    (a1, b1), (a2, b2) = arr.forms[0].ints, arr.forms[1].ints
     det = a1 * b2 - a2 * b1  # nonzero: arrangement forms are pairwise non-proportional
-
-    def const(u, v):
-        return Derivation2(
-            BinaryForm(arr.field, 0, (u,)), BinaryForm(arr.field, 0, (v,))
-        )
-
-    d1 = const(b2 / det, -a2 / det)
-    d2 = const(-b1 / det, a1 / det)
-    return d1, d2
+    return (
+        Derivation2.from_ints(arr.field, 0, (b2,), (-a2,), 1, det),
+        Derivation2.from_ints(arr.field, 0, (-b1,), (a1,), 1, det),
+    )
 
 
 def _descent_multiplicity(m: Multiplicity, keep_index: int) -> Multiplicity:

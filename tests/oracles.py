@@ -1,4 +1,4 @@
-"""Slow paths kept as test oracles: field-scalar forms and lattice lookups.
+"""Slow paths kept as test oracles: field-scalar forms, form arithmetic and lattice lookups.
 
 ``FieldForm`` keeps every coefficient as a field scalar (``Fraction`` over
 Q, ``FpElement`` over GF(p)) and does its arithmetic entry by entry, with
@@ -6,13 +6,19 @@ no int vector, content or gcd.  ``canonical_coefficients`` scales a
 coefficient vector to its canonical field scalars, and ``_int_row`` turns
 a row of scalars into ints with the same span.  The differential tests in
 ``test_exactalg.py`` and ``test_arr3.py`` run them side by side with the
-library.  ``sweep_chamber_count`` counts the chambers of a real affine line
-arrangement by sampling points, with no intersection poset.
-``exponent_map`` and ``ascend`` are the lattice verifiers' lookups before
-the region table: one ``exponents`` query per point, and a greedy ascent
-that queries every neighbour at every step, with no memo.  ``open_ball``
-lists an open L1-ball by filtering its box, where the library checks the
-ball law on a component without listing the ball.
+library.  ``combine``, ``scaled``, ``mul``, ``dx1``, ``dx2`` and ``power``
+are the arithmetic that ``BinaryForm`` had on its ints and content, and
+``apply_to_form``, ``nabla``, ``saito_det`` and ``saito_criterion`` are the
+derivation routines the library ran on it, before the derivations moved
+to ints; ``test_exactalg.py`` checks the arithmetic against ``FieldForm``,
+and ``test_shift.py`` and ``test_multiarr2.py`` check the library's int
+path against the routines.  ``sweep_chamber_count`` counts the chambers of
+a real affine line arrangement by sampling points, with no intersection
+poset.  ``exponent_map`` and ``ascend`` are the lattice verifiers' lookups
+before the region table: one ``exponents`` query per point, and a greedy
+ascent that queries every neighbour at every step, with no memo.
+``open_ball`` lists an open L1-ball by filtering its box, where the
+library checks the ball law on a component without listing the ball.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
 
-from multiarr.exactalg import _render_terms
+from multiarr.exactalg import BinaryForm, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
-from multiarr.multiarr2 import exponents, is_balanced
+from multiarr.multiarr2 import Derivation2, exponents, is_balanced
 
 
 def canonical_coefficients(field, coeffs: Iterable) -> tuple:
@@ -195,8 +201,8 @@ class FieldForm:
             j = self.degree - i
             if j:
                 pieces.append(names[1] if j == 1 else f"{names[1]}^{j}")
-            terms.append((self.coeffs[i], "*".join(pieces)))
-        return _render_terms(self.field, terms)
+            terms.append((self.field.format(self.coeffs[i]), "*".join(pieces)))
+        return _render_terms(terms)
 
     def _check(self, other):
         if not isinstance(other, FieldForm):
@@ -217,6 +223,127 @@ class FieldForm:
 
     def __repr__(self):
         return f"FieldForm({self.render()})"
+
+
+# ---------------------------------------------------------------------------
+# BinaryForm arithmetic on ints and contents, and the derivation routines on it
+
+
+def combine(f: BinaryForm, a: int, g: BinaryForm, b: int) -> BinaryForm:
+    """a * f + b * g for ints a and b, over a common denominator of the contents."""
+    if f.field != g.field:
+        raise TypeError("mixed-field operands")
+    if f.degree != g.degree:
+        raise ValueError("degree mismatch in form combination")
+    p = f.field.char
+    if p:
+        return BinaryForm.from_ints(f.field, f.degree, [a * x + b * y for x, y in zip(f.ints, g.ints)])
+    c1, c2 = f.content, g.content
+    d1, d2 = c1.denominator, c2.denominator
+    den = math.lcm(d1, d2)
+    u, v = a * c1.numerator * (den // d1), b * c2.numerator * (den // d2)
+    return BinaryForm.from_ints(f.field, f.degree, [u * x + v * y for x, y in zip(f.ints, g.ints)], 1, den)
+
+
+def add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    return combine(f, 1, g, 1)
+
+
+def sub(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    return combine(f, 1, g, -1)
+
+
+def scaled(f: BinaryForm, c) -> BinaryForm:
+    """c * f for an int or anything the field coerces."""
+    c = f.field(c)
+    if f.field.char:
+        return BinaryForm.from_ints(f.field, f.degree, [x * c.val for x in f.ints])
+    return BinaryForm.from_ints(f.field, f.degree, f.ints, f.content.numerator * c.numerator,
+                                f.content.denominator * c.denominator)
+
+
+def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The product; over Q the ints of a product of primitive forms are primitive (Gauss)."""
+    if f.field != g.field:
+        raise TypeError("mixed-field operands")
+    out = [0] * (f.degree + g.degree + 1)
+    for i, x in enumerate(f.ints):
+        if x:
+            for j, y in enumerate(g.ints, i):
+                out[j] += x * y
+    c = f.content * g.content
+    return BinaryForm.from_ints(f.field, f.degree + g.degree, out, c.numerator, c.denominator)
+
+
+def dx1(f: BinaryForm) -> BinaryForm:
+    """Partial derivative with respect to x1."""
+    if f.degree == 0:
+        return BinaryForm.zero(f.field, 0)
+    c = f.content
+    ints = [i * x for i, x in enumerate(f.ints)][1:]
+    return BinaryForm.from_ints(f.field, f.degree - 1, ints, c.numerator, c.denominator)
+
+
+def dx2(f: BinaryForm) -> BinaryForm:
+    """Partial derivative with respect to x2."""
+    if f.degree == 0:
+        return BinaryForm.zero(f.field, 0)
+    d, c = f.degree, f.content
+    ints = [(d - i) * x for i, x in enumerate(f.ints[:d])]
+    return BinaryForm.from_ints(f.field, d - 1, ints, c.numerator, c.denominator)
+
+
+def power(alpha, k: int) -> BinaryForm:
+    """alpha^k for a LinearForm2 alpha."""
+    a, b = alpha.ints
+    out = BinaryForm(alpha.field, 0, (1,))
+    for _ in range(k):
+        out = mul(out, BinaryForm(alpha.field, 1, (b, a)))
+    return out
+
+
+def apply_to_form(theta: Derivation2, form: BinaryForm) -> BinaryForm:
+    """theta acting as a derivation on a polynomial."""
+    return add(mul(theta.f, dx1(form)), mul(theta.g, dx2(form)))
+
+
+def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
+    """The connection: theta applied to each coefficient of phi; a constant phi gives zero."""
+    if phi.degree == 0:
+        zero = BinaryForm.zero(theta.field, max(theta.degree - 1, 0))
+        return Derivation2(zero, zero)
+    return Derivation2(apply_to_form(theta, phi.f), apply_to_form(theta, phi.g))
+
+
+def saito_det(theta1: Derivation2, theta2: Derivation2) -> BinaryForm:
+    """The determinant f1*g2 - f2*g1 of the coefficient matrix."""
+    return sub(mul(theta1.f, theta2.g), mul(theta2.f, theta1.g))
+
+
+def saito_criterion(arr, m, theta1: Derivation2, theta2: Derivation2):
+    """(tangent, scalar) as multiarr2.saito_criterion defines them, by field-scalar long division.
+
+    Each theta(alpha) = a*f + b*g must be divisible by alpha^m(H), and the
+    scalar is det / Q(arr, m) when that is a constant, else None.
+    """
+    field = arr.field
+
+    def divides(alpha, k, form):
+        divisor = FieldForm(field, k, power(alpha, k).coeffs)
+        return form.is_zero() or FieldForm(field, form.degree, form.coeffs).divide_exact(divisor) is not None
+
+    tangent = all(
+        divides(alpha, k, combine(theta.f, alpha.ints[0], theta.g, alpha.ints[1]))
+        for theta in (theta1, theta2)
+        for alpha, k in zip(arr.forms, m)
+    )
+    q = BinaryForm(field, 0, (1,))
+    for alpha, k in zip(arr.forms, m):
+        q = mul(q, power(alpha, k))
+    det = saito_det(theta1, theta2)
+    if det.degree != q.degree:
+        return tangent, None
+    return tangent, proportional_scalar(field, det.coeffs, q.coeffs)
 
 
 def sweep_chamber_count(lines: Iterable) -> int:

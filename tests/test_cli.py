@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multiarr
-from multiarr import cli, corpus, multiarr2, shift
+from multiarr import arr3, cli, corpus, multiarr2, shift
+from multiarr.corpus import ArrangementDocument
 from multiarr.exactalg import BinaryForm
 from multiarr.cli import (
     EXIT_INTERNAL,
@@ -140,6 +141,61 @@ class TestDocuments:
         code, out, err = run(capsys, "free", str(bad))
         assert code == EXIT_IO and out == ""
         assert err == f"document error: unknown keys {unknown}\n"
+
+    @staticmethod
+    def document(field, dim, rows, central=True):
+        return json.dumps({"field": field, "dim": dim, "central": central, "hyperplanes": [{"coeffs": r} for r in rows]})
+
+    @pytest.mark.parametrize(
+        "field, dim, central, rows, first",
+        [
+            ("Q", 2, True, [["x", "1"], ["1"]], "hyperplanes[1].coeffs: expected 2 entries"),
+            ("Q", 2, True, [["x", "1"], ["0", "0"]], "Invalid literal for Fraction: 'x'"),
+            ("Q", 2, True, [["0", "0"], ["1/0", "1"]], "zero coefficient vector has no canonical form"),
+            ("Q", 2, True, [["1", "0"], ["2", "0"], ["1", "x"]], "Invalid literal for Fraction: 'x'"),
+            ("Q", 2, False, [["0", "0", "1/0"]], "line needs a nonzero direction part"),
+            ("Q", 2, False, [["1", "0", "x"], ["0", "0", "1"]], "Invalid literal for Fraction: 'x'"),
+            ({"p": 7}, 2, True, [["x", "1"], ["0", "0"]], "invalid literal for int() with base 10: 'x'"),
+            ({"p": 7}, 2, True, [["7", "14"], ["1", "1/2"]], "zero coefficient vector has no canonical form"),
+            ("Q", 3, True, [["0", "0", "0"], ["1", "y", "0"]], "zero coefficient vector has no canonical form"),
+        ],
+    )
+    def test_two_faults_report_the_first(self, field, dim, central, rows, first):
+        """Each coefficient is parsed once, where its form is built, so the first fault is reported."""
+        with pytest.raises(DocumentError) as info:
+            parse_document(self.document(field, dim, rows, central))
+        assert str(info.value) == first
+
+    @given(
+        field=st.sampled_from(["Q", {"p": 7}]),
+        shape=st.sampled_from([(2, True), (3, True), (2, False)]),
+        data=st.data(),
+    )
+    def test_parsed_once_as_the_forms_would_parse(self, field, shape, data):
+        """The build and the serialised coefficients against forms that parse the strings themselves."""
+        dim, central = shape
+        width = dim + (not central)
+        coeff = st.sampled_from(["0", "1", "-1", "2/3", "-4/6", "7", "1/0", "0.5", "x", ""])
+        rows = data.draw(st.lists(st.lists(coeff, min_size=width, max_size=width), min_size=1, max_size=4))
+        text = self.document(field, dim, rows, central)
+        doc = ArrangementDocument(None, field, dim, central, [(tuple(r), 1) for r in rows])
+        make = {(2, True): multiarr2.Arrangement2, (3, True): arr3.Arrangement3, (2, False): arr3.AffineArrangement2}[shape]
+        try:
+            want = make(doc.field, rows)
+        except ZeroDivisionError as exc:
+            with pytest.raises(DocumentError) as info:
+                parse_document(text)
+            assert str(info.value) == f"coefficient with a zero denominator: {exc}"
+            return
+        except ValueError as exc:
+            with pytest.raises(DocumentError) as info:
+                parse_document(text)
+            assert str(info.value) == str(exc)
+            return
+        got = parse_document(text)
+        assert got.built[1] == want
+        coeffs = [h["coeffs"] for h in json.loads(serialize_document(got))["hyperplanes"]]
+        assert coeffs == [[doc.field.format(doc.field(c)) for c in r] for r in rows]
 
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "doc.json"
@@ -439,11 +495,13 @@ class TestShiftCommand:
 
 
     # sha256 of `shift --json` at m0 beyond the corpus multiplicities, where the
-    # content and gcd arithmetic of the forms does the most work
+    # contents and gcds of the derivations' int vectors do the most work
     SHIFT_PINS = [
         ("b2_lines", "Q", "9,9,9,9", "1003d61cb692bc24bdc725f62d8dc56a7fd221298d53c0ad8015160783fe1781"),
         ("a2", "Q", "9,9,9", "8ebcc36e53b285ca1a32209faaca74a96583de9e611e25ec474af8b4eccde86f"),
         ("a2", {"p": 2147483647}, "3,3,3", "a8490ea5be2ea0dcf1984fb48ed45dbb7fa5f1eb995423ffd1252e6bf83b93b5"),
+        ("b2_lines", "Q", "5,5,5,5", "ea79ee151e5ec80a7ed0c1fb21176228fb14cb273f8846373b2e321ae4a2f9d8"),
+        ("a2", "Q", "3,3,3", "3d707f8f2539c70a793964ade2fccfb28eaa938a60a19d6b161f59b71603f1c8"),
     ]
 
     @pytest.mark.parametrize("name, field, m0, digest", SHIFT_PINS)
@@ -452,6 +510,19 @@ class TestShiftCommand:
         code, out, _ = run(capsys, "shift", path, "--m0", m0, "--json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_output_pinned_on_twelve_lines(self, capsys, tmp_path):
+        """The 4,096 shifts of x, y and x + k*y (k = 1..10) at m0 = 1^12."""
+        lines = [["1", "0"], ["0", "1"]] + [["1", str(k)] for k in range(1, 11)]
+        doc = {"central": True, "dim": 2, "field": "Q", "name": "twelve_lines",
+               "hyperplanes": [{"coeffs": c, "mult": 1} for c in lines]}
+        path = tmp_path / "twelve_lines.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "shift", str(path), "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "493ad5ab070c1bc035cb27899dec2fbaa042263c88c8f4ddd83533eb60b4f210"
+        )
 
 
 class TestFreeCommand:

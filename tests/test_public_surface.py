@@ -20,7 +20,7 @@ from multiarr.exactalg import QQ
 
 LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layer_trace.py"
 
-MODULES = ("exactalg", "multiarr2", "lattice", "shift", "arr3", "corpus", "acceptance", "cli")
+MODULES = ("exactalg", "multiarr2", "lattice", "shift", "arr3", "corpus", "acceptance", "cli", "stats")
 
 TRACED_FUNCTIONS = {
     "exactalg": ("divisibility_constraints", "binary_form_divides"),

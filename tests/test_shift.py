@@ -1,16 +1,22 @@
 """The connection, descent of lower bases, and shift certificates."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+
+import oracles
+from fractions import Fraction
 
 from multiarr import shift
 from multiarr.exactalg import GF, QQ, BinaryForm
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
+    basis,
     exponents,
     lower_degree_basis,
+    saito_criterion,
+    saito_det,
 )
 from multiarr.shift import (
     coordinate_duals,
@@ -46,8 +52,8 @@ class TestNabla:
         for d in range(1, 4):
             phi = Derivation2(form(d, (1,) * (d + 1)), form(d, tuple(range(d + 1))))
             out = nabla(tE, phi)
-            assert out.f == phi.f.scaled(d)
-            assert out.g == phi.g.scaled(d)
+            assert out.f == oracles.scaled(phi.f, d)
+            assert out.g == oracles.scaled(phi.g, d)
 
     def test_constant_against_euler(self):
         d1 = Derivation2.coordinate(QQ, 0)
@@ -69,29 +75,109 @@ class TestNabla:
         theta = Derivation2(form(2, fc), form(2, gc))
         phi = Derivation2(form(2, (1, -2, 1)), form(2, (0, 1, 3)))
         p = form(1, mult)
-        lhs = nabla(Derivation2(p * theta.f, p * theta.g), phi)
+        lhs = nabla(Derivation2(oracles.mul(p, theta.f), oracles.mul(p, theta.g)), phi)
         rhs = nabla(theta, phi)
-        assert lhs.f == p * rhs.f and lhs.g == p * rhs.g
+        assert lhs.f == oracles.mul(p, rhs.f) and lhs.g == oracles.mul(p, rhs.g)
 
     def test_bilinearity_in_theta(self):
         phi = Derivation2(form(2, (1, 0, 2)), form(2, (0, 1, 0)))
         t1 = Derivation2(form(1, (1, 2)), form(1, (0, 1)))
         t2 = Derivation2(form(1, (3, -1)), form(1, (1, 1)))
-        s = Derivation2(t1.f + t2.f, t1.g + t2.g)
+        s = Derivation2(oracles.add(t1.f, t2.f), oracles.add(t1.g, t2.g))
         out = nabla(s, phi)
         o1, o2 = nabla(t1, phi), nabla(t2, phi)
-        assert out.f == o1.f + o2.f and out.g == o1.g + o2.g
+        assert out.f == oracles.add(o1.f, o2.f) and out.g == oracles.add(o1.g, o2.g)
+
+
+INT_PATH_FIELDS = [QQ, GF(2), GF(7), GF(2**31 - 1)]
+
+
+@st.composite
+def derivations(draw, field, degree):
+    """A degree-d derivation whose parts may be zero, or carry a content that is not 1."""
+
+    def part():
+        kind = draw(st.sampled_from(["zero", "ints", "content"]))
+        if kind == "zero":
+            return BinaryForm.zero(field, degree)
+        ints = st.integers(-6, 6) | st.integers(-(10**12), 10**12)
+        form = BinaryForm(field, degree, draw(st.lists(ints, min_size=degree + 1, max_size=degree + 1)))
+        if kind == "content":
+            num, den = draw(st.integers(-30, 30)), draw(st.integers(1, 30))
+            c = field(num) / field(den if den % field.char else 1) if field.char else Fraction(num, den)
+            form = oracles.scaled(form, c)
+        return form
+
+    return Derivation2(part(), part())
+
+
+def assert_same_derivation(got: Derivation2, want: Derivation2):
+    """The int path and the oracle agree on the value, its forms and every string made from it."""
+    assert got == want and hash(got) == hash(want)
+    assert (got.degree, got.f, got.g) == (want.degree, want.f, want.g)
+    field, d = got.field, got.degree
+    f, g = got.coefficient_strings()
+    assert (f, g) == ([field.format(c) for c in want.f.coeffs], [field.format(c) for c in want.g.coeffs])
+    fr, gr = (oracles.FieldForm(field, d, part.coeffs).render() for part in (want.f, want.g))
+    assert got.render() == "{}*dx1 + {}*dx2".format(*(f"({r})" if " " in r else r for r in (fr, gr)))
+
+
+class TestIntPathAgainstFormOracles:
+    """nabla, saito_det and saito_criterion on ints against their BinaryForm versions (tests/oracles.py)."""
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(INT_PATH_FIELDS),
+        shape=st.sampled_from(["random", "equal degrees", "constant phi", "constant theta"]),
+    )
+    def test_nabla_and_saito_det(self, data, field, shape):
+        d = data.draw(st.integers(0, 4))
+        e = {"random": data.draw(st.integers(0, 4)), "equal degrees": d, "constant phi": 0, "constant theta": 3}[shape]
+        theta = data.draw(derivations(field, 0 if shape == "constant theta" else d))
+        phi = data.draw(derivations(field, e))
+        image = nabla(theta, phi)
+        assert_same_derivation(image, oracles.nabla(theta, phi))
+        if phi.degree:
+            assert (image.f, image.g) == (oracles.apply_to_form(theta, phi.f), oracles.apply_to_form(theta, phi.g))
+        assert saito_det(theta, phi) == oracles.saito_det(theta, phi)
+        assert saito_det(phi, image) == oracles.saito_det(phi, image)
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(INT_PATH_FIELDS),
+        m0=st.sampled_from([(1, 1, 1), (2, 2, 1), (3, 3, 3), (1, 1, 1, 1), (3, 3, 3, 3)]),
+    )
+    def test_saito_criterion_on_shift_images(self, data, field, m0):
+        """The certificate of each shift, and of the same images with a part zeroed or rescaled."""
+        assume(field.char != 2 or len(m0) == 3)  # GF(2) has three lines
+        arr = Arrangement2(field, [(1, 0), (0, 1), (1, 1), (1, 3)][: len(m0)])
+        theta0 = lower_degree_basis(arr, m0)
+        m = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(m0), max_size=len(m0)).filter(any)))
+        target = tuple(a + b - 1 for a, b in zip(m0, m))
+        images = [nabla(t, theta0) for t in basis(arr, m)]
+        which = data.draw(st.integers(0, 1))
+        change = data.draw(st.sampled_from([None, "zero f", "rescale g"]))
+        if change == "zero f":
+            images[which] = Derivation2(BinaryForm.zero(field, images[which].degree), images[which].g)
+        elif change == "rescale g":
+            images[which] = Derivation2(images[which].f, oracles.scaled(images[which].g, data.draw(st.integers(2, 9))))
+        got = saito_criterion(arr, target, *images)
+        want = oracles.saito_criterion(arr, target, *images)
+        assert got == want and type(got[1]) is type(want[1])
+        if change is None and not field.char and not shift._failed_hypotheses(arr, m0):
+            assert got[0] and got[1]
 
 
 class TestCoordinateDuals:
     def test_duality(self):
-        arr = b2()
-        d1, d2 = coordinate_duals(arr)
-        a1, a2_ = arr.forms[0], arr.forms[1]
-        assert d1.apply_to_linear(a1).coeffs == (1,)
-        assert d1.apply_to_linear(a2_).is_zero()
-        assert d2.apply_to_linear(a2_).coeffs == (1,)
-        assert d2.apply_to_linear(a1).is_zero()
+        for arr in (b2(), Arrangement2(QQ, [(2, 3), (1, -4)]), Arrangement2(GF(7), [(3, 5), (2, 6), (1, 0)])):
+            d1, d2 = coordinate_duals(arr)
+            a1, a2_ = arr.forms[0], arr.forms[1]
+            one = arr.field.one
+            assert d1.apply_to_linear(a1).coeffs == (one,)
+            assert d1.apply_to_linear(a2_).is_zero()
+            assert d2.apply_to_linear(a2_).coeffs == (one,)
+            assert d2.apply_to_linear(a1).is_zero()
 
 
 class TestDescent:

@@ -1,0 +1,118 @@
+"""The work counters: exact, repeatable in process and across processes, and off the canonical output."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import multiarr
+from multiarr import corpus, stats
+from multiarr.cli import main
+from multiarr.exactalg import QQ
+from multiarr.lattice import LatticeRegion, verify_lemma_one, verify_theorem_limit, verify_theorem_str
+from multiarr.multiarr2 import Arrangement2
+from multiarr.shift import shift_isomorphism_check
+
+B2 = str(corpus.document_path("b2_lines"))
+A2 = str(corpus.document_path("a2"))
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def counted(capsys, *argv) -> dict:
+    code, out, err = run(capsys, *argv, "--stats")
+    assert code == 0
+    line, rest = err.split("\n", 1)
+    assert rest == ""
+    assert json.loads(line) == dict(sorted(json.loads(line).items()))
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+    return json.loads(line)
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", B2, "--caps", "5,5,5,5", "--verify", "str", "--json"),
+            ("shift", A2, "--m0", "3,3,3", "--json"),
+            ("exp", A2, "--json"),
+            ("free", str(corpus.document_path("braid3"))),
+        ],
+    )
+    def test_stdout_is_unchanged(self, capsys, argv):
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *argv, "--stats")
+        if "--json" not in argv:  # the text report ends with the elapsed time
+            plain, out = plain.rsplit("elapsed", 1)[0], out.rsplit("elapsed", 1)[0]
+        assert code == 0 and out == plain and err.count("\n") == 1
+
+    def test_b2_caps5_steps(self, capsys):
+        """limit walks 1,295 unit steps; str walks the same and reads 380 shell gaps more."""
+        limit = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "limit")
+        strong = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "str")
+        assert limit["multiarr2.unit_steps"] == strong["multiarr2.unit_steps"] == 1295
+        assert strong["multiarr2.residues"] - limit["multiarr2.residues"] == 380
+        assert limit["lattice.points"] == strong["lattice.points"] == 1296
+        assert limit["cache.lattice._region_slot.misses"] == 1
+
+    def test_twelve_line_shift(self, capsys, tmp_path):
+        """One Saito check per basis and one per shift; one division per line of positive multiplicity."""
+        lines = [["1", "0"], ["0", "1"]] + [["1", str(k)] for k in range(1, 11)]
+        doc = {"central": True, "dim": 2, "field": "Q", "hyperplanes": [{"coeffs": c} for c in lines]}
+        path = tmp_path / "twelve.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = counted(capsys, "shift", str(path), "--json")
+        assert got["multiarr2.saito_checks"] == 2 * 4096 - 1  # the zero shift has no basis to certify
+        assert got["shift.nabla"] == 2 * 4096
+        assert got["exactalg.divide_linear"] == 143_296
+        assert got["multiarr2.unit_steps"] == got["cache.multiarr2._unit_state.misses"] - 1 == 4095
+
+
+def test_three_verifiers_in_one_session():
+    """one, limit and str back to back: one walk of 1,295 steps, then the 833 on the shell's chains."""
+    region = LatticeRegion(corpus.arrangement("b2_lines"), (5, 5, 5, 5))
+    stats.reset()
+    for verify in (verify_lemma_one, verify_theorem_limit, verify_theorem_str):
+        assert verify(region).passed
+    got = stats.snapshot()
+    assert got["multiarr2.unit_steps"] == 1295 + 833
+    assert got["lattice.points"] == 3 * 1296
+
+
+def test_reset_repeats_in_process():
+    arr = Arrangement2(QQ, [(1, 0), (0, 1), (1, -1), (1, 1)])
+    runs = []
+    for _ in range(2):
+        stats.reset()
+        shift_isomorphism_check(arr, (3, 3, 3, 3))
+        verify_theorem_str(LatticeRegion(arr, (3, 3, 3, 3)))
+        runs.append(stats.snapshot())
+    assert runs[0] == runs[1]
+    assert runs[0]["multiarr2.saito_checks"] == 31 and runs[0]["shift.nabla"] == 32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice", B2, "--caps", "4,4,4,4", "--verify", "str", "--json"),
+        ("shift", A2, "--m0", "5,5,5", "--json"),
+        ("verify-all",),
+    ],
+)
+def test_in_process_equals_subprocess(capsys, argv):
+    """The same line in this process, twice, and in a fresh interpreter."""
+    lines = [counted(capsys, *argv) for _ in range(2)]
+    env = dict(os.environ, PYTHONPATH=str(Path(multiarr.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiarr", *argv, "--stats"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert lines[0] == lines[1] == json.loads(proc.stderr)
