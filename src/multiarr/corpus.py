@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import arr3, multiarr2
 from .exactalg import GF, QQ
@@ -153,7 +154,59 @@ def serialize_document(doc: ArrangementDocument) -> str:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, from one C call per string.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder; this
+    writer quotes each string with the C ``encode_basestring_ascii`` and
+    prints ints with ``int.__repr__``.  It takes dicts with str keys,
+    lists, tuples, str, int, bool and None; anything else, a float or a
+    Fraction included, raises TypeError, so no float reaches the output.
+    """
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, pad: str, put) -> None:
+    """Append the JSON text of obj to put, with pad (a newline and indent) before each nested line."""
+    kind = type(obj)
+    if kind is str:
+        put(_quote(obj))
+    elif kind is int:
+        put(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            put(sep)
+            put(_quote(key))  # raises TypeError on a key that is not a str
+            put(": ")
+            _write(obj[key], inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif obj is None:
+        put("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def build_arrangement(doc: ArrangementDocument):
@@ -161,7 +214,9 @@ def build_arrangement(doc: ArrangementDocument):
 
     Returns ("arr2", Arrangement2, multiplicity), ("arr3", Arrangement3)
     or ("aff2", AffineArrangement2).  Each coefficient string is parsed
-    once, into doc.scalars, which serialize_document formats.  A row is
+    once, into doc.scalars, which serialize_document formats; over Q a
+    scalar is an int when the string is a plain integer, and a Fraction
+    otherwise (see :func:`_parse`).  A row is
     parsed just before its form is built, as the form would parse it; a
     string that does not parse is passed on as it is, so the forms raise
     the first fault in the order they meet it.
@@ -182,8 +237,16 @@ def build_arrangement(doc: ArrangementDocument):
 
 
 def _parse(field, text: str):
-    """The field scalar of text, or text itself when it does not parse."""
+    """The field scalar of text, or text itself when it does not parse.
+
+    Over Q, a string of ASCII digits with at most a leading "-" becomes a
+    Python int, the value Fraction(text) has; the forms take ints without
+    a Fraction, and field.format prints the same text.
+    """
+    digits = text[1:] if text[:1] == "-" else text
     try:
+        if not field.char and digits.isdigit() and digits.isascii():
+            return int(text)
         return field(text)
     except (ValueError, ZeroDivisionError):
         return text

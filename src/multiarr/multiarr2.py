@@ -268,17 +268,33 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     total = sum(m)
     if not total:
         return _BASE_STATE
-    start = total - 1 if total % _CHECKPOINT else total - _CHECKPOINT
-    steps = [(j, k) for j, v in enumerate(m) for k in range(v)][start:]
-    prev = list(m)
-    for j, _ in steps:
-        prev[j] -= 1
-    state = _unit_state(arr, tuple(prev))
+    prev, steps = _last_steps(m, 1 if total % _CHECKPOINT else _CHECKPOINT)
+    state = _unit_state(arr, prev)
     for j, k in steps:
         state = _unit_step(arr.forms[j], k, state)
     counts["multiarr2.unit_steps"] += len(steps)
     counts["multiarr2.residues"] += len(steps)
     return state
+
+
+def _last_steps(m: Multiplicity, n: int):
+    """(prev, steps): the last n of the unit steps (j, k) of the chain to m, and the point before them.
+
+    The chain raises m(H_j) from k to k + 1, for j ascending and k from 0
+    up; its last steps are read back from the last nonzero index, so only
+    these n are built.  n must not exceed |m|.
+    """
+    prev = list(m)
+    steps = []
+    j = len(prev) - 1
+    while len(steps) < n:
+        if prev[j]:
+            prev[j] -= 1
+            steps.append((j, prev[j]))
+        else:
+            j -= 1
+    steps.reverse()
+    return tuple(prev), steps
 
 
 def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bool):
@@ -561,7 +577,11 @@ def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> 
     theta lies in D(arr, m) iff the list is empty.  The test is synthetic
     division by alpha, independent of the rows the exponent solver uses.
     """
-    mt = arr.check_multiplicity(m)
+    return _untangent(arr, arr.check_multiplicity(m), theta)
+
+
+def _untangent(arr: Arrangement2, mt: Multiplicity, theta: Derivation2) -> list:
+    """untangent_forms for a multiplicity already checked against arr."""
     if theta.field != arr.field:
         raise TypeError("mixed-field operands")
     return [alpha for alpha, k in zip(arr.forms, mt) if k and not _divides_image(alpha, k, theta)]
@@ -609,9 +629,13 @@ def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, th
     point P once both derivations are tangent, but a faulty tangency test
     would then go unseen.
     """
+    return _saito_criterion(arr, arr.check_multiplicity(m), theta1, theta2)
+
+
+def _saito_criterion(arr: Arrangement2, mt: Multiplicity, theta1: Derivation2, theta2: Derivation2):
+    """saito_criterion for a multiplicity already checked against arr."""
     counts["multiarr2.saito_checks"] += 1
-    mt = arr.check_multiplicity(m)
-    tangent = not (untangent_forms(arr, mt, theta1) or untangent_forms(arr, mt, theta2))
+    tangent = not (_untangent(arr, mt, theta1) or _untangent(arr, mt, theta2))
     det = saito_det(theta1, theta2)
     if det.degree != sum(mt):
         return tangent, None
@@ -636,7 +660,7 @@ def basis(arr: Arrangement2, m: Sequence[int]):
     if sum(mt) == 0:
         raise ValueError("|m| = 0 has no canonical basis choice")
     theta1, theta2 = _canonical_basis(arr, mt)
-    tangent, scalar = saito_criterion(arr, mt, theta1, theta2)
+    tangent, scalar = _saito_criterion(arr, mt, theta1, theta2)
     if not scalar:
         raise RuntimeError(
             "independent pair fails the determinant criterion (solver bug): "
@@ -669,7 +693,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     prod = defining_form(arr, mt[:k_idx] + (0,) + mt[k_idx + 1 :])
     q, ratio = prod.ints, prod.content.as_integer_ratio()
     theta = Derivation2.from_ints(arr.field, prod.degree, [u * x for x in q], [v * x for x in q], *ratio)
-    if untangent_forms(arr, mt, theta):
+    if _untangent(arr, mt, theta):
         raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
     lo, hi = sorted((mt[k_idx], total - mt[k_idx]))
     return Exponents2(lo, hi), theta

@@ -19,10 +19,16 @@ before the region table: one ``exponents`` query per point, and a greedy
 ascent that queries every neighbour at every step, with no memo.
 ``open_ball`` lists an open L1-ball by filtering its box, where the
 library checks the ball law on a component without listing the ball.
+``canonical_json`` is the ``json`` module's indented encoder that
+``corpus.canonical_json`` replaced, ``parse_coefficient`` the
+``field(text)`` parse of every coefficient string before plain integers
+became ints over Q, and ``last_steps`` the whole step list that
+``multiarr2._unit_state`` sliced before it built only the last steps.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -416,3 +422,25 @@ def open_ball(center, radius) -> list:
     """The points of Z>=0^n at L1 distance below radius from center, in lexicographic order."""
     box = product(*(range(max(0, c - radius), c + radius + 1) for c in center))
     return [pt for pt in box if sum(abs(a - b) for a, b in zip(pt, center)) < radius]
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, two-space indent and a final newline, from the json module's encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def parse_coefficient(field, text: str):
+    """The field scalar of text, or text itself when it does not parse; Fraction(text) over Q."""
+    try:
+        return field(text)
+    except (ValueError, ZeroDivisionError):
+        return text
+
+
+def last_steps(m, n: int):
+    """(prev, steps): the last n unit steps (j, k) of the chain to m, sliced from the whole list."""
+    steps = [(j, k) for j, v in enumerate(m) for k in range(v)][sum(m) - n :]
+    prev = list(m)
+    for j, _ in steps:
+        prev[j] -= 1
+    return tuple(prev), steps

@@ -9,13 +9,15 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import multiarr
+import oracles
 from multiarr import arr3, cli, corpus, multiarr2, shift
 from multiarr.corpus import ArrangementDocument
 from multiarr.exactalg import BinaryForm
@@ -197,6 +199,41 @@ class TestDocuments:
         coeffs = [h["coeffs"] for h in json.loads(serialize_document(got))["hyperplanes"]]
         assert coeffs == [[doc.field.format(doc.field(c)) for c in r] for r in rows]
 
+    PLAIN_OR_NOT = ["-0", "007", "+3", " 3", "1_0", "\u0663", "1/2", "3.50", "-", "", "9" * 4301, "-12"]
+
+    @pytest.mark.parametrize("field", ["Q", {"p": 7}], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("text", PLAIN_OR_NOT, ids=repr)
+    def test_integer_parse_matches_the_field_route(self, monkeypatch, tmp_path, field, text):
+        """A plain integer read as an int gives the forms, bytes, digest and error of Fraction(text)."""
+        for dim, central, rows in [
+            (2, True, [[text, "1"], ["0", "1"], ["1", "1"]]),
+            (3, True, [["1", text, "0"], ["0", "0", "1"], ["1", "1", "1"]]),
+            (2, False, [["1", "0", text], ["0", "1", "0"]]),
+        ]:
+            path = tmp_path / "doc.json"
+            path.write_text(self.document(field, dim, rows, central), encoding="utf-8")
+            with monkeypatch.context() as mp:
+                mp.setattr(corpus, "_parse", oracles.parse_coefficient)
+                want = self.load_or_error(str(path))
+            got = self.load_or_error(str(path))
+            assert got == want
+
+    @staticmethod
+    def load_or_error(path):
+        """(arrangement, serialised document, digest), or the DocumentError text."""
+        try:
+            doc, digest = load_document(path)
+        except DocumentError as exc:
+            return str(exc)
+        return doc.built[1], serialize_document(doc), digest
+
+    def test_plain_integers_become_ints_over_q_only(self):
+        rows = [["-0", "007"], ["1/2", "-12"], ["3.50", "1"]]
+        q = parse_document(self.document("Q", 2, rows))
+        assert [tuple(map(type, r)) for r in q.scalars] == [(int, int), (Fraction, int), (Fraction, int)]
+        gf = parse_document(self.document({"p": 7}, 2, [["-0", "008"], ["12", "1"]]))
+        assert all(type(c) is not int for r in gf.scalars for c in r)
+
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         bad = tmp_path / "doc.json"
         bad.write_bytes(b"\xff\xfe{")
@@ -377,6 +414,46 @@ class TestJsonDeterminism:
         assert out1 == out2
         body = json.loads(out1)
         assert json.dumps(body, sort_keys=True) == json.dumps(body)  # keys sorted
+
+
+TEXT = st.text(st.characters(blacklist_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'), max_size=8)
+WRITABLE = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, True, False]) | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestCanonicalWriter:
+    """corpus.canonical_json against its oracle, json.dumps(obj, sort_keys=True, indent=2) + newline."""
+
+    @given(obj=WRITABLE)
+    @example(obj={"a": [True, 1, False, 0], "b": {"": [], "c": {}}, "d": ()})
+    @example(obj=[[], {}, (), [[]], {"x": {}}, None])
+    @example(obj={"\u00e9": "\"\\", "\x00": "\ud800", "\U0001f600": "\u2028\n\t"})
+    def test_matches_the_json_module(self, obj):
+        assert corpus.canonical_json(obj) == oracles.canonical_json(obj)
+
+    @given(digits=st.integers(4301, 6000), sign=st.sampled_from([1, -1]))
+    def test_ints_past_the_digit_limit(self, digits, sign):
+        obj = {"big": [sign * (10**digits - 7), 0], "small": -1}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert corpus.canonical_json(obj) == oracles.canonical_json(obj)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [1.5, {"x": [0.0]}, Fraction(1, 2), [Fraction(3)], {1: "a"}, {"a": {2: 0}}],
+        ids=["float", "nested-float", "fraction", "nested-fraction", "int-key", "nested-int-key"],
+    )
+    def test_refuses_what_is_not_exact_json(self, obj):
+        with pytest.raises(TypeError):
+            corpus.canonical_json(obj)
 
 
 class TestLatticeCommand:

@@ -378,6 +378,16 @@ class TestUnitSteps:
         assert exponents(arr, (500, 500, 500)).pair == (750, 750)
         clear_multiarr_caches()
 
+    def test_last_steps_match_the_sliced_step_list(self):
+        """The steps read back from the last nonzero index against the whole list, sliced."""
+        rng = random.Random(23)
+        for _ in range(400):
+            m = tuple(rng.choice([0, 0, 1, 2, 5, 40, 130]) for _ in range(rng.randint(1, 6)))
+            total = sum(m)
+            for n in {1, multiarr2._CHECKPOINT, total} - {0}:
+                if n <= total:
+                    assert multiarr2._last_steps(m, n) == oracles.last_steps(m, n), (m, n)
+
     def test_state_cache_is_bounded_and_clearable(self):
         state = multiarr2._unit_state
         assert state.cache_info().maxsize is not None
@@ -582,6 +592,24 @@ class TestSaitoCriterion:
                 for v in variants:
                     want = [a for a, k in zip(arr.forms, m) if not binary_form_divides(a, k, v.apply_to_linear(a))]
                     assert untangent_forms(arr, m, v) == want, (m, v)
+
+    def test_one_multiplicity_check_per_certified_pair(self, monkeypatch):
+        arr, m = b2(), (2, 1, 2, 1)
+        calls = []
+        check = Arrangement2.check_multiplicity
+
+        def counted(self, mt):
+            calls.append(mt)
+            return check(self, mt)
+
+        monkeypatch.setattr(Arrangement2, "check_multiplicity", counted)
+        pair = basis(arr, m)
+        assert len(calls) == 1
+        assert saito_criterion(arr, list(m), *pair)[1] and len(calls) == 2
+        with pytest.raises(ValueError, match="multiplicity has 3 entries, arrangement has 4"):
+            saito_criterion(arr, m[:3], *pair)
+        with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+            basis(arr, (2, 1, 2, -1))
 
     def test_untangent_forms_refuses_mixed_fields(self):
         with pytest.raises(TypeError, match="mixed-field"):

@@ -117,3 +117,17 @@ def test_only_multiarr2_builds_the_defining_form():
                 if name == "defining_form":
                     callers.add(path.stem)
     assert callers == {"multiarr2"}
+
+
+def test_no_module_runs_the_indented_json_encoder():
+    """With an indent, json.dumps runs its pure-Python encoder; corpus.canonical_json writes indented JSON."""
+    src = Path(multiarr.__file__).parent
+    callers = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in {"dump", "dumps", "JSONEncoder"} and any(k.arg == "indent" for k in node.keywords):
+                    callers.append(f"{path.stem}:{node.lineno}")
+    assert callers == []
