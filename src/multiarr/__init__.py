@@ -65,7 +65,6 @@ from .arr3 import (
     char_poly,
     cone,
     decone,
-    euler_chamber_count,
     intersection_lattice,
     is_free,
     pb3_membership,

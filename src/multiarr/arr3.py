@@ -51,7 +51,6 @@ __all__ = [
     "thm_rest_check",
     "thm_rest2_check",
     "chamber_count",
-    "euler_chamber_count",
     "pb3_membership",
 ]
 
@@ -64,10 +63,6 @@ class LinearForm3(CanonicalForm):
 
     def __init__(self, field, a, b, c):
         super().__init__(field, (a, b, c))
-
-    def value(self, vec):
-        """The form at a vector of ints or field scalars, as a field element."""
-        return self.field(sum(u * v for u, v in zip(self.ints, vec)))
 
 
 class Arrangement3(FormTuple):
@@ -214,6 +209,21 @@ def _cross(u, v):
     )
 
 
+def _meets(field, normals) -> list:
+    """Each line where two or more of the planes with these int normals meet.
+
+    Returns (canonical int direction, sorted plane indices, mu) triples,
+    keyed by the canonical cross product of each pair of non-proportional
+    normals; a line in n planes has mu = n - 1.
+    """
+    lines: dict = {}
+    for i, u in enumerate(normals):
+        for j in range(i + 1, len(normals)):
+            lines.setdefault(canonical_coefficients(field, _cross(u, normals[j])), set()).update((i, j))
+    order = sorted(lines, key=lambda k: tuple(map(str, k)))
+    return [(key, tuple(sorted(lines[key])), len(lines[key]) - 1) for key in order]
+
+
 def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     """Flats of each codimension with their Moebius values.
 
@@ -223,20 +233,7 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     hyperplanes carry -1, a line in n planes carries n - 1, and the
     origin's value makes the whole sum vanish.
     """
-    field = arr.field
-    flats: dict = {}
-    forms = arr.forms
-    for i in range(arr.h):
-        for j in range(i + 1, arr.h):
-            d = _cross(forms[i].ints, forms[j].ints)
-            key = canonical_coefficients(field, d)
-            if key not in flats:
-                flats[key] = set()
-            flats[key].update((i, j))
-    rank2 = []
-    for key in sorted(flats, key=lambda k: tuple(map(str, k))):
-        members = tuple(sorted(flats[key]))
-        rank2.append(Rank2Flat(key, members, len(members) - 1))
+    rank2 = [Rank2Flat(*flat) for flat in _meets(arr.field, [f.ints for f in arr.forms])]
     # normals of rank <= 2 all meet in one line; rank 3 gives two distinct lines
     origin_mu = None
     if len(rank2) > 1:
@@ -247,7 +244,8 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
 @dataclass(frozen=True)
 class AffinePoset2:
     arrangement: AffineArrangement2
-    points: tuple  # ((x, y), sorted line indices, mu) in deterministic order
+    # ((X, Y, Z), sorted line indices, mu) in deterministic order: the point (X/Z, Y/Z), Z != 0, in canonical ints
+    points: tuple
 
     @property
     def k(self) -> int:
@@ -258,24 +256,13 @@ class AffinePoset2:
 
 
 def affine_poset(aff: AffineArrangement2) -> AffinePoset2:
-    """Intersection points of the lines with their Moebius values."""
-    field = aff.field
-    pts: dict = {}
-    lines = aff.forms
-    for i in range(aff.k):
-        for j in range(i + 1, aff.k):
-            (a1, b1, c1), (a2, b2, c2) = lines[i].ints, lines[j].ints
-            det = field(a1 * b2 - a2 * b1)
-            if not det:
-                continue  # parallel
-            x = field(c1 * b2 - c2 * b1) / det
-            y = field(a1 * c2 - a2 * c1) / det
-            pts.setdefault((x, y), set()).update((i, j))
-    out = []
-    for key in sorted(pts, key=lambda p: (field.format(p[0]), field.format(p[1]))):
-        members = tuple(sorted(pts[key]))
-        out.append((key, members, len(members) - 1))
-    return AffinePoset2(aff, tuple(out))
+    """Intersection points of the lines with their Moebius values.
+
+    The points are the lines where the coned planes a*x + b*y - c*z = 0
+    meet, less those at infinity (z = 0), where parallel lines meet.
+    """
+    meets = _meets(aff.field, [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)])
+    return AffinePoset2(aff, tuple(pt for pt in meets if pt[0][2]))
 
 
 def char_poly(arr) -> CharPoly:
@@ -322,40 +309,46 @@ def _shell_key(v):
 
 
 def _plane_frame(alpha: LinearForm3):
-    """Deterministic frame (u1, u2, v0) of the plane alpha = 0, in closed form.
+    """Deterministic int frame (u1, u2, k) of the plane alpha = 0, in closed form.
 
     With a_k the first nonzero coefficient of alpha, the integer vectors
-    u = a_k*e_i - a_i*e_k for the two other indices i span the plane, and
-    v0 = e_k / a_k (a field scalar) has alpha(v0) = 1.  Over GF(p), a_k = 1
-    and the pair is used as built.  Over Q it is Lagrange-reduced, each
-    vector gets its last nonzero entry positive, and the two are ordered by
-    :func:`_shell_key`.
+    u = a_k*e_i - a_i*e_k for the two other indices i span the plane.  Over
+    GF(p), a_k = 1 and the pair is used as built.  Over Q it is
+    Lagrange-reduced, each vector gets its last nonzero entry positive, and
+    the two are ordered by :func:`_shell_key`.
     """
     a = alpha.ints
     k = next(i for i, c in enumerate(a) if c)
     u1, u2 = (tuple(a[k] if j == i else -a[i] if j == k else 0 for j in range(3)) for i in range(3) if i != k)
-    v0 = tuple(alpha.field.one / alpha.coeffs[k] if j == k else 0 for j in range(3))
     if not alpha.field.char:
         # of u and -u, the one with its last nonzero entry positive ranks first
         pair = (min(u, tuple(-c for c in u), key=_shell_key) for u in _lagrange(u1, u2))
         u1, u2 = sorted(pair, key=_shell_key)
-    return u1, u2, v0
+    return u1, u2, k
+
+
+def _in_frame(arr: Arrangement3, h0: int):
+    """(a_k, rows): each plane beta other than h0 as (beta.u1, beta.u2, beta_k) in the frame (u1, u2, k) of h0."""
+    if not 0 <= h0 < arr.h:
+        raise ValueError(f"h0 index {h0} out of range")
+    alpha = arr.forms[h0]
+    u1, u2, k = _plane_frame(alpha)
+    return alpha.ints[k], [(_dot(b.ints, u1), _dot(b.ints, u2), b.ints[k]) for i, b in enumerate(arr.forms) if i != h0]
 
 
 def decone(arr: Arrangement3, h0: int) -> AffineArrangement2:
     """Restrict away the hyperplane at index h0, viewing it as infinity.
 
-    The remaining planes are evaluated on the affine chart v0 + s*u1 +
-    t*u2 of the closed-form frame of h0, inverting :func:`cone` exactly
-    when h0 is the appended infinite hyperplane (frame e1, e2, e3).
+    The remaining planes are read on the affine chart e_k/a_k + s*u1 + t*u2
+    of the frame (u1, u2, k) of h0, where a plane beta = 0 is the line
+    (beta.u1)*s + (beta.u2)*t = -beta_k/a_k; each line is built as a_k
+    times that, on ints.  This inverts :func:`cone` exactly when h0 is the
+    appended infinite hyperplane (frame e1, e2 and k = 2).
     """
-    if not 0 <= h0 < arr.h:
-        raise ValueError(f"h0 index {h0} out of range")
-    u1, u2, v0 = _plane_frame(arr.forms[h0])
+    a_k, rows = _in_frame(arr, h0)
     # a plane vanishing at u1 and u2 would be proportional to h0, so every
     # line keeps a nonzero direction part
-    lines = [(a.value(u1), a.value(u2), -a.value(v0)) for i, a in enumerate(arr.forms) if i != h0]
-    return AffineArrangement2(arr.field, lines)
+    return AffineArrangement2(arr.field, [(a_k * s, a_k * t, -c) for s, t, c in rows])
 
 
 def ziegler_restriction(arr: Arrangement3, h0: int):
@@ -365,24 +358,14 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
     tuple); the multiplicities sum to |arr| - 1.  Only the forms depend on
     the frame, not the multiplicities or the exponents.
     """
-    if not 0 <= h0 < arr.h:
-        raise ValueError(f"h0 index {h0} out of range")
+    rows = _in_frame(arr, h0)[1]
     if arr.h < 2:
         raise ValueError("restriction needs at least two hyperplanes")
-    field = arr.field
-    u1, u2, _ = _plane_frame(arr.forms[h0])
-    order: list = []
-    counts: dict = {}
-    for i, alpha in enumerate(arr.forms):
-        if i == h0:
-            continue
-        beta = LinearForm2(field, _dot(alpha.ints, u1), _dot(alpha.ints, u2))
-        if beta not in counts:
-            counts[beta] = 0
-            order.append(beta)
-        counts[beta] += 1
-    restricted = Arrangement2(field, order)
-    return restricted, tuple(counts[b] for b in order)
+    counts: dict = {}  # in order of first appearance
+    for s, t, _ in rows:
+        beta = LinearForm2(arr.field, s, t)
+        counts[beta] = counts.get(beta, 0) + 1
+    return Arrangement2(arr.field, list(counts)), tuple(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +548,6 @@ def thm_rest_check(aff: AffineArrangement2) -> RestReport:
         applicable=True, reason="hypotheses hold", case=case, d=d, roots=roots,
         bounds_ok=d <= a <= b <= d + gap,
     )
-
-
-def euler_chamber_count(aff: AffineArrangement2) -> int:
-    """Chambers counted from the planar subdivision (V - E + F on the sphere).
-
-    Vertices are the intersection points plus the point at infinity; each
-    line contributes one more edge than it has vertices.  Since a point on
-    n lines has mu = n - 1, the count equals chi(-1) for every poset: it is
-    a second formula for :func:`chamber_count` on the same points, not an
-    independent check.
-    """
-    if aff.field.char:
-        raise ValueError("real chambers need characteristic zero")
-    return _euler_count(affine_poset(aff))
-
-
-def _euler_count(poset: AffinePoset2) -> int:
-    on_line = [0] * poset.k
-    for _, members, _ in poset.points:
-        for i in members:
-            on_line[i] += 1
-    vertices = len(poset.points) + 1
-    edges = sum(v + 1 for v in on_line)
-    return edges - vertices + 2
 
 
 def chamber_count(aff: AffineArrangement2) -> int:

@@ -179,6 +179,7 @@ def _ascend(m: Multiplicity, peaks: dict, gap) -> Multiplicity:
             peak = cur
         for mu in walked:
             peaks[mu] = peak
+        counts["lattice.ascent_steps"] += len(walked)
         return peak
     raise RuntimeError(
         f"gap ascent from {m} did not terminate within {_ASCENT_LIMIT} steps; "

@@ -11,7 +11,9 @@ or in bulk after a loop, never inside the inner loop of a kernel:
 - ``multiarr2.saito_checks``: runs of Saito's criterion;
 - ``shift.nabla``: images under the connection;
 - ``lattice.points``: points that the lattice verifiers read from a region
-  table.
+  table;
+- ``lattice.ascent_steps``: points that gap ascents walk, each counted
+  once: a walk stops at the first point an earlier walk holds.
 
 :func:`snapshot` adds the ``hits`` and ``misses`` of every ``lru_cache``
 of the loaded ``multiarr`` modules.  After :func:`reset` the numbers of a
@@ -36,6 +38,7 @@ counts = dict.fromkeys(
         "multiarr2.saito_checks",
         "shift.nabla",
         "lattice.points",
+        "lattice.ascent_steps",
     ),
     0,
 )

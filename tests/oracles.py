@@ -14,7 +14,12 @@ to ints; ``test_exactalg.py`` checks the arithmetic against ``FieldForm``,
 and ``test_shift.py`` and ``test_multiarr2.py`` check the library's int
 path against the routines.  ``sweep_chamber_count`` counts the chambers of
 a real affine line arrangement by sampling points, with no intersection
-poset.  ``exponent_map`` and ``ascend`` are the lattice verifiers' lookups
+poset.  ``scalar_decone`` and ``scalar_affine_points`` are the field-scalar
+routes of ``arr3`` before it moved to ints: deconing on the chart
+v0 + s*u1 + t*u2 with v0 = e_k / a_k, each plane read by its field sum
+(``field_value``, the former ``LinearForm3.value``), and the intersection
+points of affine lines by Cramer's rule with field division.
+``exponent_map`` and ``ascend`` are the lattice verifiers' lookups
 before the region table: one ``exponents`` query per point, and a greedy
 ascent that queries every neighbour at every step, with no memo.
 ``open_ball`` lists an open L1-ball by filtering its box, where the
@@ -32,9 +37,10 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
+from multiarr import arr3
 from multiarr.exactalg import BinaryForm, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import Derivation2, exponents, is_balanced
@@ -374,6 +380,34 @@ def sweep_chamber_count(lines: Iterable) -> int:
         for y in _gap_points({(c - a * x) / b for a, b, c in lines if b}):
             signs.add(tuple(a * x + b * y > c for a, b, c in lines))
     return len(signs)
+
+
+def field_value(form, vec):
+    """The form at a vector of ints or field scalars, as a sum of field scalars."""
+    field = form.field
+    return sum((field(c) * field(x) for c, x in zip(form.coeffs, vec)), field.zero)
+
+
+def scalar_decone(arr, h0: int):
+    """arr3.decone by field scalars: the planes read on the chart v0 + s*u1 + t*u2, v0 = e_k / a_k."""
+    field, alpha = arr.field, arr.forms[h0]
+    u1, u2, k = arr3._plane_frame(alpha)
+    v0 = tuple(field.one / alpha.coeffs[k] if j == k else field.zero for j in range(3))
+    lines = [
+        (field_value(b, u1), field_value(b, u2), -field_value(b, v0)) for i, b in enumerate(arr.forms) if i != h0
+    ]
+    return arr3.AffineArrangement2(field, lines)
+
+
+def scalar_affine_points(aff) -> dict:
+    """{(x, y): sorted indices of the lines through it}, by Cramer's rule on field scalars."""
+    points: dict = {}
+    for i, j in combinations(range(aff.k), 2):
+        (a1, b1, c1), (a2, b2, c2) = aff.forms[i].coeffs, aff.forms[j].coeffs
+        det = a1 * b2 - a2 * b1
+        if det:  # not parallel
+            points.setdefault(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det), set()).update((i, j))
+    return {pt: tuple(sorted(members)) for pt, members in points.items()}
 
 
 def _gap_points(values) -> list:

@@ -18,7 +18,6 @@ from multiarr.arr3 import (
     char_poly,
     cone,
     decone,
-    euler_chamber_count,
     intersection_lattice,
     is_free,
     pb3_membership,
@@ -33,7 +32,7 @@ from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import exponents, is_balanced
 from oracles import _int_row as oracle_int_row
 from oracles import canonical_coefficients as oracle_canonical_coefficients
-from oracles import sweep_chamber_count
+from oracles import scalar_affine_points, scalar_decone, sweep_chamber_count
 
 
 # --- independent oracles ---------------------------------------------------
@@ -131,33 +130,37 @@ def shell_rank(v):
     return (n, *(order.index(c) for c in reversed(v)))
 
 
+def residue(x, p):
+    return x % p if p else x
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def search_frame(alpha, limit):
     """The bounded frame search, in shell order: the first two independent
-    vectors with alpha = 0 and the first v0 with alpha(v0) = 1, or None when
-    one of them needs a max-norm above limit."""
-    field = alpha.field
-    u1 = u2 = v0 = None
+    vectors with alpha = 0, or None when they need a max-norm above limit.
+    The pivot k of the closed form (alpha's first nonzero index) comes last."""
+    p, a = alpha.field.char, alpha.ints
+    u1 = None
     for v in shell_vectors(limit):
-        val = alpha.value(v)
-        if not val:
+        if not residue(dot(a, v), p):
             if u1 is None:
                 u1 = v
-            elif u2 is None and any(field(c) for c in cross(u1, v)):
-                u2 = v
-        elif v0 is None and val == field.one:
-            v0 = v
-        if None not in (u1, u2, v0):
-            return u1, u2, v0
+            elif any(residue(c, p) for c in cross(u1, v)):
+                return u1, v, next(i for i, c in enumerate(a) if c)
     return None
 
 
 def assert_valid_frame(alpha, frame):
-    u1, u2, v0 = frame
-    field = alpha.field
+    """u1 and u2 are int vectors spanning alpha = 0, and a_k is alpha's first nonzero coefficient."""
+    u1, u2, k = frame
+    p, a = alpha.field.char, alpha.ints
     assert all(type(c) is int for c in u1 + u2)
-    assert not alpha.value(u1) and not alpha.value(u2)
-    assert any(field(c) for c in cross(u1, u2))
-    assert alpha.value(v0) == field.one
+    assert not residue(dot(a, u1), p) and not residue(dot(a, u2), p)
+    assert any(residue(c, p) for c in cross(u1, u2))
+    assert residue(a[k], p) and not any(residue(c, p) for c in a[:k])
 
 
 # --- tests ------------------------------------------------------------------
@@ -411,6 +414,74 @@ class TestLatticeOracle:
         assert got == want
 
 
+def seeded_central(field, rng, count=120):
+    """Central arrangements of 2 to 8 planes with coefficients of at most 9 (GF(2) has 7 planes in all)."""
+    out = []
+    while len(out) < count:
+        forms = {}
+        for _ in range(rng.randint(2, 8)):
+            c = [rng.randint(-9, 9) for _ in range(3)]
+            if any(field(x) for x in c):
+                forms.setdefault(canonical_coefficients(field, c), c)
+        if len(forms) >= 2:
+            out.append(Arrangement3(field, list(forms.values())))
+    return out
+
+
+def seeded_affine(field, rng, count=120):
+    """Up to 7 affine lines with coefficients of at most 3: parallels and concurrences are common."""
+    out = []
+    for _ in range(count):
+        lines = {}
+        for _ in range(rng.randint(0, 7)):
+            c = [rng.randint(-3, 3) for _ in range(3)]
+            if any(field(x) for x in c[:2]):
+                lines.setdefault(canonical_coefficients(field, c), c)
+        out.append(AffineArrangement2(field, list(lines.values())))
+    return out
+
+
+def assert_affine_matches_scalars(aff):
+    """Points, Moebius values, chi and real chambers of aff against the field-division route."""
+    field = aff.field
+    want = scalar_affine_points(aff)
+    poset = arr3.affine_poset(aff)
+    got = {}
+    for (x, y, z), members, mu in poset.points:
+        assert mu == len(members) - 1
+        got[field(x) / field(z), field(y) / field(z)] = members
+    assert got == want, aff
+    chi = (1, -aff.k, sum(len(ms) - 1 for ms in want.values()))
+    assert char_poly(aff).coeffs == poset.char_poly().coeffs == chi, aff
+    if not field.char:
+        assert chamber_count(aff) == CharPoly(chi)(-1), aff
+
+
+@pytest.mark.parametrize("field", FRAME_FIELDS, ids=repr)
+class TestScalarOracles:
+    """Deconing and affine points on ints against the field-scalar routes they replaced."""
+
+    def test_every_deconing_matches_the_scalar_chart(self, field):
+        rng = random.Random(24 + field.char)
+        t1 = CharPoly((1, -1))
+        for arr in seeded_central(field, rng):
+            chi = char_poly(arr).coeffs
+            for h0 in range(arr.h):
+                aff = decone(arr, h0)
+                assert aff == scalar_decone(arr, h0), (arr, h0)
+                assert_affine_matches_scalars(aff)
+                assert chi == (t1 * char_poly(aff)).coeffs, (arr, h0)
+
+    def test_affine_points_match_field_division(self, field):
+        rng = random.Random(42 + field.char)
+        for aff in seeded_affine(field, rng):
+            assert_affine_matches_scalars(aff)
+            if not field.char:
+                assert chamber_count(aff) == sweep_chamber_count(f.ints for f in aff.forms), aff
+            arr, h0 = cone(aff)
+            assert decone(arr, h0) == scalar_decone(arr, h0) == aff
+
+
 class TestFreeness:
     def test_coker_values(self):
         assert yoshinaga_coker_dim(arrangement("braid3"), 0) == 0
@@ -599,13 +670,11 @@ class TestChambers:
         assert chamber_count(parallel) == 3
 
     def test_braid_deconing_twelve(self):
-        bd = arrangement("braid_deconing")
-        assert chamber_count(bd) == 12
-        assert euler_chamber_count(bd) == 12
+        assert chamber_count(arrangement("braid_deconing")) == 12
 
     def test_oracle_agreement_corpus(self):
         for aff in map(arrangement, ("b2_deform_a", "b2_deform_b", "generic5_lines")):
-            assert chamber_count(aff) == euler_chamber_count(aff)
+            assert chamber_count(aff) == sweep_chamber_count(f.ints for f in aff.forms)
 
     def test_empty_plane(self):
         assert chamber_count(AffineArrangement2(QQ, [])) == 1

@@ -631,6 +631,28 @@ class TestFreeCommand:
         assert code == EXIT_USAGE
         assert "out of range" in err
 
+    @pytest.mark.parametrize(
+        "head, planes, exponents",
+        [
+            ({"dim": 3, "field": "Q"}, (["1", "0", "0"], ["0", "1", "0"]), "0,1,1"),
+            ({"dim": 2, "central": False, "field": "Q"}, (["1", "0", "0"], ["1", "0", "1"]), "0,1,2"),
+        ],
+        ids=["planes-x-y", "lines-x=0-x=1"],
+    )
+    def test_non_essential_arrangements_carry_exponent_zero(self, monkeypatch, head, planes, exponents):
+        # normals of rank below 3 leave a zero exponent in place of the usual 1, at every H0
+        doc = json.dumps(head | {"hyperplanes": [{"coeffs": c} for c in planes]})
+        for h0 in range(len(planes) + (head["dim"] == 2)):
+            code, out, err = run_stdin(monkeypatch, doc, "free", "-", "--H0", str(h0))
+            assert code == EXIT_OK, err
+            assert out.startswith(f"FREE exp=({exponents}) coker=0 combinatorial=true(nb) H0={h0}\n")
+            code, out, err = run_stdin(monkeypatch, doc, "free", "-", "--json", "--H0", str(h0))
+            results = json.loads(out)["results"]
+            assert code == EXIT_OK and results["free"], err
+            assert (results["exponents"], results["coker_dim"], results["rule"]) == (
+                [int(e) for e in exponents.split(",")], 0, "nb"
+            )
+
     # sha256 of `free --json` at every H0, beyond the corpus: planes with large
     # coefficients over Q and over GF(2^31 - 1), and affine lines with
     # fractional coefficients (H0 = 4 is the infinite plane of the cone)

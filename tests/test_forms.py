@@ -7,15 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 import multiarr
 from multiarr.arr3 import AffineArrangement2, AffineLine, Arrangement3, LinearForm3
 from multiarr.exactalg import GF, QQ, LinearForm2
 from multiarr.multiarr2 import Arrangement2
-
-FIELDS = [QQ, GF(2), GF(7)]
 
 
 class TestFormValues:
@@ -59,17 +55,6 @@ class TestFormValues:
         b = Arrangement2(GF(7), [LinearForm2(GF(7), 3, 6), (0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != Arrangement2(GF(7), [(0, 1), (1, 2)])  # order matters
-
-    @given(
-        st.sampled_from(FIELDS),
-        st.tuples(*[st.integers(-50, 50)] * 3).filter(any),
-        st.tuples(*[st.integers(-10**6, 10**6)] * 3),
-    )
-    def test_value_is_the_field_sum(self, field, coeffs, vec):
-        assume(any(field(c) for c in coeffs))  # nonzero over the field
-        alpha = LinearForm3(field, *coeffs)
-        old = sum((field(c) * field(x) for c, x in zip(alpha.coeffs, vec)), field.zero)
-        assert alpha.value(vec) == old
 
 
 DUMP = """

@@ -131,3 +131,14 @@ def test_no_module_runs_the_indented_json_encoder():
                 if name in {"dump", "dumps", "JSONEncoder"} and any(k.arg == "indent" for k in node.keywords):
                     callers.append(f"{path.stem}:{node.lineno}")
     assert callers == []
+
+
+def test_arr3_divides_no_field_scalars():
+    """arr3 works on canonical ints: scalars stay at the boundary, so it has no true division."""
+    tree = ast.parse((Path(multiarr.__file__).parent / "arr3.py").read_text(encoding="utf-8"))
+    divisions = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []

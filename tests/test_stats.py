@@ -62,6 +62,13 @@ class TestCli:
         assert strong["multiarr2.residues"] - limit["multiarr2.residues"] == 380
         assert limit["lattice.points"] == strong["lattice.points"] == 1296
         assert limit["cache.lattice._region_slot.misses"] == 1
+        assert (limit["lattice.ascent_steps"], strong["lattice.ascent_steps"]) == (0, 145)
+
+    def test_total_bounded_ascents(self, capsys):
+        """Clipped groups that share a peak walk each point once: the ascents share one memo of ends."""
+        five = str(corpus.document_path("five_lines"))
+        got = counted(capsys, "lattice", five, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
+        assert got["lattice.ascent_steps"] == 153
 
     def test_twelve_line_shift(self, capsys, tmp_path):
         """One Saito check per basis and one per shift; one division per line of positive multiplicity."""
