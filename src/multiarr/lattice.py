@@ -6,8 +6,9 @@ infinite cone where one hyperplane outweighs all others.  Exhaustive
 scans over finite regions machine-check the structural laws: adjacent
 gaps differ by exactly one, balanced gaps are bounded by h - 2, and each
 fully-enclosed component is the open L1-ball around its peak with the
-linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans read one
-table per region, walked by unit steps (see :func:`_region_table`).  The
+linear law gap(mu) = gap(peak) - d(peak, mu).  The three scans share one
+walk by unit steps per region, which tables the exponents of its points
+and of the points one step past it (see :func:`_region_table`).  The
 structure scan joins the stratum into components in one pass over that
 table and checks the law on the members of each (see
 :func:`_ball_failures`); only a component clipped by the region takes a
@@ -25,7 +26,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .exactalg import char_warning
-from .multiarr2 import Arrangement2, Multiplicity, _balanced, _region_walk, _shell_points, exponents
+from .multiarr2 import Arrangement2, Multiplicity, _balanced, _region_walk, exponents
 from .stats import counts
 
 __all__ = [
@@ -260,49 +261,24 @@ def exponent_map(region: LatticeRegion) -> dict:
     The verifiers read their table through this copy as well: called by
     its module-global name, it is where a tracer that wraps the public
     functions (perfbench/layer_trace.py) counts the points they scan.  The
-    copy costs under a thousandth of the walk that fills the table.
+    copy costs under a thousandth of the walk that fills the table and its
+    shell.
     """
-    table = _region_table(region, False)[0]
+    table = _region_table(region)[0]
     counts["lattice.points"] += len(table)
     return dict(table)
 
 
 @lru_cache(maxsize=1)
-def _region_slot(region: LatticeRegion) -> list:
-    """[table, shell] of the region last scanned, filled by _region_table."""
-    return [None, None]
+def _region_table(region: LatticeRegion):
+    """(table, shell) of the region, from one walk of multiarr2._region_walk.
 
-
-def _region_table(region: LatticeRegion, shell: bool):
-    """(table, shell) of the region, by multiarr2._region_walk.
-
-    Only verify_theorem_str reads the shell, so the walk builds it only
-    when asked.  To add it to a table built without it, the walk visits
-    only the chains to the points that hold shell gaps.  One slot holds
-    the last region, so the three verifiers on one region share its table.
+    The table holds the exponents at each point of the region, the shell
+    those at the points one step past it that a gap ascent reads.  The
+    cache holds the last region, so the three verifiers on one region share
+    one walk.
     """
-    slot = _region_slot(region)
-    table, gaps = slot
-    if table is None or (shell and gaps is None):
-        arr, caps, total = region.arrangement, region.caps, region.total
-        if table is None:
-            table, gaps = _region_walk(arr, region.points(), caps, total, shell)
-        else:
-            gaps = _region_walk(arr, _shell_points(table, caps, total), caps, total, True)[1]
-        # each call returns what it read or walked, so a slot that another
-        # thread filled in between costs at most a second walk
-        slot[:] = table, gaps
-    return table, gaps
-
-
-def _shell_gap(shell: dict, mu: Multiplicity):
-    """The gap at mu, outside the region, as some mu - e_i in the shell holds it, or None."""
-    for i, v in enumerate(mu):
-        if v:
-            gaps = shell.get(mu[:i] + (v - 1,) + mu[i + 1 :])
-            if gaps is not None and gaps[i] is not None:
-                return gaps[i]
-    return None
+    return _region_walk(region.arrangement, region.points(), region.caps, region.total)
 
 
 _CHAR_CONSEQUENCE = "characteristic-zero hypotheses do not apply"
@@ -448,17 +424,12 @@ def verify_theorem_str(region: LatticeRegion) -> StrReport:
     3. a stratum point on the sphere is in the region next to a member, so in the group: the law fails.
     """
     arr = region.arrangement
-    # the walk with the shell comes first, so that exponent_map reads its table
-    shell = _region_table(region, True)[1]
     emap = exponent_map(region)
+    shell = _region_table(region)[1]
 
     def gap(m):
-        e = emap.get(m)
-        if e is not None:
-            return e.delta
         # an ascent that leaves the region past the shell reads exponents
-        g = _shell_gap(shell, m)
-        return exponents(arr, m).delta if g is None else g
+        return (emap.get(m) or shell.get(m) or exponents(arr, m)).delta
 
     parent: dict = {}  # the union-find over the stratum; a root is its own parent
 

@@ -297,29 +297,28 @@ def _last_steps(m: Multiplicity, n: int):
     return tuple(prev), steps
 
 
-def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bool):
-    """(table, gaps): the exponents at the points of a region, and gaps one step past it.
+def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
+    """(table, shell): the exponents at the points of a region, and at the points one step past it.
 
-    points are in lexicographic order, and with each m they hold m - e_j,
-    j the last nonzero index of m: all the points under caps (and of |m|
-    <= total when total is not None), or the chains of _shell_points.  The
-    state at m is one _unit_step from the state at m - e_j: the chain of
-    _unit_state, so the states are the same.  path[i] holds the state at
-    m[:i + 1] followed by zeros, so only the states of the current path
-    are kept.  The table shares one Exponents2 per degree pair.
+    points are the points under caps (and of |m| <= total when total is not
+    None) in lexicographic order, so each m comes after m - e_j, j the last
+    nonzero index of m.  The state at m is one _unit_step from the state at
+    m - e_j: the chain of _unit_state, so the states are the same.  path[i]
+    holds the state at m[:i + 1] followed by zeros, so only the states of
+    the current path are kept.  The table and the shell share one Exponents2
+    per degree pair.
 
-    With shell, gaps[m][i], for m balanced with a nonzero gap, is the gap at
-    m + e_i when that point is outside the region (past cap i or past total),
-    and None otherwise; these are the outside points a gap ascent from inside
-    the region reads, all balanced (see lattice.verify_theorem_str).  The
-    first residue c1 of the step from m decides it (see :func:`_unit_step`):
-    c1 = 0 raises d2, so the gap grows by one; otherwise d1 rises, and as
-    d1 < d2 at m, the gap falls by one.  Without shell, gaps is None.
+    The shell holds the exponents at m + e_i, outside the region (past cap i
+    or past total), for each m of the region balanced with a nonzero gap:
+    the outside points a gap ascent from inside the region reads, all
+    balanced (see lattice.verify_theorem_str).  The first residue c1 of the
+    step from m decides them (see :func:`_unit_step`): c1 = 0 raises d2,
+    otherwise d1 rises, and d1 + 1 <= d2 as d1 < d2 at m.  A point that two
+    points of the rim reach (only past total) is read once.
     """
     forms, h = arr.forms, len(caps)
     path = [_BASE_STATE] * h
-    table, pairs, gaps = {}, {}, {} if shell else None
-    shell_residues = 0
+    table, shell, pairs = {}, {}, {}
     for m in points:
         j = h - 1
         while j >= 0 and not m[j]:
@@ -331,19 +330,17 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total, shell: bo
             path[j:] = [state] * (h - j)
         d1, d2 = key = state[:2]
         table[m] = pairs.get(key) or pairs.setdefault(key, Exponents2(d1, d2))
-        if gaps is None or d1 == d2 or not _balanced(m):
+        if d1 == d2 or not _balanced(m):
             continue
-        out = _outward(m, caps, total)
-        if out:
-            row = [None] * h
-            for i in out:
-                row[i] = d2 - d1 + (-1 if _residue(forms[i], m[i], d1, state[2]) else 1)
-            gaps[m] = tuple(row)
-            shell_residues += len(out)
+        for i in _outward(m, caps, total):
+            out = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if out not in shell:
+                pair = (d1 + 1, d2) if _residue(forms[i], m[i], d1, state[2]) else (d1, d2 + 1)
+                shell[out] = pairs.get(pair) or pairs.setdefault(pair, Exponents2(*pair))
     steps = len(table) - ((0,) * h in table)
     counts["multiarr2.unit_steps"] += steps
-    counts["multiarr2.residues"] += steps + shell_residues
-    return table, gaps
+    counts["multiarr2.residues"] += steps + len(shell)
+    return table, shell
 
 
 def _outward(m: Multiplicity, caps: Multiplicity, total) -> Sequence[int]:
@@ -351,23 +348,6 @@ def _outward(m: Multiplicity, caps: Multiplicity, total) -> Sequence[int]:
     if total is not None and sum(m) == total:
         return range(len(m))
     return [i for i, (v, cap) in enumerate(zip(m, caps)) if v == cap]
-
-
-def _shell_points(table: dict, caps: Multiplicity, total) -> list:
-    """The points a _region_walk must visit to add the shell to a table walked without it.
-
-    These are the points that hold shell gaps, balanced with a nonzero gap
-    and on the rim of the region, and the chains below them, in
-    lexicographic order.
-    """
-    need = set()
-    for m, e in table.items():
-        if e.delta and _balanced(m) and _outward(m, caps, total):
-            while m not in need and any(m):
-                need.add(m)
-                j = max(i for i, v in enumerate(m) if v)
-                m = m[:j] + (m[j] - 1,) + m[j + 1 :]
-    return sorted(need)
 
 
 def _unit_step(alpha: LinearForm2, k: int, state):

@@ -7,7 +7,7 @@ or in bulk after a loop, never inside the inner loop of a kernel:
 - ``multiarr2.unit_steps``: addition steps of the unit-step basis;
 - ``multiarr2.residues``: residues read by those steps and by the shell
   of a region walk (one per step, one more when the step raises d1, and
-  one per shell gap);
+  one per point of the shell);
 - ``multiarr2.saito_checks``: runs of Saito's criterion;
 - ``shift.nabla``: images under the connection;
 - ``lattice.points``: points that the lattice verifiers read from a region

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import oracles
-from multiarr import corpus, lattice, multiarr2
+from multiarr import corpus, lattice, multiarr2, stats
 from multiarr.exactalg import GF, QQ
 from multiarr.lattice import (
     ComponentTag,
@@ -253,21 +253,16 @@ def up(m, i):
     return m[:i] + (m[i] + 1,) + m[i + 1 :]
 
 
-def expected_shell_steps(region, emap):
-    """(m, i) for m balanced with a nonzero gap in the region and m + e_i balanced outside it."""
+def expected_shell(region, emap):
+    """The m + e_i outside the region for m balanced with a nonzero gap in it."""
     arr = region.arrangement
     return {
-        (m, i)
+        up(m, i)
         for m, e in emap.items()
         if e.delta and multiarr2.is_balanced(arr, m)
         for i in range(len(m))
-        if up(m, i) not in region and multiarr2.is_balanced(arr, up(m, i))
+        if up(m, i) not in region
     }
-
-
-def shell_steps(shell):
-    """The (m, i) whose gap at m + e_i the shell holds, with that gap."""
-    return {(m, i): g for m, gaps in shell.items() for i, g in enumerate(gaps) if g is not None}
 
 
 VERIFIERS = (verify_lemma_one, verify_theorem_limit, verify_theorem_str)
@@ -275,13 +270,10 @@ VERIFIERS = (verify_lemma_one, verify_theorem_limit, verify_theorem_str)
 
 @pytest.fixture
 def cold_caches():
-    """Empty the multiarr memos before and after the test."""
-    memos = (lattice._region_slot, multiarr2._unit_state, multiarr2._exponents, multiarr2._canonical_basis)
-    for memo in memos:
-        memo.cache_clear()
+    """Empty the multiarr memos (and zero the counters) before and after the test."""
+    stats.reset()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    stats.reset()
 
 
 @pytest.fixture
@@ -315,27 +307,24 @@ def lattice_exponents(monkeypatch):
 class TestRegionTable:
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
     def test_table_and_shell_match_exponents(self, region):
-        table, shell = lattice._region_table(region, True)
+        table, shell = lattice._region_table(region)
         emap = oracles.exponent_map(region)
         assert table == emap
-        steps = shell_steps(shell)
-        assert set(steps) == expected_shell_steps(region, emap)
-        for (m, i), g in steps.items():
-            assert g == exponents(region.arrangement, up(m, i)).delta, (m, i)
+        assert shell.keys() == expected_shell(region, emap)
+        for mu, e in shell.items():
+            assert e == exponents(region.arrangement, mu), mu
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
-    def test_shell_added_later_matches_the_shell_walked_at_once(self, region, cold_caches):
-        table, shell = lattice._region_table(region, False)
-        assert shell is None
-        added = lattice._region_table(region, True)[1]
-        lattice._region_slot.cache_clear()
-        assert lattice._region_table(region, True) == (table, added)
+    def test_table_and_shell_share_one_exponents_per_pair(self, region):
+        table, shell = lattice._region_table(region)
+        values = [*table.values(), *shell.values()]
+        assert len({id(e) for e in values}) == len({e.pair for e in values})
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
     def test_reports_match_the_oracle(self, region, monkeypatch):
         got = [verify(region) for verify in VERIFIERS]
         # the same verifiers on the per-point map, an empty shell and the plain ascent
-        monkeypatch.setattr(lattice, "_region_table", lambda region, shell: (oracles.exponent_map(region), {}))
+        monkeypatch.setattr(lattice, "_region_table", lambda region: (oracles.exponent_map(region), {}))
         monkeypatch.setattr(lattice, "_ascend", lambda m, peaks, gap: oracles.ascend(region.arrangement, m))
         assert got == [verify(region) for verify in VERIFIERS]
 
@@ -392,7 +381,7 @@ class TestRegionTable:
             return states[-1]
 
         monkeypatch.setattr(multiarr2, "_unit_step", recorded)
-        lattice._region_table(region, True)
+        lattice._region_table(region)
         arr = region.arrangement
         states += [multiarr2._unit_state(arr, m) for m in region.points()]
         assert len(states) > region.size()
@@ -403,8 +392,8 @@ class TestRegionTable:
     def test_ascents_past_the_shell_fall_back_to_exponents(self, region, calls, cold_caches, lattice_exponents):
         verify_theorem_str(region)
         assert len(lattice_exponents) == calls
-        table, shell = lattice._region_table(region, True)
-        assert not any(m in table or lattice._shell_gap(shell, m) is not None for m in lattice_exponents)
+        table, shell = lattice._region_table(region)
+        assert not any(m in table or m in shell for m in lattice_exponents)
 
     def test_exponent_map_is_a_fresh_dict(self):
         region = LatticeRegion(b2(), (2, 2, 2, 2))
@@ -539,33 +528,22 @@ class TestFaultyGapMaps:
 
 
 class TestStepCounts:
-    """The table makes one unit step per point past the first; its shell reads one residue per gap."""
+    """The table makes one unit step per point past the first; its shell reads one residue per point."""
 
     REGION = LatticeRegion(b2(), (5, 5, 5, 5))
     POINTS, SHELL = 1296, 380
-    CHAINS = 833  # points on the chains to the 269 points that hold shell gaps
     STRATUM, CLIPPED_TOPS = 497, 145
 
-    def test_limit_on_b2_caps5_walks_without_the_shell(self, steps):
-        verify_theorem_limit(self.REGION)
-        table, shell = lattice._region_table(self.REGION, False)
-        assert (len(table), shell) == (self.POINTS, None)
+    @pytest.mark.parametrize("verify", VERIFIERS, ids=["one", "limit", "str"])
+    def test_each_verifier_walks_the_table_and_shell_once(self, verify, steps):
+        verify(self.REGION)
+        table, shell = lattice._region_table(self.REGION)
+        assert (len(table), len(shell)) == (self.POINTS, self.SHELL)
         assert steps == [self.POINTS - 1]
 
-    def test_str_on_b2_caps5_adds_the_shell(self, steps):
-        verify_theorem_str(self.REGION)
-        assert len(shell_steps(lattice._region_table(self.REGION, True)[1])) == self.SHELL
-        assert steps == [self.POINTS - 1]
-
-    def test_three_verifiers_share_one_table(self, steps):
-        """one and limit share a walk; str walks the shell's chains again, unless it came first."""
-        for verify in VERIFIERS:
-            assert verify(self.REGION).passed
-        assert steps == [self.POINTS - 1 + self.CHAINS]
-        assert len(multiarr2._shell_points(lattice._region_table(self.REGION, True)[0], (5,) * 4, None)) == self.CHAINS
-        steps[0] = 0
-        lattice._region_slot.cache_clear()
-        for verify in reversed(VERIFIERS):
+    @pytest.mark.parametrize("order", [VERIFIERS, VERIFIERS[::-1]], ids=["one-limit-str", "str-limit-one"])
+    def test_three_verifiers_share_one_walk(self, order, steps):
+        for verify in order:
             assert verify(self.REGION).passed
         assert steps == [self.POINTS - 1]
 

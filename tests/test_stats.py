@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import multiarr
-from multiarr import corpus, stats
+from multiarr import corpus, lattice, stats
 from multiarr.cli import main
 from multiarr.exactalg import QQ
 from multiarr.lattice import LatticeRegion, verify_lemma_one, verify_theorem_limit, verify_theorem_str
@@ -18,6 +18,7 @@ from multiarr.shift import shift_isomorphism_check
 
 B2 = str(corpus.document_path("b2_lines"))
 A2 = str(corpus.document_path("a2"))
+FIVE = str(corpus.document_path("five_lines"))
 
 
 def run(capsys, *argv):
@@ -55,19 +56,25 @@ class TestCli:
         assert code == 0 and out == plain and err.count("\n") == 1
 
     def test_b2_caps5_steps(self, capsys):
-        """limit walks 1,295 unit steps; str walks the same and reads 380 shell gaps more."""
+        """limit and str make one walk each: 1,295 unit steps and 2,862 residues, 380 of them on the shell."""
         limit = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "limit")
         strong = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "str")
         assert limit["multiarr2.unit_steps"] == strong["multiarr2.unit_steps"] == 1295
-        assert strong["multiarr2.residues"] - limit["multiarr2.residues"] == 380
+        assert limit["multiarr2.residues"] == strong["multiarr2.residues"] == 2862
+        assert len(lattice._region_table(LatticeRegion(corpus.arrangement("b2_lines"), (5,) * 4))[1]) == 380
         assert limit["lattice.points"] == strong["lattice.points"] == 1296
-        assert limit["cache.lattice._region_slot.misses"] == 1
+        assert limit["cache.lattice._region_table.misses"] == 1
         assert (limit["lattice.ascent_steps"], strong["lattice.ascent_steps"]) == (0, 145)
+
+    def test_five_lines_total_shell(self, capsys):
+        """Past total two rim points can reach one outside point; the shell reads it once."""
+        got = counted(capsys, "lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
+        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (698, 1641)
+        assert len(lattice._region_table(LatticeRegion(corpus.arrangement("five_lines"), (3,) * 5, 7))[1]) == 310
 
     def test_total_bounded_ascents(self, capsys):
         """Clipped groups that share a peak walk each point once: the ascents share one memo of ends."""
-        five = str(corpus.document_path("five_lines"))
-        got = counted(capsys, "lattice", five, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
+        got = counted(capsys, "lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
         assert got["lattice.ascent_steps"] == 153
 
     def test_twelve_line_shift(self, capsys, tmp_path):
@@ -84,13 +91,13 @@ class TestCli:
 
 
 def test_three_verifiers_in_one_session():
-    """one, limit and str back to back: one walk of 1,295 steps, then the 833 on the shell's chains."""
+    """one, limit and str back to back share one walk of 1,295 steps."""
     region = LatticeRegion(corpus.arrangement("b2_lines"), (5, 5, 5, 5))
     stats.reset()
     for verify in (verify_lemma_one, verify_theorem_limit, verify_theorem_str):
         assert verify(region).passed
     got = stats.snapshot()
-    assert got["multiarr2.unit_steps"] == 1295 + 833
+    assert got["multiarr2.unit_steps"] == 1295
     assert got["lattice.points"] == 3 * 1296
 
 
@@ -110,6 +117,7 @@ def test_reset_repeats_in_process():
     "argv",
     [
         ("lattice", B2, "--caps", "4,4,4,4", "--verify", "str", "--json"),
+        ("lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str", "--json"),
         ("shift", A2, "--m0", "5,5,5", "--json"),
         ("verify-all",),
     ],
