@@ -1,13 +1,14 @@
 """The desk acceptance suite: every structural law checked end to end.
 
 Each criterion is an independent function returning a
-:class:`CriterionResult`; :func:`run_suite` runs them all.  The suite is
-deterministic (fixed seeds) and exact, and some criteria carry wall-time
-limits that are part of the contract.
+:class:`CriterionResult`; :func:`run_suite` runs them all, in the order
+they are declared.  The suite is deterministic (fixed seeds) and exact,
+and some criteria carry wall-time limits that are part of the contract.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -39,12 +40,28 @@ class CriterionResult:
         )
 
 
-def _result(index, name, limit, started, ok, detail, expected_violation=False):
-    elapsed = time.perf_counter() - started
-    if limit is not None and elapsed >= limit:
-        ok = False
-        detail += f"; exceeded the {limit:.0f}s budget ({elapsed:.2f}s)"
-    return CriterionResult(index, name, ok, elapsed, limit, detail, expected_violation)
+CRITERIA = []
+
+
+def _criterion(name, limit=None):
+    """Register the next criterion, timed and failed at its limit; it returns (ok, detail[, expected_violation])."""
+    index = len(CRITERIA) + 1
+
+    def register(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            started = time.perf_counter()
+            ok, detail, *expected = body()
+            elapsed = time.perf_counter() - started
+            if limit is not None and elapsed >= limit:
+                ok = False
+                detail += f"; exceeded the {limit:.0f}s budget ({elapsed:.2f}s)"
+            return CriterionResult(index, name, ok, elapsed, limit, detail, *expected)
+
+        CRITERIA.append(criterion)
+        return criterion
+
+    return register
 
 
 def _scan_regions():
@@ -56,9 +73,9 @@ def _scan_regions():
     ]
 
 
-def criterion_simple_baseline() -> CriterionResult:
+@_criterion("simple-arrangement baseline", 1.0)
+def criterion_simple_baseline():
     """Random simple arrangements have exponents (1, h-1) and Euler below."""
-    started = time.perf_counter()
     rng = random.Random(20260810)
     trials = 20
     for _ in range(trials):
@@ -77,20 +94,17 @@ def criterion_simple_baseline() -> CriterionResult:
         ones = (1,) * h
         e = multiarr2.exponents(arr, ones)
         if e.pair != (1, h - 1):
-            return _result(1, "simple-arrangement baseline", 1.0, started, False,
-                           f"exponents {e.pair} != (1, {h - 1}) on {arr!r}")
+            return False, f"exponents {e.pair} != (1, {h - 1}) on {arr!r}"
         theta = multiarr2.lower_degree_basis(arr, ones)
         c = theta.proportional_scalar(Derivation2.euler(QQ))
         if c is None or not c:
-            return _result(1, "simple-arrangement baseline", 1.0, started, False,
-                           f"lower basis {theta.render()} is not a multiple of the Euler derivation")
-    return _result(1, "simple-arrangement baseline", 1.0, started, True,
-                   f"{trials} random arrangements, all (1, h-1) with Euler-proportional lower basis")
+            return False, f"lower basis {theta.render()} is not a multiple of the Euler derivation"
+    return True, f"{trials} random arrangements, all (1, h-1) with Euler-proportional lower basis"
 
 
-def criterion_gap_bound_scan() -> CriterionResult:
-    """Balanced gaps never exceed h - 2; gap parity matches |m| everywhere."""
-    started = time.perf_counter()
+@_criterion("balanced gap bound scan", 60.0)
+def criterion_gap_bound_scan():
+    """Balanced gaps never exceed h - 2 (the gap has the parity of |m| by construction)."""
     checked = 0
     balanced = 0
     for region in _scan_regions():
@@ -98,15 +112,13 @@ def criterion_gap_bound_scan() -> CriterionResult:
         checked += report.points_total
         balanced += report.balanced_count
         if not report.passed:
-            return _result(2, "balanced gap bound scan", 60.0, started, False,
-                           f"violations {report.violations[:3]} parity {report.parity_failures[:3]}")
-    return _result(2, "balanced gap bound scan", 60.0, started, True,
-                   f"{checked} lattice points ({balanced} balanced), no violations, parity law holds")
+            return False, f"violations {report.violations[:3]}"
+    return True, f"{checked} lattice points ({balanced} balanced), no violations, parity law holds"
 
 
-def criterion_char2_remark() -> CriterionResult:
+@_criterion("characteristic-2 gap-bound breakdown")
+def criterion_char2_remark():
     """Characteristic 2 breaks the gap bound exactly as documented."""
-    started = time.perf_counter()
     arr = corpus.arrangement("remark_f2")
     field = arr.field
     m = (4, 4, 4)
@@ -136,14 +148,12 @@ def criterion_char2_remark() -> CriterionResult:
     if ((4, 4, 4), 4) not in report.violations:
         problems.append("gap 4 > h - 2 = 1 not recorded as a violation")
     ok = not problems
-    return _result(3, "characteristic-2 gap-bound breakdown", None, started, ok,
-                   "; ".join(problems) or "exponents (4, 8), documented basis verified, violation recorded",
-                   expected_violation=ok)
+    return ok, "; ".join(problems) or "exponents (4, 8), documented basis verified, violation recorded", ok
 
 
-def criterion_a2_parity_law() -> CriterionResult:
+@_criterion("3-line parity law")
+def criterion_a2_parity_law():
     """On the 3-line arrangement, balanced gaps are exactly |m| mod 2."""
-    started = time.perf_counter()
     arr = corpus.arrangement("a2")
     checked = 0
     for total in range(16):
@@ -156,39 +166,33 @@ def criterion_a2_parity_law() -> CriterionResult:
                 want = total % 2
                 got = multiarr2.exponents(arr, m).delta
                 if got != want:
-                    return _result(4, "3-line parity law", None, started, False,
-                                   f"gap {got} != {want} at {m}")
-    return _result(4, "3-line parity law", None, started, True,
-                   f"{checked} balanced multiplicities with |m| <= 15, gap = |m| mod 2")
+                    return False, f"gap {got} != {want} at {m}"
+    return True, f"{checked} balanced multiplicities with |m| <= 15, gap = |m| mod 2"
 
 
-def criterion_lattice_structure() -> CriterionResult:
+@_criterion("lattice structure scan")
+def criterion_lattice_structure():
     """Unit steps change the gap by one; components are balls around unique peaks."""
-    started = time.perf_counter()
-    regions = _scan_regions()[:2]
     details = []
-    for region in regions:
+    for region in _scan_regions()[:2]:
         one = lattice.verify_lemma_one(region)
         if not one.passed:
-            return _result(5, "lattice structure scan", None, started, False,
-                           f"adjacent-gap law failed: {one.failures[:3]}")
+            return False, f"adjacent-gap law failed: {one.failures[:3]}"
         strrep = lattice.verify_theorem_str(region)
         if not strrep.passed:
-            return _result(5, "lattice structure scan", None, started, False,
-                           f"component structure failed: {strrep.failures[:3]}")
+            return False, f"component structure failed: {strrep.failures[:3]}"
         if not strrep.components:
-            return _result(5, "lattice structure scan", None, started, False,
-                           "no fully-enclosed component verified (vacuous scan)")
+            return False, "no fully-enclosed component verified (vacuous scan)"
         details.append(
             f"{region.arrangement.h}-line: {one.pairs_checked} steps, "
             f"{len(strrep.components)} components, {len(strrep.clipped)} clipped"
         )
-    return _result(5, "lattice structure scan", None, started, True, "; ".join(details))
+    return True, "; ".join(details)
 
 
-def criterion_shift_certificates() -> CriterionResult:
+@_criterion("shift certificates", 10.0)
+def criterion_shift_certificates():
     """The connection against the lower basis maps bases to bases for 0/1 shifts."""
-    started = time.perf_counter()
     cert_b2 = shift.shift_isomorphism_check(corpus.arrangement("b2_lines"), (1, 1, 1, 1))
     cert_a2 = shift.shift_isomorphism_check(corpus.arrangement("a2"), (2, 2, 1))
     problems = []
@@ -198,31 +202,27 @@ def criterion_shift_certificates() -> CriterionResult:
         problems.append(f"3-line certificate: {len(cert_a2.failures())} failures")
     if not (cert_b2.degree_identity_ok and cert_a2.degree_identity_ok):
         problems.append("degree bookkeeping identity failed")
-    return _result(6, "shift certificates", 10.0, started, not problems,
-                   "; ".join(problems) or "16 + 8 shifts certified via the determinant criterion")
+    return not problems, "; ".join(problems) or "16 + 8 shifts certified via the determinant criterion"
 
 
-def criterion_dihedral_constant_odd() -> CriterionResult:
+@_criterion("dihedral constant-odd exponents")
+def criterion_dihedral_constant_odd():
     """Constant odd multiplicity on the dihedral 3- and 4-line arrangements."""
-    started = time.perf_counter()
     for arr, h in ((corpus.arrangement("a2"), 3), (corpus.arrangement("b2_lines"), 4)):
         for k in range(3):
             m = (2 * k + 1,) * h
             e = multiarr2.exponents(arr, m)
             want = (h * k + 1, h * k + h - 1)
             if e.pair != want:
-                return _result(7, "dihedral constant-odd exponents", None, started, False,
-                               f"h={h}, m={2 * k + 1}: exponents {e.pair} != {want}")
+                return False, f"h={h}, m={2 * k + 1}: exponents {e.pair} != {want}"
             if e.delta != h - 2:
-                return _result(7, "dihedral constant-odd exponents", None, started, False,
-                               f"h={h}, m={2 * k + 1}: gap {e.delta} != {h - 2}")
-    return _result(7, "dihedral constant-odd exponents", None, started, True,
-                   "constant multiplicity 1, 3, 5 gives gap h - 2 with exponents (hk+1, hk+h-1)")
+                return False, f"h={h}, m={2 * k + 1}: gap {e.delta} != {h - 2}"
+    return True, "constant multiplicity 1, 3, 5 gives gap h - 2 with exponents (hk+1, hk+h-1)"
 
 
-def criterion_freeness_decisions() -> CriterionResult:
+@_criterion("freeness decisions", 5.0)
+def criterion_freeness_decisions():
     """Freeness verdicts with certificates, independent of the chosen hyperplane."""
-    started = time.perf_counter()
     problems = []
     braid, generic, boolean, pencil = (
         corpus.arrangement(name) for name in ("braid3", "generic4", "boolean3", "near_pencil5")
@@ -243,14 +243,13 @@ def criterion_freeness_decisions() -> CriterionResult:
         verdicts = [arr3.is_free(arr, h0) for h0 in range(arr.h)]
         if len({(w.free, w.exponents) for w in verdicts}) != 1:
             problems.append(f"verdict depends on the hyperplane choice for {arr!r}")
-    return _result(8, "freeness decisions", 5.0, started, not problems,
-                   "; ".join(problems) or
-                   "braid free (1,2,3) via product shape; generic-4 not free; verdicts hyperplane-independent")
+    summary = "braid free (1,2,3) via product shape; generic-4 not free; verdicts hyperplane-independent"
+    return not problems, "; ".join(problems) or summary
 
 
-def criterion_coning_zaslavsky() -> CriterionResult:
+@_criterion("coning factorisation and chambers")
+def criterion_coning_zaslavsky():
     """Coning multiplies the polynomial by (t - 1); braid deconing has |chi(-1)| = 12 chambers."""
-    started = time.perf_counter()
     problems = []
     t_minus_1 = arr3.CharPoly((1, -1))
     samples = [
@@ -270,14 +269,13 @@ def criterion_coning_zaslavsky() -> CriterionResult:
     r2 = arr3.thm_rest2_check(bd)
     if not (r2.applicable and r2.equality and r2.freeness_confirmed):
         problems.append(f"chamber-bound equality did not confirm freeness: {r2}")
-    return _result(9, "coning factorisation and chambers", None, started, not problems,
-                   "; ".join(problems) or
-                   f"{len(samples)} conings factor exactly; 12 chambers; equality case confirms freeness")
+    summary = f"{len(samples)} conings factor exactly; 12 chambers; equality case confirms freeness"
+    return not problems, "; ".join(problems) or summary
 
 
-def criterion_property_suite() -> CriterionResult:
+@_criterion("algebraic property suite")
+def criterion_property_suite():
     """Saito's criterion on bases, descent of lower bases, crossing independence."""
-    started = time.perf_counter()
     problems = []
     # Saito's criterion: basis raises on a pair that fails it
     basis_count = 0
@@ -320,23 +318,8 @@ def criterion_property_suite() -> CriterionResult:
                     pair_count += rep.hypotheses_met
                     if not rep.passed:
                         problems.append(f"crossing pair {m1}/{m2} on {arr!r}: lower bases are dependent")
-    return _result(10, "algebraic property suite", None, started, not problems,
-                   "; ".join(problems[:3]) or
-                   f"{basis_count} bases, {descent_count} descents, {pair_count} crossing pairs verified")
-
-
-CRITERIA = (
-    criterion_simple_baseline,
-    criterion_gap_bound_scan,
-    criterion_char2_remark,
-    criterion_a2_parity_law,
-    criterion_lattice_structure,
-    criterion_shift_certificates,
-    criterion_dihedral_constant_odd,
-    criterion_freeness_decisions,
-    criterion_coning_zaslavsky,
-    criterion_property_suite,
-)
+    summary = f"{basis_count} bases, {descent_count} descents, {pair_count} crossing pairs verified"
+    return not problems, "; ".join(problems[:3]) or summary
 
 
 def run_suite() -> list:

@@ -574,17 +574,15 @@ class Rest2Report:
 
     @property
     def passed(self) -> bool:
-        if not self.applicable:
-            return True
-        if not self.c2_ok or self.chambers < self.bound:
-            return False
-        if self.equality and self.freeness_confirmed is False:
-            return False
-        return True
+        return not self.applicable or (self.c2_ok and self.freeness_confirmed is not False)
 
 
 def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
-    """Chamber lower bound for balanced arrangements; equality forces freeness."""
+    """Chamber lower bound for balanced arrangements; equality forces freeness.
+
+    k lines have chi(t) = t^2 - k*t + c2, so chi(-1) = 1 + k + c2: the bound
+    1 + k + d(d + gap) is c2 >= d(d + gap), and equality is thm_fc_check's product shape.
+    """
     restricted, mult, reason = _infinite_restriction(aff)
     if reason is not None:
         return Rest2Report(applicable=False, reason=reason)
@@ -592,12 +590,11 @@ def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
     case, d, gap = _product_shape(k, restricted.h)
     prod = d * (d + gap)
     chi = affine_poset(aff).char_poly()
-    c2, chambers = chi.coeffs[2], chi(-1)
-    bound = 1 + k + prod
-    equality = chambers == bound
+    c2 = chi.coeffs[2]
+    equality = c2 == prod
     # by Yoshinaga's criterion the restriction onto any H0, here the infinite one, decides freeness
     return Rest2Report(
-        applicable=True, reason="hypotheses hold", case=case, d=d, chambers=chambers, bound=bound,
+        applicable=True, reason="hypotheses hold", case=case, d=d, chambers=chi(-1), bound=1 + k + prod,
         c2_ok=c2 >= prod, equality=equality,
         freeness_confirmed=_coker(c2, restricted, mult)[0] == 0 if equality else None,
     )

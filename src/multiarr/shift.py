@@ -12,6 +12,7 @@ reproducer.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
@@ -205,7 +206,7 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     theta0 = lower_degree_basis(arr, mt)
 
     if h <= _EXHAUSTIVE_H:
-        shifts = [tuple(bits) for bits in _binary_tuples(h)]
+        shifts = list(itertools.product((0, 1), repeat=h))
         mode = "exhaustive"
     else:
         rng = random.Random(2024)
@@ -244,11 +245,6 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
         checks.append(ShiftCheck(m, target, membership_ok, scalar, ok, repro))
     warning = char_warning(field, "the shift theorem assumes characteristic zero")
     return ShiftCertificate(arr, mt, theta0, hypothesis, mode, degree_identity_ok, warning, checks)
-
-
-def _binary_tuples(n: int):
-    for k in range(2**n):
-        yield tuple((k >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def is_am_euler(arr: Arrangement2, m: Sequence[int], theta: Derivation2):

@@ -6,6 +6,8 @@ one-line verdict; run with ``pytest -s tests/test_acceptance.py`` to see
 the lines for passing criteria too.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from multiarr import acceptance, corpus, lattice, multiarr2
@@ -66,10 +68,38 @@ def test_criterion_10_property_suite():
     _check(acceptance.criterion_property_suite())
 
 
-def test_suite_runner_all_green():
-    results = acceptance.run_suite()
-    assert len(results) == 10
-    assert all(r.passed for r in results)
+@pytest.fixture(scope="module")
+def suite():
+    return acceptance.run_suite()
+
+
+def test_suite_runner_all_green(suite):
+    assert len(suite) == 10
+    assert all(r.passed for r in suite)
+
+
+def test_desk_contract(suite):
+    """Indices, names and wall-time limits of the criteria; the limits are never loosened."""
+    assert [(r.index, r.name, r.limit) for r in suite] == [
+        (1, "simple-arrangement baseline", 1.0),
+        (2, "balanced gap bound scan", 60.0),
+        (3, "characteristic-2 gap-bound breakdown", None),
+        (4, "3-line parity law", None),
+        (5, "lattice structure scan", None),
+        (6, "shift certificates", 10.0),
+        (7, "dihedral constant-odd exponents", None),
+        (8, "freeness decisions", 5.0),
+        (9, "coning factorisation and chambers", None),
+        (10, "algebraic property suite", None),
+    ]
+
+
+def test_a_criterion_fails_at_its_wall_time_limit(monkeypatch):
+    clock = iter([0.0, 1.5])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    res = acceptance.criterion_simple_baseline()
+    assert (res.passed, res.elapsed, res.limit) == (False, 1.5, 1.0)
+    assert res.detail.endswith("lower basis; exceeded the 1s budget (1.50s)")
 
 
 # independent spot assertions backing the criteria, kept outside the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from fractions import Fraction
 
-from multiarr import shift
+from multiarr import corpus, shift
 from multiarr.exactalg import GF, QQ, BinaryForm
 from multiarr.multiarr2 import (
     Arrangement2,
@@ -18,6 +18,7 @@ from multiarr.multiarr2 import (
     saito_criterion,
     saito_det,
 )
+from multiarr.lattice import LatticeRegion, verify_theorem_limit, verify_theorem_str
 from multiarr.shift import (
     coordinate_duals,
     is_am_euler,
@@ -329,6 +330,24 @@ class TestPeakShiftPrerequisite:
                 seen += 1
                 assert is_balanced(arr, tuple(v - 1 for v in m)), m
         assert seen > 0
+
+
+class TestShiftTheoremAtEveryMaximizer:
+    @pytest.mark.parametrize(
+        "name, cap, maximizers, enclosed",
+        [("b2_lines", 5, 33, 8), ("a2", 9, 215, 154), ("five_lines", 6, 4, 1), ("four_lines", 5, 1, 1)],
+    )
+    def test_every_maximizer_is_certified(self, name, cap, maximizers, enclosed):
+        """The shift certificate passes at each maximizer limit reports; str peaks the enclosed ones."""
+        arr = corpus.arrangement(name)
+        h = arr.h
+        region = LatticeRegion(arr, (cap,) * h)
+        found = verify_theorem_limit(region).maximizers
+        assert len(found) == maximizers
+        assert [m0 for m0 in found if not shift_isomorphism_check(arr, m0).passed] == []
+        inside = {m0 for m0 in found if max(m0) + h - 2 <= cap}  # the ball of radius h - 2 fits
+        assert len(inside) == enclosed
+        assert inside == {c.peak for c in verify_theorem_str(region).components if c.peak_delta == h - 2}
 
 
 class TestPropositionNext:
