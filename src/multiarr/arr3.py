@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     CanonicalForm,
@@ -289,7 +288,14 @@ def cone(aff: AffineArrangement2):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    """The dot product of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _round_ratio(n: int, d: int) -> int:
+    """n / d rounded to the nearest int, ties to even (as round(Fraction(n, d))), for d > 0."""
+    q, r = divmod(n, d)
+    return q + 1 if 2 * r > d or (2 * r == d and q % 2) else q
 
 
 def _lagrange(u, v):
@@ -297,10 +303,10 @@ def _lagrange(u, v):
     while True:
         if _dot(v, v) < _dot(u, u):
             u, v = v, u
-        q = round(Fraction(_dot(u, v), _dot(u, u)))  # ties go to even, which keeps the corpus frames
+        q = _round_ratio(_dot(u, v), _dot(u, u))  # ties go to even, which keeps the corpus frames
         if not q:
             return u, v
-        v = tuple(x - q * y for x, y in zip(v, u))
+        v = tuple([x - q * y for x, y in zip(v, u)])
 
 
 def _shell_key(v):

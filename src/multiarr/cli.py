@@ -41,11 +41,11 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # The slowest of the corners measured inside both budgets, each `lattice
-# --verify str` on a 2-core Xeon with CPython 3.11: b2_lines at caps
-# 20,20,20,20 (194,481 points) took 9.1-9.2 s of wall time, and the 17 lines
-# x2 and x1 + t*x2 (t = 0..15) at caps 1 (131,072 points) 8.0-8.3 s.  Under
-# --total the points are counted exactly: a2 at caps 103,103,103 with total
-# 103 (192,920 points) took 6.1-6.9 s.
+# --verify str` on a shared 2-core Xeon with CPython 3.11, two runs each:
+# b2_lines at caps 20,20,20,20 (194,481 points) took 7.2-8.8 s of wall time,
+# and the 17 lines x2 and x1 + t*x2 (t = 0..15) at caps 1 (131,072 points)
+# 9.2-9.7 s.  Under --total the points are counted exactly: a2 at caps
+# 103,103,103 with total 103 (192,920 points) took 7.6-7.8 s.
 POINT_BUDGET = 200_000
 MULT_BUDGET = 160  # largest |m| that exp, shift and lattice will solve at
 

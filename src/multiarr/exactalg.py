@@ -252,8 +252,10 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
     Over GF(p): residues with the first nonzero entry 1.
     """
     ints = _scaled_ints(field, coeffs)[0]
-    lead = next((x for x in ints if x), 0)
-    if not lead:
+    for lead in ints:
+        if lead:
+            break
+    else:
         raise ValueError("zero coefficient vector has no canonical form")
     return _normal(field, ints, 1, lead)[0] if field.char else _primitive(ints)[0]
 
@@ -266,12 +268,12 @@ def _scaled_ints(field: Field, row) -> tuple:
     """
     p = field.char
     if p:
-        return tuple(e % p if type(e) is int else field(e).val for e in row), 1
+        return tuple([e % p if type(e) is int else field(e).val for e in row]), 1
     if set(map(type, row)) <= {int}:
         return tuple(row), 1
     vals = [e if type(e) is int else field(e) for e in row]
-    den = reduce(math.lcm, (e.denominator for e in vals), 1)
-    return tuple(e.numerator * (den // e.denominator) for e in vals), den
+    den = reduce(math.lcm, [e.denominator for e in vals], 1)
+    return tuple([e.numerator * (den // e.denominator) for e in vals]), den
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,7 @@ def _primitive(ints) -> tuple:
             if x < 0:
                 g = -g
             break
-    return (tuple(ints) if g in (0, 1) else tuple(x // g for x in ints)), g
+    return (tuple(ints) if g in (0, 1) else tuple([x // g for x in ints])), g
 
 
 _ZERO = Fraction(0)

@@ -303,16 +303,16 @@ class LemmaOneReport:
 
 
 def verify_lemma_one(region: LatticeRegion) -> LemmaOneReport:
-    emap = exponent_map(region)
+    gaps = {m: e.delta for m, e in exponent_map(region).items()}  # each point's gap, read once
     failures = []
     checked = 0
-    for m in emap:
+    for m, d1 in gaps.items():
         for i in range(len(m)):
             m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if m2 not in emap:
+            d2 = gaps.get(m2)
+            if d2 is None:
                 continue
             checked += 1
-            d1, d2 = emap[m].delta, emap[m2].delta
             if abs(d1 - d2) != 1:
                 failures.append((m, m2, d1, d2))
     failures.sort()

@@ -12,7 +12,8 @@ raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
 residue in the other.  A single query reads each state, through a bounded
 cache, from the state one unit below; a lattice scan does not use that
-cache, but walks its region one unit step per point (see
+cache, but walks its region one unit step per point, or only the step's
+first residue at a leaf of the walk whose state nothing reads (see
 :func:`_region_walk`).
 
 Everything is a pure function of immutable values; results are memoised,
@@ -308,15 +309,24 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
     the current path are kept.  The table and the shell share one Exponents2
     per degree pair.
 
+    A leaf is a point with no m + e_i in the region for i >= j: its last
+    coordinate of nonzero cap is at that cap, or |m| = total.  No later
+    point steps from a leaf, so it leaves path alone, and it takes its
+    degrees from the first residue c1 of the step (see :func:`_unit_step`):
+    d1 rises if c1 != 0 and d1 < d2, else d2 rises (at d1 = d2 both
+    branches of the step give d1, d1 + 1).  It builds its state, the rest
+    of the step from that c1, only when its shell entries read it.
+
     The shell holds the exponents at m + e_i, outside the region (past cap i
     or past total), for each m of the region balanced with a nonzero gap:
     the outside points a gap ascent from inside the region reads, all
-    balanced (see lattice.verify_theorem_str).  The first residue c1 of the
-    step from m decides them (see :func:`_unit_step`): c1 = 0 raises d2,
-    otherwise d1 rises, and d1 + 1 <= d2 as d1 < d2 at m.  A point that two
-    points of the rim reach (only past total) is read once.
+    balanced (see lattice.verify_theorem_str).  The first residue of the
+    step from m decides them the same way, with d1 + 1 <= d2 as d1 < d2 at
+    m.  A point that two points of the rim reach (only past total) is read
+    once.
     """
     forms, h = arr.forms, len(caps)
+    last = max([i for i, c in enumerate(caps) if c], default=0)  # a box leaf has m[last] == caps[last]
     path = [_BASE_STATE] * h
     table, shell, pairs = {}, {}, {}
     for m in points:
@@ -325,6 +335,17 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
             j -= 1
         if j < 0:
             state = _BASE_STATE
+        elif m[last] == caps[last] or (total is not None and sum(m) == total):  # a leaf
+            d1, d2, t1, _ = state = path[j]
+            c1 = _residue(forms[j], m[j] - 1, d1, t1)
+            if c1 and d1 < d2:
+                d1 += 1
+            else:
+                d2 += 1
+            if d1 == d2 or not _balanced(m):  # its shell entries read no state
+                table[m] = pairs.get((d1, d2)) or pairs.setdefault((d1, d2), Exponents2(d1, d2))
+                continue
+            state = _unit_step(forms[j], m[j] - 1, state, c1)
         else:
             state = _unit_step(forms[j], m[j] - 1, path[j])
             path[j:] = [state] * (h - j)
@@ -350,7 +371,7 @@ def _outward(m: Multiplicity, caps: Multiplicity, total) -> Sequence[int]:
     return [i for i, (v, cap) in enumerate(zip(m, caps)) if v == cap]
 
 
-def _unit_step(alpha: LinearForm2, k: int, state):
+def _unit_step(alpha: LinearForm2, k: int, state, c1=None):
     """The state after m(H) goes from k to k + 1, for H the line alpha = 0.
 
     With c_i the coefficient of row k of divisibility_constraints(alpha,
@@ -365,31 +386,46 @@ def _unit_step(alpha: LinearForm2, k: int, state):
     them a basis.
 
     Each c is one Horner pass over theta (see :func:`_residue`); c2 is read
-    only when c1 != 0.  Over Q every state is primitive, so alpha * theta
-    needs no gcd (Gauss's lemma); only the combination is divided by the
-    gcd of its entries.  Over GF(p) everything is reduced mod p.
+    only when c1 != 0, and c1 only when the caller has not read it (a leaf
+    of :func:`_region_walk`).  Over Q every state is primitive, so alpha *
+    theta needs no gcd (Gauss's lemma); only the combination is divided by
+    the gcd of its entries.  Over GF(p) everything is reduced mod p.  Each
+    component is built by one list comprehension, with no helper call but
+    the residues and alpha * theta.
     """
     p = alpha.field.char
     a, b = alpha.ints
     d1, d2, t1, t2 = state
-    c1 = _residue(alpha, k, d1, t1)
+    if c1 is None:
+        c1 = _residue(alpha, k, d1, t1)
     if not c1:
-        d2, t2 = d2 + 1, _times_alpha(a, b, p, t2)
-    else:
-        c2 = _residue(alpha, k, d2, t2)
-        counts["multiarr2.residues"] += 1  # the first residue is counted in bulk with the step
-        delta = d2 - d1
+        return d1, d2 + 1, t1, _times_alpha(a, b, p, t2)
+    c2 = _residue(alpha, k, d2, t2)
+    counts["multiarr2.residues"] += 1  # the first residue is counted in bulk with the step
+    delta = d2 - d1
+    (f1, g1), (f2, g2) = t1, t2
+    if delta:
         pad = (0,) * delta
         if b:
-            s, lifted = (-b if a else 1), tuple(pad + v for v in t1)
+            c1 *= pow(-b if a else 1, delta, p or None)
+            f1, g1 = pad + f1, pad + g1
         else:
-            s, lifted = a, tuple(v + pad for v in t1)
-        c1 *= pow(s, delta, p or None)
-        combo = tuple(tuple([c1 * x - c2 * y for x, y in zip(v, w)]) for v, w in zip(t2, lifted))
-        d1, t1, t2 = d1 + 1, _times_alpha(a, b, p, t1), _normalise(p, combo)
-        if d1 > d2:
-            d1, d2, t1, t2 = d2, d1, t2, t1
-    return d1, d2, t1, t2
+            c1 *= pow(a, delta, p or None)
+            f1, g1 = f1 + pad, g1 + pad
+    if p:
+        f = tuple([(c1 * x - c2 * y) % p for x, y in zip(f2, f1)])
+        g = tuple([(c1 * x - c2 * y) % p for x, y in zip(g2, g1)])
+    else:
+        f = [c1 * x - c2 * y for x, y in zip(f2, f1)]
+        g = [c1 * x - c2 * y for x, y in zip(g2, g1)]
+        n = math.gcd(*f, *g)
+        if n == 1:
+            f, g = tuple(f), tuple(g)
+        else:
+            f, g = tuple([x // n for x in f]), tuple([x // n for x in g])
+    if d1 < d2:
+        return d1 + 1, d2, _times_alpha(a, b, p, t1), (f, g)
+    return d2, d1 + 1, (f, g), _times_alpha(a, b, p, t1)
 
 
 def _residue(alpha: LinearForm2, k: int, d: int, theta) -> int:
@@ -431,14 +467,22 @@ def _times_alpha(a: int, b: int, p: int, theta):
     Over Q no gcd is taken: alpha's ints are primitive, and so is every
     unit-step state, so alpha * theta is primitive by Gauss's lemma.  For
     alpha = x1 and x2 (canonical, so a = 1 or b = 1) it only shifts theta.
+    Each of the two components is built by one list comprehension.
     """
+    f, g = theta
     if not b:
-        return tuple((0,) + v for v in theta)
+        return (0,) + f, (0,) + g
     if not a:
-        return tuple(v + (0,) for v in theta)
+        return f + (0,), g + (0,)
     if p:
-        return tuple(tuple([(a * x + b * y) % p for x, y in zip((0,) + v, v + (0,))]) for v in theta)
-    return tuple(tuple([a * x + b * y for x, y in zip((0,) + v, v + (0,))]) for v in theta)
+        return (
+            tuple([(a * x + b * y) % p for x, y in zip((0,) + f, f + (0,))]),
+            tuple([(a * x + b * y) % p for x, y in zip((0,) + g, g + (0,))]),
+        )
+    return (
+        tuple([a * x + b * y for x, y in zip((0,) + f, f + (0,))]),
+        tuple([a * x + b * y for x, y in zip((0,) + g, g + (0,))]),
+    )
 
 
 def _normalise(p: int, theta):
@@ -519,7 +563,7 @@ def defining_form(arr: Arrangement2, m: Sequence[int]) -> BinaryForm:
     q = (1,)
     for alpha, k in zip(arr.forms, mt):
         for _ in range(k):
-            (q,) = _times_alpha(*alpha.ints, arr.field.char, (q,))
+            q, _ = _times_alpha(*alpha.ints, arr.field.char, (q, q))
     return BinaryForm.from_ints(arr.field, sum(mt), q)
 
 

@@ -4,10 +4,12 @@
 or in bulk after a loop, never inside the inner loop of a kernel:
 
 - ``exactalg.divide_linear``: synthetic divisions by a power of a line;
-- ``multiarr2.unit_steps``: addition steps of the unit-step basis;
+- ``multiarr2.unit_steps``: addition steps of the unit-step basis, one
+  per point a walk or chain reaches past its start;
 - ``multiarr2.residues``: residues read by those steps and by the shell
-  of a region walk (one per step, one more when the step raises d1, and
-  one per point of the shell);
+  of a region walk (one per step, one more when a full step raises d1,
+  and one per point of the shell); a leaf of a region walk whose shell
+  reads no state stops after its first residue;
 - ``multiarr2.saito_checks``: runs of Saito's criterion;
 - ``shift.nabla``: images under the connection;
 - ``lattice.points``: points that the lattice verifiers read from a region

@@ -29,6 +29,10 @@ library checks the ball law on a component without listing the ball.
 ``field(text)`` parse of every coefficient string before plain integers
 became ints over Q, and ``last_steps`` the whole step list that
 ``multiarr2._unit_state`` sliced before it built only the last steps.
+``unit_step``, ``times_alpha`` and ``normalise`` are the addition step
+as it was before it built each component by one list comprehension and
+reduced the combination inline; ``test_multiarr2.py`` runs them side by
+side with ``multiarr2._unit_step``.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from multiarr import arr3
-from multiarr.exactalg import BinaryForm, _render_terms
+from multiarr.exactalg import BinaryForm, LinearForm2, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
-from multiarr.multiarr2 import Derivation2, exponents, is_balanced
+from multiarr.multiarr2 import Derivation2, _residue, exponents, is_balanced
+from multiarr.stats import counts
 
 
 def canonical_coefficients(field, coeffs: Iterable) -> tuple:
@@ -478,3 +483,69 @@ def last_steps(m, n: int):
     for j, _ in steps:
         prev[j] -= 1
     return tuple(prev), steps
+
+
+def unit_step(alpha: LinearForm2, k: int, state):
+    """The state after m(H) goes from k to k + 1, for H the line alpha = 0.
+
+    With c_i the coefficient of row k of divisibility_constraints(alpha,
+    k + 1, d_i) on theta_i(alpha), theta is tangent at k + 1 iff its c is
+    0.  If c1 = 0 the new basis is (theta1, alpha*theta2); otherwise it is
+    (alpha*theta1, c1*s^delta*theta2 - c2*l^delta*theta1) with delta =
+    d2 - d1, where l is a linear form and s = l(P) != 0 at the point P of
+    alpha = 0 that row k reads: l = x1 and s = -b at P = (-b, a); l = x1
+    and s = 1 for alpha = x2, whose rows are unit rows (P = (1, 0)); l = x2
+    and s = a for alpha = x1.  Both pairs have determinant a nonzero
+    multiple of alpha * det(theta1, theta2), so Saito's criterion makes
+    them a basis.
+
+    Each c is one Horner pass over theta (see :func:`_residue`); c2 is read
+    only when c1 != 0.  Over Q every state is primitive, so alpha * theta
+    needs no gcd (Gauss's lemma); only the combination is divided by the
+    gcd of its entries.  Over GF(p) everything is reduced mod p.
+    """
+    p = alpha.field.char
+    a, b = alpha.ints
+    d1, d2, t1, t2 = state
+    c1 = _residue(alpha, k, d1, t1)
+    if not c1:
+        d2, t2 = d2 + 1, times_alpha(a, b, p, t2)
+    else:
+        c2 = _residue(alpha, k, d2, t2)
+        counts["multiarr2.residues"] += 1  # the first residue is counted in bulk with the step
+        delta = d2 - d1
+        pad = (0,) * delta
+        if b:
+            s, lifted = (-b if a else 1), tuple(pad + v for v in t1)
+        else:
+            s, lifted = a, tuple(v + pad for v in t1)
+        c1 *= pow(s, delta, p or None)
+        combo = tuple(tuple([c1 * x - c2 * y for x, y in zip(v, w)]) for v, w in zip(t2, lifted))
+        d1, t1, t2 = d1 + 1, times_alpha(a, b, p, t1), normalise(p, combo)
+        if d1 > d2:
+            d1, d2, t1, t2 = d2, d1, t2, t1
+    return d1, d2, t1, t2
+
+
+def times_alpha(a: int, b: int, p: int, theta):
+    """alpha * theta for alpha = a*x1 + b*x2 (index i holds x1^i), reduced mod p over GF(p).
+
+    Over Q no gcd is taken: alpha's ints are primitive, and so is every
+    unit-step state, so alpha * theta is primitive by Gauss's lemma.  For
+    alpha = x1 and x2 (canonical, so a = 1 or b = 1) it only shifts theta.
+    """
+    if not b:
+        return tuple((0,) + v for v in theta)
+    if not a:
+        return tuple(v + (0,) for v in theta)
+    if p:
+        return tuple(tuple([(a * x + b * y) % p for x, y in zip((0,) + v, v + (0,))]) for v in theta)
+    return tuple(tuple([a * x + b * y for x, y in zip((0,) + v, v + (0,))]) for v in theta)
+
+
+def normalise(p: int, theta):
+    """theta reduced mod p, or divided by the gcd of its entries over Q."""
+    if p:
+        return tuple(tuple([x % p for x in v]) for v in theta)
+    g = math.gcd(*theta[0], *theta[1])
+    return theta if g == 1 else tuple(tuple([x // g for x in v]) for v in theta)

@@ -377,6 +377,16 @@ class TestPlaneFrame:
         alpha = LinearForm3(field, *c)
         assert_valid_frame(alpha, arr3._plane_frame(alpha))
 
+    def test_int_rounding_matches_fraction_round(self):
+        """The Lagrange step rounds n / d on ints as round(Fraction(n, d)) does, ties to even."""
+        rng = random.Random(11)
+        cases = [(n, d) for d in range(1, 13) for n in range(-40, 41)]  # every tie for even d, odd and even q
+        cases += [(rng.randint(-(10**40), 10**40), rng.randint(1, 10**20)) for _ in range(2000)]
+        cases += [((2 * q + 1) * d, 2 * d) for q in range(-50, 50) for d in (1, 7, 10**25 + 3)]  # exact ties
+        for n, d in cases:
+            assert arr3._round_ratio(n, d) == round(Fraction(n, d)), (n, d)
+        assert {n // d % 2 for n, d in cases if 2 * (n % d) == d} == {0, 1}  # ties above even and odd floors
+
     def test_corpus_restrictions_match_the_search(self, monkeypatch):
         arrangements = list(map(arrangement, ("braid3", "boolean3", "generic4", "near_pencil5")))
         for aff in map(arrangement, ("braid_deconing", "b2_deform_a", "b2_deform_b", "generic5_lines")):

@@ -265,6 +265,22 @@ def expected_shell(region, emap):
     }
 
 
+def stateless_leaves(region, emap):
+    """The points m != 0 with no m + e_i in the region for i >= the last nonzero index of m, whose shell reads no state.
+
+    No point of a walk steps from such a leaf, and the shell reads the state of a point only when it is
+    balanced with a nonzero gap.
+    """
+    arr = region.arrangement
+    out = []
+    for m, e in emap.items():
+        nonzero = [i for i, v in enumerate(m) if v]
+        if nonzero and not any(up(m, i) in region for i in range(nonzero[-1], len(m))):
+            if not (e.delta and multiarr2.is_balanced(arr, m)):
+                out.append(m)
+    return out
+
+
 VERIFIERS = (verify_lemma_one, verify_theorem_limit, verify_theorem_str)
 
 
@@ -282,9 +298,9 @@ def steps(monkeypatch, cold_caches):
     calls = [0]
     real = multiarr2._unit_step
 
-    def counted(alpha, k, state):
+    def counted(*args):
         calls[0] += 1
-        return real(alpha, k, state)
+        return real(*args)
 
     monkeypatch.setattr(multiarr2, "_unit_step", counted)
     return calls
@@ -313,6 +329,14 @@ class TestRegionTable:
         assert shell.keys() == expected_shell(region, emap)
         for mu, e in shell.items():
             assert e == exponents(region.arrangement, mu), mu
+
+    @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
+    def test_one_step_per_point_but_the_stateless_leaves(self, region, steps):
+        """A leaf takes its degrees from one residue, and builds its state only for its shell."""
+        lattice._region_table(region)
+        walked = steps[0]
+        emap = oracles.exponent_map(region)
+        assert walked == region.size() - 1 - len(stateless_leaves(region, emap))
 
     @pytest.mark.parametrize("region", TABLE_REGIONS, ids=region_id)
     def test_table_and_shell_share_one_exponents_per_pair(self, region):
@@ -376,8 +400,8 @@ class TestRegionTable:
         states = []
         real = multiarr2._unit_step
 
-        def recorded(alpha, k, state):
-            states.append(real(alpha, k, state))
+        def recorded(*args):
+            states.append(real(*args))
             return states[-1]
 
         monkeypatch.setattr(multiarr2, "_unit_step", recorded)
@@ -528,24 +552,40 @@ class TestFaultyGapMaps:
 
 
 class TestStepCounts:
-    """The table makes one unit step per point past the first; its shell reads one residue per point."""
+    """The table makes one unit step per point past the first but the leaves whose shell reads no state.
+
+    The 216 points at m(H_4) = 5 are the leaves; 121 of them are unbalanced or of gap zero.  The shell
+    reads one residue per point.
+    """
 
     REGION = LatticeRegion(b2(), (5, 5, 5, 5))
-    POINTS, SHELL = 1296, 380
+    POINTS, SHELL, STATELESS_LEAVES = 1296, 380, 121
     STRATUM, CLIPPED_TOPS = 497, 145
+
+    def test_stateless_leaves(self):
+        assert len(stateless_leaves(self.REGION, oracles.exponent_map(self.REGION))) == self.STATELESS_LEAVES
 
     @pytest.mark.parametrize("verify", VERIFIERS, ids=["one", "limit", "str"])
     def test_each_verifier_walks_the_table_and_shell_once(self, verify, steps):
         verify(self.REGION)
         table, shell = lattice._region_table(self.REGION)
         assert (len(table), len(shell)) == (self.POINTS, self.SHELL)
-        assert steps == [self.POINTS - 1]
+        assert steps == [self.POINTS - 1 - self.STATELESS_LEAVES] == [1174]
 
     @pytest.mark.parametrize("order", [VERIFIERS, VERIFIERS[::-1]], ids=["one-limit-str", "str-limit-one"])
     def test_three_verifiers_share_one_walk(self, order, steps):
         for verify in order:
             assert verify(self.REGION).passed
-        assert steps == [self.POINTS - 1]
+        assert steps == [self.POINTS - 1 - self.STATELESS_LEAVES] == [1174]
+
+    @pytest.mark.parametrize("verify", VERIFIERS, ids=["one", "limit", "str"])
+    def test_residue_counter_counts_each_residue_once(self, verify, monkeypatch, cold_caches):
+        """A leaf that builds its state hands its first residue to the step, which does not read it again."""
+        calls = []
+        real = multiarr2._residue
+        monkeypatch.setattr(multiarr2, "_residue", lambda *args: calls.append(args) or real(*args))
+        verify(self.REGION)
+        assert len(calls) == stats.snapshot()["multiarr2.residues"] == 2761
 
     def test_str_ascends_only_from_clipped_tops(self, monkeypatch):
         """One ascent per clipped group top, where one per stratum point was made before."""

@@ -388,6 +388,30 @@ class TestUnitSteps:
                 if n <= total:
                     assert multiarr2._last_steps(m, n) == oracles.last_steps(m, n), (m, n)
 
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_step_matches_the_generator_step(self, field):
+        """_unit_step, with c1 read by it or by the caller, equals the step it replaced on seeded states.
+
+        Over x1, x2 and a general line, each on the c1 = 0 branch, the c1 != 0 branch and the d1 = d2 swap.
+        """
+        rng = random.Random(field.char + 5)
+        p = field.char
+        general = [(1, t) for t in range(1, p)] if 0 < p < 8 else [(1, 1), (1, -1), (2, 3), (3, -5), (1, 10**12 + 39)]
+        seen = set()
+        for _ in range(40):
+            arr = Arrangement2(field, [(1, 0), (0, 1)] + rng.sample(general, min(len(general), rng.randint(1, 3))))
+            m = tuple(rng.randint(0, 7) for _ in range(arr.h))
+            state = multiarr2._unit_state(arr, m)
+            d1, d2, t1, _ = state
+            for j, alpha in enumerate(arr.forms):
+                c1 = multiarr2._residue(alpha, m[j], d1, t1)
+                got = multiarr2._unit_step(alpha, m[j], state)
+                assert got == oracles.unit_step(alpha, m[j], state), (arr.forms, m, j)
+                assert multiarr2._unit_step(alpha, m[j], state, c1) == got, (arr.forms, m, j)  # c1 read by the caller
+                line = "x1" if alpha.ints == (1, 0) else "x2" if alpha.ints == (0, 1) else "general"
+                seen.add((line, "c1 = 0" if not c1 else "swap" if d1 == d2 else "c1 != 0"))
+        assert seen == {(line, branch) for line in ("x1", "x2", "general") for branch in ("c1 = 0", "c1 != 0", "swap")}
+
     def test_state_cache_is_bounded_and_clearable(self):
         state = multiarr2._unit_state
         assert state.cache_info().maxsize is not None

@@ -56,11 +56,16 @@ class TestCli:
         assert code == 0 and out == plain and err.count("\n") == 1
 
     def test_b2_caps5_steps(self, capsys):
-        """limit and str make one walk each: 1,295 unit steps and 2,862 residues, 380 of them on the shell."""
+        """limit and str make one walk each: 1,295 unit steps and 2,761 residues, 380 of them on the shell.
+
+        Each point past the first reads one residue, the shell one per point, and each step that raises
+        d1 one more (1,086), except at the 121 leaves that need no state, where the walk stops after the
+        first residue.
+        """
         limit = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "limit")
         strong = counted(capsys, "lattice", B2, "--caps", "5,5,5,5", "--verify", "str")
         assert limit["multiarr2.unit_steps"] == strong["multiarr2.unit_steps"] == 1295
-        assert limit["multiarr2.residues"] == strong["multiarr2.residues"] == 2862
+        assert limit["multiarr2.residues"] == strong["multiarr2.residues"] == 2761 == 1295 + 380 + 1086
         assert len(lattice._region_table(LatticeRegion(corpus.arrangement("b2_lines"), (5,) * 4))[1]) == 380
         assert limit["lattice.points"] == strong["lattice.points"] == 1296
         assert limit["cache.lattice._region_table.misses"] == 1
@@ -69,7 +74,7 @@ class TestCli:
     def test_five_lines_total_shell(self, capsys):
         """Past total two rim points can reach one outside point; the shell reads it once."""
         got = counted(capsys, "lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
-        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (698, 1641)
+        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (698, 1611)
         assert len(lattice._region_table(LatticeRegion(corpus.arrangement("five_lines"), (3,) * 5, 7))[1]) == 310
 
     def test_total_bounded_ascents(self, capsys):
