@@ -6,7 +6,11 @@ multiplicities counting coincidences) is a 2-multiarrangement, and
 freeness reduces to comparing the quadratic factor of the characteristic
 polynomial with the product of the restriction's exponents.  Everything
 combinatorial (intersection lattices, Moebius values, characteristic
-polynomials, chamber counts) is computed exactly.
+polynomials, chamber counts) is computed exactly, on the canonical int
+vectors of the forms: one pass over the plane pairs finds the rank-2 flats
+and the affine points, the characteristic polynomial sums their Moebius
+values as found, and only the published lattices sort them.  The
+restriction groups its rows by their canonical int pairs.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ from dataclasses import dataclass
 from .exactalg import (
     CanonicalForm,
     FormTuple,
-    LinearForm2,
+    _canonical_ints,
     _render_terms,
-    canonical_coefficients,
     char_warning,
 )
 from .multiarr2 import Arrangement2, exponents, is_balanced
@@ -208,19 +211,39 @@ def _cross(u, v):
     )
 
 
-def _meets(field, normals) -> list:
-    """Each line where two or more of the planes with these int normals meet.
+def _meets(p: int, normals) -> list:
+    """Each line where two or more of the planes with these int normals meet, over Q (p = 0) or GF(p).
 
-    Returns (canonical int direction, sorted plane indices, mu) triples,
-    keyed by the canonical cross product of each pair of non-proportional
-    normals; a line in n planes has mu = n - 1.
+    Returns (canonical int direction, ascending plane indices, mu) triples
+    in no set order; a line in n planes has mu = n - 1.  Each pair i < j
+    of normals gives its line as the canonical cross product.  Pairs run
+    in i < j order, so a line is first met by the pair of its two smallest
+    members, and only the later pairs of its smallest member add to it.
     """
     lines: dict = {}
     for i, u in enumerate(normals):
         for j in range(i + 1, len(normals)):
-            lines.setdefault(canonical_coefficients(field, _cross(u, normals[j])), set()).update((i, j))
-    order = sorted(lines, key=lambda k: tuple(map(str, k)))
-    return [(key, tuple(sorted(lines[key])), len(lines[key]) - 1) for key in order]
+            key = _canonical_ints(p, _cross(u, normals[j]))
+            members = lines.get(key)
+            if members is None:
+                lines[key] = [i, j]
+            elif members[0] == i:
+                members.append(j)
+    return [(key, tuple(members), len(members) - 1) for key, members in lines.items()]
+
+
+def _in_order(flats) -> tuple:
+    """Flats (or affine points) in the order the lattices publish, by the strings of their int keys."""
+    return tuple(sorted(flats, key=lambda flat: tuple(map(str, flat[0]))))
+
+
+def _origin_mu(h: int, lines: int, lin: int) -> int | None:
+    """mu of the origin, for h planes meeting in that many lines whose mu sum to lin; None when the origin is no flat.
+
+    The origin's value makes the whole Moebius sum vanish.  Normals of
+    rank <= 2 all meet in one line, and rank 3 gives at least two.
+    """
+    return h - 1 - lin if lines > 1 else None
 
 
 def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
@@ -232,12 +255,9 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     hyperplanes carry -1, a line in n planes carries n - 1, and the
     origin's value makes the whole sum vanish.
     """
-    rank2 = [Rank2Flat(*flat) for flat in _meets(arr.field, [f.ints for f in arr.forms])]
-    # normals of rank <= 2 all meet in one line; rank 3 gives two distinct lines
-    origin_mu = None
-    if len(rank2) > 1:
-        origin_mu = -(1 - arr.h + sum(f.mu for f in rank2))
-    return CentralLattice3(arr, tuple(rank2), origin_mu)
+    flats = _meets(arr.field.char, [f.ints for f in arr.forms])
+    origin_mu = _origin_mu(arr.h, len(flats), sum(mu for _, _, mu in flats))
+    return CentralLattice3(arr, tuple(Rank2Flat(*flat) for flat in _in_order(flats)), origin_mu)
 
 
 @dataclass(frozen=True)
@@ -254,22 +274,33 @@ class AffinePoset2:
         return CharPoly((1, -self.k, sum(mu for _, _, mu in self.points)))
 
 
-def affine_poset(aff: AffineArrangement2) -> AffinePoset2:
-    """Intersection points of the lines with their Moebius values.
+def _affine_points(aff: AffineArrangement2) -> list:
+    """The intersection points of the lines with their Moebius values, in no set order.
 
     The points are the lines where the coned planes a*x + b*y - c*z = 0
     meet, less those at infinity (z = 0), where parallel lines meet.
     """
-    meets = _meets(aff.field, [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)])
-    return AffinePoset2(aff, tuple(pt for pt in meets if pt[0][2]))
+    meets = _meets(aff.field.char, [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)])
+    return [pt for pt in meets if pt[0][2]]
+
+
+def affine_poset(aff: AffineArrangement2) -> AffinePoset2:
+    """Intersection points of the lines with their Moebius values (see :func:`_affine_points`)."""
+    return AffinePoset2(aff, _in_order(_affine_points(aff)))
 
 
 def char_poly(arr) -> CharPoly:
-    """Characteristic polynomial of a central 3- or affine 2-arrangement."""
+    """Characteristic polynomial of a central 3- or affine 2-arrangement.
+
+    It sums the Moebius values of the flats as :func:`_meets` finds them,
+    with no lattice built and nothing sorted.
+    """
     if isinstance(arr, Arrangement3):
-        return intersection_lattice(arr).char_poly()
+        flats = _meets(arr.field.char, [f.ints for f in arr.forms])
+        lin = sum(mu for _, _, mu in flats)
+        return CharPoly((1, -arr.h, lin, _origin_mu(arr.h, len(flats), lin) or 0))
     if isinstance(arr, AffineArrangement2):
-        return affine_poset(arr).char_poly()
+        return CharPoly((1, -arr.k, sum(mu for _, _, mu in _affine_points(arr))))
     raise TypeError(f"unsupported arrangement type {type(arr).__name__}")
 
 
@@ -311,7 +342,8 @@ def _lagrange(u, v):
 
 def _shell_key(v):
     """Max-norm, then z, y and x ranked 0, 1, -1, 2, -2, ..."""
-    return (max(map(abs, v)), *(2 * abs(c) - (c > 0) for c in reversed(v)))
+    x, y, z = v
+    return (max(abs(x), abs(y), abs(z)), 2 * abs(z) - (z > 0), 2 * abs(y) - (y > 0), 2 * abs(x) - (x > 0))
 
 
 def _plane_frame(alpha: LinearForm3):
@@ -323,13 +355,18 @@ def _plane_frame(alpha: LinearForm3):
     Lagrange-reduced, each vector gets its last nonzero entry positive, and
     the two are ordered by :func:`_shell_key`.
     """
-    a = alpha.ints
-    k = next(i for i, c in enumerate(a) if c)
-    u1, u2 = (tuple(a[k] if j == i else -a[i] if j == k else 0 for j in range(3)) for i in range(3) if i != k)
+    a0, a1, a2 = alpha.ints
+    if a0:
+        k, u1, u2 = 0, (-a1, a0, 0), (-a2, 0, a0)
+    elif a1:
+        k, u1, u2 = 1, (a1, -a0, 0), (0, -a2, a1)
+    else:
+        k, u1, u2 = 2, (a2, 0, -a0), (0, a2, -a1)
     if not alpha.field.char:
         # of u and -u, the one with its last nonzero entry positive ranks first
-        pair = (min(u, tuple(-c for c in u), key=_shell_key) for u in _lagrange(u1, u2))
-        u1, u2 = sorted(pair, key=_shell_key)
+        u1, u2 = [u if (u[2] or u[1] or u[0]) > 0 else (-u[0], -u[1], -u[2]) for u in _lagrange(u1, u2)]
+        if _shell_key(u2) < _shell_key(u1):
+            u1, u2 = u2, u1
     return u1, u2, k
 
 
@@ -361,16 +398,19 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
     """Restrict onto the hyperplane h0, counting coinciding restrictions.
 
     Returns (Arrangement2 in the frame coordinates u1, u2 of h0, multiplicity
-    tuple); the multiplicities sum to |arr| - 1.  Only the forms depend on
-    the frame, not the multiplicities or the exponents.
+    tuple); the multiplicities sum to |arr| - 1.  The rows are grouped by
+    their canonical int pairs, in order of first appearance, and each
+    distinct line becomes one form.  Only the forms depend on the frame,
+    not the multiplicities or the exponents.
     """
     rows = _in_frame(arr, h0)[1]
     if arr.h < 2:
         raise ValueError("restriction needs at least two hyperplanes")
-    counts: dict = {}  # in order of first appearance
+    p = arr.field.char
+    counts: dict = {}  # canonical int pair -> multiplicity, in order of first appearance
     for s, t, _ in rows:
-        beta = LinearForm2(arr.field, s, t)
-        counts[beta] = counts.get(beta, 0) + 1
+        key = _canonical_ints(p, (s, t))
+        counts[key] = counts.get(key, 0) + 1
     return Arrangement2(arr.field, list(counts)), tuple(counts.values())
 
 
@@ -381,7 +421,7 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
 @dataclass
 class FreenessVerdict:
     free: bool
-    exponents: tuple | None  # (1, d1, d2) when free
+    exponents: tuple | None  # when free, 1, d1 and d2 in ascending order; a non-essential arrangement has 0 among them
     coker_dim: int
     h0_index: int
     ziegler: tuple | None  # (Arrangement2, multiplicity)
@@ -452,7 +492,7 @@ def is_free(arr: Arrangement3, h0: int = 0) -> FreenessVerdict:
     cp = char_poly(arr)
     warning = char_warning(arr.field, "the freeness criterion assumes characteristic zero")
     if arr.h == 1:
-        return FreenessVerdict(True, (1, 0, 0), 0, 0, None, True, "trivial", cp, warning)
+        return FreenessVerdict(True, (0, 0, 1), 0, 0, None, True, "trivial", cp, warning)
     restricted, mult = ziegler_restriction(arr, h0)
     _, c2 = cp.quadratic_coeffs()
     coker, e = _coker(c2, restricted, mult)

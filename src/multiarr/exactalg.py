@@ -249,15 +249,31 @@ def canonical_coefficients(field: Field, coeffs: Iterable) -> tuple:
     """Canonical int representative of a nonzero coefficient tuple up to scaling.
 
     Over Q: coprime integers with the first nonzero entry positive.
-    Over GF(p): residues with the first nonzero entry 1.
+    Over GF(p): residues with the first nonzero entry 1.  The rule itself
+    is :func:`_canonical_ints`, which callers holding ints use directly.
     """
-    ints = _scaled_ints(field, coeffs)[0]
-    for lead in ints:
-        if lead:
-            break
+    return _canonical_ints(field.char, _scaled_ints(field, coeffs)[0])
+
+
+def _canonical_ints(p: int, ints) -> tuple:
+    """The canonical int vector of a nonzero int vector up to scaling, over Q for p = 0 and GF(p) otherwise.
+
+    Over Q the vector comes back primitive with its first nonzero entry
+    positive.  Over GF(p) it is reduced mod p first, so that a lead which
+    is a multiple of p is passed over, and then scaled so that its first
+    nonzero residue is 1.
+    """
+    if p:
+        ints = [x % p for x in ints]
+        for lead in ints:
+            if lead:
+                inv = pow(lead, -1, p)
+                return tuple([x * inv % p for x in ints])
     else:
-        raise ValueError("zero coefficient vector has no canonical form")
-    return _normal(field, ints, 1, lead)[0] if field.char else _primitive(ints)[0]
+        ints, g = _primitive(ints)
+        if g:
+            return ints
+    raise ValueError("zero coefficient vector has no canonical form")
 
 
 def _scaled_ints(field: Field, row) -> tuple:

@@ -32,7 +32,14 @@ became ints over Q, and ``last_steps`` the whole step list that
 ``unit_step``, ``times_alpha`` and ``normalise`` are the addition step
 as it was before it built each component by one list comprehension and
 reduced the combination inline; ``test_multiarr2.py`` runs them side by
-side with ``multiarr2._unit_step``.
+side with ``multiarr2._unit_step``.  ``meets`` and ``ziegler_restriction``
+are ``arr3._meets`` and ``arr3.ziegler_restriction`` as they were before
+they ran on canonical ints: each line keyed by the canonical field scalars
+of its cross product, with its members gathered in a set and the lines
+sorted, and the restricted rows grouped by their ``LinearForm2``;
+``int_path_failures`` runs the library beside them.  ``census_tally`` holds
+the checks of the census of small arrangements, which ``test_census.py``
+runs on a slice and ``census.py`` on all of it.
 """
 
 from __future__ import annotations
@@ -45,9 +52,9 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from multiarr import arr3
-from multiarr.exactalg import BinaryForm, LinearForm2, _render_terms
+from multiarr.exactalg import QQ, BinaryForm, LinearForm2, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
-from multiarr.multiarr2 import Derivation2, _residue, exponents, is_balanced
+from multiarr.multiarr2 import Arrangement2, Derivation2, _residue, exponents, is_balanced
 from multiarr.stats import counts
 
 
@@ -549,3 +556,106 @@ def normalise(p: int, theta):
         return tuple(tuple([x % p for x in v]) for v in theta)
     g = math.gcd(*theta[0], *theta[1])
     return theta if g == 1 else tuple(tuple([x // g for x in v]) for v in theta)
+
+
+def meets(field, normals) -> list:
+    """arr3._meets keyed by canonical field scalars: (int direction, sorted plane indices, mu), sorted.
+
+    The cross products are taken on field scalars, so nothing but the sort is shared with arr3.
+    """
+    vecs = [[field(c) for c in n] for n in normals]
+    lines: dict = {}
+    for i, u in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            v = vecs[j]
+            uxv = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+            lines.setdefault(_int_row(field, canonical_coefficients(field, uxv)), set()).update((i, j))
+    order = sorted(lines, key=lambda k: tuple(map(str, k)))
+    return [(key, tuple(sorted(lines[key])), len(lines[key]) - 1) for key in order]
+
+
+def ziegler_restriction(arr, h0: int):
+    """arr3.ziegler_restriction with the rows grouped by their LinearForm2, in order of first appearance."""
+    rows = arr3._in_frame(arr, h0)[1]
+    if arr.h < 2:
+        raise ValueError("restriction needs at least two hyperplanes")
+    counts: dict = {}  # in order of first appearance
+    for s, t, _ in rows:
+        beta = LinearForm2(arr.field, s, t)
+        counts[beta] = counts.get(beta, 0) + 1
+    return Arrangement2(arr.field, list(counts)), tuple(counts.values())
+
+
+def int_path_failures(arr) -> list:
+    """Where arr3 disagrees with meets and ziegler_restriction on arr and on its deconing at every H0.
+
+    The flats and the affine points must come out in the same order, chi
+    must be the lattice's, and the restricted forms, their order and their
+    multiplicities must agree.
+    """
+    field = arr.field
+    failures = []
+    lattice = arr3.intersection_lattice(arr)
+    if [(f.direction, f.hyperplanes, f.mu) for f in lattice.rank2] != meets(field, [f.ints for f in arr.forms]):
+        failures.append("rank-2 flats")
+    if arr3.char_poly(arr) != lattice.char_poly():
+        failures.append("chi of the arrangement")
+    for h0 in range(arr.h):
+        if arr3.ziegler_restriction(arr, h0) != ziegler_restriction(arr, h0):
+            failures.append(f"restriction onto H0={h0}")
+        aff = arr3.decone(arr, h0)
+        poset = arr3.affine_poset(aff)
+        coned = [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)]
+        if list(poset.points) != [pt for pt in meets(field, coned) if pt[0][2]]:
+            failures.append(f"affine points at H0={h0}")
+        if arr3.char_poly(aff) != poset.char_poly():
+            failures.append(f"chi of the deconing at H0={h0}")
+    return failures
+
+
+CENSUS_NORMALS = [v for v in product((-1, 0, 1), repeat=3) if v > (0, 0, 0)]  # first nonzero entry positive
+
+
+def census_tally(planes, h0s, counts: dict, failures: list) -> None:
+    """The census checks on the arrangement of these planes over Q, with the criteria on its deconings at h0s.
+
+    The verdict must not depend on H0, a free arrangement must satisfy
+    Terao's factorisation (Invent. Math. 63, 1981) with the exponent 0 of a
+    non-essential arrangement, a pb3 member must be free, and each deconing
+    must pass thm_rest_check and thm_rest2_check, whose equality case must
+    be where thm_fc_check applies.  Tallies go into counts, and each
+    failure is appended to failures as (planes, text).
+    """
+    arr = arr3.Arrangement3(QQ, planes)
+    counts["arrangements"] += 1
+    verdicts = {(v.free, v.exponents) for v in (arr3.is_free(arr, h0) for h0 in range(arr.h))}
+    if len(verdicts) != 1:
+        failures.append((planes, f"verdict depends on H0: {verdicts}"))
+        return
+    ((free, exps),) = verdicts
+    if free:
+        counts["free"] += 1
+        want = arr3.CharPoly((1,))
+        for e in exps:
+            want = want * arr3.CharPoly((1, -e))
+        if arr3.char_poly(arr) != want:
+            failures.append((planes, f"chi = {arr3.char_poly(arr)} does not factor by the exponents {exps}"))
+    if arr3.pb3_membership(arr).member:
+        counts["pb3"] += 1
+        if not free:
+            failures.append((planes, "pb3 member is not free"))
+    for h0 in h0s:
+        aff = arr3.decone(arr, h0)
+        counts["deconings"] += 1
+        rest = arr3.thm_rest_check(aff)
+        counts["rest"] += rest.applicable
+        if not rest.passed:
+            failures.append((planes, f"thm_rest_check failed at H0={h0}"))
+        rest2 = arr3.thm_rest2_check(aff)
+        if not rest2.passed:
+            failures.append((planes, f"thm_rest2_check failed at H0={h0}: {rest2}"))
+        if rest2.applicable:
+            counts["rest2"] += 1
+            counts["equality"] += rest2.equality
+            if arr3.thm_fc_check(aff).applies != rest2.equality:
+                failures.append((planes, f"the chamber equality case at H0={h0} is not the product shape"))
