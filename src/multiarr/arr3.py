@@ -312,10 +312,13 @@ def cone(aff: AffineArrangement2):
     """Homogenise an affine line arrangement; returns (arrangement, h0 index).
 
     Each line a*x + b*y = c becomes the plane a*x + b*y - c*z = 0 and the
-    infinite hyperplane z = 0 is appended last.
+    infinite hyperplane z = 0 is appended last.  The lead of a line's
+    canonical ints lies in (a, b), so (a, b, -c) is canonical as it
+    stands over Q, and once -c is reduced mod p over GF(p).
     """
-    forms = [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)]
-    return Arrangement3(aff.field, [*forms, (0, 0, 1)]), aff.k
+    p = aff.field.char
+    planes = [(a, b, -c % p if p else -c) for a, b, c in (l.ints for l in aff.forms)]
+    return Arrangement3._of_ints(aff.field, [*planes, (0, 0, 1)]), aff.k
 
 
 def _dot(u, v):
@@ -400,8 +403,9 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
     Returns (Arrangement2 in the frame coordinates u1, u2 of h0, multiplicity
     tuple); the multiplicities sum to |arr| - 1.  The rows are grouped by
     their canonical int pairs, in order of first appearance, and each
-    distinct line becomes one form.  Only the forms depend on the frame,
-    not the multiplicities or the exponents.
+    distinct line becomes one form, built from its pair as it stands.
+    Only the forms depend on the frame, not the multiplicities or the
+    exponents.
     """
     rows = _in_frame(arr, h0)[1]
     if arr.h < 2:
@@ -411,7 +415,7 @@ def ziegler_restriction(arr: Arrangement3, h0: int):
     for s, t, _ in rows:
         key = _canonical_ints(p, (s, t))
         counts[key] = counts.get(key, 0) + 1
-    return Arrangement2(arr.field, list(counts)), tuple(counts.values())
+    return Arrangement2._of_ints(arr.field, list(counts)), tuple(counts.values())
 
 
 # ---------------------------------------------------------------------------

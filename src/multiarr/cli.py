@@ -88,7 +88,7 @@ def _emit(args, report: dict, human_lines: list, started: float) -> None:
 
 def _derivation_json(theta):
     f, g = theta.coefficient_strings()
-    return {"degree": theta.degree, "f": f, "g": g, "rendered": theta.render()}
+    return {"degree": theta.degree, "f": f, "g": g, "rendered": multiarr2._render_derivation(f, g)}
 
 
 def _verdict(report) -> tuple[str, int]:
@@ -377,6 +377,8 @@ def cmd_verify_all(args, doc):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit with EXIT_USAGE, not 2."""
 
+    commands: dict  # on the top parser, set by _build_parser: each command's own subparser, by name
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -397,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="exponents and lower basis of a 2-multiarrangement")
     p.add_argument("file", help="arrangement document (path or '-')")
     common(p)
-    p.set_defaults(fn=cmd_exp)
 
     p = sub.add_parser("lattice", help="scan a finite multiplicity region and verify a law")
     p.add_argument("file")
@@ -405,28 +406,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total", type=int, default=None, help="optional cap on |m|")
     p.add_argument("--verify", required=True, choices=("one", "limit", "str"))
     common(p)
-    p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("shift", help="certify the shift map at m0")
     p.add_argument("file")
     p.add_argument("--m0", default=None, help="multiplicity, comma separated (default: document)")
     common(p)
-    p.set_defaults(fn=cmd_shift)
 
     p = sub.add_parser("free", help="freeness verdict of a central 3-arrangement")
     p.add_argument("file")
     p.add_argument("--H0", type=int, default=None, help="restriction hyperplane index")
     common(p)
-    p.set_defaults(fn=cmd_free)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     common(p)
-    p.set_defaults(fn=cmd_verify_all)
+    parser.commands = sub.choices
     return parser
 
 
 # one parser per process: parse_args keeps no state, and help and usage are formatted when printed
 _PARSER = _build_parser()
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as _PARSER.parse_args(argv) parses it, with the same output and exit.
+
+    A line that starts with a command name is parsed by that command's own
+    subparser, which is what the top parser hands it to; any other line,
+    and one that leaves arguments the subparser does not know (which the
+    top parser reports), goes through the top parser.
+    """
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
+
+
+def _command(name: str):
+    """The function of a command, looked up in this module when it runs, so a patched cmd_* is the one called."""
+    return globals()["cmd_" + name.replace("-", "_")]
 
 
 def _detach_stdout() -> None:
@@ -442,7 +461,7 @@ def _detach_stdout() -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     digest = None
     digit_limit = sys.get_int_max_str_digits()
@@ -451,7 +470,7 @@ def main(argv=None) -> int:
     try:
         doc, digest = load_document(args.file) if "file" in args else (None, None)
         sys.set_int_max_str_digits(0)  # exact results may print far more digits than any input holds
-        command, results, lines, code = args.fn(args, doc)
+        command, results, lines, code = _command(args.command)(args, doc)
         _emit(args, _envelope(command, doc, digest, results), lines, started)
         sys.stdout.flush()
         if args.stats:

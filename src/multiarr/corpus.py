@@ -33,7 +33,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import arr3, multiarr2
-from .exactalg import GF, QQ
+from .exactalg import GF, QQ, _canonical_ints, _scaled_ints
 
 __all__ = [
     "DocumentError",
@@ -137,20 +137,27 @@ def parse_document(text: str) -> ArrangementDocument:
 
 
 def serialize_document(doc: ArrangementDocument) -> str:
-    field = doc.field
-    obj = {
-        "field": doc.field_desc,
-        "dim": doc.dim,
-        "central": doc.central,
-        "hyperplanes": [
-            {"coeffs": [field.format(c) for c in coeffs]}
-            | ({"mult": mult} if doc.dim == 2 and doc.central else {})
-            for coeffs, (_, mult) in zip(doc.scalars, doc.hyperplanes)
-        ],
-    }
-    if doc.name is not None:
-        obj["name"] = doc.name
-    return canonical_json(obj)
+    """The canonical JSON of a parsed document, written straight from its fixed shape.
+
+    The text is :func:`canonical_json` of the document as an object (sorted
+    keys, two-space indent, a final newline), byte for byte.  The
+    coefficient strings that field.format prints are ASCII digits, "-" and
+    "/", so only the name needs the quoter.
+    """
+    fmt = doc.field.format
+    mult_line = doc.dim == 2 and doc.central
+    out = [
+        f'{{\n  "central": {"true" if doc.central else "false"},\n  "dim": {doc.dim},\n  "field": ',
+        '"Q"' if doc.field_desc == "Q" else f'{{\n    "p": {doc.field_desc["p"]}\n  }}',
+        ',\n  "hyperplanes": [',
+    ]
+    for coeffs, (_, mult) in zip(doc.scalars, doc.hyperplanes):
+        out.append('\n    {\n      "coeffs": [\n        "')
+        out.append('",\n        "'.join([fmt(c) for c in coeffs]))
+        out.append(f'"\n      ],\n      "mult": {mult}\n    }},' if mult_line else '"\n      ]\n    },')
+    out[-1] = out[-1][:-1]  # no comma after the last hyperplane
+    out.append("\n  ]\n}\n" if doc.name is None else f'\n  ],\n  "name": {_quote(doc.name)}\n}}\n')
+    return "".join(out)
 
 
 def canonical_json(obj) -> str:
@@ -216,40 +223,47 @@ def build_arrangement(doc: ArrangementDocument):
     or ("aff2", AffineArrangement2).  Each coefficient string is parsed
     once, into doc.scalars, which serialize_document formats; over Q a
     scalar is an int when the string is a plain integer, and a Fraction
-    otherwise (see :func:`_parse`).  A row is
-    parsed just before its form is built, as the form would parse it; a
-    string that does not parse is passed on as it is, so the forms raise
-    the first fault in the order they meet it.
+    otherwise (see :func:`_parse`).  Each row is scaled to its canonical
+    int vector, from which its form is built with no second parse.  The
+    faults come in the order the forms' own constructors meet them: row
+    by row, each coefficient as it is parsed, the direction part of an
+    affine line before its constant term, then a zero row, then a
+    repeated form.
     """
     field = doc.field
+    p = field.char
     doc.scalars = []
-
-    def rows():
-        for coeffs, _ in doc.hyperplanes:
-            doc.scalars.append(tuple(_parse(field, c) for c in coeffs))
-            yield doc.scalars[-1]
-
+    rows = []
+    for coeffs, _ in doc.hyperplanes:
+        row = [_parse(field, c) for c in coeffs[:2]]
+        if not doc.central and not (row[0] or row[1]):  # the constant term is not parsed then, as AffineLine does
+            raise ValueError("line needs a nonzero direction part")
+        row += [_parse(field, c) for c in coeffs[2:]]
+        doc.scalars.append(tuple(row))
+        rows.append(_canonical_ints(p, _scaled_ints(field, row)[0]))
     if doc.dim == 2 and doc.central:
-        return "arr2", multiarr2.Arrangement2(field, rows()), tuple(m for _, m in doc.hyperplanes)
+        return "arr2", multiarr2.Arrangement2._of_ints(field, rows), tuple(m for _, m in doc.hyperplanes)
     if doc.dim == 3:
-        return "arr3", arr3.Arrangement3(field, rows())
-    return "aff2", arr3.AffineArrangement2(field, rows())
+        return "arr3", arr3.Arrangement3._of_ints(field, rows)
+    return "aff2", arr3.AffineArrangement2._of_ints(field, rows)
 
 
 def _parse(field, text: str):
-    """The field scalar of text, or text itself when it does not parse.
+    """The field scalar of text.
 
     Over Q, a string of ASCII digits with at most a leading "-" becomes a
-    Python int, the value Fraction(text) has; the forms take ints without
-    a Fraction, and field.format prints the same text.
+    Python int, the value Fraction(text) has, and field.format prints the
+    same text; any other string, or one past the int-to-string limit, goes
+    to field(text), whose error is the document's.
     """
-    digits = text[1:] if text[:1] == "-" else text
-    try:
-        if not field.char and digits.isdigit() and digits.isascii():
-            return int(text)
-        return field(text)
-    except (ValueError, ZeroDivisionError):
-        return text
+    if not field.char:
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isdigit() and digits.isascii():
+            try:
+                return int(text)
+            except ValueError:
+                pass
+    return field(text)
 
 
 def arrangement(name: str):

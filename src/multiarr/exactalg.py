@@ -38,7 +38,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test, on the shortest prefix of _MR_BASES proven for n.
+
+    The first k bases decide every n below psi_k, the least strong
+    pseudoprime to all of them (OEIS A014233; G. Jaeschke, Math. Comp. 61,
+    1993); psi_8 = psi_7 and psi_10 = psi_11 = psi_9.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -46,7 +51,10 @@ def _is_prime(n: int) -> bool:
             return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for b in _MR_BASES:
+    bands = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+             (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
+    k = next((k for psi, k in bands if n < psi), len(_MR_BASES))
+    for b in _MR_BASES[:k]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -299,7 +307,8 @@ def _scaled_ints(field: Field, row) -> tuple:
 class CanonicalForm:
     """A nonzero coefficient vector over a field, stored in canonical scaling.
 
-    ``ints`` is the vector from :func:`canonical_coefficients`; ``coeffs``
+    ``ints`` is the vector from :func:`canonical_coefficients`, or one
+    that is already canonical, given to :meth:`_of_ints`; ``coeffs``
     is a read-only view of the same values as field scalars.  The hash is
     taken once, from the characteristic and ``ints``, so it is the same in
     every process.  Two forms are equal when they have the same class,
@@ -314,6 +323,15 @@ class CanonicalForm:
         self.field = field
         self.ints = canonical_coefficients(field, coeffs)
         self._hash = hash((field.char, self.ints))
+
+    @classmethod
+    def _of_ints(cls, field: Field, ints: tuple):
+        """The form whose canonical int vector is ints, taken as it is: the caller vouches that it is canonical."""
+        form = object.__new__(cls)
+        form.field = field
+        form.ints = ints
+        form._hash = hash((field.char, ints))
+        return form
 
     def render(self, names=None) -> str:
         return _render_terms(zip(_format_ints(self.ints), names or self.names))
@@ -337,7 +355,8 @@ class FormTuple:
     """An ordered tuple of distinct canonical forms over one field.
 
     Entries may be forms of ``form_type`` or plain coefficient tuples; the
-    hash is taken once, like that of the forms.
+    hash is taken once, like that of the forms.  :meth:`_of_ints` builds
+    the tuple from canonical int rows, with the same checks.
     """
 
     __slots__ = ("field", "forms", "_hash")
@@ -354,6 +373,16 @@ class FormTuple:
                 fs.append(f)
             else:
                 fs.append(self.form_type(field, *f))
+        self._fill(field, fs)
+
+    @classmethod
+    def _of_ints(cls, field: Field, rows):
+        """The tuple of the forms whose canonical int vectors are rows (see CanonicalForm._of_ints)."""
+        out = object.__new__(cls)
+        out._fill(field, [cls.form_type._of_ints(field, r) for r in rows])
+        return out
+
+    def _fill(self, field: Field, fs: list) -> None:
         if not fs and not self.allow_empty:
             raise ValueError("arrangement needs at least one hyperplane")
         if len(set(fs)) != len(fs):

@@ -185,12 +185,7 @@ class Derivation2:
         return tuple(_format_ints(v, self.content) for v in self.ints)
 
     def render(self, names=("x1", "x2")) -> str:
-        def wrap(strings):
-            s = _render_form(strings, names)
-            return f"({s})" if (" " in s) else s
-
-        f, g = self.coefficient_strings()
-        return f"{wrap(f)}*d{names[0]} + {wrap(g)}*d{names[1]}"
+        return _render_derivation(*self.coefficient_strings(), names)
 
     def _key(self):
         return self.field, self.degree, self.ints, self.content
@@ -203,6 +198,16 @@ class Derivation2:
 
     def __repr__(self):
         return f"Derivation2({self.render()})"
+
+
+def _render_derivation(f, g, names=("x1", "x2")) -> str:
+    """The text f*dx1 + g*dx2 of a derivation, from the coefficient strings of its f and g."""
+
+    def wrap(strings):
+        s = _render_form(strings, names)
+        return f"({s})" if (" " in s) else s
+
+    return f"{wrap(f)}*d{names[0]} + {wrap(g)}*d{names[1]}"
 
 
 def _tangency_matrix(arr: Arrangement2, m: Multiplicity, d: int) -> Matrix:

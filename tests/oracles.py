@@ -27,7 +27,11 @@ library checks the ball law on a component without listing the ball.
 ``canonical_json`` is the ``json`` module's indented encoder that
 ``corpus.canonical_json`` replaced, ``parse_coefficient`` the
 ``field(text)`` parse of every coefficient string before plain integers
-became ints over Q, and ``last_steps`` the whole step list that
+became ints over Q, ``build_arrangement`` and ``serialize_document`` the
+document build and writer before the forms came from canonical ints and
+the text was written from the document's shape,
+``is_prime_twelve_bases`` the primality test before it chose its bases
+by the size of n, and ``last_steps`` the whole step list that
 ``multiarr2._unit_state`` sliced before it built only the last steps.
 ``unit_step``, ``times_alpha`` and ``normalise`` are the addition step
 as it was before it built each component by one list comprehension and
@@ -37,7 +41,8 @@ are ``arr3._meets`` and ``arr3.ziegler_restriction`` as they were before
 they ran on canonical ints: each line keyed by the canonical field scalars
 of its cross product, with its members gathered in a set and the lines
 sorted, and the restricted rows grouped by their ``LinearForm2``;
-``int_path_failures`` runs the library beside them.  ``census_tally`` holds
+``int_path_failures`` runs the library beside them, and beside the
+generic constructor for the cone of each deconing.  ``census_tally`` holds
 the checks of the census of small arrangements, which ``test_census.py``
 runs on a slice and ``census.py`` on all of it.
 """
@@ -52,7 +57,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from multiarr import arr3
-from multiarr.exactalg import QQ, BinaryForm, LinearForm2, _render_terms
+from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, LinearForm2, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import Arrangement2, Derivation2, _residue, exponents, is_balanced
 from multiarr.stats import counts
@@ -483,6 +488,69 @@ def parse_coefficient(field, text: str):
         return text
 
 
+def build_arrangement(doc):
+    """corpus.build_arrangement before it built the forms from canonical ints.
+
+    Each row is parsed by :func:`parse_coefficient`, and its form is built
+    from the row by the form's own constructor, which parses every string
+    that did not parse and raises the first fault it meets.
+    """
+    field = doc.field
+    doc.scalars = []
+
+    def rows():
+        for coeffs, _ in doc.hyperplanes:
+            doc.scalars.append(tuple(parse_coefficient(field, c) for c in coeffs))
+            yield doc.scalars[-1]
+
+    if doc.dim == 2 and doc.central:
+        return "arr2", Arrangement2(field, rows()), tuple(m for _, m in doc.hyperplanes)
+    if doc.dim == 3:
+        return "arr3", arr3.Arrangement3(field, rows())
+    return "aff2", arr3.AffineArrangement2(field, rows())
+
+
+def serialize_document(doc) -> str:
+    """corpus.serialize_document before it wrote the document's shape directly: a dict through canonical_json."""
+    field = doc.field
+    obj = {
+        "field": doc.field_desc,
+        "dim": doc.dim,
+        "central": doc.central,
+        "hyperplanes": [
+            {"coeffs": [field.format(c) for c in coeffs]}
+            | ({"mult": mult} if doc.dim == 2 and doc.central else {})
+            for coeffs, (_, mult) in zip(doc.scalars, doc.hyperplanes)
+        ],
+    }
+    if doc.name is not None:
+        obj["name"] = doc.name
+    return canonical_json(obj)
+
+
+def is_prime_twelve_bases(n: int) -> bool:
+    """exactalg._is_prime before it chose its bases by the size of n: Miller-Rabin on all twelve of them."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    return all(strong_probable_prime(n, b) for b in _MR_BASES)
+
+
+def strong_probable_prime(n: int, b: int) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin round to base b."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(b, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def last_steps(m, n: int):
     """(prev, steps): the last n unit steps (j, k) of the chain to m, sliced from the whole list."""
     steps = [(j, k) for j, v in enumerate(m) for k in range(v)][sum(m) - n :]
@@ -590,8 +658,9 @@ def int_path_failures(arr) -> list:
     """Where arr3 disagrees with meets and ziegler_restriction on arr and on its deconing at every H0.
 
     The flats and the affine points must come out in the same order, chi
-    must be the lattice's, and the restricted forms, their order and their
-    multiplicities must agree.
+    must be the lattice's, the restricted forms, their order and their
+    multiplicities must agree, and the cone of each deconing must equal
+    the one that the generic constructor canonicalises.
     """
     field = arr.field
     failures = []
@@ -606,6 +675,8 @@ def int_path_failures(arr) -> list:
         aff = arr3.decone(arr, h0)
         poset = arr3.affine_poset(aff)
         coned = [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)]
+        if arr3.cone(aff) != (arr3.Arrangement3(field, [*coned, (0, 0, 1)]), aff.k):
+            failures.append(f"cone of the deconing at H0={h0}")
         if list(poset.points) != [pt for pt in meets(field, coned) if pt[0][2]]:
             failures.append(f"affine points at H0={h0}")
         if arr3.char_poly(aff) != poset.char_poly():

@@ -78,6 +78,46 @@ def input_digest(capsys, path):
     return json.loads(out)["input"]["digest"]
 
 
+# coefficient strings: ints, among them "-0", "007" and non-ASCII digits, and over Q fractions; then strings
+# that one field route or neither parses
+INT_COEFF = st.integers(-(10**30), 10**30).map(str) | st.sampled_from(["0", "-0", "007", "-12", "\u0663"])
+FRACTION_COEFF = st.sampled_from(["3/4", "-4/6", "\u0661\u0662/5", "10/4"])
+ODD_COEFF = st.sampled_from(["1/0", "12/-3", "0.5", "3.50", "x", "", " 3", "+3", "1_0", "-", "1e3", "9" * 4301])
+
+
+@st.composite
+def shaped_documents(draw):
+    """JSON texts of documents of every shape over Q and GF(p), some with a malformed string, a zero row,
+    a repeated plane or a stray mult."""
+    field = draw(st.sampled_from(["Q", "Q", {"p": 2}, {"p": 7}, {"p": 2**31 - 1}]))
+    dim, central = draw(st.sampled_from([(2, True), (3, True), (2, False)]))
+    width = dim + (not central)
+    coeff = st.one_of(INT_COEFF, INT_COEFF, FRACTION_COEFF if field == "Q" else INT_COEFF)
+    rows = draw(st.lists(st.lists(coeff, min_size=width, max_size=width), min_size=1, max_size=5))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        draw(st.sampled_from(rows))[draw(st.integers(0, width - 1))] = draw(ODD_COEFF)
+    if draw(st.integers(0, 4)) == 0:  # a zero row, or a line with no direction part and any constant
+        zero = ["0", "-0", "0"][:dim] + ([draw(ODD_COEFF | INT_COEFF)] if width > dim else [])
+        rows.insert(draw(st.integers(0, len(rows))), zero)
+    if draw(st.integers(0, 3)) == 0:  # one plane twice: an int row and a multiple of it
+        ints = draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))
+        k = draw(st.sampled_from([1, -2, 3, 7]))
+        rows.insert(draw(st.integers(0, len(rows))), [str(x) for x in ints])
+        rows.append([str(k * x) for x in ints])
+    hyps = [{"coeffs": r} for r in rows]
+    if dim == 2 and central:
+        for h in hyps:
+            if draw(st.booleans()):
+                h["mult"] = draw(st.integers(0, 3))
+    elif draw(st.integers(0, 7)) == 0:  # refused: only planar central documents take a mult
+        draw(st.sampled_from(hyps))["mult"] = 1
+    doc = {"field": field, "dim": dim, "central": central, "hyperplanes": hyps}
+    name = draw(st.none() | st.text(max_size=6))
+    if name is not None:
+        doc["name"] = name
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
 class TestDocuments:
     def test_round_trip_is_canonical(self):
         for name in corpus.document_names():
@@ -203,29 +243,41 @@ class TestDocuments:
 
     @pytest.mark.parametrize("field", ["Q", {"p": 7}], ids=["Q", "GF7"])
     @pytest.mark.parametrize("text", PLAIN_OR_NOT, ids=repr)
-    def test_integer_parse_matches_the_field_route(self, monkeypatch, tmp_path, field, text):
+    def test_integer_parse_matches_the_field_route(self, field, text):
         """A plain integer read as an int gives the forms, bytes, digest and error of Fraction(text)."""
         for dim, central, rows in [
             (2, True, [[text, "1"], ["0", "1"], ["1", "1"]]),
             (3, True, [["1", text, "0"], ["0", "0", "1"], ["1", "1", "1"]]),
             (2, False, [["1", "0", text], ["0", "1", "0"]]),
         ]:
-            path = tmp_path / "doc.json"
-            path.write_text(self.document(field, dim, rows, central), encoding="utf-8")
-            with monkeypatch.context() as mp:
-                mp.setattr(corpus, "_parse", oracles.parse_coefficient)
-                want = self.load_or_error(str(path))
-            got = self.load_or_error(str(path))
-            assert got == want
+            doc = self.document(field, dim, rows, central)
+            assert self.load_or_error(doc) == self.load_or_error(doc, oracle=True)
 
     @staticmethod
-    def load_or_error(path):
-        """(arrangement, serialised document, digest), or the DocumentError text."""
-        try:
-            doc, digest = load_document(path)
-        except DocumentError as exc:
-            return str(exc)
-        return doc.built[1], serialize_document(doc), digest
+    def load_or_error(text, oracle=False):
+        """(built, each form's class, ints and hash, text, digest) of load_document on text, or its DocumentError text.
+
+        With oracle=True the document is built and written by the routes in
+        oracles.py: a field parse of every string, each form built by its own
+        constructor, and the text written through canonical_json.
+        """
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(text))
+            if oracle:
+                mp.setattr(corpus, "build_arrangement", oracles.build_arrangement)
+                mp.setattr(cli, "serialize_document", oracles.serialize_document)
+            try:
+                doc, digest = load_document("-")
+            except DocumentError as exc:
+                return str(exc)
+        forms = [(type(f), f.ints, hash(f)) for f in doc.built[1].forms]
+        return doc.built, forms, cli.serialize_document(doc), digest
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_documents())
+    def test_build_and_writer_match_the_generic_routes(self, text):
+        """The canonical-int build and the direct writer against the oracles: forms, bytes, digest and error."""
+        assert self.load_or_error(text) == self.load_or_error(text, oracle=True)
 
     def test_plain_integers_become_ints_over_q_only(self):
         rows = [["-0", "007"], ["1/2", "-12"], ["3.50", "1"]]
@@ -1034,12 +1086,12 @@ def command_lines(draw):
     return head + [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
 
 
-def parse_outcome(parser, argv):
-    """The namespace of parse_args, or its exit code, with what it printed."""
+def parse_outcome(parse, argv):
+    """The namespace of parse(argv), or its exit code, with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = ("args", vars(parser.parse_args(argv)))
+            result = ("args", vars(parse(argv)))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -1053,7 +1105,26 @@ class TestSharedParser:
     def test_same_outcome_as_a_fresh_parser(self, argvs):
         # one shared parser sees the whole sequence, so state left by a call would show
         for argv in argvs:
-            assert parse_outcome(cli._PARSER, argv) == parse_outcome(cli._build_parser(), argv)
+            assert parse_outcome(cli._PARSER.parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_main_parses_as_the_top_parser(self, argv):
+        """A line parsed by its command's own subparser gives the namespace, exit code and text of the top parser."""
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
+
+    def test_main_calls_the_command_the_module_holds(self, capsys, monkeypatch):
+        calls = []
+
+        def patched(args, doc):
+            calls.append((args.command, args.file, doc.name))
+            return "exp", {"patched": True}, ["patched"], EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_exp", patched)
+        code, out, err = run(capsys, "exp", corpus_file("a2"), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert calls == [("exp", corpus_file("a2"), "a2")]
+        assert json.loads(out)["results"] == {"patched": True}
 
     def test_main_builds_no_parser(self, capsys, monkeypatch):
         braid3, a2 = corpus_file("braid3"), corpus_file("a2")

@@ -1,5 +1,7 @@
 """Scalars, forms, divisibility encodings and kernel computations."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from multiarr.exactalg import (
     BinaryForm,
     LinearForm2,
     Matrix,
+    _MR_BASES,
     _is_prime,
     binary_form_divides,
     canonical_coefficients,
@@ -117,11 +120,44 @@ HARD_CASES = (
 )
 
 
+# OEIS A014233: psi_k, the least odd composite that is a strong pseudoprime
+# to each of the first k primes (G. Jaeschke, Math. Comp. 61, 1993), with
+# its prime factors; the first k bases decide every n < psi_k
+PSI = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+}
+
+
 class TestPrimality:
-    def test_matches_trial_division_below_1e5(self):
-        assert [n for n in range(10**5) if _is_prime(n)] == [
-            n for n in range(10**5) if trial_division_is_prime(n)
+    def test_matches_trial_division_below_2e5(self):
+        assert [n for n in range(2 * 10**5) if _is_prime(n)] == [
+            n for n in range(2 * 10**5) if trial_division_is_prime(n)
         ]
+
+    @pytest.mark.parametrize("k", sorted(PSI))
+    def test_each_psi_is_a_strong_pseudoprime_to_its_prefix_and_refused(self, k):
+        psi, factors = PSI[k]
+        assert math.prod(factors) == psi and all(trial_division_is_prime(f) for f in factors)
+        assert all(oracles.strong_probable_prime(psi, b) for b in _MR_BASES[:k])
+        assert not _is_prime(psi)
+
+    def test_matches_twelve_bases_in_every_band(self):
+        """Seeded odd n in each band [psi_j, psi_k) that k bases decide, and products of two primes found there."""
+        rng = random.Random(29)
+        edges = [psi for psi, _ in PSI.values()] + [2**64]
+        for lo, hi in zip(edges, edges[1:]):
+            odd = [rng.randrange(lo, hi) | 1 for _ in range(400)] + [lo + 2, hi - 2]
+            primes = [n for n in odd if oracles.is_prime_twelve_bases(n)]
+            assert primes, (lo, hi)
+            for n in odd + [p * q for p, q in zip(primes, primes[1:])]:
+                assert _is_prime(n) == oracles.is_prime_twelve_bases(n), n
 
     def test_hard_cases_against_sympy(self):
         sympy = pytest.importorskip("sympy")
