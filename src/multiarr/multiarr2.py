@@ -10,11 +10,15 @@ The exponents and the canonical basis both come from a basis built one
 unit of multiplicity at a time (the addition step of Abe-Terao-Wakefield):
 raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
-residue in the other.  A single query reads each state, through a bounded
-cache, from the state one unit below; a lattice scan does not use that
-cache, but walks its region one unit step per point, or only the step's
-first residue at a leaf of the walk whose state nothing reads (see
-:func:`_region_walk`).
+residue in the other.  A single query starts from the closed-form basis
+alpha1^m1 * E2, alpha2^m2 * E1 of the first two lines (E_i the constant
+derivation that kills alpha_i) and reads each later state, through a
+bounded cache, from the state one unit below; a lattice scan does not use
+that cache, but walks its region from m = 0 one unit step per point, or
+only the step's first residue at a leaf of the walk whose state nothing
+reads (see :func:`_region_walk`).  The canonical elements are read off
+whichever basis a state holds; the lower one alone when only it is asked
+for.
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated queries are cheap and thread-safe.
@@ -240,10 +244,12 @@ def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
     """Exponents (d1, d2), d1 + d2 = |m|, as the degrees of a unit-step basis.
 
     A basis of D(arr, m) is built from the basis at m - e_j by one addition
-    step (see :func:`_unit_step`), so no tangency system is solved.  The
-    states sit in a cache bounded at _STATE_CACHE entries, so queries near
-    an earlier one pay a few steps.  The lattice verifiers call this only
-    for points their region table does not hold.
+    step (see :func:`_unit_step`), from the closed form on the first two
+    lines on (see :func:`_unit_state`), so no tangency system is solved and
+    m takes Sum_{i>=2} m(H_i) steps.  The states sit in a cache bounded at
+    _STATE_CACHE entries, so queries near an earlier one pay a few steps.
+    The lattice verifiers call this only for points their region table does
+    not hold.
     """
     return _exponents(arr, arr.check_multiplicity(m))
 
@@ -265,22 +271,66 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     """(d1, d2, theta1, theta2): a basis of D(arr, m), each theta = (f, g).
 
     f and g are int coefficient vectors in BinaryForm order, primitive over
-    Q and residues over GF(p).  The chain to m fills m(H) from the first
-    hyperplane on, so the state before m is at m - e_j for j the last
-    nonzero index.  A state at a multiple of _CHECKPOINT is walked up from
-    the previous multiple without caching the states between, which keeps
-    the recursion below _CHECKPOINT + |m| / _CHECKPOINT frames.
+    Q and residues over GF(p).  For h >= 2 the state at a point of the
+    first two lines is the closed form of :func:`_two_line_state`; past it,
+    the chain to m fills m(H) from the third hyperplane on (from the first
+    for h = 1), so the state before m is at m - e_j for j the last nonzero
+    index, and m takes Sum_{i>=2} m(H_i) unit steps.  A state at a multiple
+    of _CHECKPOINT is walked up from the previous multiple, or from the
+    two-line point when that is nearer, without caching the states
+    between, which keeps the recursion below _CHECKPOINT + |m| /
+    _CHECKPOINT frames.
     """
     total = sum(m)
     if not total:
         return _BASE_STATE
-    prev, steps = _last_steps(m, 1 if total % _CHECKPOINT else _CHECKPOINT)
+    rest = sum(m[2:]) if len(m) > 1 else total  # the steps past the start of the chain
+    if not rest:
+        return _two_line_state(arr, m)
+    prev, steps = _last_steps(m, min(rest, 1 if total % _CHECKPOINT else _CHECKPOINT))
     state = _unit_state(arr, prev)
     for j, k in steps:
         state = _unit_step(arr.forms[j], k, state)
     counts["multiarr2.unit_steps"] += len(steps)
     counts["multiarr2.residues"] += len(steps)
     return state
+
+
+def _two_line_state(arr: Arrangement2, m: Multiplicity):
+    """The state at m = (m1, m2, 0, ...): alpha1^m1 * E2 and alpha2^m2 * E1, lower degree first.
+
+    E_i = (b_i, -a_i) is the constant derivation that kills alpha_i =
+    a_i*x1 + b_i*x2, so alpha1^m1 * E2 is tangent to both lines, and so is
+    alpha2^m2 * E1.  Their determinant is alpha1^m1 * alpha2^m2 * (a2*b1 -
+    a1*b2), a nonzero multiple of the defining form in every
+    characteristic, so Saito's criterion makes them a basis.  Over Q both
+    are primitive (Gauss's lemma), as every state is.
+    """
+    p = arr.field.char
+    (a1, b1), (a2, b2) = arr.forms[0].ints, arr.forms[1].ints
+    m1, m2 = m[0], m[1]
+    one = _derivation_times_power(a1, b1, p, m1, b2, -a2)
+    two = _derivation_times_power(a2, b2, p, m2, b1, -a1)
+    return (m1, m2, one, two) if m1 <= m2 else (m2, m1, two, one)
+
+
+def _derivation_times_power(a: int, b: int, p: int, k: int, u: int, v: int):
+    """(u, v) * alpha^k for alpha = a*x1 + b*x2, reduced mod p over GF(p).
+
+    Index i of alpha^k holds C(k, i) * a^i * b^(k-i), from the powers of a
+    and b and the binomial carried from one i to the next.
+    """
+    pa, pb = [1], [1]
+    for _ in range(k):
+        pa.append(a * pa[-1] % p if p else a * pa[-1])
+        pb.append(b * pb[-1] % p if p else b * pb[-1])
+    power, comb = [], 1
+    for i in range(k + 1):
+        power.append(comb * pa[i] * pb[k - i])
+        comb = comb * (k - i) // (i + 1)
+    if p:
+        return tuple([u * x % p for x in power]), tuple([v * x % p for x in power])
+    return tuple([u * x for x in power]), tuple([v * x for x in power])
 
 
 def _last_steps(m: Multiplicity, n: int):
@@ -309,7 +359,9 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
     points are the points under caps (and of |m| <= total when total is not
     None) in lexicographic order, so each m comes after m - e_j, j the last
     nonzero index of m.  The state at m is one _unit_step from the state at
-    m - e_j: the chain of _unit_state, so the states are the same.  path[i]
+    m - e_j, as in the chain of _unit_state; but the walk starts at m = 0,
+    not at the closed form on the first two lines, so its states and those
+    of _unit_state are in general different bases of one module.  path[i]
     holds the state at m[:i + 1] followed by zeros, so only the states of
     the current path are kept.  The table and the shell share one Exponents2
     per degree pair.
@@ -518,7 +570,27 @@ def lower_degree_basis(arr: Arrangement2, m: Sequence[int]) -> Derivation2:
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0: every constant derivation is tangent, no canonical choice")
-    return _canonical_basis(arr, mt)[0]
+    return _lower_basis(arr, mt)
+
+
+@lru_cache(maxsize=_STATE_CACHE)
+def _lower_basis(arr: Arrangement2, m: Multiplicity) -> Derivation2:
+    """theta1 of :func:`_canonical_basis`, read off the unit-step state with no work on theta2."""
+    d1, _, lo, _ = _lower_state(arr, m)
+    return _leading_one(arr.field, d1, lo)
+
+
+def _lower_state(arr: Arrangement2, m: Multiplicity):
+    """The unit-step state at m with theta1 put as the kernel's first degree-d1 vector, up to a scalar.
+
+    theta1 is the lower state element, or at d1 == d2 the one ending first,
+    zeroed where the other ends; theta2 is left as the state holds it.
+    """
+    d1, d2, lo, hi = _unit_state(arr, m)
+    if d1 == d2:
+        lo, hi = sorted((lo, hi), key=_last_entry)
+        lo = _cancel(arr.field.char, lo, hi, *_last_entry(hi))
+    return d1, d2, lo, hi
 
 
 @lru_cache(maxsize=_STATE_CACHE)
@@ -527,16 +599,13 @@ def _canonical_basis(arr: Arrangement2, m: Multiplicity):
 
     Read as f then g, Matrix.kernel gives one vector per last nonzero index
     of the null space, zero at the other such indices, leading 1, ascending.
-    theta1 is the lower state element, or at d1 == d2 the one ending first,
-    zeroed where the other ends.  The kernel vectors before theta2 lie in
-    theta1*S_delta, so theta2 is the other element zeroed where each
-    x1^i*x2^(delta-i)*theta1 ends, for i from delta down to 0.
+    theta1 is that of :func:`_lower_state`.  The kernel vectors before
+    theta2 lie in theta1*S_delta, so theta2 is the other element zeroed
+    where each x1^i*x2^(delta-i)*theta1 ends, for i from delta down to 0.
+    Any basis of D(arr, m) gives the same pair.
     """
-    d1, d2, lo, hi = _unit_state(arr, m)
+    d1, d2, lo, hi = _lower_state(arr, m)
     p, delta = arr.field.char, d2 - d1
-    if d1 == d2:
-        lo, hi = sorted((lo, hi), key=_last_entry)
-        lo = _cancel(p, lo, hi, *_last_entry(hi))
     part, j = _last_entry(lo)
     for i in range(delta, -1, -1):
         if hi[part][j + i]:  # else hi is zero there already

@@ -5,7 +5,8 @@ or in bulk after a loop, never inside the inner loop of a kernel:
 
 - ``exactalg.divide_linear``: synthetic divisions by a power of a line;
 - ``multiarr2.unit_steps``: addition steps of the unit-step basis, one
-  per point a walk or chain reaches past its start;
+  per point a walk or chain reaches past its start (m = 0 for a region
+  walk, the closed-form state on the first two lines for a chain);
 - ``multiarr2.residues``: residues read by those steps and by the shell
   of a region walk (one per step, one more when a full step raises d1,
   and one per point of the shell); a leaf of a region walk whose shell
@@ -46,14 +47,26 @@ counts = dict.fromkeys(
 )
 
 
+_module_caches: dict = {}  # module -> its (key, lru_cache) pairs; a module's caches are fixed at import
+
+
 def _caches() -> dict:
-    """Every lru_cache defined in a loaded multiarr module, keyed by module.function (without multiarr.)."""
+    """Every lru_cache defined in a loaded multiarr module, keyed by module.function (without multiarr.).
+
+    Only the names of the loaded modules are read on each call; the values
+    of a module are scanned once, the first time it is seen.
+    """
     out = {}
-    for name, mod in sorted(sys.modules.items()):
-        if name.startswith("multiarr."):
-            for fn in vars(mod).values():
-                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name:
-                    out[f"{name.removeprefix('multiarr.')}.{fn.__name__}"] = fn
+    for name in sorted([name for name in sys.modules if name.startswith("multiarr.")]):
+        mod = sys.modules[name]
+        pairs = _module_caches.get(mod)
+        if pairs is None:
+            pairs = _module_caches[mod] = [
+                (f"{name.removeprefix('multiarr.')}.{fn.__name__}", fn)
+                for fn in vars(mod).values()
+                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name
+            ]
+        out.update(pairs)
     return out
 
 

@@ -36,7 +36,12 @@ by the size of n, and ``last_steps`` the whole step list that
 ``unit_step``, ``times_alpha`` and ``normalise`` are the addition step
 as it was before it built each component by one list comprehension and
 reduced the combination inline; ``test_multiarr2.py`` runs them side by
-side with ``multiarr2._unit_step``.  ``meets`` and ``ziegler_restriction``
+side with ``multiarr2._unit_step``.  ``chain_state`` is the state that
+``multiarr2._unit_state`` built before it started from the closed form on
+the first two lines: the chain from m = 0, one step per unit of |m|.
+``module_caches`` is the scan of every value of every loaded module that
+``stats._caches`` made on each call before it remembered each module's
+caches.  ``meets`` and ``ziegler_restriction``
 are ``arr3._meets`` and ``arr3.ziegler_restriction`` as they were before
 they ran on canonical ints: each line keyed by the canonical field scalars
 of its cross product, with its members gathered in a set and the lines
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -59,7 +65,7 @@ from typing import Iterable, Sequence
 from multiarr import arr3
 from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, LinearForm2, _render_terms
 from multiarr.lattice import _ASCENT_LIMIT
-from multiarr.multiarr2 import Arrangement2, Derivation2, _residue, exponents, is_balanced
+from multiarr.multiarr2 import _BASE_STATE, Arrangement2, Derivation2, _residue, exponents, is_balanced
 from multiarr.stats import counts
 
 
@@ -624,6 +630,26 @@ def normalise(p: int, theta):
         return tuple(tuple([x % p for x in v]) for v in theta)
     g = math.gcd(*theta[0], *theta[1])
     return theta if g == 1 else tuple(tuple([x // g for x in v]) for v in theta)
+
+
+def chain_state(arr, m):
+    """The unit-step state at m by the chain from zero: D1, D2 at m = 0, then m(H) filled from the first line on."""
+    state = _BASE_STATE
+    for j, v in enumerate(m):
+        for k in range(v):
+            state = unit_step(arr.forms[j], k, state)
+    return state
+
+
+def module_caches() -> dict:
+    """Every lru_cache defined in a loaded multiarr module, by a scan of every value of every such module."""
+    out = {}
+    for name, mod in sorted(sys.modules.items()):
+        if name.startswith("multiarr."):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name:
+                    out[f"{name.removeprefix('multiarr.')}.{fn.__name__}"] = fn
+    return out
 
 
 def meets(field, normals) -> list:

@@ -1,5 +1,6 @@
 """Exponents, bases and the determinant criterion for 2-multiarrangements."""
 
+import math
 import random
 import sys
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from multiarr import multiarr2
+from multiarr import multiarr2, stats
 from multiarr.exactalg import (
     GF,
     QQ,
@@ -423,6 +424,68 @@ class TestUnitSteps:
         clear_multiarr_caches()
         assert state.cache_info().currsize == 0
         assert [exponents(arr, m).pair for arr, m in cases] == before
+
+
+class TestTwoLineStart:
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_matches_the_chain_from_zero(self, field):
+        """_unit_state against the chain from zero on seeded inputs, h = 1..6 as the field allows.
+
+        Both states have the same degrees, their entries are residues over GF(p) and primitive over Q,
+        Saito's criterion certifies both pairs, and the read-out from either gives the same basis and
+        lower_degree_basis.  The inputs include points of the first two lines, zeros among the first
+        two entries of m, and d1 = d2.
+        """
+        rng = random.Random(field.char + 13)
+        p = field.char
+        if p:
+            pool = [(0, 1)] + [(1, t) for t in range(min(p, 8))]
+        else:
+            pool = [f.ints for f in RATIONAL_FORMS] + [(1, 10**12 + 39), (7, -(10**9 + 7))]
+        seen = set()
+        for _ in range(60):
+            h = rng.randint(1, min(6, len(pool)))
+            arr = Arrangement2(field, rng.sample(pool, h))
+            m = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(h)]
+            if h > 2 and rng.random() < 0.4:
+                m[2:] = [0] * (h - 2)  # a point of the first two lines
+            m = tuple(m)
+            if not sum(m):
+                continue
+            clear_multiarr_caches()
+            state = multiarr2._unit_state(arr, m)
+            got = (lower_degree_basis(arr, m), basis(arr, m))
+            want = oracles.chain_state(arr, m)
+            assert state[:2] == want[:2], (arr.forms, m)
+            for d1, d2, t1, t2 in (state, want):
+                if p:
+                    assert all(0 <= x < p for theta in (t1, t2) for v in theta for x in v), (arr.forms, m)
+                else:
+                    assert math.gcd(*t1[0], *t1[1]) == math.gcd(*t2[0], *t2[1]) == 1, (arr.forms, m)
+                pair = Derivation2.from_ints(field, d1, *t1), Derivation2.from_ints(field, d2, *t2)
+                tangent, scalar = saito_criterion(arr, m, *pair)
+                assert tangent and scalar, (arr.forms, m)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(multiarr2, "_unit_state", lambda arr, m: oracles.chain_state(arr, m))
+                clear_multiarr_caches()
+                assert (lower_degree_basis(arr, m), basis(arr, m)) == got, (arr.forms, m)
+            assert got[0] == got[1][0]
+            seen.add(h)
+            seen.add("two-line" if h > 1 and not any(m[2:]) else "chain")
+            seen.update(["d1 = d2"] * (state[0] == state[1]) + ["zero on the first two"] * (h > 1 and 0 in m[:2]))
+        clear_multiarr_caches()
+        assert seen >= {"two-line", "chain", "d1 = d2", "zero on the first two"} | set(range(1, min(6, len(pool)) + 1))
+
+    def test_single_query_steps_past_the_first_two_lines(self):
+        """A state takes Sum_{i>=2} m(H_i) unit steps; a checkpoint walk stops at the two-line state."""
+        arr = Arrangement2(QQ, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)])
+        for m in [(16,) * 5, (32,) * 5, (0, 9, 130, 0, 0), (200, 1, 0, 0, 0), (40, 50, 20, 10, 8)]:
+            stats.reset()  # zero counters and empty caches
+            assert exponents(arr, m) == exponents(Arrangement2(QQ, arr.forms[::-1]), m[::-1])
+            got = stats.snapshot()
+            steps = sum(m[2:]) + sum(m[:-2])  # the second query fills its lines in reverse
+            assert got["multiarr2.unit_steps"] == steps, m
+        clear_multiarr_caches()
 
 
 def residue_by_row(alpha, k, d, theta) -> int:

@@ -1,7 +1,9 @@
 """The work counters: exact, repeatable in process and across processes, and off the canonical output."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import multiarr
+import oracles
 from multiarr import corpus, lattice, stats
 from multiarr.cli import main
 from multiarr.exactalg import QQ
@@ -72,9 +75,13 @@ class TestCli:
         assert (limit["lattice.ascent_steps"], strong["lattice.ascent_steps"]) == (0, 145)
 
     def test_five_lines_total_shell(self, capsys):
-        """Past total two rim points can reach one outside point; the shell reads it once."""
+        """Past total two rim points can reach one outside point; the shell reads it once.
+
+        The walk makes 511 steps; the other 168 are the chains of the 60 exponents that the ascents read
+        past the shell, each from its closed-form start on the first two lines (187 from zero).
+        """
         got = counted(capsys, "lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
-        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (698, 1611)
+        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (679, 1579)
         assert len(lattice._region_table(LatticeRegion(corpus.arrangement("five_lines"), (3,) * 5, 7))[1]) == 310
 
     def test_total_bounded_ascents(self, capsys):
@@ -92,7 +99,23 @@ class TestCli:
         assert got["multiarr2.saito_checks"] == 2 * 4096 - 1  # the zero shift has no basis to certify
         assert got["shift.nabla"] == 2 * 4096
         assert got["exactalg.divide_linear"] == 143_296
-        assert got["multiarr2.unit_steps"] == got["cache.multiarr2._unit_state.misses"] - 1 == 4095
+        # every state is a miss; m = 0 and the three 0/1 points on the first two lines take no step
+        assert got["multiarr2.unit_steps"] == got["cache.multiarr2._unit_state.misses"] - 1 - 3 == 4092
+
+    @pytest.mark.parametrize("k, steps", [(16, 48), (32, 96)])
+    def test_exp_steps_past_the_two_line_start(self, capsys, tmp_path, k, steps):
+        """exp on five_lines at m = (k,)*5 steps through lines 3 to 5 only, and reads out no upper element.
+
+        At k = 32 the state at |m| = 128 is a checkpoint; its walk stops at the state on the first two lines.
+        """
+        doc = json.loads(Path(FIVE).read_text(encoding="utf-8"))
+        for plane in doc["hyperplanes"]:
+            plane["mult"] = k
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = counted(capsys, "exp", str(path), "--json")
+        assert got["multiarr2.unit_steps"] == steps == 3 * k
+        assert (got["cache.multiarr2._lower_basis.misses"], got["cache.multiarr2._canonical_basis.misses"]) == (1, 0)
 
 
 def test_three_verifiers_in_one_session():
@@ -136,3 +159,29 @@ def test_in_process_equals_subprocess(capsys, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert lines[0] == lines[1] == json.loads(proc.stderr)
+
+
+PINNED = [
+    ("lattice", B2, "--caps", "5,5,5,5", "--verify", "str", "--json"),
+    ("lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str", "--json"),
+    ("shift", A2, "--m0", "5,5,5", "--json"),
+    ("exp", A2, "--json"),
+    ("free", str(corpus.document_path("braid3"))),
+    ("verify-all",),
+]
+
+
+class TestModuleCaches:
+    def test_remembered_caches_equal_a_full_scan(self):
+        """Once every module is imported, the caches remembered per module are those of a full scan, in order."""
+        for info in pkgutil.iter_modules(multiarr.__path__, "multiarr."):
+            importlib.import_module(info.name)
+        assert list(stats._caches().items()) == list(oracles.module_caches().items())
+        assert any(key.startswith("multiarr2.") for key in stats._caches())
+
+    @pytest.mark.parametrize("argv", PINNED, ids=lambda argv: argv[0])
+    def test_stats_line_equals_the_full_scan(self, capsys, monkeypatch, argv):
+        """The --stats line of a pinned command is byte-identical with the caches found by a full scan."""
+        code, _, err = run(capsys, *argv, "--stats")
+        monkeypatch.setattr(stats, "_caches", oracles.module_caches)
+        assert (code, err) == run(capsys, *argv, "--stats")[::2]
