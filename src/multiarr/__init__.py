@@ -71,6 +71,5 @@ from .arr3 import (
     thm_fc_check,
     thm_rest2_check,
     thm_rest_check,
-    yoshinaga_coker_dim,
     ziegler_restriction,
 )

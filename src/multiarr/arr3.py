@@ -47,7 +47,6 @@ __all__ = [
     "affine_poset",
     "char_poly",
     "ziegler_restriction",
-    "yoshinaga_coker_dim",
     "is_free",
     "thm_fc_check",
     "thm_rest_check",
@@ -447,12 +446,6 @@ def _coker(c2: int, restricted: Arrangement2, mult: tuple):
     return coker, e
 
 
-def yoshinaga_coker_dim(arr: Arrangement3, h0: int) -> int:
-    """c2 - d1*d2 for the restriction onto h0; nonnegative in char 0."""
-    _, c2 = char_poly(arr).quadratic_coeffs()
-    return _coker(c2, *ziegler_restriction(arr, h0))[0]
-
-
 def _product_shape(k: int, h: int):
     """(case, d, gap) of the product shape (t - d)(t - d - gap) for k lines.
 
@@ -607,7 +600,7 @@ def chamber_count(aff: AffineArrangement2) -> int:
     """
     if aff.field.char:
         raise ValueError("real chambers need characteristic zero")
-    return affine_poset(aff).char_poly()(-1)
+    return char_poly(aff)(-1)
 
 
 @dataclass(kw_only=True)
@@ -639,7 +632,7 @@ def thm_rest2_check(aff: AffineArrangement2) -> Rest2Report:
     k = aff.k
     case, d, gap = _product_shape(k, restricted.h)
     prod = d * (d + gap)
-    chi = affine_poset(aff).char_poly()
+    chi = char_poly(aff)
     c2 = chi.coeffs[2]
     equality = c2 == prod
     # by Yoshinaga's criterion the restriction onto any H0, here the infinite one, decides freeness

@@ -1,7 +1,9 @@
 """Exact scalars, dense binary forms and fraction-free linear algebra.
 
 The ground field is either Q (arbitrary-precision rationals, represented
-by :class:`fractions.Fraction`) or a prime field GF(p).  Every operation
+by :class:`fractions.Fraction`) or a prime field GF(p).  Over GF(p) the
+library computes on plain ints, residues mod p, and a scalar it returns
+is an :class:`FpElement`, a value with no arithmetic.  Every operation
 in this module is exact and deterministic; nothing here ever touches a
 float.  All values are immutable after construction, so everything is
 safe to share between threads or worker processes.
@@ -68,11 +70,12 @@ def _is_prime(n: int) -> bool:
 
 
 class FpElement:
-    """A residue in GF(p).
+    """A residue in GF(p), as a value.
 
-    Arithmetic coerces plain ints; mixing residues of different primes or
-    mixing with rationals raises.  Equality is only defined against other
-    residues of the same prime (use truthiness for zero tests).
+    It has no arithmetic: the library computes over GF(p) on plain ints
+    (residues mod p) and builds an FpElement only for a scalar that it
+    returns.  Equality is only defined against other residues of the same
+    prime (use truthiness for zero tests).
     """
 
     __slots__ = ("val", "p")
@@ -80,65 +83,6 @@ class FpElement:
     def __init__(self, val: int, p: int):
         self.val = val % p
         self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed prime fields GF({self.p}) and GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return FpElement(self.val * pow(o.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return FpElement(pow(self.val, n, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, FpElement):
@@ -163,7 +107,6 @@ class RationalField:
 
     char = 0
     zero = Fraction(0)
-    one = Fraction(1)
     name = "Q"
 
     def __call__(self, x) -> Fraction:
@@ -191,7 +134,7 @@ class RationalField:
 class PrimeField:
     """The prime field GF(p); construct via :func:`GF`."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p", "zero")
 
     def __init__(self, p: int):
         if p >= 2**64:
@@ -200,7 +143,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
     @property
     def char(self) -> int:
@@ -637,9 +579,9 @@ class Matrix:
     """A rectangular matrix over a single field, stored as rows of Python ints.
 
     Over GF(p) each entry is kept as its residue; over Q each row is scaled
-    by the lcm of its denominators.  Neither changes the row space, so rank,
-    kernel and the zero pattern of mul_vec are those of the matrix as
-    given; kernel vectors are field scalars.
+    by the lcm of its denominators.  Neither changes the row space, so rank
+    and kernel are those of the matrix as given; kernel vectors are field
+    scalars.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -660,11 +602,6 @@ class Matrix:
         self.nrows = len(rs)
         self.ncols = ncols
         self.rows = rs
-
-    def mul_vec(self, v: Sequence):
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((e * x for e, x in zip(row, v) if e and x), self.field.zero) for row in self.rows)
 
     def rank(self) -> int:
         _, pivots = _echelon(self.field, self.rows)
@@ -749,25 +686,29 @@ def _gauss_mod(rows, p):
 
 
 def _kernel_from_echelon(field, erows, pivots, ncols):
-    zero, one = field.zero, field.one
+    """The kernel basis of Matrix.kernel, by back-substitution on an echelon form.
+
+    Over GF(p) it runs on residues, over Q on Fractions; field scalars are
+    built only for the vectors it returns.
+    """
+    p = field.char
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivot_set):
-        x = [zero] * ncols
-        x[f] = one
+        x = [0] * ncols
+        x[f] = 1
         for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            row = erows[r]
-            s = zero
-            for c in range(p + 1, ncols):
-                if row[c] and x[c]:
-                    s += row[c] * x[c]
+            c, row = pivots[r], erows[r]
+            s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
             if s:
-                x[p] = -s / row[p]
+                x[c] = -s * pow(row[c], -1, p) % p if p else Fraction(-s) / row[c]
         lead = next(v for v in x if v)
-        if lead != one:
+        if lead != 1 and p:  # a pivot entry, before column f
+            inv = pow(lead, -1, p)
+            x = [v * inv % p for v in x]
+        elif lead != 1:
             x = [v / lead for v in x]
-        basis.append(tuple(x))
+        basis.append(tuple(map(field, x)))
     return basis
 
 

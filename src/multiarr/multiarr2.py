@@ -44,7 +44,6 @@ from .exactalg import (
     _normal,
     _proportional_scalar,
     _render_form,
-    _scaled_ints,
 )
 from .stats import counts
 
@@ -154,13 +153,6 @@ class Derivation2:
 
     def is_zero(self) -> bool:
         return not (any(self.ints[0]) or any(self.ints[1]))
-
-    @classmethod
-    def from_vector(cls, field, degree: int, vec: Sequence) -> "Derivation2":
-        if len(vec) != 2 * (degree + 1):
-            raise ValueError("coefficient vector has wrong length")
-        ints, den = _scaled_ints(field, vec)
-        return cls.from_ints(field, degree, ints[: degree + 1], ints[degree + 1 :], 1, den)
 
     @classmethod
     def euler(cls, field) -> "Derivation2":
@@ -743,7 +735,7 @@ def _saito_criterion(arr: Arrangement2, mt: Multiplicity, theta1: Derivation2, t
             q = _divide_linear(alpha, k, q)
             if q is None:
                 return tangent, None
-    return tangent, arr.field(q[0]) * det.content
+    return tangent, arr.field(q[0] * det.content)
 
 
 def basis(arr: Arrangement2, m: Sequence[int]):

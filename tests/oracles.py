@@ -1,8 +1,16 @@
 """Slow paths kept as test oracles: field-scalar forms, form arithmetic and lattice lookups.
 
+``Fp`` is a GF(p) residue with the arithmetic that ``FpElement`` had before
+the library computed over GF(p) on plain ints; ``scalar`` lifts a library
+scalar into it (a ``Fraction`` over Q stays as it is), and every oracle
+below that does scalar arithmetic lifts its inputs first.
 ``FieldForm`` keeps every coefficient as a field scalar (``Fraction`` over
-Q, ``FpElement`` over GF(p)) and does its arithmetic entry by entry, with
-no int vector, content or gcd.  ``canonical_coefficients`` scales a
+Q, ``Fp`` over GF(p)) and does its arithmetic entry by entry, with no int
+vector, content or gcd.  ``scalar_kernel`` is ``Matrix.kernel`` with its
+back-substitution on field scalars, as it was before it ran on residues;
+``mul_vec`` and ``from_vector`` are ``Matrix.mul_vec`` and
+``Derivation2.from_vector``, which only tests called.
+``canonical_coefficients`` scales a
 coefficient vector to its canonical field scalars, and ``_int_row`` turns
 a row of scalars into ints with the same span.  The differential tests in
 ``test_exactalg.py`` and ``test_arr3.py`` run them side by side with the
@@ -63,10 +71,67 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from multiarr import arr3
-from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, LinearForm2, _render_terms
+from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, FpElement, LinearForm2, _echelon, _render_terms, _scaled_ints
 from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import _BASE_STATE, Arrangement2, Derivation2, _residue, exponents, is_balanced
 from multiarr.stats import counts
+
+
+class Fp(FpElement):
+    """A residue in GF(p) with the arithmetic that FpElement had before the library computed on residues.
+
+    Arithmetic coerces plain ints; mixing residues of different primes
+    raises.  A library FpElement on the right is taken as it is; one on
+    the left has no operators, so the oracles lift every library scalar
+    first (see :func:`scalar`).
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, FpElement):
+            if other.p != self.p:
+                raise ValueError(f"mixed prime fields GF({self.p}) and GF({other.p})")
+            return other
+        if isinstance(other, int):
+            return Fp(other, self.p)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else Fp(self.val + o.val, self.p)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else Fp(self.val - o.val, self.p)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else Fp(self.val * o.val, self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.val == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.p})")
+        return Fp(self.val * pow(o.val, -1, self.p), self.p)
+
+    def __neg__(self):
+        return Fp(-self.val, self.p)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        return Fp(pow(self.val, n, self.p), self.p)
+
+
+def scalar(field, x):
+    """field(x) with the reference arithmetic: an Fp over GF(p), the Fraction over Q."""
+    v = field(x)
+    return Fp(v.val, v.p) if field.char else v
 
 
 def canonical_coefficients(field, coeffs: Iterable) -> tuple:
@@ -75,7 +140,7 @@ def canonical_coefficients(field, coeffs: Iterable) -> tuple:
     Over Q: coprime integers with the first nonzero entry positive.
     Over GF(p): the first nonzero entry scaled to 1.
     """
-    vals = [field(c) for c in coeffs]
+    vals = [scalar(field, c) for c in coeffs]
     if not any(vals):
         raise ValueError("zero coefficient vector has no canonical form")
     if field.char == 0:
@@ -86,7 +151,7 @@ def canonical_coefficients(field, coeffs: Iterable) -> tuple:
             g = -g
         return tuple(Fraction(i // g) for i in ints)
     lead = next(v for v in vals if v)
-    inv = field.one / lead
+    inv = scalar(field, 1) / lead
     return tuple(v * inv for v in vals)
 
 
@@ -104,9 +169,10 @@ def _int_row(field, row) -> tuple:
 
 def proportional_scalar(field, mine: Sequence, theirs: Sequence):
     """Scalar c with mine == c * theirs entrywise, or None; 0 when both are zero."""
+    mine, theirs = [scalar(field, a) for a in mine], [scalar(field, b) for b in theirs]
     i = next((i for i, b in enumerate(theirs) if b), None)
     if i is None:
-        return None if any(mine) else field.zero
+        return None if any(mine) else scalar(field, 0)
     c = mine[i] / theirs[i]
     return c if all(a == c * b for a, b in zip(mine, theirs)) else None
 
@@ -123,7 +189,7 @@ class FieldForm:
     def __init__(self, field, degree: int, coeffs: Sequence):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple(field(c) for c in coeffs)
+        cs = tuple(scalar(field, c) for c in coeffs)
         if len(cs) != degree + 1:
             raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(cs)}")
         self.field = field
@@ -132,7 +198,7 @@ class FieldForm:
 
     @classmethod
     def zero(cls, field, degree: int) -> "FieldForm":
-        return cls(field, degree, (field.zero,) * (degree + 1))
+        return cls(field, degree, (0,) * (degree + 1))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -153,13 +219,13 @@ class FieldForm:
         return FieldForm(self.field, self.degree, tuple(-a for a in self.coeffs))
 
     def scaled(self, c) -> "FieldForm":
-        c = self.field(c)
+        c = scalar(self.field, c)
         return FieldForm(self.field, self.degree, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
         deg = self.degree + other.degree
-        out = [self.field.zero] * (deg + 1)
+        out = [scalar(self.field, 0)] * (deg + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -172,7 +238,7 @@ class FieldForm:
         """Partial derivative with respect to x1."""
         if self.degree == 0:
             return FieldForm.zero(self.field, 0)
-        out = [self.field.zero] * self.degree
+        out = [scalar(self.field, 0)] * self.degree
         for i in range(1, self.degree + 1):
             out[i - 1] = i * self.coeffs[i]
         return FieldForm(self.field, self.degree - 1, out)
@@ -181,7 +247,7 @@ class FieldForm:
         """Partial derivative with respect to x2."""
         if self.degree == 0:
             return FieldForm.zero(self.field, 0)
-        out = [self.field.zero] * self.degree
+        out = [scalar(self.field, 0)] * self.degree
         for i in range(self.degree):
             out[i] = (self.degree - i) * self.coeffs[i]
         return FieldForm(self.field, self.degree - 1, out)
@@ -204,7 +270,7 @@ class FieldForm:
         # x2-adic valuations must also divide: (deg-dp) >= (deg'-dq)
         if (self.degree - dp) < (other.degree - dq):
             return None
-        quot = [self.field.zero] * (dp - dq + 1)
+        quot = [scalar(self.field, 0)] * (dp - dq + 1)
         for i in range(dp, dq - 1, -1):
             c = p[i] / q[dq]
             quot[i - dq] = c
@@ -214,7 +280,7 @@ class FieldForm:
         if any(p):
             return None
         deg = self.degree - other.degree
-        quot.extend([self.field.zero] * (deg + 1 - len(quot)))
+        quot.extend([scalar(self.field, 0)] * (deg + 1 - len(quot)))
         return FieldForm(self.field, deg, quot)
 
     def proportional_scalar(self, other: "FieldForm"):
@@ -258,6 +324,52 @@ class FieldForm:
 
     def __repr__(self):
         return f"FieldForm({self.render()})"
+
+
+# ---------------------------------------------------------------------------
+# matrices on field scalars
+
+
+def scalar_kernel(mat) -> list:
+    """Matrix.kernel before its back-substitution ran on residues: every step on field scalars (Fp over GF(p))."""
+    field, ncols = mat.field, mat.ncols
+    erows, pivots = _echelon(field, mat.rows)
+    zero, one = scalar(field, 0), scalar(field, 1)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        x = [zero] * ncols
+        x[f] = one
+        for r in range(len(pivots) - 1, -1, -1):
+            p = pivots[r]
+            row = erows[r]
+            s = zero
+            for c in range(p + 1, ncols):
+                if row[c] and x[c]:
+                    s += row[c] * x[c]
+            if s:
+                x[p] = -s / row[p]
+        lead = next(v for v in x if v)
+        if lead != one:
+            x = [v / lead for v in x]
+        basis.append(tuple(x))
+    return basis
+
+
+def mul_vec(mat, v: Sequence) -> tuple:
+    """The product of a Matrix and a vector of ints or field scalars, as field scalars."""
+    if len(v) != mat.ncols:
+        raise ValueError("vector length mismatch")
+    field, zero = mat.field, scalar(mat.field, 0)
+    return tuple(sum((e * scalar(field, x) for e, x in zip(row, v) if e and x), zero) for row in mat.rows)
+
+
+def from_vector(field, degree: int, vec: Sequence) -> Derivation2:
+    """The derivation whose f and g coefficients are the two halves of vec (a kernel vector of multiarr2.system)."""
+    if len(vec) != 2 * (degree + 1):
+        raise ValueError("coefficient vector has wrong length")
+    ints, den = _scaled_ints(field, vec)
+    return Derivation2.from_ints(field, degree, ints[: degree + 1], ints[degree + 1 :], 1, den)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +520,14 @@ def sweep_chamber_count(lines: Iterable) -> int:
 def field_value(form, vec):
     """The form at a vector of ints or field scalars, as a sum of field scalars."""
     field = form.field
-    return sum((field(c) * field(x) for c, x in zip(form.coeffs, vec)), field.zero)
+    return sum((scalar(field, c) * scalar(field, x) for c, x in zip(form.coeffs, vec)), scalar(field, 0))
 
 
 def scalar_decone(arr, h0: int):
     """arr3.decone by field scalars: the planes read on the chart v0 + s*u1 + t*u2, v0 = e_k / a_k."""
     field, alpha = arr.field, arr.forms[h0]
     u1, u2, k = arr3._plane_frame(alpha)
-    v0 = tuple(field.one / alpha.coeffs[k] if j == k else field.zero for j in range(3))
+    v0 = tuple(scalar(field, 1) / alpha.coeffs[k] if j == k else scalar(field, 0) for j in range(3))
     lines = [
         (field_value(b, u1), field_value(b, u2), -field_value(b, v0)) for i, b in enumerate(arr.forms) if i != h0
     ]
@@ -426,7 +538,7 @@ def scalar_affine_points(aff) -> dict:
     """{(x, y): sorted indices of the lines through it}, by Cramer's rule on field scalars."""
     points: dict = {}
     for i, j in combinations(range(aff.k), 2):
-        (a1, b1, c1), (a2, b2, c2) = aff.forms[i].coeffs, aff.forms[j].coeffs
+        (a1, b1, c1), (a2, b2, c2) = ([scalar(aff.field, c) for c in aff.forms[n].coeffs] for n in (i, j))
         det = a1 * b2 - a2 * b1
         if det:  # not parallel
             points.setdefault(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det), set()).update((i, j))
@@ -657,7 +769,7 @@ def meets(field, normals) -> list:
 
     The cross products are taken on field scalars, so nothing but the sort is shared with arr3.
     """
-    vecs = [[field(c) for c in n] for n in normals]
+    vecs = [[scalar(field, c) for c in n] for n in normals]
     lines: dict = {}
     for i, u in enumerate(vecs):
         for j in range(i + 1, len(vecs)):

@@ -24,7 +24,6 @@ from multiarr.arr3 import (
     thm_fc_check,
     thm_rest2_check,
     thm_rest_check,
-    yoshinaga_coker_dim,
     ziegler_restriction,
 )
 from multiarr.corpus import arrangement
@@ -32,7 +31,7 @@ from multiarr.exactalg import GF, QQ, Matrix, canonical_coefficients
 from multiarr.multiarr2 import exponents, is_balanced
 from oracles import canonical_coefficients as oracle_canonical_coefficients
 from oracles import int_path_failures
-from oracles import scalar_affine_points, scalar_decone, sweep_chamber_count
+from oracles import scalar, scalar_affine_points, scalar_decone, sweep_chamber_count
 
 
 # --- independent oracles ---------------------------------------------------
@@ -472,7 +471,7 @@ def assert_affine_matches_scalars(aff):
     got = {}
     for (x, y, z), members, mu in poset.points:
         assert mu == len(members) - 1
-        got[field(x) / field(z), field(y) / field(z)] = members
+        got[scalar(field, x) / field(z), scalar(field, y) / field(z)] = members
     assert got == want, aff
     chi = (1, -aff.k, sum(len(ms) - 1 for ms in want.values()))
     assert char_poly(aff).coeffs == poset.char_poly().coeffs == chi, aff
@@ -507,9 +506,9 @@ class TestScalarOracles:
 
 class TestFreeness:
     def test_coker_values(self):
-        assert yoshinaga_coker_dim(arrangement("braid3"), 0) == 0
-        assert yoshinaga_coker_dim(arrangement("generic4"), 0) == 1
-        assert yoshinaga_coker_dim(arrangement("boolean3"), 0) == 0
+        assert is_free(arrangement("braid3"), 0).coker_dim == 0
+        assert is_free(arrangement("generic4"), 0).coker_dim == 1
+        assert is_free(arrangement("boolean3"), 0).coker_dim == 0
 
     def test_braid(self):
         v = is_free(arrangement("braid3"))
@@ -741,9 +740,9 @@ class TestRest2:
         "name, fields, posets",
         [
             ("braid_deconing", dict(applicable=True, reason="hypotheses hold", case=1, d=2, chambers=12,
-                                    bound=12, c2_ok=True, equality=True, freeness_confirmed=True), 1),
+                                    bound=12, c2_ok=True, equality=True, freeness_confirmed=True), 0),
             ("generic5_lines", dict(applicable=True, reason="hypotheses hold", case=1, d=1, chambers=16,
-                                    bound=10, c2_ok=True, equality=False, freeness_confirmed=None), 1),
+                                    bound=10, c2_ok=True, equality=False, freeness_confirmed=None), 0),
             ("decone(boolean3, 0)", dict(applicable=False, reason="restriction has h = 2 <= 2"), 0),
         ],
         ids=["braid_deconing", "generic5_lines", "decone_boolean3"],

@@ -13,9 +13,11 @@ from multiarr.exactalg import (
     GF,
     QQ,
     BinaryForm,
+    FpElement,
     LinearForm2,
     Matrix,
     _MR_BASES,
+    _echelon,
     _is_prime,
     binary_form_divides,
     canonical_coefficients,
@@ -77,14 +79,17 @@ class TestScalars:
     def test_prime_field(self):
         F = GF(5)
         assert F(7) == F(2)
-        assert (F(2) / F(3)) * F(3) == F(2)
-        assert F(2) ** 4 == F(1)
+        two, three = oracles.Fp(2, 5), oracles.Fp(3, 5)
+        assert (two / three) * three == F(2)
+        assert two**4 == F(1)
         with pytest.raises(ValueError):
             GF(6)
         with pytest.raises(ValueError):
             F(GF(7)(1))
+        with pytest.raises(ValueError):
+            two + GF(7)(1)
         with pytest.raises(ZeroDivisionError):
-            F(1) / F(0)
+            oracles.Fp(1, 5) / F(0)
 
     def test_mixed_rationals_rejected_in_gf(self):
         with pytest.raises(TypeError):
@@ -189,7 +194,7 @@ class TestLinearForm:
     def test_canonicalization_gf(self):
         F = GF(5)
         f = LinearForm2(F, 2, 3)
-        assert f.coeffs[0] == F.one
+        assert f.coeffs[0] == F(1)
         assert f == LinearForm2(F, 4, 6)
 
     def test_zero_rejected(self):
@@ -226,7 +231,7 @@ class TestBinaryForm:
         F = GF(2)
         a = LinearForm2(F, 1, 1)
         # (x1 + x2)^4 = x1^4 + x2^4 over GF(2)
-        assert oracles.power(a, 4).coeffs == (F.one, F.zero, F.zero, F.zero, F.one)
+        assert oracles.power(a, 4).coeffs == (F(1), F(0), F(0), F(0), F(1))
 
 
 ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(7), GF(2**31 - 1)]
@@ -251,7 +256,7 @@ def coefficient_lists(draw, field, degree=None):
 
 
 def oracle_power(alpha: FieldForm, k: int) -> FieldForm:
-    out = FieldForm(alpha.field, 0, (alpha.field.one,))
+    out = FieldForm(alpha.field, 0, (1,))
     for _ in range(k):
         out = out * alpha
     return out
@@ -262,11 +267,14 @@ def both(field, d, cs):
 
 
 def assert_same(form, oracle):
-    """form and the oracle hold the same field scalars, render alike and rebuild alike."""
+    """form and the oracle hold the same field scalars, render alike and rebuild alike.
+
+    The form's scalars are the library's own type: Fraction over Q, a plain FpElement over GF(p).
+    """
     assert isinstance(form, BinaryForm)
     assert form.degree == oracle.degree
     assert form.coeffs == oracle.coeffs
-    assert [type(c) for c in form.coeffs] == [type(c) for c in oracle.coeffs]
+    assert {type(c) for c in form.coeffs} == {type(form.field.zero)}
     assert form.is_zero() == oracle.is_zero()
     assert form.render() == oracle.render()
     assert form.render(("x", "y")) == oracle.render(("x", "y"))
@@ -275,7 +283,8 @@ def assert_same(form, oracle):
 
 
 def assert_same_scalar(got, want):
-    assert got == want and type(got) is type(want)
+    """got, a library scalar, equals want, the oracle's, and is a Fraction over Q and a plain FpElement over GF(p)."""
+    assert got == want and type(got) is (FpElement if isinstance(want, FpElement) else Fraction)
 
 
 class TestFormOracle:
@@ -476,7 +485,7 @@ class TestCanonicalOracle:
         assert canonical_coefficients(field, cs) == form.ints == oracle_int_row(field, want)
         assert all(type(x) is int for x in form.ints)
         assert form.coeffs == want
-        assert [type(c) for c in form.coeffs] == [type(c) for c in want]
+        assert {type(c) for c in form.coeffs} == {type(field.zero)}
         built = cls(field, *want)
         assert built == form and hash(built) == hash(form)
 
@@ -507,7 +516,7 @@ class TestKernel:
         # rank via an independent elimination: 3 columns - rank 1 = 2
         assert 3 - naive_rank(mat.rows) == 2
         for v in vecs:
-            assert all(x == 0 for x in mat.mul_vec(v))
+            assert all(x == 0 for x in oracles.mul_vec(mat, v))
             lead = next(c for c in v if c)
             assert lead == 1
 
@@ -530,7 +539,7 @@ class TestKernel:
         mat = Matrix(QQ, rows)
         vecs = mat.kernel()
         for v in vecs:
-            assert all(x == 0 for x in mat.mul_vec(v))
+            assert all(x == 0 for x in oracles.mul_vec(mat, v))
         assert len(vecs) == 4 - naive_rank(rows)
         if vecs:
             assert naive_rank(vecs) == len(vecs)
@@ -548,10 +557,55 @@ class TestKernel:
         mat = Matrix(F, rows)
         vecs = mat.kernel()
         for v in vecs:
-            assert all(not x for x in mat.mul_vec(v))
+            assert all(not x for x in oracles.mul_vec(mat, v))
         rank = naive_rank_mod(rows, p)
         assert mat.rank() == rank
         assert len(vecs) == mat.ncols - rank
+
+
+def seeded_matrices(field, rng) -> list:
+    """Matrices with zero rows, full column rank, an empty row list, and a kernel vector whose lead is -1.
+
+    Over Q some entries are Fractions; over GF(p) large ints stand for their residues.
+    """
+    mats = [Matrix(field, [[0, 0, 0]]), Matrix(field, [[1, 0], [0, 1]]), Matrix(field, [[1, 1]]),
+            Matrix(field, (), ncols=3)]
+    for _ in range(80):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        rows = []
+        for _ in range(nr):
+            if rng.random() < 0.2:
+                rows.append([0] * nc)
+                continue
+            row = [rng.choice((0, 0, 1, rng.randint(-9, 9), rng.randint(-(10**12), 10**12))) for _ in range(nc)]
+            if not field.char and rng.random() < 0.3:
+                row[rng.randrange(nc)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows.append(row)
+        mats.append(Matrix(field, rows))
+    return mats
+
+
+class TestKernelOracle:
+    """Differential test: Matrix.kernel on residues against the back-substitution on field scalars."""
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+    def test_matches_the_scalar_back_substitution(self, field):
+        seen = set()
+        for mat in seeded_matrices(field, random.Random(31 + field.char)):
+            got = mat.kernel()
+            assert got == oracles.scalar_kernel(mat), mat.rows
+            assert {type(x) for v in got for x in v} <= {type(field.zero)}
+            assert len(got) == mat.ncols - mat.rank()
+            assert all(not any(oracles.mul_vec(mat, v)) for v in got), mat.rows
+            pivots = _echelon(field, mat.rows)[1]
+            free = [c for c in range(mat.ncols) if c not in pivots]
+            for f, v in zip(free, got):
+                assert next(x for x in v if x) == field(1)
+                if v[f] != field(1):  # the raw lead was a pivot entry
+                    seen.add("lead")
+            seen.update({"zero row"} if any(not any(r) for r in mat.rows) else ())
+            seen.update(() if got else {"empty kernel"})
+        assert seen == {"zero row", "empty kernel"} | ({"lead"} if field.char != 2 else set())
 
 
 class TestDivisibility:
@@ -560,7 +614,7 @@ class TestDivisibility:
         mat = divisibility_constraints(a, 2, 2)
         assert mat.nrows == 2 and mat.ncols == 3
         p = BinaryForm(QQ, 2, (1, 2, 1))
-        assert all(x == 0 for x in mat.mul_vec(p.coeffs))
+        assert all(x == 0 for x in oracles.mul_vec(mat, p.coeffs))
         assert binary_form_divides(a, 2, p)
 
     def test_coordinate_divisor(self):
@@ -616,5 +670,5 @@ class TestDivisibility:
         else:
             p = BinaryForm(field, d, coeffs[: d + 1])
         mat = divisibility_constraints(alpha, k, d)
-        in_kernel = not any(mat.mul_vec(p.coeffs))
+        in_kernel = not any(oracles.mul_vec(mat, p.coeffs))
         assert in_kernel == binary_form_divides(alpha, k, p)

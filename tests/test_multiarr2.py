@@ -541,9 +541,9 @@ def kernel_bases(arr, m):
     vector at degree d2 whose determinant with theta1 is nonzero.
     """
     e, system = exponents(arr, m), multiarr2._tangency_matrix
-    theta1 = Derivation2.from_vector(arr.field, e.d1, system(arr, m, e.d1).kernel()[0])
+    theta1 = oracles.from_vector(arr.field, e.d1, system(arr, m, e.d1).kernel()[0])
     for vec in system(arr, m, e.d2).kernel():
-        theta2 = Derivation2.from_vector(arr.field, e.d2, vec)
+        theta2 = oracles.from_vector(arr.field, e.d2, vec)
         if not saito_det(theta1, theta2).is_zero():
             return theta1, theta2
     raise AssertionError(f"no degree-{e.d2} complement at m={m}")
@@ -578,8 +578,8 @@ def tampered(theta: Derivation2, part: int, index: int) -> Derivation2:
     """theta with one coefficient of its f (part 0) or g (part 1) raised by one."""
     forms = [theta.f, theta.g]
     form = forms[part]
-    coeffs = list(form.coeffs)
-    coeffs[index % len(coeffs)] += form.field.one
+    coeffs = [oracles.scalar(form.field, c) for c in form.coeffs]
+    coeffs[index % len(coeffs)] += 1
     forms[part] = BinaryForm(form.field, form.degree, coeffs)
     return Derivation2(*forms)
 
@@ -587,7 +587,7 @@ def tampered(theta: Derivation2, part: int, index: int) -> Derivation2:
 def tangent_by_rows(arr, m, theta) -> bool:
     """Oracle: theta(alpha) lies in the kernel of the divisibility rows of every line."""
     return all(
-        not any(divisibility_constraints(alpha, k, theta.degree).mul_vec(theta.apply_to_linear(alpha).coeffs))
+        not any(oracles.mul_vec(divisibility_constraints(alpha, k, theta.degree), theta.apply_to_linear(alpha).coeffs))
         for alpha, k in zip(arr.forms, m)
     )
 

@@ -16,7 +16,7 @@ import pytest
 
 import multiarr
 from multiarr import multiarr2
-from multiarr.exactalg import QQ
+from multiarr.exactalg import GF, QQ, FpElement
 
 LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layer_trace.py"
 
@@ -142,3 +142,18 @@ def test_arr3_divides_no_field_scalars():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert divisions == []
+
+
+FP_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+def test_fp_element_is_a_value():
+    """GF(p) arithmetic runs on residues: FpElement defines no operator, and combining two raises."""
+    assert [name for name in FP_OPERATORS + ("_coerce",) if name in vars(FpElement)] == []
+    two = GF(5)(2)
+    assert (two.val, two.p, str(two), repr(two)) == (2, 5, "2", "FpElement(2, 5)")
+    assert two == GF(5)(7) and hash(two) == hash(GF(5)(7)) and not GF(5)(5)
+    for combine in (lambda a: a + a, lambda a: a * 2, lambda a: 1 - a, lambda a: a / a, lambda a: -a, lambda a: a**2):
+        with pytest.raises(TypeError):
+            combine(two)
