@@ -27,7 +27,6 @@ from .multiarr2 import (
     Exponents2,
     basis,
     defining_form,
-    derivation_space_dim,
     exponents,
     is_balanced,
     lower_degree_basis,

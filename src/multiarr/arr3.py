@@ -8,9 +8,11 @@ polynomial with the product of the restriction's exponents.  Everything
 combinatorial (intersection lattices, Moebius values, characteristic
 polynomials, chamber counts) is computed exactly, on the canonical int
 vectors of the forms: one pass over the plane pairs finds the rank-2 flats
-and the affine points, the characteristic polynomial sums their Moebius
-values as found, and only the published lattices sort them.  The
-restriction groups its rows by their canonical int pairs.
+and the affine points, :func:`char_poly` (the one characteristic
+polynomial) sums their Moebius values as found, and only the published
+lattice sorts them.  The restriction groups its rows by their canonical
+int pairs.  No linear system is solved: ``exactalg.Matrix`` has no caller
+in the library, and is kept for the benchmark's tracer and as a test oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "CharPoly",
     "CentralLattice3",
     "Rank2Flat",
-    "AffinePoset2",
     "FreenessVerdict",
     "FcReport",
     "RestReport",
@@ -44,7 +45,6 @@ __all__ = [
     "cone",
     "decone",
     "intersection_lattice",
-    "affine_poset",
     "char_poly",
     "ziegler_restriction",
     "is_free",
@@ -87,8 +87,8 @@ class AffineLine(CanonicalForm):
             raise ValueError("line needs a nonzero direction part")
         super().__init__(field, (a, b, c))
 
-    def render(self, names=("x", "y")) -> str:
-        lhs = _render_terms([(self.field.format(self.a), names[0]), (self.field.format(self.b), names[1])])
+    def render(self) -> str:
+        lhs = _render_terms([(self.field.format(self.a), "x"), (self.field.format(self.b), "y")])
         return f"{lhs} = {self.field.format(self.c)}"
 
 
@@ -193,14 +193,6 @@ class CentralLattice3:
     rank2: tuple  # Rank2Flat, deterministic order
     origin_mu: int | None  # None when the arrangement has rank < 3
 
-    @property
-    def h(self) -> int:
-        return self.arrangement.h
-
-    def char_poly(self) -> CharPoly:
-        lin = sum(f.mu for f in self.rank2)
-        return CharPoly((1, -self.h, lin, self.origin_mu or 0))
-
 
 def _cross(u, v):
     return (
@@ -259,33 +251,16 @@ def intersection_lattice(arr: Arrangement3) -> CentralLattice3:
     return CentralLattice3(arr, tuple(Rank2Flat(*flat) for flat in _in_order(flats)), origin_mu)
 
 
-@dataclass(frozen=True)
-class AffinePoset2:
-    arrangement: AffineArrangement2
-    # ((X, Y, Z), sorted line indices, mu) in deterministic order: the point (X/Z, Y/Z), Z != 0, in canonical ints
-    points: tuple
-
-    @property
-    def k(self) -> int:
-        return self.arrangement.k
-
-    def char_poly(self) -> CharPoly:
-        return CharPoly((1, -self.k, sum(mu for _, _, mu in self.points)))
-
-
 def _affine_points(aff: AffineArrangement2) -> list:
     """The intersection points of the lines with their Moebius values, in no set order.
 
     The points are the lines where the coned planes a*x + b*y - c*z = 0
-    meet, less those at infinity (z = 0), where parallel lines meet.
+    meet, less those at infinity (z = 0), where parallel lines meet.  Each
+    is ((X, Y, Z), sorted line indices, mu): the point (X/Z, Y/Z) with
+    Z != 0, in canonical ints.
     """
     meets = _meets(aff.field.char, [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)])
     return [pt for pt in meets if pt[0][2]]
-
-
-def affine_poset(aff: AffineArrangement2) -> AffinePoset2:
-    """Intersection points of the lines with their Moebius values (see :func:`_affine_points`)."""
-    return AffinePoset2(aff, _in_order(_affine_points(aff)))
 
 
 def char_poly(arr) -> CharPoly:

@@ -7,6 +7,10 @@ is an :class:`FpElement`, a value with no arithmetic.  Every operation
 in this module is exact and deterministic; nothing here ever touches a
 float.  All values are immutable after construction, so everything is
 safe to share between threads or worker processes.
+
+:class:`Matrix` and :func:`divisibility_constraints` have no caller in the
+library; they are kept for the benchmark's tracer, which times them by
+name, and as the test oracle that solves a tangency system.
 """
 
 from __future__ import annotations
@@ -275,8 +279,8 @@ class CanonicalForm:
         form._hash = hash((field.char, ints))
         return form
 
-    def render(self, names=None) -> str:
-        return _render_terms(zip(_format_ints(self.ints), names or self.names))
+    def render(self) -> str:
+        return _render_terms(zip(_format_ints(self.ints), self.names))
 
     def __eq__(self, other):
         return (
@@ -358,8 +362,6 @@ class LinearForm2(CanonicalForm):
 
     __slots__ = ()
     names = ("x1", "x2")
-    a = property(lambda self: self.coeffs[0])
-    b = property(lambda self: self.coeffs[1])
 
     def __init__(self, field: Field, a, b):
         super().__init__(field, (a, b))
@@ -404,16 +406,16 @@ def _format_ints(ints, content=1) -> list:
     return out
 
 
-def _render_form(strings, names) -> str:
+def _render_form(strings) -> str:
     """The binary form whose coefficient strings are strings, strings[i] belonging to x1^i * x2^(d-i)."""
     d = len(strings) - 1
     terms = []
     for i in range(d, -1, -1):
         pieces = []
         if i:
-            pieces.append(names[0] if i == 1 else f"{names[0]}^{i}")
+            pieces.append("x1" if i == 1 else f"x1^{i}")
         if d - i:
-            pieces.append(names[1] if d - i == 1 else f"{names[1]}^{d - i}")
+            pieces.append("x2" if d - i == 1 else f"x2^{d - i}")
         terms.append((strings[i], "*".join(pieces)))
     return _render_terms(terms)
 
@@ -515,10 +517,6 @@ class BinaryForm:
         """The form (num / den) * ints, for Python ints and den != 0 in the field."""
         return cls._new(field, degree, *_normal(field, ints, num, den))
 
-    @classmethod
-    def zero(cls, field: Field, degree: int) -> "BinaryForm":
-        return cls._new(field, degree, (0,) * (degree + 1), 1 if field.char else _ZERO)
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as field scalars; coeffs[i] belongs to x1^i * x2^(degree-i)."""
@@ -546,8 +544,8 @@ class BinaryForm:
             return None
         return _proportional_scalar(self.field, self.ints, self.content, other.ints, other.content)
 
-    def render(self, names=("x1", "x2")) -> str:
-        return _render_form(_format_ints(self.ints, self.content), names)
+    def render(self) -> str:
+        return _render_form(_format_ints(self.ints, self.content))
 
     def _check(self, other):
         if not isinstance(other, BinaryForm):

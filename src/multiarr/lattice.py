@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .exactalg import char_warning
-from .multiarr2 import Arrangement2, Multiplicity, _balanced, _region_walk, exponents
+from .multiarr2 import Arrangement2, Multiplicity, _balanced, _heavy_line, _region_walk, exponents
 from .stats import counts
 
 __all__ = [
@@ -132,8 +132,7 @@ def classify(arr: Arrangement2, m: Sequence[int]) -> LatticeClassification:
     """
     mt = arr.check_multiplicity(m)
     dv = exponents(arr, mt).delta
-    total = sum(mt)
-    k_idx = next((i for i, v in enumerate(mt) if 2 * v > total), None)
+    k_idx = _heavy_line(mt)
     if k_idx is not None:
         return LatticeClassification(ComponentTag.INFINITE_COMPONENT, k_idx, dv)
     if dv == 0:

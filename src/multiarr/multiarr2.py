@@ -18,7 +18,8 @@ that cache, but walks its region from m = 0 one unit step per point, or
 only the step's first residue at a leaf of the walk whose state nothing
 reads (see :func:`_region_walk`).  The canonical elements are read off
 whichever basis a state holds; the lower one alone when only it is asked
-for.
+for.  No tangency system is solved: ``exactalg.Matrix`` has no caller in
+the library, and is kept for the benchmark's tracer and as a test oracle.
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated queries are cheap and thread-safe.
@@ -36,9 +37,7 @@ from .exactalg import (
     BinaryForm,
     FormTuple,
     LinearForm2,
-    Matrix,
     canonical_coefficients,
-    divisibility_constraints,
     _divide_linear,
     _format_ints,
     _normal,
@@ -52,7 +51,6 @@ __all__ = [
     "Multiplicity",
     "Derivation2",
     "Exponents2",
-    "derivation_space_dim",
     "exponents",
     "is_balanced",
     "lower_degree_basis",
@@ -180,8 +178,8 @@ class Derivation2:
         """(f, g) as lists of field.format strings, read off the ints."""
         return tuple(_format_ints(v, self.content) for v in self.ints)
 
-    def render(self, names=("x1", "x2")) -> str:
-        return _render_derivation(*self.coefficient_strings(), names)
+    def render(self) -> str:
+        return _render_derivation(*self.coefficient_strings())
 
     def _key(self):
         return self.field, self.degree, self.ints, self.content
@@ -196,40 +194,14 @@ class Derivation2:
         return f"Derivation2({self.render()})"
 
 
-def _render_derivation(f, g, names=("x1", "x2")) -> str:
+def _render_derivation(f, g) -> str:
     """The text f*dx1 + g*dx2 of a derivation, from the coefficient strings of its f and g."""
 
     def wrap(strings):
-        s = _render_form(strings, names)
+        s = _render_form(strings)
         return f"({s})" if (" " in s) else s
 
-    return f"{wrap(f)}*d{names[0]} + {wrap(g)}*d{names[1]}"
-
-
-def _tangency_matrix(arr: Arrangement2, m: Multiplicity, d: int) -> Matrix:
-    """Stacked conditions for a degree-d derivation to be tangent to (arr, m).
-
-    Unknowns are the d+1 coefficients of f followed by those of g; each
-    hyperplane with multiplicity k contributes the k divisibility rows of
-    theta(alpha) = a*f + b*g, in integers (residues over GF(p)).
-    """
-    rows = []
-    for alpha, k in zip(arr.forms, m):
-        if k == 0:
-            continue
-        a, b = alpha.ints
-        for row in divisibility_constraints(alpha, k, d).rows:
-            rows.append([a * e for e in row] + [b * e for e in row])
-    return Matrix(arr.field, rows, ncols=2 * (d + 1))
-
-
-def derivation_space_dim(arr: Arrangement2, m: Sequence[int], d: int) -> int:
-    """Dimension of the degree-d homogeneous part of the derivation module."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    mt = arr.check_multiplicity(m)
-    mat = _tangency_matrix(arr, mt, d)
-    return mat.ncols - mat.rank()
+    return f"{wrap(f)}*dx1 + {wrap(g)}*dx2"
 
 
 def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
@@ -552,6 +524,12 @@ def _balanced(mt: Multiplicity) -> bool:
     return 2 * max(mt) <= sum(mt)
 
 
+def _heavy_line(mt: Multiplicity) -> int | None:
+    """The index of the line that carries more than half of |mt|, or None when mt is balanced."""
+    total = sum(mt)
+    return next((i for i, v in enumerate(mt) if 2 * v > total), None)
+
+
 def lower_degree_basis(arr: Arrangement2, m: Sequence[int]) -> Derivation2:
     """Canonical nonzero derivation of minimal degree d1.
 
@@ -774,8 +752,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     lower degree.
     """
     mt = arr.check_multiplicity(m)
-    total = sum(mt)
-    k_idx = next((i for i, v in enumerate(mt) if 2 * v > total), None)
+    k_idx = _heavy_line(mt)
     if k_idx is None:
         raise ValueError("multiplicity is balanced; use exponents() instead")
     alpha_k = arr.forms[k_idx]
@@ -785,5 +762,5 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     theta = Derivation2.from_ints(arr.field, prod.degree, [u * x for x in q], [v * x for x in q], *ratio)
     if _untangent(arr, mt, theta):
         raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
-    lo, hi = sorted((mt[k_idx], total - mt[k_idx]))
+    lo, hi = sorted((mt[k_idx], sum(mt) - mt[k_idx]))
     return Exponents2(lo, hi), theta

@@ -105,7 +105,7 @@ class DescentReport:
         return all(ok for _, _, _, ok, _ in self.items)
 
 
-def nabla_descent_check(arr: Arrangement2, m: Sequence[int], theta: Derivation2 | None = None) -> DescentReport:
+def nabla_descent_check(arr: Arrangement2, m: Sequence[int]) -> DescentReport:
     """Differentiating the lower basis along a coordinate dual stays tangent.
 
     For each of the two coordinate directions, the image of theta under
@@ -115,8 +115,7 @@ def nabla_descent_check(arr: Arrangement2, m: Sequence[int], theta: Derivation2 
     """
     mt = arr.check_multiplicity(m)
     duals = coordinate_duals(arr)
-    if theta is None:
-        theta = lower_degree_basis(arr, mt)
+    theta = lower_degree_basis(arr, mt)
     items = []
     for i, d_i in enumerate(duals):
         eta = nabla(d_i, theta)

@@ -9,7 +9,13 @@ Q, ``Fp`` over GF(p)) and does its arithmetic entry by entry, with no int
 vector, content or gcd.  ``scalar_kernel`` is ``Matrix.kernel`` with its
 back-substitution on field scalars, as it was before it ran on residues;
 ``mul_vec`` and ``from_vector`` are ``Matrix.mul_vec`` and
-``Derivation2.from_vector``, which only tests called.
+``Derivation2.from_vector``, which only tests called.  ``tangency_matrix``
+and ``derivation_space_dim`` are ``multiarr2._tangency_matrix`` and
+``multiarr2.derivation_space_dim``, the tangency system of one degree and
+the dimension of its kernel, which no command reached once the exponents
+came from unit steps; they reach ``exactalg`` through the module, so the
+benchmark's tracer counts their rank and constraint calls.
+``zero_form`` is the zero ``BinaryForm`` of a degree, built from ints.
 ``canonical_coefficients`` scales a
 coefficient vector to its canonical field scalars, and ``_int_row`` turns
 a row of scalars into ints with the same span.  The differential tests in
@@ -55,7 +61,9 @@ they ran on canonical ints: each line keyed by the canonical field scalars
 of its cross product, with its members gathered in a set and the lines
 sorted, and the restricted rows grouped by their ``LinearForm2``;
 ``int_path_failures`` runs the library beside them, and beside the
-generic constructor for the cone of each deconing.  ``census_tally`` holds
+generic constructor for the cone of each deconing, and checks
+``arr3.char_poly`` against the Moebius values of ``meets``, with the
+origin's read from the rank of the normals.  ``census_tally`` holds
 the checks of the census of small arrangements, which ``test_census.py``
 runs on a slice and ``census.py`` on all of it.
 """
@@ -70,7 +78,7 @@ from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from multiarr import arr3
+from multiarr import arr3, exactalg
 from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, FpElement, LinearForm2, _echelon, _render_terms, _scaled_ints
 from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import _BASE_STATE, Arrangement2, Derivation2, _residue, exponents, is_balanced
@@ -293,15 +301,15 @@ class FieldForm:
             return None
         return proportional_scalar(self.field, self.coeffs, other.coeffs)
 
-    def render(self, names=("x1", "x2")) -> str:
+    def render(self) -> str:
         terms = []
         for i in range(self.degree, -1, -1):
             pieces = []
             if i:
-                pieces.append(names[0] if i == 1 else f"{names[0]}^{i}")
+                pieces.append("x1" if i == 1 else f"x1^{i}")
             j = self.degree - i
             if j:
-                pieces.append(names[1] if j == 1 else f"{names[1]}^{j}")
+                pieces.append("x2" if j == 1 else f"x2^{j}")
             terms.append((self.field.format(self.coeffs[i]), "*".join(pieces)))
         return _render_terms(terms)
 
@@ -365,15 +373,45 @@ def mul_vec(mat, v: Sequence) -> tuple:
 
 
 def from_vector(field, degree: int, vec: Sequence) -> Derivation2:
-    """The derivation whose f and g coefficients are the two halves of vec (a kernel vector of multiarr2.system)."""
+    """The derivation whose f and g coefficients are the two halves of vec (a kernel vector of tangency_matrix)."""
     if len(vec) != 2 * (degree + 1):
         raise ValueError("coefficient vector has wrong length")
     ints, den = _scaled_ints(field, vec)
     return Derivation2.from_ints(field, degree, ints[: degree + 1], ints[degree + 1 :], 1, den)
 
 
+def tangency_matrix(arr, m, d: int):
+    """Stacked conditions for a degree-d derivation to be tangent to (arr, m).
+
+    Unknowns are the d+1 coefficients of f followed by those of g; each
+    hyperplane with multiplicity k contributes the k divisibility rows of
+    theta(alpha) = a*f + b*g, in integers (residues over GF(p)).
+    """
+    rows = []
+    for alpha, k in zip(arr.forms, m):
+        if k == 0:
+            continue
+        a, b = alpha.ints
+        for row in exactalg.divisibility_constraints(alpha, k, d).rows:
+            rows.append([a * e for e in row] + [b * e for e in row])
+    return exactalg.Matrix(arr.field, rows, ncols=2 * (d + 1))
+
+
+def derivation_space_dim(arr, m, d: int) -> int:
+    """Dimension of the degree-d homogeneous part of the derivation module."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    mt = arr.check_multiplicity(m)
+    mat = tangency_matrix(arr, mt, d)
+    return mat.ncols - mat.rank()
+
+
 # ---------------------------------------------------------------------------
 # BinaryForm arithmetic on ints and contents, and the derivation routines on it
+
+
+def zero_form(field, degree: int) -> BinaryForm:
+    return BinaryForm.from_ints(field, degree, (0,) * (degree + 1))
 
 
 def combine(f: BinaryForm, a: int, g: BinaryForm, b: int) -> BinaryForm:
@@ -425,7 +463,7 @@ def mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 def dx1(f: BinaryForm) -> BinaryForm:
     """Partial derivative with respect to x1."""
     if f.degree == 0:
-        return BinaryForm.zero(f.field, 0)
+        return zero_form(f.field, 0)
     c = f.content
     ints = [i * x for i, x in enumerate(f.ints)][1:]
     return BinaryForm.from_ints(f.field, f.degree - 1, ints, c.numerator, c.denominator)
@@ -434,7 +472,7 @@ def dx1(f: BinaryForm) -> BinaryForm:
 def dx2(f: BinaryForm) -> BinaryForm:
     """Partial derivative with respect to x2."""
     if f.degree == 0:
-        return BinaryForm.zero(f.field, 0)
+        return zero_form(f.field, 0)
     d, c = f.degree, f.content
     ints = [(d - i) * x for i, x in enumerate(f.ints[:d])]
     return BinaryForm.from_ints(f.field, d - 1, ints, c.numerator, c.denominator)
@@ -457,7 +495,7 @@ def apply_to_form(theta: Derivation2, form: BinaryForm) -> BinaryForm:
 def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
     """The connection: theta applied to each coefficient of phi; a constant phi gives zero."""
     if phi.degree == 0:
-        zero = BinaryForm.zero(theta.field, max(theta.degree - 1, 0))
+        zero = zero_form(theta.field, max(theta.degree - 1, 0))
         return Derivation2(zero, zero)
     return Derivation2(apply_to_form(theta, phi.f), apply_to_form(theta, phi.g))
 
@@ -796,28 +834,35 @@ def int_path_failures(arr) -> list:
     """Where arr3 disagrees with meets and ziegler_restriction on arr and on its deconing at every H0.
 
     The flats and the affine points must come out in the same order, chi
-    must be the lattice's, the restricted forms, their order and their
+    must be the one summed from the flats of meets (the origin's mu read
+    from the rank of the normals), the restricted forms, their order and their
     multiplicities must agree, and the cone of each deconing must equal
     the one that the generic constructor canonicalises.
     """
     field = arr.field
     failures = []
+    normals = [f.ints for f in arr.forms]
+    flats = meets(field, normals)
     lattice = arr3.intersection_lattice(arr)
-    if [(f.direction, f.hyperplanes, f.mu) for f in lattice.rank2] != meets(field, [f.ints for f in arr.forms]):
+    if [(f.direction, f.hyperplanes, f.mu) for f in lattice.rank2] != flats:
         failures.append("rank-2 flats")
-    if arr3.char_poly(arr) != lattice.char_poly():
+    lin = sum(mu for _, _, mu in flats)
+    origin_mu = arr.h - 1 - lin if exactalg.Matrix(field, normals).rank() == 3 else None
+    if lattice.origin_mu != origin_mu:
+        failures.append("mu of the origin")
+    if arr3.char_poly(arr) != arr3.CharPoly((1, -arr.h, lin, origin_mu or 0)):
         failures.append("chi of the arrangement")
     for h0 in range(arr.h):
         if arr3.ziegler_restriction(arr, h0) != ziegler_restriction(arr, h0):
             failures.append(f"restriction onto H0={h0}")
         aff = arr3.decone(arr, h0)
-        poset = arr3.affine_poset(aff)
         coned = [(a, b, -c) for a, b, c in (l.ints for l in aff.forms)]
         if arr3.cone(aff) != (arr3.Arrangement3(field, [*coned, (0, 0, 1)]), aff.k):
             failures.append(f"cone of the deconing at H0={h0}")
-        if list(poset.points) != [pt for pt in meets(field, coned) if pt[0][2]]:
+        points = [pt for pt in meets(field, coned) if pt[0][2]]
+        if list(arr3._in_order(arr3._affine_points(aff))) != points:
             failures.append(f"affine points at H0={h0}")
-        if arr3.char_poly(aff) != poset.char_poly():
+        if arr3.char_poly(aff) != arr3.CharPoly((1, -aff.k, sum(mu for _, _, mu in points))):
             failures.append(f"chi of the deconing at H0={h0}")
     return failures
 

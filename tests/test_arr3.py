@@ -46,7 +46,7 @@ def division_size(arr):
     q = chi(A; t) / (t - 1), not on chi.
     """
     lattice = intersection_lattice(arr)
-    c1, c2 = lattice.char_poly().quadratic_coeffs()
+    c1, c2 = char_poly(arr).quadratic_coeffs()
     q = CharPoly((1, -c1, c2))
     sizes = sorted({sum(i in f.hyperplanes for f in lattice.rank2) for i in range(arr.h)})
     return next((n for n in sizes if q(n - 1) == 0), None)
@@ -296,6 +296,7 @@ class TestCharPoly:
     def test_integer_roots(self):
         assert CharPoly((1, -5, 6)).integer_roots_quadratic() == (2, 3)
         assert CharPoly((1, -3, 3)).integer_roots_quadratic() is None
+        assert CharPoly((1, -3, 1)).integer_roots_quadratic() is None  # discriminant 5 is no square
         assert CharPoly((1, -6, 9)).integer_roots_quadratic() == (3, 3)
 
 
@@ -467,14 +468,13 @@ def assert_affine_matches_scalars(aff):
     """Points, Moebius values, chi and real chambers of aff against the field-division route."""
     field = aff.field
     want = scalar_affine_points(aff)
-    poset = arr3.affine_poset(aff)
     got = {}
-    for (x, y, z), members, mu in poset.points:
+    for (x, y, z), members, mu in arr3._affine_points(aff):
         assert mu == len(members) - 1
         got[scalar(field, x) / field(z), scalar(field, y) / field(z)] = members
     assert got == want, aff
     chi = (1, -aff.k, sum(len(ms) - 1 for ms in want.values()))
-    assert char_poly(aff).coeffs == poset.char_poly().coeffs == chi, aff
+    assert char_poly(aff).coeffs == chi, aff
     if not field.char:
         assert chamber_count(aff) == CharPoly(chi)(-1), aff
 
@@ -659,6 +659,14 @@ class TestFcCheck:
         rep = thm_fc_check(arrangement("b2_deform_b"))
         assert not rep.applies
 
+    def test_positive_characteristic_gate(self):
+        rep = thm_fc_check(AffineArrangement2(GF(7), [(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
+        assert not rep.applies and rep.reason == "characteristic-zero hypothesis fails"
+
+    def test_empty_arrangement_gate(self):
+        rep = thm_fc_check(AffineArrangement2(QQ, []))
+        assert not rep.applies and rep.reason == "cone has a single hyperplane" and rep.k == 0
+
 
 class TestRestBounds:
     def test_braid_deconing(self):
@@ -701,6 +709,10 @@ class TestChambers:
     def test_empty_plane(self):
         assert chamber_count(AffineArrangement2(QQ, [])) == 1
 
+    def test_positive_characteristic_refused(self):
+        with pytest.raises(ValueError, match="real chambers need characteristic zero"):
+            chamber_count(AffineArrangement2(GF(7), [(1, 0, 0)]))
+
     def test_sweep_oracle_agreement(self):
         # seeded lines a*x + b*y = c with |a|, |b|, |c| <= 3: parallels and concurrences are common
         rng = random.Random(7)
@@ -713,7 +725,7 @@ class TestChambers:
                     lines.setdefault(oracle_canonical_coefficients(QQ, abc), abc)
             aff = AffineArrangement2(QQ, list(lines.values()))
             assert chamber_count(aff) == sweep_chamber_count(f.ints for f in aff.forms), aff
-            points = arr3.affine_poset(aff).points
+            points = arr3._affine_points(aff)
             parallels += sum(len(ms) * (len(ms) - 1) for _, ms, _ in points) < aff.k * (aff.k - 1)
             concurrences += any(len(ms) > 2 for _, ms, _ in points)
         assert min(parallels, concurrences) > 40
@@ -737,24 +749,22 @@ class TestRest2:
         assert not rep.applicable
 
     @pytest.mark.parametrize(
-        "name, fields, posets",
+        "name, fields",
         [
             ("braid_deconing", dict(applicable=True, reason="hypotheses hold", case=1, d=2, chambers=12,
-                                    bound=12, c2_ok=True, equality=True, freeness_confirmed=True), 0),
+                                    bound=12, c2_ok=True, equality=True, freeness_confirmed=True)),
             ("generic5_lines", dict(applicable=True, reason="hypotheses hold", case=1, d=1, chambers=16,
-                                    bound=10, c2_ok=True, equality=False, freeness_confirmed=None), 0),
-            ("decone(boolean3, 0)", dict(applicable=False, reason="restriction has h = 2 <= 2"), 0),
+                                    bound=10, c2_ok=True, equality=False, freeness_confirmed=None)),
+            ("decone(boolean3, 0)", dict(applicable=False, reason="restriction has h = 2 <= 2")),
         ],
         ids=["braid_deconing", "generic5_lines", "decone_boolean3"],
     )
-    def test_one_affine_poset_per_check(self, monkeypatch, name, fields, posets):
+    def test_one_restriction_per_check(self, monkeypatch, name, fields):
         aff = decone(arrangement("boolean3"), 0) if name.startswith("decone") else arrangement(name)
-        calls, restrictions = [], []
-        real, restrict = arr3.affine_poset, arr3.ziegler_restriction
-        monkeypatch.setattr(arr3, "affine_poset", lambda a: calls.append(a) or real(a))
+        restrictions = []
+        restrict = arr3.ziegler_restriction
         monkeypatch.setattr(arr3, "ziegler_restriction", lambda *a: restrictions.append(a) or restrict(*a))
         assert thm_rest2_check(aff) == arr3.Rest2Report(**fields)
-        assert len(calls) == posets
         assert len(restrictions) == 1  # the equality case reuses the restriction onto the infinite plane
 
 

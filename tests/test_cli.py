@@ -20,7 +20,6 @@ import multiarr
 import oracles
 from multiarr import arr3, cli, corpus, multiarr2, shift
 from multiarr.corpus import ArrangementDocument
-from multiarr.exactalg import BinaryForm
 from multiarr.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -157,9 +156,17 @@ class TestDocuments:
             ('{"field": {"p": 18446744073709551629}, "dim": 2, "hyperplanes": [{"coeffs": ["1", "0"]}]}',
              "2\\^64"),
             ("[" * 100_000, "nesting"),
+            ('{"field": "Q", "dim": 2, "central": "yes", "hyperplanes": [{"coeffs": ["1", "0"]}]}',
+             r"^central: expected a boolean$"),
+            ('{"field": "Q", "dim": 3, "central": false, "hyperplanes": [{"coeffs": ["1", "0", "0"]}]}',
+             r"^dim 3 supports only central arrangements$"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1", "0"], "weight": 1}]}',
+             r"^hyperplanes\[0\]: unknown keys \['weight'\]$"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": [1, "0"]}]}',
+             r"^hyperplanes\[0\]\.coeffs: coefficients are exact-number strings$"),
         ],
         ids=["zero-denominator", "bool-mult", "float-dim", "huge-exponent", "exponent-E", "p-above-2^64",
-             "deep-nesting"],
+             "deep-nesting", "string-central", "non-central-dim-3", "unknown-hyperplane-key", "int-coefficient"],
     )
     def test_parser_holes_exit_three(self, capsys, tmp_path, text, match):
         with pytest.raises(DocumentError, match=match):
@@ -676,6 +683,11 @@ class TestFreeCommand:
         assert "FREE exp=(1,2,3)" in out
         assert "H0=5" in out
 
+    def test_rejects_planar_central(self, capsys):
+        code, out, err = run(capsys, "free", corpus_file("a2"))
+        assert code == EXIT_IO and out == ""
+        assert err == "document error: freeness needs a central dim-3 or affine dim-2 document\n"
+
     def test_h0_override_and_range(self, capsys):
         code, out, _ = run(capsys, "free", corpus_file("braid3"), "--H0", "3")
         assert code == EXIT_OK and "FREE" in out
@@ -888,7 +900,7 @@ class TestInternalError:
 
     def test_broken_invariant_is_reported_once(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            multiarr2, "saito_det", lambda t1, t2: BinaryForm.zero(t1.field, t1.degree + t2.degree)
+            multiarr2, "saito_det", lambda t1, t2: oracles.zero_form(t1.field, t1.degree + t2.degree)
         )
         self.assert_reported_once(
             capsys, monkeypatch, "independent pair fails the determinant criterion"
@@ -898,7 +910,7 @@ class TestInternalError:
         # d1 and Q(A, m)*d2 have the defining form as determinant, but d1 is not tangent to x1 + x2
         monkeypatch.setattr(multiarr2, "_canonical_basis", lambda arr, m: (
             multiarr2.Derivation2.coordinate(arr.field, 0),
-            multiarr2.Derivation2(BinaryForm.zero(arr.field, sum(m)), multiarr2.defining_form(arr, m)),
+            multiarr2.Derivation2(oracles.zero_form(arr.field, sum(m)), multiarr2.defining_form(arr, m)),
         ))
         self.assert_reported_once(capsys, monkeypatch, "basis pair is not tangent at m=(0, 0, 1)")
 
@@ -965,6 +977,10 @@ class TestCorpusDocuments:
         shipped = {p for g in globs["multiarr"] for p in package.glob(g)}
         data = {p for p in (package / "corpus" / "data").rglob("*") if p.is_file()}
         assert data and data <= shipped
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(KeyError, match="unknown corpus document 'nope'"):
+            corpus.document_path("nope")
 
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_builder_equals_document(self, name):

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import multiarr
-from multiarr import multiarr2
+import oracles
+from multiarr import arr3, multiarr2
 from multiarr.exactalg import GF, QQ, FpElement
 
 LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layer_trace.py"
@@ -85,7 +86,7 @@ def test_benchmark_tracer_counts_exponents_ranks_and_constraint_rows():
     try:
         multiarr2.exponents(arr, (2, 2, 1))
         after_exponents = tracer.metrics()
-        multiarr2.derivation_space_dim(arr, (2, 2, 1), 2)
+        oracles.derivation_space_dim(arr, (2, 2, 1), 2)
         after_dim = tracer.metrics()
     finally:
         tracer.restore()
@@ -105,8 +106,8 @@ def test_multiarr2_memos_are_bounded_or_known():
     assert unbounded <= {"multiarr.exactalg.GF", "multiarr.multiarr2._exponents"}
 
 
-def test_only_multiarr2_builds_the_defining_form():
-    """Saito's criterion has one copy: no other module checks a determinant itself."""
+def callers_of(*names) -> set:
+    """The src/ modules that call a function or method of one of these names."""
     src = Path(multiarr.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -114,9 +115,31 @@ def test_only_multiarr2_builds_the_defining_form():
             if isinstance(node, ast.Call):
                 fn = node.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if name == "defining_form":
+                if name in names:
                     callers.add(path.stem)
-    assert callers == {"multiarr2"}
+    return callers
+
+
+def test_only_multiarr2_builds_the_defining_form():
+    """Saito's criterion has one copy: no other module checks a determinant itself."""
+    assert callers_of("defining_form") == {"multiarr2"}
+
+
+def test_no_module_but_exactalg_solves_a_linear_system():
+    """The exponents have one route, the unit steps: only exactalg itself builds a Matrix or its constraint rows."""
+    assert callers_of("Matrix", "divisibility_constraints") == {"exactalg"}
+
+
+def test_arr3_char_poly_is_the_only_chi():
+    """The characteristic polynomial has one formula: no other src/ function or method is named char_poly."""
+    src = Path(multiarr.__file__).parent
+    defined = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "char_poly"
+    ]
+    assert defined == [f"arr3:{arr3.char_poly.__code__.co_firstlineno}"]
 
 
 def test_no_module_runs_the_indented_json_encoder():

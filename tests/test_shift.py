@@ -100,7 +100,7 @@ def derivations(draw, field, degree):
     def part():
         kind = draw(st.sampled_from(["zero", "ints", "content"]))
         if kind == "zero":
-            return BinaryForm.zero(field, degree)
+            return oracles.zero_form(field, degree)
         ints = st.integers(-6, 6) | st.integers(-(10**12), 10**12)
         form = BinaryForm(field, degree, draw(st.lists(ints, min_size=degree + 1, max_size=degree + 1)))
         if kind == "content":
@@ -159,7 +159,7 @@ class TestIntPathAgainstFormOracles:
         which = data.draw(st.integers(0, 1))
         change = data.draw(st.sampled_from([None, "zero f", "rescale g"]))
         if change == "zero f":
-            images[which] = Derivation2(BinaryForm.zero(field, images[which].degree), images[which].g)
+            images[which] = Derivation2(oracles.zero_form(field, images[which].degree), images[which].g)
         elif change == "rescale g":
             images[which] = Derivation2(images[which].f, oracles.scaled(images[which].g, data.draw(st.integers(2, 9))))
         got = saito_criterion(arr, target, *images)
@@ -307,8 +307,12 @@ class TestAmEuler:
         with pytest.raises(RuntimeError, match="every hypothesis holds"):
             is_am_euler(a2(), (2, 2, 1), lower_degree_basis(a2(), (2, 2, 1)))
 
+    def test_zero_theta_is_not(self):
+        ok, diags = is_am_euler(a2(), (2, 2, 1), Derivation2.from_ints(QQ, 2, (0, 0, 0), (0, 0, 0)))
+        assert not ok and diags == ["theta is zero"]
+
     def test_nontangent_is_not(self):
-        theta = Derivation2(BinaryForm(QQ, 2, (1, 0, 0)), BinaryForm.zero(QQ, 2))
+        theta = Derivation2(BinaryForm(QQ, 2, (1, 0, 0)), oracles.zero_form(QQ, 2))
         ok, diags = is_am_euler(a2(), (2, 2, 1), theta)
         assert not ok
         assert any("tangent" in d for d in diags)
