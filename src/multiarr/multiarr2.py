@@ -12,14 +12,15 @@ raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
 residue in the other.  A single query starts from the closed-form basis
 alpha1^m1 * E2, alpha2^m2 * E1 of the first two lines (E_i the constant
-derivation that kills alpha_i) and reads each later state, through a
-bounded cache, from the state one unit below; a lattice scan does not use
-that cache, but walks its region from m = 0 one unit step per point, or
-only the step's first residue at a leaf of the walk whose state nothing
-reads (see :func:`_region_walk`).  The canonical elements are read off
-whichever basis a state holds; the lower one alone when only it is asked
-for.  No tangency system is solved: ``exactalg.Matrix`` has no caller in
-the library, and is kept for the benchmark's tracer and as a test oracle.
+derivation that kills alpha_i) and takes one unit step per unit of
+multiplicity on the other lines, caching only the state it ends at; a
+lattice scan does not use that cache, but walks its region from m = 0 one
+unit step per point, or only the step's first residue at a leaf of the
+walk whose state nothing reads (see :func:`_region_walk`).  The canonical
+elements are read off whichever basis a state holds; the lower one alone
+when only it is asked for.  No tangency system is solved:
+``exactalg.Matrix`` has no caller in the library, and is kept for the
+benchmark's tracer and as a test oracle.
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated queries are cheap and thread-safe.
@@ -210,10 +211,8 @@ def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
     A basis of D(arr, m) is built from the basis at m - e_j by one addition
     step (see :func:`_unit_step`), from the closed form on the first two
     lines on (see :func:`_unit_state`), so no tangency system is solved and
-    m takes Sum_{i>=2} m(H_i) steps.  The states sit in a cache bounded at
-    _STATE_CACHE entries, so queries near an earlier one pay a few steps.
-    The lattice verifiers call this only for points their region table does
-    not hold.
+    m takes Sum_{i>=2} m(H_i) steps.  The lattice verifiers call this only
+    for points their region table does not hold.
     """
     return _exponents(arr, arr.check_multiplicity(m))
 
@@ -226,7 +225,6 @@ def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
 
 
 _STATE_CACHE = 4096  # unit-step states kept for single queries; region scans keep their own
-_CHECKPOINT = 128  # states at multiples of this |m| are walked up from the previous one
 _BASE_STATE = (0, 0, ((1,), (0,)), ((0,), (1,)))  # D1 and D2, a basis at m = 0
 
 
@@ -235,28 +233,21 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     """(d1, d2, theta1, theta2): a basis of D(arr, m), each theta = (f, g).
 
     f and g are int coefficient vectors in BinaryForm order, primitive over
-    Q and residues over GF(p).  For h >= 2 the state at a point of the
-    first two lines is the closed form of :func:`_two_line_state`; past it,
-    the chain to m fills m(H) from the third hyperplane on (from the first
-    for h = 1), so the state before m is at m - e_j for j the last nonzero
-    index, and m takes Sum_{i>=2} m(H_i) unit steps.  A state at a multiple
-    of _CHECKPOINT is walked up from the previous multiple, or from the
-    two-line point when that is nearer, without caching the states
-    between, which keeps the recursion below _CHECKPOINT + |m| /
-    _CHECKPOINT frames.
+    Q and residues over GF(p).  For h >= 2 the chain to m starts at the
+    closed form of :func:`_two_line_state` on the first two lines (at
+    D1, D2 when m1 = m2 = 0) and fills m(H) from the third hyperplane on
+    (from the first for h = 1), one unit step each, so on a miss m takes
+    Sum_{i>=2} m(H_i) steps whatever was asked before.  Only the state at
+    m is cached, for the read-outs that follow a query.
     """
-    total = sum(m)
-    if not total:
-        return _BASE_STATE
-    rest = sum(m[2:]) if len(m) > 1 else total  # the steps past the start of the chain
-    if not rest:
-        return _two_line_state(arr, m)
-    prev, steps = _last_steps(m, min(rest, 1 if total % _CHECKPOINT else _CHECKPOINT))
-    state = _unit_state(arr, prev)
-    for j, k in steps:
-        state = _unit_step(arr.forms[j], k, state)
-    counts["multiarr2.unit_steps"] += len(steps)
-    counts["multiarr2.residues"] += len(steps)
+    start = 2 if len(m) > 1 else 0
+    state = _two_line_state(arr, m) if any(m[:start]) else _BASE_STATE
+    for alpha, n in zip(arr.forms[start:], m[start:]):
+        for k in range(n):
+            state = _unit_step(alpha, k, state)
+    steps = sum(m[start:])
+    counts["multiarr2.unit_steps"] += steps
+    counts["multiarr2.residues"] += steps
     return state
 
 
@@ -295,26 +286,6 @@ def _derivation_times_power(a: int, b: int, p: int, k: int, u: int, v: int):
     if p:
         return tuple([u * x % p for x in power]), tuple([v * x % p for x in power])
     return tuple([u * x for x in power]), tuple([v * x for x in power])
-
-
-def _last_steps(m: Multiplicity, n: int):
-    """(prev, steps): the last n of the unit steps (j, k) of the chain to m, and the point before them.
-
-    The chain raises m(H_j) from k to k + 1, for j ascending and k from 0
-    up; its last steps are read back from the last nonzero index, so only
-    these n are built.  n must not exceed |m|.
-    """
-    prev = list(m)
-    steps = []
-    j = len(prev) - 1
-    while len(steps) < n:
-        if prev[j]:
-            prev[j] -= 1
-            steps.append((j, prev[j]))
-        else:
-            j -= 1
-    steps.reverse()
-    return tuple(prev), steps
 
 
 def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
@@ -563,13 +534,13 @@ def _lower_state(arr: Arrangement2, m: Multiplicity):
     return d1, d2, lo, hi
 
 
-@lru_cache(maxsize=_STATE_CACHE)
 def _canonical_basis(arr: Arrangement2, m: Multiplicity):
     """(theta1, theta2) of :func:`basis`, read off the unit-step state at m.
 
     Read as f then g, Matrix.kernel gives one vector per last nonzero index
     of the null space, zero at the other such indices, leading 1, ascending.
-    theta1 is that of :func:`_lower_state`.  The kernel vectors before
+    theta1 is that of :func:`_lower_state`, read out by :func:`_lower_basis`
+    as for :func:`lower_degree_basis`.  The kernel vectors before
     theta2 lie in theta1*S_delta, so theta2 is the other element zeroed
     where each x1^i*x2^(delta-i)*theta1 ends, for i from delta down to 0.
     Any basis of D(arr, m) gives the same pair.
@@ -580,7 +551,7 @@ def _canonical_basis(arr: Arrangement2, m: Multiplicity):
     for i in range(delta, -1, -1):
         if hi[part][j + i]:  # else hi is zero there already
             hi = _cancel(p, hi, tuple((0,) * i + v + (0,) * (delta - i) for v in lo), part, j + i)
-    return _leading_one(arr.field, d1, lo), _leading_one(arr.field, d2, hi)
+    return _lower_basis(arr, m), _leading_one(arr.field, d2, hi)
 
 
 def _last_entry(theta):

@@ -43,10 +43,9 @@ library checks the ball law on a component without listing the ball.
 ``field(text)`` parse of every coefficient string before plain integers
 became ints over Q, ``build_arrangement`` and ``serialize_document`` the
 document build and writer before the forms came from canonical ints and
-the text was written from the document's shape,
+the text was written from the document's shape, and
 ``is_prime_twelve_bases`` the primality test before it chose its bases
-by the size of n, and ``last_steps`` the whole step list that
-``multiarr2._unit_state`` sliced before it built only the last steps.
+by the size of n.
 ``unit_step``, ``times_alpha`` and ``normalise`` are the addition step
 as it was before it built each component by one list comprehension and
 reduced the combination inline; ``test_multiarr2.py`` runs them side by
@@ -705,15 +704,6 @@ def strong_probable_prime(n: int, b: int) -> bool:
         if x == n - 1:
             return True
     return False
-
-
-def last_steps(m, n: int):
-    """(prev, steps): the last n unit steps (j, k) of the chain to m, sliced from the whole list."""
-    steps = [(j, k) for j, v in enumerate(m) for k in range(v)][sum(m) - n :]
-    prev = list(m)
-    for j, _ in steps:
-        prev[j] -= 1
-    return tuple(prev), steps
 
 
 def unit_step(alpha: LinearForm2, k: int, state):

@@ -1,5 +1,6 @@
 """Exponents, bases and the determinant criterion for 2-multiarrangements."""
 
+import itertools
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from multiarr import multiarr2, stats
+from multiarr import corpus, multiarr2, stats
 from multiarr.exactalg import (
     GF,
     QQ,
@@ -34,6 +35,7 @@ from multiarr.multiarr2 import (
     saito_det,
     untangent_forms,
 )
+from multiarr.shift import shift_isomorphism_check
 
 
 def a2():
@@ -376,16 +378,6 @@ class TestUnitSteps:
         assert exponents(arr, (500, 500, 500)).pair == (750, 750)
         clear_multiarr_caches()
 
-    def test_last_steps_match_the_sliced_step_list(self):
-        """The steps read back from the last nonzero index against the whole list, sliced."""
-        rng = random.Random(23)
-        for _ in range(400):
-            m = tuple(rng.choice([0, 0, 1, 2, 5, 40, 130]) for _ in range(rng.randint(1, 6)))
-            total = sum(m)
-            for n in {1, multiarr2._CHECKPOINT, total} - {0}:
-                if n <= total:
-                    assert multiarr2._last_steps(m, n) == oracles.last_steps(m, n), (m, n)
-
     @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
     def test_step_matches_the_generator_step(self, field):
         """_unit_step, with c1 read by it or by the caller, equals the step it replaced on seeded states.
@@ -474,7 +466,7 @@ class TestTwoLineStart:
         assert seen >= {"two-line", "chain", "d1 = d2", "zero on the first two"} | set(range(1, min(6, len(pool)) + 1))
 
     def test_single_query_steps_past_the_first_two_lines(self):
-        """A state takes Sum_{i>=2} m(H_i) unit steps; a checkpoint walk stops at the two-line state."""
+        """A state takes Sum_{i>=2} m(H_i) unit steps, however large |m|."""
         arr = Arrangement2(QQ, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)])
         for m in [(16,) * 5, (32,) * 5, (0, 9, 130, 0, 0), (200, 1, 0, 0, 0), (40, 50, 20, 10, 8)]:
             stats.reset()  # zero counters and empty caches
@@ -483,6 +475,93 @@ class TestTwoLineStart:
             steps = sum(m[2:]) + sum(m[:-2])  # the second query fills its lines in reverse
             assert got["multiarr2.unit_steps"] == steps, m
         clear_multiarr_caches()
+
+    def test_query_cost_does_not_depend_on_earlier_queries(self):
+        """After a warm query at m - e_j, the query at m still takes its whole chain from the first two lines."""
+        arr = corpus.arrangement("five_lines")
+        stats.reset()
+        exponents(arr, (3, 3, 3, 3, 2))
+        before = stats.snapshot()["multiarr2.unit_steps"]
+        exponents(arr, (3, 3, 3, 3, 3))
+        assert stats.snapshot()["multiarr2.unit_steps"] - before == 9
+        clear_multiarr_caches()
+
+    def test_a_query_caches_only_its_own_state(self):
+        arr = corpus.arrangement("five_lines")
+        clear_multiarr_caches()
+        assert exponents(arr, (32,) * 5).pair == (80, 80)
+        assert multiarr2._unit_state.cache_info().currsize == 1
+        clear_multiarr_caches()
+
+
+# The dihedral arrangements of 3, 4 and 6 lines over Q; the six G2 lines after a real linear change of coordinates.
+COXETER = {
+    "a2": ((1, 0), (0, 1), (1, 1)),
+    "b2_lines": ((1, 0), (0, 1), (1, -1), (1, 1)),
+    "g2": ((1, 0), (0, 1), (1, 1), (1, -1), (3, 1), (3, -1)),
+}
+
+
+def frobenius_slice(p: int):
+    """(arrangement, points) pairs: the slice of the Frobenius anchor at p.
+
+    Three seeded arrangements of h lines of P^1(F_p) for each h = 3..5 that P^1(F_p) holds, each with every m
+    in [0, p]^h when there are at most 400 of them, else 400 seeded ones.
+    """
+    rng = random.Random(p)
+    lines = [(0, 1)] + [(1, t) for t in range(p)]
+    for h in range(3, min(5, p + 1) + 1):
+        for _ in range(3):
+            arr = Arrangement2(GF(p), rng.sample(lines, h))
+            box = list(itertools.product(range(p + 1), repeat=h))
+            yield arr, box if len(box) <= 400 else rng.sample(box, 400)
+
+
+class TestClosedFormAnchors:
+    @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("name", sorted(COXETER))
+    def test_coxeter_exponents(self, field, name):
+        """The dihedral arrangement of h lines at constant multiplicity c, for every c with |m| = ch <= 160.
+
+        Terao (Invent. Math. 148, 2002): the exponents are (kh, kh) at c = 2k and (kh + 1, kh + h - 1) at
+        c = 2k + 1, the gap h - 2.
+        """
+        arr = Arrangement2(field, COXETER[name])
+        h = arr.h
+        for c in range(1, 160 // h + 1):
+            k, odd = divmod(c, 2)
+            want = (k * h + 1, k * h + h - 1) if odd else (k * h, k * h)
+            assert exponents(arr, (c,) * h).pair == want, c
+
+    @pytest.mark.parametrize("name", sorted(COXETER))
+    def test_coxeter_shift_certificates(self, name):
+        """Each odd constant multiplicity is a maximizer, so the shift theorem applies there."""
+        arr = Arrangement2(QQ, COXETER[name])
+        for c in (1, 3, 5, 7, 9):
+            cert = shift_isomorphism_check(arr, (c,) * arr.h)
+            assert cert.passed and cert.hypothesis_met, c
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_frobenius_derivation_breaks_the_gap_bound(self, p):
+        """theta_F = x1^p D1 + x2^p D2 has theta_F(alpha) = alpha^p for every line alpha over F_p.
+
+        So theta_F is tangent whenever every m(H) <= p, and then d1 <= p: the gap |m| - 2*d1 exceeds h - 2
+        at every balanced m with all m(H) <= p and |m| >= 2p + h - 1.  That the least balanced |m| with a gap
+        above h - 2 is 2p + 2 is a search result over exactly frobenius_slice(p), not a theorem.
+        """
+        least = None
+        for arr, points in frobenius_slice(p):
+            h = arr.h
+            frobenius = Derivation2.from_ints(arr.field, p, (0,) * p + (1,), (1,) + (0,) * p)
+            assert untangent_forms(arr, (p,) * h, frobenius) == []
+            for m in points:
+                e = exponents(arr, m)
+                assert e.d1 <= p, (arr.forms, m)
+                if is_balanced(arr, m) and e.delta > h - 2:
+                    least = sum(m) if least is None else min(least, sum(m))
+                elif is_balanced(arr, m):
+                    assert sum(m) < 2 * p + h - 1, (arr.forms, m)
+        assert least == 2 * p + 2
 
 
 def residue_by_row(alpha, k, d, theta) -> int:

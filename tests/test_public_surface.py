@@ -130,6 +130,13 @@ def test_no_module_but_exactalg_solves_a_linear_system():
     assert callers_of("Matrix", "divisibility_constraints") == {"exactalg"}
 
 
+def test_unit_state_does_not_call_itself():
+    """A single query is one flat chain: _unit_state reads no state, its own cache included, one unit below."""
+    tree = ast.parse((Path(multiarr.__file__).parent / "multiarr2.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_unit_state"]
+    called = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "_unit_state" not in called and "_two_line_state" in called
+
 def test_arr3_char_poly_is_the_only_chi():
     """The characteristic polynomial has one formula: no other src/ function or method is named char_poly."""
     src = Path(multiarr.__file__).parent

@@ -12,7 +12,7 @@ import pytest
 
 import multiarr
 import oracles
-from multiarr import corpus, lattice, stats
+from multiarr import corpus, lattice, multiarr2, stats
 from multiarr.cli import main
 from multiarr.exactalg import QQ
 from multiarr.lattice import LatticeRegion, verify_lemma_one, verify_theorem_limit, verify_theorem_str
@@ -77,11 +77,11 @@ class TestCli:
     def test_five_lines_total_shell(self, capsys):
         """Past total two rim points can reach one outside point; the shell reads it once.
 
-        The walk makes 511 steps; the other 168 are the chains of the 60 exponents that the ascents read
-        past the shell, each from its closed-form start on the first two lines (187 from zero).
+        The walk makes 511 steps; the other 276 are the chains of the 60 exponents that the ascents read
+        past the shell, each Sum_{i>=2} m_i steps from its closed-form start on the first two lines.
         """
         got = counted(capsys, "lattice", FIVE, "--caps", "3,3,3,3,3", "--total", "7", "--verify", "str")
-        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (679, 1579)
+        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (787, 1789)
         assert len(lattice._region_table(LatticeRegion(corpus.arrangement("five_lines"), (3,) * 5, 7))[1]) == 310
 
     def test_total_bounded_ascents(self, capsys):
@@ -99,23 +99,26 @@ class TestCli:
         assert got["multiarr2.saito_checks"] == 2 * 4096 - 1  # the zero shift has no basis to certify
         assert got["shift.nabla"] == 2 * 4096
         assert got["exactalg.divide_linear"] == 143_296
-        # every state is a miss; m = 0 and the three 0/1 points on the first two lines take no step
-        assert got["multiarr2.unit_steps"] == got["cache.multiarr2._unit_state.misses"] - 1 - 3 == 4092
+        # one state per nonzero 0/1 point (m0 among them), each a chain of Sum_{i>=2} m_i steps
+        assert got["cache.multiarr2._unit_state.misses"] == 4095
+        assert got["multiarr2.unit_steps"] == 10 * 2**11 == 20_480  # Sum over {0,1}^12 of Sum_{i>=2} m_i
 
     @pytest.mark.parametrize("k, steps", [(16, 48), (32, 96)])
-    def test_exp_steps_past_the_two_line_start(self, capsys, tmp_path, k, steps):
-        """exp on five_lines at m = (k,)*5 steps through lines 3 to 5 only, and reads out no upper element.
-
-        At k = 32 the state at |m| = 128 is a checkpoint; its walk stops at the state on the first two lines.
-        """
+    def test_exp_steps_past_the_two_line_start(self, capsys, monkeypatch, tmp_path, k, steps):
+        """exp on five_lines at m = (k,)*5 steps through lines 3 to 5 only, and reads out no upper element."""
         doc = json.loads(Path(FIVE).read_text(encoding="utf-8"))
         for plane in doc["hyperplanes"]:
             plane["mult"] = k
         path = tmp_path / "five.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def no_upper_element(arr, m):
+            raise AssertionError("exp read out a whole basis")
+
+        monkeypatch.setattr(multiarr2, "_canonical_basis", no_upper_element)
         got = counted(capsys, "exp", str(path), "--json")
         assert got["multiarr2.unit_steps"] == steps == 3 * k
-        assert (got["cache.multiarr2._lower_basis.misses"], got["cache.multiarr2._canonical_basis.misses"]) == (1, 0)
+        assert (got["cache.multiarr2._lower_basis.misses"], got["cache.multiarr2._unit_state.misses"]) == (1, 1)
 
 
 def test_three_verifiers_in_one_session():
