@@ -16,9 +16,11 @@ derivation that kills alpha_i) and takes one unit step per unit of
 multiplicity on the other lines, caching only the state it ends at; a
 lattice scan does not use that cache, but walks its region from m = 0 one
 unit step per point, or only the step's first residue at a leaf of the
-walk whose state nothing reads (see :func:`_region_walk`).  The canonical
-elements are read off whichever basis a state holds; the lower one alone
-when only it is asked for.  No tangency system is solved:
+walk whose state nothing reads (see :func:`_region_walk`); the shift
+certificate walks the 0/1 box the same way, one unit step per point,
+and reads a certified basis off each state (see :func:`_box_bases`).
+The canonical elements are read off whichever basis a state holds; the
+lower one alone when only it is asked for.  No tangency system is solved:
 ``exactalg.Matrix`` has no caller in the library, and is kept for the
 benchmark's tracer and as a test oracle.
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -517,41 +520,42 @@ def lower_degree_basis(arr: Arrangement2, m: Sequence[int]) -> Derivation2:
 @lru_cache(maxsize=_STATE_CACHE)
 def _lower_basis(arr: Arrangement2, m: Multiplicity) -> Derivation2:
     """theta1 of :func:`_canonical_basis`, read off the unit-step state with no work on theta2."""
-    d1, _, lo, _ = _lower_state(arr, m)
+    d1, _, lo, _ = _lower_state(arr.field.char, _unit_state(arr, m))
     return _leading_one(arr.field, d1, lo)
 
 
-def _lower_state(arr: Arrangement2, m: Multiplicity):
-    """The unit-step state at m with theta1 put as the kernel's first degree-d1 vector, up to a scalar.
+def _lower_state(p: int, state):
+    """state with theta1 put as the kernel's first degree-d1 vector, up to a scalar.
 
     theta1 is the lower state element, or at d1 == d2 the one ending first,
     zeroed where the other ends; theta2 is left as the state holds it.
     """
-    d1, d2, lo, hi = _unit_state(arr, m)
+    d1, d2, lo, hi = state
     if d1 == d2:
         lo, hi = sorted((lo, hi), key=_last_entry)
-        lo = _cancel(arr.field.char, lo, hi, *_last_entry(hi))
+        lo = _cancel(p, lo, hi, *_last_entry(hi))
     return d1, d2, lo, hi
 
 
-def _canonical_basis(arr: Arrangement2, m: Multiplicity):
-    """(theta1, theta2) of :func:`basis`, read off the unit-step state at m.
+def _canonical_basis(arr: Arrangement2, state):
+    """(theta1, theta2) of :func:`basis`, read off a unit-step state of arr.
 
     Read as f then g, Matrix.kernel gives one vector per last nonzero index
     of the null space, zero at the other such indices, leading 1, ascending.
-    theta1 is that of :func:`_lower_state`, read out by :func:`_lower_basis`
-    as for :func:`lower_degree_basis`.  The kernel vectors before
-    theta2 lie in theta1*S_delta, so theta2 is the other element zeroed
-    where each x1^i*x2^(delta-i)*theta1 ends, for i from delta down to 0.
-    Any basis of D(arr, m) gives the same pair.
+    theta1 is that of :func:`_lower_state`, as :func:`lower_degree_basis`
+    reads it.  The kernel vectors before theta2 lie in theta1*S_delta, so
+    theta2 is the other element zeroed where each x1^i*x2^(delta-i)*theta1
+    ends, for i from delta down to 0.  Any basis of D(arr, m) gives the same
+    pair, so the state may come from any chain or walk to m.
     """
-    d1, d2, lo, hi = _lower_state(arr, m)
-    p, delta = arr.field.char, d2 - d1
+    p = arr.field.char
+    d1, d2, lo, hi = _lower_state(p, state)
+    delta = d2 - d1
     part, j = _last_entry(lo)
     for i in range(delta, -1, -1):
         if hi[part][j + i]:  # else hi is zero there already
             hi = _cancel(p, hi, tuple((0,) * i + v + (0,) * (delta - i) for v in lo), part, j + i)
-    return _lower_basis(arr, m), _leading_one(arr.field, d2, hi)
+    return _leading_one(arr.field, d1, lo), _leading_one(arr.field, d2, hi)
 
 
 def _last_entry(theta):
@@ -616,26 +620,27 @@ def untangent_forms(arr: Arrangement2, m: Sequence[int], theta: Derivation2) -> 
     theta lies in D(arr, m) iff the list is empty.  The test is synthetic
     division by alpha, independent of the rows the exponent solver uses.
     """
-    return _untangent(arr, arr.check_multiplicity(m), theta)
-
-
-def _untangent(arr: Arrangement2, mt: Multiplicity, theta: Derivation2) -> list:
-    """untangent_forms for a multiplicity already checked against arr."""
     if theta.field != arr.field:
         raise TypeError("mixed-field operands")
+    return _untangent(arr, arr.check_multiplicity(m), theta.ints)
+
+
+def _untangent(arr: Arrangement2, mt: Multiplicity, theta) -> list:
+    """untangent_forms for a multiplicity checked against arr and theta = (f, g) on ints."""
     return [alpha for alpha, k in zip(arr.forms, mt) if k and not _divides_image(alpha, k, theta)]
 
 
-def _divides_image(alpha: LinearForm2, k: int, theta: Derivation2) -> bool:
-    """binary_form_divides(alpha, k, theta.apply_to_linear(alpha)) for k > 0, on theta's ints.
+def _divides_image(alpha: LinearForm2, k: int, theta) -> bool:
+    """binary_form_divides(alpha, k, theta(alpha)) for k > 0, on the ints (f, g) of theta.
 
-    theta(alpha) = a*f + b*g is content * (a*f.ints + b*g.ints), and the
-    nonzero content does not change what divides it; no BinaryForm is
-    built.  For alpha = x1 or x2 (canonical: (a, b) = (1, 0) or (0, 1))
-    the image is f.ints or g.ints itself.
+    theta(alpha) = a*f + b*g, up to theta's content, which is nonzero and
+    does not change what divides it; no BinaryForm is built.  f and g are
+    residues over GF(p), and over Q any int multiple of a derivation's
+    ints.  For alpha = x1 or x2 (canonical: (a, b) = (1, 0) or (0, 1)) the
+    image is f or g itself.
     """
     a, b = alpha.ints
-    f, g = theta.ints
+    f, g = theta
     p = alpha.field.char
     if not b:
         image = f
@@ -647,7 +652,7 @@ def _divides_image(alpha: LinearForm2, k: int, theta: Derivation2) -> bool:
         image = [a * x + b * y for x, y in zip(f, g)]
     if not any(image):
         return True
-    if k > theta.degree:
+    if k >= len(f):
         return False
     return _divide_linear(alpha, k, image) is not None
 
@@ -659,32 +664,46 @@ def saito_criterion(arr: Arrangement2, m: Sequence[int], theta1: Derivation2, th
     det(theta1, theta2) = c * Q(arr, m) with c != 0.  tangent is the first
     condition; scalar is c, 0 for a zero determinant, or None when the
     determinant is not a multiple of the defining form.  Everything runs
-    on the ints of the pair: tangency divides each theta(alpha_H) by
-    alpha_H^m(H) (see :func:`untangent_forms`), and Q(arr, m) is not built:
-    the ints of :func:`saito_det` are divided by each alpha_H^m(H) in turn
-    (see :func:`exactalg._divide_linear`), and c is the determinant's
-    content times the constant left.  The Sum m(H) divisions also
+    on the ints of the pair (see :func:`_saito_criterion`).
+    """
+    if not theta1.field == theta2.field == arr.field:
+        raise TypeError("mixed-field operands")
+    return _saito_criterion(arr, arr.check_multiplicity(m), theta1.ints, theta2.ints, *_content_product(theta1, theta2))
+
+
+def _saito_criterion(arr: Arrangement2, mt: Multiplicity, theta1, theta2, num: int, den: int):
+    """saito_criterion on ints, for a checked multiplicity mt.
+
+    theta1 and theta2 are (f, g) pairs of int vectors, and (num / den) *
+    det(theta1, theta2) is the determinant of the derivations they stand
+    for.  Over GF(p) the ints are residues; over Q they may be any nonzero
+    int multiple of a derivation's ints (the shift certificate passes its
+    images unnormalised), which changes no divisibility.  Tangency divides
+    each theta(alpha_H) by alpha_H^m(H) (see :func:`_divides_image`), and
+    Q(arr, m) is not built: the determinant f1*g2 - f2*g1, one int
+    convolution, is divided by each alpha_H^m(H) in turn (see
+    :func:`exactalg._divide_linear`), and c is the constant left times
+    num / den.  The Sum m(H) divisions also
     cross-check the tangency test: c could be read as det(P)/Q(P) at one
     point P once both derivations are tangent, but a faulty tangency test
     would then go unseen.
     """
-    return _saito_criterion(arr, arr.check_multiplicity(m), theta1, theta2)
-
-
-def _saito_criterion(arr: Arrangement2, mt: Multiplicity, theta1: Derivation2, theta2: Derivation2):
-    """saito_criterion for a multiplicity already checked against arr."""
     counts["multiarr2.saito_checks"] += 1
     tangent = not (_untangent(arr, mt, theta1) or _untangent(arr, mt, theta2))
-    det = saito_det(theta1, theta2)
-    if det.degree != sum(mt):
+    (f1, g1), (f2, g2) = theta1, theta2
+    size = len(f1) + len(f2) - 1
+    if size != sum(mt) + 1:
         return tangent, None
-    q = det.ints
+    q = _convolve(((1, f1, g2), (-1, f2, g1)), size)
+    p = arr.field.char
+    if p:
+        q = [x % p for x in q]
     for alpha, k in zip(arr.forms, mt):
         if k:
             q = _divide_linear(alpha, k, q)
             if q is None:
                 return tangent, None
-    return tangent, arr.field(q[0] * det.content)
+    return tangent, arr.field(q[0] * num * pow(den, -1, p) if p else Fraction(q[0] * num, den))
 
 
 def basis(arr: Arrangement2, m: Sequence[int]):
@@ -692,14 +711,19 @@ def basis(arr: Arrangement2, m: Sequence[int]):
 
     theta1 is lower_degree_basis; theta2 is the first degree-d2 kernel vector
     whose determinant with theta1 is nonzero (see :func:`_canonical_basis`).
-    The pair is certified by :func:`saito_criterion`: both are tangent and
-    their determinant is a nonzero scalar multiple of the defining form.
+    The pair is certified by Saito's criterion: both are tangent and their
+    determinant is a nonzero scalar multiple of the defining form.
     """
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0 has no canonical basis choice")
-    theta1, theta2 = _canonical_basis(arr, mt)
-    tangent, scalar = _saito_criterion(arr, mt, theta1, theta2)
+    return _certified_basis(arr, mt, _unit_state(arr, mt))
+
+
+def _certified_basis(arr: Arrangement2, mt: Multiplicity, state):
+    """The pair of :func:`basis` at mt != 0, read off a unit-step state at mt and certified."""
+    theta1, theta2 = _canonical_basis(arr, state)
+    tangent, scalar = _saito_criterion(arr, mt, theta1.ints, theta2.ints, *_content_product(theta1, theta2))
     if not scalar:
         raise RuntimeError(
             "independent pair fails the determinant criterion (solver bug): "
@@ -712,6 +736,38 @@ def basis(arr: Arrangement2, m: Sequence[int]):
             f"theta1={theta1.render()}, theta2={theta2.render()}"
         )
     return theta1, theta2
+
+
+def _box_bases(arr: Arrangement2, points):
+    """The basis at each point of points, 0/1 multiplicities in lexicographic order, from one walk.
+
+    path[i] holds the state at m[:i + 1] followed by zeros, from m = 0 on.
+    A point keeps the path up to the first index where it differs from the
+    point before and makes one unit step for each 1 after it, so the whole
+    box {0,1}^h takes one step per nonzero point, as :func:`_region_walk`
+    does.  The pair at m != 0 is that of basis(), read off the walk's state
+    and certified by :func:`_certified_basis`; at m = 0 it is D1, D2.
+    """
+    forms, h = arr.forms, arr.h
+    path, prev = [_BASE_STATE] * h, (0,) * h
+    for m in points:
+        i = 0
+        while i < h and m[i] == prev[i]:
+            i += 1
+        state = path[i - 1] if i else _BASE_STATE
+        steps = 0
+        for j in range(i, h):
+            if m[j]:
+                state = _unit_step(forms[j], 0, state)
+                steps += 1
+            path[j] = state
+        counts["multiarr2.unit_steps"] += steps
+        counts["multiarr2.residues"] += steps
+        prev = m
+        if any(m):
+            yield _certified_basis(arr, m, state)
+        else:
+            yield Derivation2.coordinate(arr.field, 0), Derivation2.coordinate(arr.field, 1)
 
 
 def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
@@ -731,7 +787,7 @@ def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):
     prod = defining_form(arr, mt[:k_idx] + (0,) + mt[k_idx + 1 :])
     q, ratio = prod.ints, prod.content.as_integer_ratio()
     theta = Derivation2.from_ints(arr.field, prod.degree, [u * x for x in q], [v * x for x in q], *ratio)
-    if _untangent(arr, mt, theta):
+    if _untangent(arr, mt, theta.ints):
         raise RuntimeError("constructed fast-path derivation is not tangent (solver bug)")
     lo, hi = sorted((mt[k_idx], sum(mt) - mt[k_idx]))
     return Exponents2(lo, hi), theta

@@ -5,9 +5,11 @@ balanced multiplicity m0 attains the maximal gap h - 2, mapping theta to
 ``nabla(theta, theta0)`` (theta0 the lower-degree basis) carries a basis
 of the derivation module at any 0/1-multiplicity m to a basis at
 m0 + m - 1; :func:`shift_isomorphism_check` certifies this via Saito's
-criterion for every shift.  A failure under satisfied hypotheses is the
-most interesting possible output, so failing checks carry a full
-reproducer.
+criterion for every shift, in one pass over the shifts: the bases come
+from one walk of the 0/1 box, the partials of theta0 are taken once, and
+the images are checked on their ints.  A failure under satisfied
+hypotheses is the most interesting possible output, so failing checks
+carry a full reproducer.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .multiarr2 import (
     Arrangement2,
     Derivation2,
     Multiplicity,
+    _box_bases,
     _content_product,
     _convolve,
-    basis,
+    _saito_criterion,
     exponents,
     is_balanced,
     lower_degree_basis,
-    saito_criterion,
     saito_det,
     untangent_forms,
 )
@@ -53,23 +55,38 @@ def nabla(theta: Derivation2, phi: Derivation2) -> Derivation2:
 
     The result is homogeneous of degree deg(theta) + deg(phi) - 1; a
     constant phi gives zero, declared at degree max(deg(theta) - 1, 0).
-    theta(u) = f * du/dx1 + g * du/dx2 is formed on the ints of theta and
-    phi as one int convolution per component of phi, and the content of
-    the image is the product of theirs.
+    It is theta applied to the partials of phi (see :func:`_partials` and
+    :func:`_connection`), and the content of the image is the product of
+    the contents of theta and phi.
     """
     counts["shift.nabla"] += 1
     if theta.field != phi.field:
         raise TypeError("mixed-field derivations")
-    (f, g), e = theta.ints, phi.degree
+    e = phi.degree
     if e == 0:
         d = max(theta.degree - 1, 0)
         return Derivation2.from_ints(theta.field, d, (0,) * (d + 1), (0,) * (d + 1))
-    parts = []
-    for u in phi.ints:
-        du1 = [i * x for i, x in enumerate(u)][1:]
-        du2 = [(e - i) * x for i, x in enumerate(u[:e])]
-        parts.append(_convolve(((1, f, du1), (1, g, du2)), theta.degree + e))
+    parts = _connection(theta, _partials(phi))
     return Derivation2.from_ints(theta.field, theta.degree + e - 1, *parts, *_content_product(theta, phi))
+
+
+def _partials(phi: Derivation2):
+    """(du/dx1, du/dx2) on ints for each component u of phi, of degree e >= 1, in BinaryForm order."""
+    e = phi.degree
+    return [([i * x for i, x in enumerate(u)][1:], [(e - i) * x for i, x in enumerate(u[:e])]) for u in phi.ints]
+
+
+def _connection(theta: Derivation2, partials):
+    """The ints of nabla(theta, phi) up to its content, from the partials of phi.
+
+    theta(u) = f * du/dx1 + g * du/dx2 is one int convolution per component
+    u of phi; over GF(p) it is reduced mod p, over Q it is not divided by
+    the gcd of its entries.
+    """
+    (f, g), size = theta.ints, theta.degree + len(partials[0][0])
+    parts = [_convolve(((1, f, du1), (1, g, du2)), size) for du1, du2 in partials]
+    p = theta.field.char
+    return [[x % p for x in v] for v in parts] if p else parts
 
 
 def coordinate_duals(arr: Arrangement2):
@@ -194,6 +211,12 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     nonzero multiple of the defining form; each check records that scalar.
     Over GF(p) the certificate carries a char_warning and its
     hypothesis_met is False.
+
+    The bases at the shifts, in lexicographic order, come from one walk of
+    the 0/1 box (see :func:`multiarr2._box_bases`).  Each image is formed
+    from theta0's partials, taken once, and checked on its ints and content
+    by :func:`multiarr2._saito_criterion`; a Derivation2 is built for an
+    image only for the reproducer of a failing check.
     """
     mt = arr.check_multiplicity(m0)
     h = arr.h
@@ -219,17 +242,18 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     degree_identity_ok = sum(mt) == 2 * theta0.degree + h - 2
     checks = []
     field = arr.field
-    for m in shifts:
+    partials = _partials(theta0)  # theta0 has degree d1 >= 1, as |m0| >= h
+    for m, pair in zip(shifts, _box_bases(arr, shifts)):
         target = tuple(a + b - 1 for a, b in zip(mt, m))
-        if sum(m) == 0:
-            pair = (Derivation2.coordinate(arr.field, 0), Derivation2.coordinate(arr.field, 1))
-        else:
-            pair = basis(arr, m)
-        images = [nabla(t, theta0) for t in pair]
-        membership_ok, scalar = saito_criterion(arr, target, *images)
+        images = [_connection(t, partials) for t in pair]
+        counts["shift.nabla"] += 2
+        contents = [_content_product(t, theta0) for t in pair]
+        (n1, d1), (n2, d2) = contents
+        membership_ok, scalar = _saito_criterion(arr, target, *images, n1 * n2, d1 * d2)
         ok = membership_ok and bool(scalar)
         repro = None
         if not ok:
+            etas = [Derivation2.from_ints(field, len(v[0]) - 1, *v, *c) for v, c in zip(images, contents)]
             repro = {
                 "arrangement": [[field.format(c) for c in f.coeffs] for f in arr.forms],
                 "field": field.name,
@@ -237,8 +261,8 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
                 "m": m,
                 "theta0": theta0.render(),
                 "basis_at_m": [t.render() for t in pair],
-                "images": [eta.render() for eta in images],
-                "det": saito_det(*images).render(),
+                "images": [eta.render() for eta in etas],
+                "det": saito_det(*etas).render(),
                 "membership_ok": membership_ok,
             }
         checks.append(ShiftCheck(m, target, membership_ok, scalar, ok, repro))

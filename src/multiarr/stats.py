@@ -6,7 +6,8 @@ or in bulk after a loop, never inside the inner loop of a kernel:
 - ``exactalg.divide_linear``: synthetic divisions by a power of a line;
 - ``multiarr2.unit_steps``: addition steps of the unit-step basis, one
   per point a walk or chain reaches past its start (m = 0 for a region
-  walk, the closed-form state on the first two lines for a chain);
+  walk and for the shift certificate's walk of the 0/1 box, the
+  closed-form state on the first two lines for a chain);
 - ``multiarr2.residues``: residues read by those steps and by the shell
   of a region walk (one per step, one more when a full step raises d1,
   and one per point of the shell); a leaf of a region walk whose shell

@@ -52,6 +52,10 @@ reduced the combination inline; ``test_multiarr2.py`` runs them side by
 side with ``multiarr2._unit_step``.  ``chain_state`` is the state that
 ``multiarr2._unit_state`` built before it started from the closed form on
 the first two lines: the chain from m = 0, one step per unit of |m|.
+``shift_checks`` is the loop of ``shift.shift_isomorphism_check`` before
+it became one pass: ``basis``, two ``nabla`` images and
+``saito_criterion`` at each shift; ``test_shift.py`` compares every check
+and reproducer of the library with it.
 ``module_caches`` is the scan of every value of every loaded module that
 ``stats._caches`` made on each call before it remembered each module's
 caches.  ``meets`` and ``ziegler_restriction``
@@ -71,13 +75,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from multiarr import arr3, exactalg
+from multiarr import arr3, exactalg, multiarr2, shift
 from multiarr.exactalg import _MR_BASES, QQ, BinaryForm, FpElement, LinearForm2, _echelon, _render_terms, _scaled_ints
 from multiarr.lattice import _ASCENT_LIMIT
 from multiarr.multiarr2 import _BASE_STATE, Arrangement2, Derivation2, _residue, exponents, is_balanced
@@ -528,6 +533,52 @@ def saito_criterion(arr, m, theta1: Derivation2, theta2: Derivation2):
     if det.degree != q.degree:
         return tangent, None
     return tangent, proportional_scalar(field, det.coeffs, q.coeffs)
+
+
+def shift_checks(arr, m0) -> list:
+    """The checked shifts of shift.shift_isomorphism_check at m0, by the per-shift route before its one pass.
+
+    The shifts are chosen as the certificate chooses them.  Each takes
+    basis(arr, m), a chain of its own (D1, D2 at m = 0), the images
+    nabla(theta, theta0) as normalised Derivation2s, with theta0's partials
+    taken anew for each, and saito_criterion on the images.
+    """
+    mt = tuple(m0)
+    field = arr.field
+    theta0 = multiarr2.lower_degree_basis(arr, mt)
+    if arr.h <= shift._EXHAUSTIVE_H:
+        shifts = list(product((0, 1), repeat=arr.h))
+    else:
+        rng = random.Random(2024)
+        seen = set()
+        while len(seen) < shift._SAMPLED_SHIFTS:
+            seen.add(tuple(rng.randint(0, 1) for _ in range(arr.h)))
+        shifts = sorted(seen)
+    checks = []
+    for m in shifts:
+        target = tuple(a + b - 1 for a, b in zip(mt, m))
+        if sum(m) == 0:
+            pair = (Derivation2.coordinate(field, 0), Derivation2.coordinate(field, 1))
+        else:
+            pair = multiarr2.basis(arr, m)
+        images = [shift.nabla(t, theta0) for t in pair]
+        membership_ok, scalar = multiarr2.saito_criterion(arr, target, *images)
+        ok = membership_ok and bool(scalar)
+        repro = None
+        if not ok:
+            repro = {
+                "arrangement": [[field.format(c) for c in f.coeffs] for f in arr.forms],
+                "field": field.name,
+                "m0": mt,
+                "m": m,
+                "theta0": theta0.render(),
+                "basis_at_m": [t.render() for t in pair],
+                "images": [eta.render() for eta in images],
+                "det": multiarr2.saito_det(*images).render(),
+                "membership_ok": membership_ok,
+            }
+        checks.append(shift.ShiftCheck(m, target, membership_ok, scalar, ok, repro))
+    return checks
 
 
 def sweep_chamber_count(lines: Iterable) -> int:

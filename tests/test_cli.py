@@ -616,8 +616,8 @@ class TestShiftCommand:
 
     def test_failing_certificate_over_q_exits_two(self, capsys, monkeypatch):
         # a determinant check forced to fail: the path of a genuine counterexample
-        real = shift.saito_criterion
-        monkeypatch.setattr(shift, "saito_criterion", lambda *args: (real(*args)[0], None))
+        real = shift._saito_criterion
+        monkeypatch.setattr(shift, "_saito_criterion", lambda *args: (real(*args)[0], None))
         code, out, _ = run(capsys, "shift", corpus_file("a2"), "--json")
         assert code == EXIT_VIOLATION
         results = json.loads(out)["results"]
@@ -894,21 +894,20 @@ class TestInternalError:
             lines = captured.err.splitlines()
             assert len(lines) == 4
             assert lines[0].startswith(f"internal error: RuntimeError: {message}")
-            assert re.fullmatch(r"  at .*multiarr2\.py:\d+ in basis", lines[1])
+            assert re.fullmatch(r"  at .*multiarr2\.py:\d+ in _certified_basis", lines[1])
             assert lines[2] == f"input sha256: {digest}"
             assert lines[3] == f"reproduce: multiarr {shlex.join(['shift', path])}"
 
     def test_broken_invariant_is_reported_once(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            multiarr2, "saito_det", lambda t1, t2: oracles.zero_form(t1.field, t1.degree + t2.degree)
-        )
+        monkeypatch.setattr(multiarr2, "_convolve", lambda terms, size: [0] * size)  # every determinant is zero
         self.assert_reported_once(
             capsys, monkeypatch, "independent pair fails the determinant criterion"
         )
 
     def test_non_tangent_basis_is_reported_once(self, capsys, monkeypatch):
         # d1 and Q(A, m)*d2 have the defining form as determinant, but d1 is not tangent to x1 + x2
-        monkeypatch.setattr(multiarr2, "_canonical_basis", lambda arr, m: (
+        m = (0, 0, 1)  # the first shift of a2 with a basis to certify
+        monkeypatch.setattr(multiarr2, "_canonical_basis", lambda arr, state: (
             multiarr2.Derivation2.coordinate(arr.field, 0),
             multiarr2.Derivation2(oracles.zero_form(arr.field, sum(m)), multiarr2.defining_form(arr, m)),
         ))

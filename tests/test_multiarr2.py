@@ -494,6 +494,36 @@ class TestTwoLineStart:
         clear_multiarr_caches()
 
 
+class TestBoxWalk:
+    @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
+    def test_every_pair_is_the_basis(self, field):
+        """_box_bases gives basis(arr, m) at each nonzero point of {0,1}^h, and D1, D2 at m = 0.
+
+        Three seeded arrangements for each h = 1..7 that the field allows, each on its whole box and on a
+        sorted sparse subset of it.  The walk makes one unit step per distinct prefix of a listed point that
+        ends in a 1: 2^h - 1 on the whole box.
+        """
+        rng = random.Random(field.char + 34)
+        p = field.char
+        if p:
+            pool = [(0, 1)] + [(1, t) for t in range(min(p, 8))]
+        else:
+            pool = [f.ints for f in RATIONAL_FORMS] + [(1, 10**12 + 39), (7, -(10**9 + 7))]
+        coordinates = (Derivation2.coordinate(field, 0), Derivation2.coordinate(field, 1))
+        for h in range(1, min(7, len(pool)) + 1):
+            box = list(itertools.product((0, 1), repeat=h))
+            for _ in range(3):
+                arr = Arrangement2(field, rng.sample(pool, h))
+                for points in (box, sorted(rng.sample(box, max(2, len(box) // 4)))):
+                    stats.reset()
+                    pairs = list(multiarr2._box_bases(arr, points))
+                    steps = stats.snapshot()["multiarr2.unit_steps"]
+                    assert steps == len({m[: i + 1] for m in points for i in range(h) if m[i]})
+                    assert steps == 2**h - 1 or points is not box
+                    for m, pair in zip(points, pairs):
+                        assert pair == (basis(arr, m) if any(m) else coordinates), (arr.forms, m)
+
+
 # The dihedral arrangements of 3, 4 and 6 lines over Q; the six G2 lines after a real linear change of coordinates.
 COXETER = {
     "a2": ((1, 0), (0, 1), (1, 1)),

@@ -1,5 +1,7 @@
 """The connection, descent of lower bases, and shift certificates."""
 
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from multiarr.exactalg import GF, QQ, BinaryForm
 from multiarr.multiarr2 import (
     Arrangement2,
     Derivation2,
+    _content_product,
     basis,
     exponents,
     lower_degree_basis,
@@ -140,6 +143,11 @@ class TestIntPathAgainstFormOracles:
         assert_same_derivation(image, oracles.nabla(theta, phi))
         if phi.degree:
             assert (image.f, image.g) == (oracles.apply_to_form(theta, phi.f), oracles.apply_to_form(theta, phi.g))
+            # the certificate's images: the same ints up to the content, residues over GF(p)
+            parts = shift._connection(theta, shift._partials(phi))
+            assert Derivation2.from_ints(field, image.degree, *parts, *_content_product(theta, phi)) == image
+            if field.char:
+                assert tuple(map(tuple, parts)) == image.ints
         assert saito_det(theta, phi) == oracles.saito_det(theta, phi)
         assert saito_det(phi, image) == oracles.saito_det(phi, image)
 
@@ -267,10 +275,65 @@ class TestShiftCertificate:
     def test_thirteen_lines_are_sampled(self):
         # above h = 12 a seeded sample of 256 distinct 0/1-shifts is checked
         arr = Arrangement2(QQ, [(1, k) for k in range(12)] + [(0, 1)])
-        cert = shift_isomorphism_check(arr, (1,) * 13)
+        cert = certified_as_per_shift(arr, (1,) * 13)
         assert cert.mode == "sampled(256)"
         assert len(cert.checked_shifts) == 256
         assert cert.passed
+
+
+def certified_as_per_shift(arr, m0):
+    """shift_isomorphism_check at m0, once each check equals that of the per-shift route (tests/oracles.py).
+
+    The one pass and the route agree on every ShiftCheck field, the type of the scalar and every reproducer.
+    """
+    cert = shift_isomorphism_check(arr, m0)
+    want = oracles.shift_checks(arr, m0)
+    assert cert.checked_shifts == want
+    assert [type(c.saito_scalar) for c in cert.checked_shifts] == [type(c.saito_scalar) for c in want]
+    return cert
+
+
+# Lines whose constant multiplicities (c,)*h with c odd attain the maximal gap h - 2 over Q (the dihedral
+# arrangements of 3, 4 and 6 lines), and five lines where only some do.
+SHIFT_LINES = {
+    "a2": ((1, 0), (0, 1), (1, 1)),
+    "b2": ((1, 0), (0, 1), (1, -1), (1, 1)),
+    "five": ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)),
+    "g2": ((1, 0), (0, 1), (1, 1), (1, -1), (3, 1), (3, -1)),
+}
+
+
+class TestOnePassAgainstPerShiftRoute:
+    def test_seeded_arrangements(self):
+        """Each set of SHIFT_LINES, as it is and after a seeded change of coordinates, at (c,)*h, c odd, ch <= 48.
+
+        Over Q every certificate passes; over GF(p) some fail, with their reproducers.  Only points where the
+        hypotheses hold are certified.
+        """
+        rng = random.Random(34)
+        tally = {}
+        for field in (QQ, GF(2), GF(3), GF(5), GF(7), GF(13), GF(2**31 - 1)):
+            for lines in SHIFT_LINES.values():
+                a, b, c, d = 1, 0, 0, 1
+                for _ in range(2):
+                    try:
+                        arr = Arrangement2(field, [(u * a + v * c, u * b + v * d) for u, v in lines])
+                    except ValueError:  # two lines meet mod p, or one vanishes
+                        arr = None
+                    for k in range(1, 48 // len(lines) + 1, 2) if arr else ():
+                        try:
+                            cert = certified_as_per_shift(arr, (k,) * arr.h)
+                        except ValueError:  # a hypothesis fails at (k,)*h
+                            continue
+                        counted = tally.setdefault(field.char, [0, 0])
+                        counted[0] += 1
+                        counted[1] += not cert.passed
+                    a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+                    while not (a * d - b * c) % (field.char or 2**61 - 1):
+                        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        assert tally[0][0] > 30 and tally[0][1] == 0
+        assert sum(n for p, (n, _) in tally.items() if p) > 100
+        assert sum(bad for p, (_, bad) in tally.items() if p) > 10
 
 
 class TestAmEuler:
@@ -302,8 +365,8 @@ class TestAmEuler:
                          "the shift theorem assumes characteristic zero"]
 
     def test_failure_under_every_hypothesis_raises(self, monkeypatch):
-        real = shift.saito_criterion
-        monkeypatch.setattr(shift, "saito_criterion", lambda *args: (real(*args)[0], None))
+        real = shift._saito_criterion
+        monkeypatch.setattr(shift, "_saito_criterion", lambda *args: (real(*args)[0], None))
         with pytest.raises(RuntimeError, match="every hypothesis holds"):
             is_am_euler(a2(), (2, 2, 1), lower_degree_basis(a2(), (2, 2, 1)))
 
@@ -348,7 +411,7 @@ class TestShiftTheoremAtEveryMaximizer:
         region = LatticeRegion(arr, (cap,) * h)
         found = verify_theorem_limit(region).maximizers
         assert len(found) == maximizers
-        assert [m0 for m0 in found if not shift_isomorphism_check(arr, m0).passed] == []
+        assert [m0 for m0 in found if not certified_as_per_shift(arr, m0).passed] == []
         inside = {m0 for m0 in found if max(m0) + h - 2 <= cap}  # the ball of radius h - 2 fits
         assert len(inside) == enclosed
         assert inside == {c.peak for c in verify_theorem_str(region).components if c.peak_delta == h - 2}

@@ -99,9 +99,9 @@ class TestCli:
         assert got["multiarr2.saito_checks"] == 2 * 4096 - 1  # the zero shift has no basis to certify
         assert got["shift.nabla"] == 2 * 4096
         assert got["exactalg.divide_linear"] == 143_296
-        # one state per nonzero 0/1 point (m0 among them), each a chain of Sum_{i>=2} m_i steps
-        assert got["cache.multiarr2._unit_state.misses"] == 4095
-        assert got["multiarr2.unit_steps"] == 10 * 2**11 == 20_480  # Sum over {0,1}^12 of Sum_{i>=2} m_i
+        # one walk of the box, one step per nonzero 0/1 point, and m0's chain of Sum_{i>=2} m_i steps
+        assert got["cache.multiarr2._unit_state.misses"] == 1
+        assert got["multiarr2.unit_steps"] == (2**12 - 1) + 10 == 4_105
 
     @pytest.mark.parametrize("k, steps", [(16, 48), (32, 96)])
     def test_exp_steps_past_the_two_line_start(self, capsys, monkeypatch, tmp_path, k, steps):
