@@ -10,19 +10,19 @@ The exponents and the canonical basis both come from a basis built one
 unit of multiplicity at a time (the addition step of Abe-Terao-Wakefield):
 raising m(H) by one either keeps the lower element and multiplies the
 other by alpha_H, or multiplies the lower one by alpha_H and cancels one
-residue in the other.  A single query starts from the closed-form basis
-alpha1^m1 * E2, alpha2^m2 * E1 of the first two lines (E_i the constant
-derivation that kills alpha_i) and takes one unit step per unit of
-multiplicity on the other lines, caching only the state it ends at; a
-lattice scan does not use that cache, but walks its region from m = 0 one
-unit step per point, or only the step's first residue at a leaf of the
-walk whose state nothing reads (see :func:`_region_walk`); the shift
-certificate walks the 0/1 box the same way, one unit step per point,
-and reads a certified basis off each state (see :func:`_box_bases`).
-The canonical elements are read off whichever basis a state holds; the
-lower one alone when only it is asked for.  No tangency system is solved:
-``exactalg.Matrix`` has no caller in the library, and is kept for the
-benchmark's tracer and as a test oracle.
+residue in the other.  One walk (see :func:`_walk`) builds the states
+that callers read a basis off, from the closed-form basis alpha1^m1 * E2,
+alpha2^m2 * E1 of the first two lines (E_i the constant derivation that
+kills alpha_i), one unit step per unit of multiplicity on the other
+lines: a single query walks its one point and caches only the state it
+ends at, and the shift certificate walks the 0/1 box.  A lattice scan
+walks its region from m = 0 in a walk of its own (see
+:func:`_region_walk`): most of its leaves take only a step's first
+residue and build no state, which a walk that yields every state cannot
+skip.  The canonical elements are read off whichever basis a state
+holds; the lower one alone when only it is asked for.  No tangency
+system is solved: ``exactalg.Matrix`` has no caller in the library, and
+is kept for the benchmark's tracer and as a test oracle.
 
 Everything is a pure function of immutable values; results are memoised,
 so repeated queries are cheap and thread-safe.
@@ -213,7 +213,7 @@ def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
 
     A basis of D(arr, m) is built from the basis at m - e_j by one addition
     step (see :func:`_unit_step`), from the closed form on the first two
-    lines on (see :func:`_unit_state`), so no tangency system is solved and
+    lines on (see :func:`_walk`), so no tangency system is solved and
     m takes Sum_{i>=2} m(H_i) steps.  The lattice verifiers call this only
     for points their region table does not hold.
     """
@@ -236,22 +236,46 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
     """(d1, d2, theta1, theta2): a basis of D(arr, m), each theta = (f, g).
 
     f and g are int coefficient vectors in BinaryForm order, primitive over
-    Q and residues over GF(p).  For h >= 2 the chain to m starts at the
-    closed form of :func:`_two_line_state` on the first two lines (at
-    D1, D2 when m1 = m2 = 0) and fills m(H) from the third hyperplane on
-    (from the first for h = 1), one unit step each, so on a miss m takes
-    Sum_{i>=2} m(H_i) steps whatever was asked before.  Only the state at
-    m is cached, for the read-outs that follow a query.
+    Q and residues over GF(p).  It is the walk of the one point m, so a
+    miss takes Sum_{i>=2} m(H_i) steps whatever was asked before.  Only
+    the state at m is cached, for the read-outs that follow a query.
     """
-    start = 2 if len(m) > 1 else 0
-    state = _two_line_state(arr, m) if any(m[:start]) else _BASE_STATE
-    for alpha, n in zip(arr.forms[start:], m[start:]):
-        for k in range(n):
-            state = _unit_step(alpha, k, state)
-    steps = sum(m[start:])
-    counts["multiarr2.unit_steps"] += steps
-    counts["multiarr2.residues"] += steps
+    (state,) = _walk(arr, (m,))
     return state
+
+
+def _walk(arr: Arrangement2, points):
+    """The unit-step state at each point of points, given in lexicographic order.
+
+    For h >= 2 a state starts at the closed form of :func:`_two_line_state`
+    on the first two lines and fills m(H) from the third line on (from the
+    first for h = 1), one unit step each.  path[i] holds the state at
+    m[:i + 1] followed by zeros.  A point with the first two entries of the
+    point before keeps the path below the first index i where the two
+    differ, and steps on from path[i], the state at m[:i] + (prev[i],), as
+    prev[i] < m[i]; any other point starts again from the closed form.
+    Each state is built once and is that of the point alone, so the box
+    {0,1}^h takes 2^h - 4 steps for h >= 2.
+    """
+    forms, h, prev = arr.forms, arr.h, None
+    start = 2 if h > 1 else 0
+    for m in points:
+        if prev is None or m[:start] != prev[:start]:
+            prev = m[:start] + (0,) * (h - start)
+            path = [_two_line_state(arr, m) if any(m[:start]) else _BASE_STATE] * h
+        i = min(start, h - 1)  # path[h - 1] is the state at prev
+        while i < h - 1 and m[i] == prev[i]:
+            i += 1
+        state, k = path[i], prev[i]
+        steps = sum(m[i:]) - k
+        for j in range(i, h):
+            for n in range(k, m[j]):
+                state = _unit_step(forms[j], n, state)
+            path[j], k = state, 0
+        counts["multiarr2.unit_steps"] += steps
+        counts["multiarr2.residues"] += steps
+        prev = m
+        yield state
 
 
 def _two_line_state(arr: Arrangement2, m: Multiplicity):
@@ -297,9 +321,10 @@ def _region_walk(arr: Arrangement2, points, caps: Multiplicity, total):
     points are the points under caps (and of |m| <= total when total is not
     None) in lexicographic order, so each m comes after m - e_j, j the last
     nonzero index of m.  The state at m is one _unit_step from the state at
-    m - e_j, as in the chain of _unit_state; but the walk starts at m = 0,
-    not at the closed form on the first two lines, so its states and those
-    of _unit_state are in general different bases of one module.  path[i]
+    m - e_j, as in :func:`_walk`; but this walk starts at m = 0, not at the
+    closed form on the first two lines, so its states and those of _walk
+    are in general different bases of one module.  It is kept apart from
+    _walk for its leaves (below), most of which build no state.  path[i]
     holds the state at m[:i + 1] followed by zeros, so only the states of
     the current path are kept.  The table and the shell share one Exponents2
     per degree pair.
@@ -546,7 +571,7 @@ def _canonical_basis(arr: Arrangement2, state):
     reads it.  The kernel vectors before theta2 lie in theta1*S_delta, so
     theta2 is the other element zeroed where each x1^i*x2^(delta-i)*theta1
     ends, for i from delta down to 0.  Any basis of D(arr, m) gives the same
-    pair, so the state may come from any chain or walk to m.
+    pair, so the state may come from any walk to m.
     """
     p = arr.field.char
     d1, d2, lo, hi = _lower_state(p, state)
@@ -736,38 +761,6 @@ def _certified_basis(arr: Arrangement2, mt: Multiplicity, state):
             f"theta1={theta1.render()}, theta2={theta2.render()}"
         )
     return theta1, theta2
-
-
-def _box_bases(arr: Arrangement2, points):
-    """The basis at each point of points, 0/1 multiplicities in lexicographic order, from one walk.
-
-    path[i] holds the state at m[:i + 1] followed by zeros, from m = 0 on.
-    A point keeps the path up to the first index where it differs from the
-    point before and makes one unit step for each 1 after it, so the whole
-    box {0,1}^h takes one step per nonzero point, as :func:`_region_walk`
-    does.  The pair at m != 0 is that of basis(), read off the walk's state
-    and certified by :func:`_certified_basis`; at m = 0 it is D1, D2.
-    """
-    forms, h = arr.forms, arr.h
-    path, prev = [_BASE_STATE] * h, (0,) * h
-    for m in points:
-        i = 0
-        while i < h and m[i] == prev[i]:
-            i += 1
-        state = path[i - 1] if i else _BASE_STATE
-        steps = 0
-        for j in range(i, h):
-            if m[j]:
-                state = _unit_step(forms[j], 0, state)
-                steps += 1
-            path[j] = state
-        counts["multiarr2.unit_steps"] += steps
-        counts["multiarr2.residues"] += steps
-        prev = m
-        if any(m):
-            yield _certified_basis(arr, m, state)
-        else:
-            yield Derivation2.coordinate(arr.field, 0), Derivation2.coordinate(arr.field, 1)
 
 
 def nonbalanced_exponents(arr: Arrangement2, m: Sequence[int]):

@@ -6,10 +6,10 @@ balanced multiplicity m0 attains the maximal gap h - 2, mapping theta to
 of the derivation module at any 0/1-multiplicity m to a basis at
 m0 + m - 1; :func:`shift_isomorphism_check` certifies this via Saito's
 criterion for every shift, in one pass over the shifts: the bases come
-from one walk of the 0/1 box, the partials of theta0 are taken once, and
-the images are checked on their ints.  A failure under satisfied
-hypotheses is the most interesting possible output, so failing checks
-carry a full reproducer.
+from one walk of the 0/1 box (see :func:`multiarr2._walk`), the partials
+of theta0 are taken once, and the images are checked on their ints.  A
+failure under satisfied hypotheses is the most interesting possible
+output, so failing checks carry a full reproducer.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .multiarr2 import (
     Arrangement2,
     Derivation2,
     Multiplicity,
-    _box_bases,
+    _certified_basis,
     _content_product,
     _convolve,
     _saito_criterion,
+    _walk,
     exponents,
     is_balanced,
     lower_degree_basis,
@@ -212,11 +213,13 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     Over GF(p) the certificate carries a char_warning and its
     hypothesis_met is False.
 
-    The bases at the shifts, in lexicographic order, come from one walk of
-    the 0/1 box (see :func:`multiarr2._box_bases`).  Each image is formed
-    from theta0's partials, taken once, and checked on its ints and content
-    by :func:`multiarr2._saito_criterion`; a Derivation2 is built for an
-    image only for the reproducer of a failing check.
+    The states at the shifts, in lexicographic order, come from one walk of
+    the 0/1 box (see :func:`multiarr2._walk`), and the basis read off each
+    is certified as basis() certifies it; at m = 0 the basis is D1, D2.
+    Each image is formed from theta0's partials, taken once, and checked on
+    its ints and content by :func:`multiarr2._saito_criterion`; a
+    Derivation2 is built for an image only for the reproducer of a failing
+    check.
     """
     mt = arr.check_multiplicity(m0)
     h = arr.h
@@ -243,7 +246,9 @@ def shift_isomorphism_check(arr: Arrangement2, m0: Sequence[int]) -> ShiftCertif
     checks = []
     field = arr.field
     partials = _partials(theta0)  # theta0 has degree d1 >= 1, as |m0| >= h
-    for m, pair in zip(shifts, _box_bases(arr, shifts)):
+    coordinates = (Derivation2.coordinate(field, 0), Derivation2.coordinate(field, 1))
+    for m, state in zip(shifts, _walk(arr, shifts)):
+        pair = _certified_basis(arr, m, state) if any(m) else coordinates
         target = tuple(a + b - 1 for a, b in zip(mt, m))
         images = [_connection(t, partials) for t in pair]
         counts["shift.nabla"] += 2

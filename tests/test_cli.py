@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import multiarr
 import oracles
-from multiarr import arr3, cli, corpus, multiarr2, shift
+from multiarr import arr3, cli, corpus, lattice, multiarr2, shift
 from multiarr.corpus import ArrangementDocument
+from multiarr.multiarr2 import Exponents2
 from multiarr.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -576,6 +577,50 @@ class TestLatticeCommand:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_USAGE
             assert err.startswith("error: ") and argv[2] in err
+
+
+class TestPlantedGap:
+    """One wrong gap planted in the region table reaches the report, its FAIL lines, the verdict and exit 2."""
+
+    @staticmethod
+    def plant(monkeypatch, point, gap):
+        """Give point the gap gap, in the region table and in exponents both."""
+        real_map, real_exponents = lattice.exponent_map, lattice.exponents
+
+        def faulty(e):
+            return Exponents2(e.d1, e.d1 + gap)
+
+        def table(region):
+            emap = real_map(region)
+            emap[point] = faulty(emap[point])
+            return emap
+
+        def exponents(arr, m):
+            e = real_exponents(arr, m)
+            return faulty(e) if m == point else e
+
+        monkeypatch.setattr(lattice, "exponent_map", table)
+        monkeypatch.setattr(lattice, "exponents", exponents)
+
+    def test_verify_one(self, capsys, monkeypatch):
+        self.plant(monkeypatch, (1, 1, 1), 3)  # the gap of a2 at (1, 1, 1) is 1
+        report = lattice.verify_lemma_one(lattice.LatticeRegion(corpus.arrangement("a2"), (3, 3, 3)))
+        assert len(report.failures) == 6  # each unit step into and out of the point
+        assert report.failures[0] == ((0, 1, 1), (1, 1, 1), 0, 3)
+        code, out, _ = run(capsys, "lattice", corpus_file("a2"), "--caps", "3,3,3", "--verify", "one")
+        assert code == EXIT_VIOLATION
+        assert "\n  FAIL (0, 1, 1) -> (1, 1, 1): gaps 0, 3\n" in out
+        assert "\nverdict: VIOLATION\n" in out
+
+    def test_verify_str(self, capsys, monkeypatch):
+        self.plant(monkeypatch, (1, 1, 1, 2, 2), 3)  # its gap is 1, at distance 2 from the peak (1, 1, 1, 1, 1) of gap 3
+        first = "gap law fails at (1, 1, 1, 2, 2): gap 3 != 1 (peak (1, 1, 1, 1, 1))"
+        report = lattice.verify_theorem_str(lattice.LatticeRegion(corpus.arrangement("five_lines"), (4,) * 5))
+        assert report.failures[0] == first
+        code, out, _ = run(capsys, "lattice", corpus_file("five_lines"), "--caps", "4,4,4,4,4", "--verify", "str")
+        assert code == EXIT_VIOLATION
+        assert f"\n  FAIL {first}\n" in out
+        assert "\nverdict: VIOLATION\n" in out
 
 
 class TestShiftCommand:

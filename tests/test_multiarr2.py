@@ -194,6 +194,10 @@ class TestLowerBasis:
 
 
 class TestBasis:
+    def test_zero_total_rejected(self):
+        with pytest.raises(ValueError, match=r"\|m\| = 0 has no canonical basis choice"):
+            basis(a2(), (0, 0, 0))
+
     def test_saito_examples(self):
         d1 = Derivation2.coordinate(QQ, 0)
         d2 = Derivation2.coordinate(QQ, 1)
@@ -494,34 +498,40 @@ class TestTwoLineStart:
         clear_multiarr_caches()
 
 
-class TestBoxWalk:
+class TestWalk:
     @pytest.mark.parametrize("field", SOLVER_FIELDS, ids=lambda f: f.name)
-    def test_every_pair_is_the_basis(self, field):
-        """_box_bases gives basis(arr, m) at each nonzero point of {0,1}^h, and D1, D2 at m = 0.
+    def test_states_are_the_single_query_states(self, field):
+        """_walk yields the state of _unit_state at each point, and the pair of basis() at each nonzero 0/1 point.
 
-        Three seeded arrangements for each h = 1..7 that the field allows, each on its whole box and on a
-        sorted sparse subset of it.  The walk makes one unit step per distinct prefix of a listed point that
-        ends in a 1: 2^h - 1 on the whole box.
+        Three seeded arrangements for each h = 1..7 that the field allows, each on its whole 0/1 box, on a
+        sorted sparse quarter of it and on a sorted set of points with entries 0..4.  The walk builds each
+        state past the first two lines once (past none for h = 1): one unit step per distinct m[:j] + (k,)
+        with 1 <= k <= m[j], so 2^h - 4 on the whole box for h >= 2.
         """
-        rng = random.Random(field.char + 34)
+        rng = random.Random(field.char + 35)
         p = field.char
         if p:
             pool = [(0, 1)] + [(1, t) for t in range(min(p, 8))]
         else:
             pool = [f.ints for f in RATIONAL_FORMS] + [(1, 10**12 + 39), (7, -(10**9 + 7))]
-        coordinates = (Derivation2.coordinate(field, 0), Derivation2.coordinate(field, 1))
         for h in range(1, min(7, len(pool)) + 1):
+            start = 2 if h > 1 else 0
             box = list(itertools.product((0, 1), repeat=h))
             for _ in range(3):
                 arr = Arrangement2(field, rng.sample(pool, h))
-                for points in (box, sorted(rng.sample(box, max(2, len(box) // 4)))):
-                    stats.reset()
-                    pairs = list(multiarr2._box_bases(arr, points))
+                wide = sorted({tuple(rng.randint(0, 4) for _ in range(h)) for _ in range(12)})
+                for points in (box, sorted(rng.sample(box, max(2, len(box) // 4))), wide):
+                    stats.reset()  # zero counters and empty caches
+                    states = list(multiarr2._walk(arr, points))
                     steps = stats.snapshot()["multiarr2.unit_steps"]
-                    assert steps == len({m[: i + 1] for m in points for i in range(h) if m[i]})
-                    assert steps == 2**h - 1 or points is not box
-                    for m, pair in zip(points, pairs):
-                        assert pair == (basis(arr, m) if any(m) else coordinates), (arr.forms, m)
+                    assert steps == len({m[:j] + (k,) for m in points for j in range(start, h) for k in range(1, m[j] + 1)})
+                    assert steps == 2**h - 4 or points is not box or h == 1
+                    for m, state in zip(points, states):
+                        clear_multiarr_caches()
+                        assert state == multiarr2._unit_state(arr, m), (arr.forms, m)
+                        if any(m) and max(m) == 1:
+                            assert multiarr2._certified_basis(arr, m, state) == basis(arr, m), (arr.forms, m)
+        clear_multiarr_caches()
 
 
 # The dihedral arrangements of 3, 4 and 6 lines over Q; the six G2 lines after a real linear change of coordinates.

@@ -130,12 +130,23 @@ def test_no_module_but_exactalg_solves_a_linear_system():
     assert callers_of("Matrix", "divisibility_constraints") == {"exactalg"}
 
 
-def test_unit_state_does_not_call_itself():
-    """A single query is one flat chain: _unit_state reads no state, its own cache included, one unit below."""
+def multiarr2_calls(name: str) -> set:
+    """The names that the multiarr2 function of this name calls directly."""
     tree = ast.parse((Path(multiarr.__file__).parent / "multiarr2.py").read_text(encoding="utf-8"))
-    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_unit_state"]
-    called = {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
-    assert "_unit_state" not in called and "_two_line_state" in called
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_unit_state_is_the_walk_of_one_point():
+    """A single query reads no state one unit below, its own cache included: it is the walk of its point."""
+    called = multiarr2_calls("_unit_state")
+    assert "_walk" in called and "_unit_state" not in called
+
+
+def test_walk_starts_from_the_two_line_closed_form():
+    """The walk is one flat loop from the closed form: it reads no cached state and does not recurse."""
+    called = multiarr2_calls("_walk")
+    assert "_two_line_state" in called and not called & {"_unit_state", "_walk"}
 
 def test_arr3_char_poly_is_the_only_chi():
     """The characteristic polynomial has one formula: no other src/ function or method is named char_poly."""

@@ -99,9 +99,18 @@ class TestCli:
         assert got["multiarr2.saito_checks"] == 2 * 4096 - 1  # the zero shift has no basis to certify
         assert got["shift.nabla"] == 2 * 4096
         assert got["exactalg.divide_linear"] == 143_296
-        # one walk of the box, one step per nonzero 0/1 point, and m0's chain of Sum_{i>=2} m_i steps
+        # one walk of the box, one step per nonzero 0/1 point past the first two lines, and m0's walk of
+        # Sum_{i>=2} m_i steps
         assert got["cache.multiarr2._unit_state.misses"] == 1
-        assert got["multiarr2.unit_steps"] == (2**12 - 1) + 10 == 4_105
+        assert got["multiarr2.unit_steps"] == (2**12 - 4) + 10 == 4_102
+
+    def test_three_line_shift_starts_from_the_two_line_form(self, capsys):
+        """a2 at m0 = (5, 5, 5): m0's walk takes 5 steps, the box 2^3 - 4 = 4, one per 0/1 point with m3 = 1.
+
+        Each step reads one residue, and one more when its first residue is nonzero, as at all 9 here.
+        """
+        got = counted(capsys, "shift", A2, "--m0", "5,5,5")
+        assert (got["multiarr2.unit_steps"], got["multiarr2.residues"]) == (5 + 4, 18)
 
     @pytest.mark.parametrize("k, steps", [(16, 48), (32, 96)])
     def test_exp_steps_past_the_two_line_start(self, capsys, monkeypatch, tmp_path, k, steps):
