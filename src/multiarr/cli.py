@@ -8,6 +8,9 @@ document.
 Every document command runs through :func:`main`, which loads and builds
 the document once, times the command and emits what it returns; a command
 refuses an input by raising ``ValueError`` (printed as ``error: ...``).
+The grammar is argparse's alone: a plain command line is read off the
+actions of its command (see :func:`_parse_args`), and every other line,
+with all help, usage and error text, goes to the argparse parser.
 
 Exit codes: 0 success, including a failure flagged as expected because a
 hypothesis fails (positive characteristic); 1 hypothesis or usage error;
@@ -377,7 +380,7 @@ def cmd_verify_all(args, doc):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit with EXIT_USAGE, not 2."""
 
-    commands: dict  # on the top parser, set by _build_parser: each command's own subparser, by name
+    arguments: dict  # on the top parser, set by _build_parser: the actions add_argument returned, by command
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -393,33 +396,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", help="emit canonical JSON instead of text")
-        p.add_argument("--stats", action="store_true", help="write the work counters as one JSON line to stderr")
+        return (
+            p.add_argument("--json", action="store_true", help="emit canonical JSON instead of text"),
+            p.add_argument("--stats", action="store_true", help="write the work counters as one JSON line to stderr"),
+        )
 
+    arguments = parser.arguments = {}
     p = sub.add_parser("exp", help="exponents and lower basis of a 2-multiarrangement")
-    p.add_argument("file", help="arrangement document (path or '-')")
-    common(p)
+    arguments["exp"] = (p.add_argument("file", help="arrangement document (path or '-')"), *common(p))
 
     p = sub.add_parser("lattice", help="scan a finite multiplicity region and verify a law")
-    p.add_argument("file")
-    p.add_argument("--caps", required=True, help="per-hyperplane caps, comma separated")
-    p.add_argument("--total", type=int, default=None, help="optional cap on |m|")
-    p.add_argument("--verify", required=True, choices=("one", "limit", "str"))
-    common(p)
+    arguments["lattice"] = (
+        p.add_argument("file"),
+        p.add_argument("--caps", required=True, help="per-hyperplane caps, comma separated"),
+        p.add_argument("--total", type=int, default=None, help="optional cap on |m|"),
+        p.add_argument("--verify", required=True, choices=("one", "limit", "str")),
+        *common(p),
+    )
 
     p = sub.add_parser("shift", help="certify the shift map at m0")
-    p.add_argument("file")
-    p.add_argument("--m0", default=None, help="multiplicity, comma separated (default: document)")
-    common(p)
+    arguments["shift"] = (
+        p.add_argument("file"),
+        p.add_argument("--m0", default=None, help="multiplicity, comma separated (default: document)"),
+        *common(p),
+    )
 
     p = sub.add_parser("free", help="freeness verdict of a central 3-arrangement")
-    p.add_argument("file")
-    p.add_argument("--H0", type=int, default=None, help="restriction hyperplane index")
-    common(p)
+    arguments["free"] = (
+        p.add_argument("file"),
+        p.add_argument("--H0", type=int, default=None, help="restriction hyperplane index"),
+        *common(p),
+    )
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    common(p)
-    parser.commands = sub.choices
+    arguments["verify-all"] = common(p)
     return parser
 
 
@@ -430,17 +440,59 @@ _PARSER = _build_parser()
 def _parse_args(argv: list) -> argparse.Namespace:
     """argv parsed as _PARSER.parse_args(argv) parses it, with the same output and exit.
 
-    A line that starts with a command name is parsed by that command's own
-    subparser, which is what the top parser hands it to; any other line,
-    and one that leaves arguments the subparser does not know (which the
-    top parser reports), goes through the top parser.
+    A plain line, a command followed by exact option strings with their
+    values and the command's one positional, is read off the command's
+    actions (see :func:`_plain_args`); any other line goes through the top
+    parser, which also prints every help, usage and error text.
     """
-    sub = _PARSER.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return _PARSER.parse_args(argv)
+    actions = _PARSER.arguments.get(argv[0]) if argv else None
+    args = _plain_args(argv[0], actions, argv[1:]) if actions else None
+    return args if args is not None else _PARSER.parse_args(argv)
+
+
+def _plain_args(command: str, actions, tokens) -> argparse.Namespace | None:
+    """The namespace the top parser gives for command and tokens, or None unless the line is plain.
+
+    Plain means: each token is an exact option string of one of actions,
+    used once, or the one positional; an option that takes a value is
+    followed by one token, "-" or one that does not start with "-", that
+    passes the action's type and choices; and every required action is
+    given.  Every dest not given takes its default.  Only the public
+    attributes of each action are read, so argparse alone defines the
+    grammar, and a line this reading does not cover is left to it.
+    """
+    options = {s: a for a in actions for s in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token)
+        if action is not None and action.nargs == 0:
+            value = action.const
+        else:
+            if action is not None:
+                token = next(tokens, None)
+            elif positionals:
+                action = positionals.pop()
+            else:
+                return None
+            if token is None or action.nargs is not None or (token.startswith("-") and token != "-"):
+                return None
+            try:
+                value = token if action.type is None else action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        if action.dest in given:
+            return None
+        given[action.dest] = value
+    for action in actions:
+        if action.dest not in given:
+            if action.required:
+                return None
+            given[action.dest] = action.default
+    return argparse.Namespace(command=command, **given)
 
 
 def _command(name: str):

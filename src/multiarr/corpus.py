@@ -69,6 +69,10 @@ class ArrangementDocument:
         return GF(self.field_desc["p"])
 
 
+_DOC_KEYS = frozenset(("name", "field", "dim", "central", "hyperplanes"))
+_ENTRY_KEYS = frozenset(("coeffs", "mult"))
+
+
 def parse_document(text: str) -> ArrangementDocument:
     try:
         raw = json.loads(text)
@@ -78,9 +82,8 @@ def parse_document(text: str) -> ArrangementDocument:
         raise DocumentError("invalid JSON: nesting too deep") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
-    unknown = set(raw) - {"name", "field", "dim", "central", "hyperplanes"}
-    if unknown:
-        raise DocumentError(f"unknown keys {sorted(unknown)}")
+    if not raw.keys() <= _DOC_KEYS:
+        raise DocumentError(f"unknown keys {sorted(raw.keys() - _DOC_KEYS)}")
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError("name: expected a string")
@@ -110,15 +113,15 @@ def parse_document(text: str) -> ArrangementDocument:
         where = f"hyperplanes[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: expected an object")
-        unknown = set(entry) - {"coeffs", "mult"}
-        if unknown:
-            raise DocumentError(f"{where}: unknown keys {sorted(unknown)}")
+        if not entry.keys() <= _ENTRY_KEYS:
+            raise DocumentError(f"{where}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != width:
             raise DocumentError(f"{where}.coeffs: expected {width} entries")
         if not all(isinstance(c, str) for c in coeffs):
             raise DocumentError(f"{where}.coeffs: coefficients are exact-number strings")
-        if field_desc == "Q" and any(ch in c for c in coeffs for ch in "eE"):
+        joined = "".join(coeffs)  # one string to search: no generator over the coefficients
+        if field_desc == "Q" and ("e" in joined or "E" in joined):
             raise DocumentError(f"{where}.coeffs: exponent notation is not accepted")
         mult = entry.get("mult", 1)
         if "mult" in entry and not mult_allowed:

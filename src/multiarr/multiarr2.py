@@ -245,22 +245,23 @@ def _unit_state(arr: Arrangement2, m: Multiplicity):
 
 
 def _walk(arr: Arrangement2, points):
-    """The unit-step state at each point of points, given in lexicographic order.
+    """The unit-step state at each point of points, which are cheapest in lexicographic order.
 
     For h >= 2 a state starts at the closed form of :func:`_two_line_state`
     on the first two lines and fills m(H) from the third line on (from the
     first for h = 1), one unit step each.  path[i] holds the state at
     m[:i + 1] followed by zeros.  A point with the first two entries of the
-    point before keeps the path below the first index i where the two
-    differ, and steps on from path[i], the state at m[:i] + (prev[i],), as
-    prev[i] < m[i]; any other point starts again from the closed form.
-    Each state is built once and is that of the point alone, so the box
+    point before, and above it at the first index i where the two differ,
+    keeps the path below i and steps on from path[i], the state at
+    m[:i] + (prev[i],), as prev[i] < m[i]; any other point, a lower one
+    included, starts again from the closed form.  Each state is that of
+    the point alone, and on sorted points each is built once, so the box
     {0,1}^h takes 2^h - 4 steps for h >= 2.
     """
     forms, h, prev = arr.forms, arr.h, None
     start = 2 if h > 1 else 0
     for m in points:
-        if prev is None or m[:start] != prev[:start]:
+        if prev is None or m[:start] != prev[:start] or m[start:] < prev[start:]:
             prev = m[:start] + (0,) * (h - start)
             path = [_two_line_state(arr, m) if any(m[:start]) else _BASE_STATE] * h
         i = min(start, h - 1)  # path[h - 1] is the state at prev

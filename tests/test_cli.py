@@ -165,9 +165,16 @@ class TestDocuments:
              r"^hyperplanes\[0\]: unknown keys \['weight'\]$"),
             ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": [1, "0"]}]}',
              r"^hyperplanes\[0\]\.coeffs: coefficients are exact-number strings$"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1", "2e3"]}]}',
+             r"^hyperplanes\[0\]\.coeffs: exponent notation is not accepted$"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"weight": 1, "coeffs": ["1", "0"], "name": "x"}]}',
+             r"^hyperplanes\[0\]: unknown keys \['name', 'weight'\]$"),
+            ('{"field": "Q", "dim": 2, "hyperplanes": [{"coeffs": ["1", "0"], "mult": -1, "weight": 1}]}',
+             r"^hyperplanes\[0\]: unknown keys \['weight'\]$"),
         ],
         ids=["zero-denominator", "bool-mult", "float-dim", "huge-exponent", "exponent-E", "p-above-2^64",
-             "deep-nesting", "string-central", "non-central-dim-3", "unknown-hyperplane-key", "int-coefficient"],
+             "deep-nesting", "string-central", "non-central-dim-3", "unknown-hyperplane-key", "int-coefficient",
+             "exponent-second-coefficient", "two-unknown-hyperplane-keys", "unknown-key-before-bad-mult"],
     )
     def test_parser_holes_exit_three(self, capsys, tmp_path, text, match):
         with pytest.raises(DocumentError, match=match):
@@ -1115,25 +1122,30 @@ class TestUsageErrors:
         assert capsys.readouterr().out
 
 
-WELL_FORMED = {  # the option groups each subcommand accepts; "bogus" is an unknown command
-    "exp": [("--json",)],
-    "lattice": [("--json",), ("--caps", "1,1,1"), ("--verify", "one"), ("--verify", "str"), ("--total", "3")],
-    "shift": [("--json",), ("--m0", "1,2,3")],
-    "free": [("--json",), ("--H0", "2")],
+WELL_FORMED = {  # the option groups each subcommand accepts, abbreviated and unusual values too; "bogus" is unknown
+    "exp": [("--json",), ("--js",)],
+    "lattice": [("--json",), ("--caps", "1,1,1"), ("--verify", "one"), ("--verify", "str"), ("--total", "3"),
+                ("--total", "1_0")],
+    "shift": [("--json",), ("--m0", "1,2,3"), ("--m0", "")],
+    "free": [("--json",), ("--H0", "2"), ("--H", "2"), ("--H0=2",), ("--H0", "-1"), ("--H0", " 3")],
     "verify-all": [("--json",)],
     "bogus": [("--json",)],
 }
-OPTION = st.sampled_from([  # every group above, bad values and removed options
+OPTION = st.sampled_from([  # every group above, bad values, removed options, "--" and a missing value
     *dict.fromkeys(g for groups in WELL_FORMED.values() for g in groups),
     ("--H0", "x"), ("--caps",), ("--verify", "bogus"), ("--total", "x"), ("--jobs", "2"), ("--suite", "desk"),
+    ("--",), ("--m0", "--json"), ("--H0", "-"),
 ])
-FILE = st.sampled_from([(), ("doc.json",), ("-",)])
+FILE = st.sampled_from([(), ("doc.json",), ("-",), ("",), ("doc.json", "-")])  # none, one or two positionals
 EXITS = st.sampled_from([(), ("-h",), ("--version",)])
 
 
 @st.composite
 def command_lines(draw):
-    """An argv of the grammar; half use only the groups their command accepts, so they may parse."""
+    """An argv of the grammar; half use only the groups their command accepts, so they may parse.
+
+    Groups are drawn with replacement, so an option may be given twice.
+    """
     well_formed = draw(st.booleans())
     head = [] if well_formed else list(draw(EXITS | st.just(("--json",))))
     command = draw(st.sampled_from([None, *WELL_FORMED]))
@@ -1170,7 +1182,7 @@ class TestSharedParser:
     @settings(max_examples=300, deadline=None)
     @given(command_lines())
     def test_main_parses_as_the_top_parser(self, argv):
-        """A line parsed by its command's own subparser gives the namespace, exit code and text of the top parser."""
+        """A plain line read off its command's actions, or a line left to the top parser, parses as the top parser would."""
         assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
 
     def test_main_calls_the_command_the_module_holds(self, capsys, monkeypatch):
@@ -1185,6 +1197,32 @@ class TestSharedParser:
         assert (code, err) == (EXIT_OK, "")
         assert calls == [("exp", corpus_file("a2"), "a2")]
         assert json.loads(out)["results"] == {"patched": True}
+
+    PLAIN_LINES = [  # the lines the benchmark sends, then those of the README
+        ["exp", "-", "--json"],
+        ["shift", "-", "--m0", "3,3,3", "--json"],
+        ["free", "-", "--json"],
+        ["free", "-", "--H0", "2", "--json"],
+        ["lattice", "FILE", "--caps", "3,3,3", "--verify", "str"],
+        ["lattice", "DOC.json", "--caps", "4,4,4", "--verify", "limit"],
+        ["shift", "DOC.json", "--m0", "2,2,1"],
+        ["free", "DOC.json"],
+        ["verify-all", "--json"],
+        ["verify-all"],
+    ]
+
+    @pytest.mark.parametrize("stats", [[], ["--stats"]], ids=["no-stats", "stats"])
+    @pytest.mark.parametrize("line", PLAIN_LINES, ids=" ".join)
+    def test_plain_lines_skip_argparse(self, monkeypatch, line, stats):
+        """Each line is read off its command's actions into the top parser's namespace; argparse is never called."""
+        argv = line + stats
+        want = vars(cli._build_parser().parse_args(argv))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain line")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        assert vars(cli._parse_args(argv)) == want
 
     def test_main_builds_no_parser(self, capsys, monkeypatch):
         braid3, a2 = corpus_file("braid3"), corpus_file("a2")

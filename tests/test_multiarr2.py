@@ -533,6 +533,26 @@ class TestWalk:
                             assert multiarr2._certified_basis(arr, m, state) == basis(arr, m), (arr.forms, m)
         clear_multiarr_caches()
 
+    @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=lambda f: f.name)
+    def test_unsorted_points_restart(self, field):
+        """A point below the one before it starts again, so each state is still that of the point alone.
+
+        Three seeded arrangements for each h = 1..6, on the reversed 0/1 box, on unsorted points with entries 0..4
+        and on (1, ..., 1) then (1, ..., 1, 0); a walk that stepped on from a higher point would yield its state.
+        """
+        rng = random.Random(field.char + 36)
+        pool = [f.ints for f in RATIONAL_FORMS]
+        for h in range(1, 7):
+            box = list(itertools.product((0, 1), repeat=h))[::-1]
+            for _ in range(3):
+                arr = Arrangement2(field, rng.sample(pool, h))
+                wide = [tuple(rng.randint(0, 4) for _ in range(h)) for _ in range(12)]
+                for points in (box, wide, [(1,) * h, (1,) * (h - 1) + (0,)]):
+                    for m, state in zip(points, list(multiarr2._walk(arr, points))):
+                        clear_multiarr_caches()
+                        assert state == multiarr2._unit_state(arr, m), (arr.forms, m)
+        clear_multiarr_caches()
+
 
 # The dihedral arrangements of 3, 4 and 6 lines over Q; the six G2 lines after a real linear change of coordinates.
 COXETER = {
