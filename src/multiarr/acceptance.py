@@ -277,11 +277,12 @@ def criterion_coning_zaslavsky():
 def criterion_property_suite():
     """Saito's criterion on bases, descent of lower bases, crossing independence."""
     problems = []
+    regions = _scan_regions()  # one object per arrangement, so a state cache hit compares no forms
     # Saito's criterion: basis raises on a pair that fails it
     basis_count = 0
     basis_pool = [
-        lattice.LatticeRegion(corpus.arrangement("a2"), (2, 2, 2)),
-        lattice.LatticeRegion(corpus.arrangement("b2_lines"), (2, 2, 2, 2)),
+        lattice.LatticeRegion(regions[0].arrangement, (2, 2, 2)),
+        lattice.LatticeRegion(regions[1].arrangement, (2, 2, 2, 2)),
     ]
     for region in basis_pool:
         arr = region.arrangement
@@ -292,7 +293,7 @@ def criterion_property_suite():
             basis_count += 1
     # the connection lowers lower bases into the reduced module
     descent_count = 0
-    for region in _scan_regions():
+    for region in regions:
         arr = region.arrangement
         for m in region.points():
             if sum(m) == 0:
@@ -304,7 +305,7 @@ def criterion_property_suite():
             descent_count += 1
     # crossing pairs: both lower bases independent
     pair_count = 0
-    for region in _scan_regions()[1:]:
+    for region in regions[1:]:
         arr = region.arrangement
         h = arr.h
         for base in region.points():

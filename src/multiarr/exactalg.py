@@ -480,15 +480,15 @@ class BinaryForm:
     nonzero entry positive and ``content`` is an exact Fraction (0 for the
     zero form); over GF(p), ``ints`` are residues and ``content`` is 1.
     Each form has one such representation, so equality and hash read it
-    directly.  ``coeffs`` is the read-only tuple of field scalars, built on
-    first use.  The zero form may be declared at any degree.
+    directly.  ``coeffs`` is the tuple of field scalars, built from the ints
+    on each read.  The zero form may be declared at any degree.
 
     A form is a value at the library's boundary: what the library computes
     on forms and derivations it computes on the ints (see
     multiarr2.Derivation2), so a form has no arithmetic of its own.
     """
 
-    __slots__ = ("field", "degree", "ints", "content", "_coeffs")
+    __slots__ = ("field", "degree", "ints", "content")
 
     def __init__(self, field: Field, degree: int, coeffs: Sequence):
         if degree < 0:
@@ -499,37 +499,22 @@ class BinaryForm:
         self.field = field
         self.degree = degree
         self.ints, self.content = _normal(field, ints, 1, den)
-        self._coeffs = None
-
-    @classmethod
-    def _new(cls, field: Field, degree: int, ints: tuple, content) -> "BinaryForm":
-        """The form content * ints, which must already be in normal form."""
-        out = object.__new__(cls)
-        out.field = field
-        out.degree = degree
-        out.ints = ints
-        out.content = content
-        out._coeffs = None
-        return out
 
     @classmethod
     def from_ints(cls, field: Field, degree: int, ints: Sequence[int], num: int = 1, den: int = 1) -> "BinaryForm":
         """The form (num / den) * ints, for Python ints and den != 0 in the field."""
-        return cls._new(field, degree, *_normal(field, ints, num, den))
+        out = object.__new__(cls)
+        out.field, out.degree = field, degree
+        out.ints, out.content = _normal(field, ints, num, den)
+        return out
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients as field scalars; coeffs[i] belongs to x1^i * x2^(degree-i)."""
-        cs = self._coeffs
-        if cs is None:
-            p = self.field.char
-            if p:
-                cs = tuple(FpElement(x, p) for x in self.ints)
-            else:
-                c = self.content
-                cs = tuple(c * x for x in self.ints)
-            self._coeffs = cs
-        return cs
+        p = self.field.char
+        if p:
+            return tuple(FpElement(x, p) for x in self.ints)
+        return tuple(self.content * x for x in self.ints)
 
     def is_zero(self) -> bool:
         return not any(self.ints)

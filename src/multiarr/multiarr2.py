@@ -24,8 +24,8 @@ holds; the lower one alone when only it is asked for.  No tangency
 system is solved: ``exactalg.Matrix`` has no caller in the library, and
 is kept for the benchmark's tracer and as a test oracle.
 
-Everything is a pure function of immutable values; results are memoised,
-so repeated queries are cheap and thread-safe.
+Everything is a pure function of immutable values; the one memo is the
+bounded cache of the state a single query ends at (see :func:`_unit_state`).
 """
 
 from __future__ import annotations
@@ -119,12 +119,13 @@ class Derivation2:
     derivation has one such representation, so equality and hash read it.
     The connection, Saito's criterion and the output (see
     :meth:`coefficient_strings`) run on the ints, with no scalar per
-    coefficient; ``f`` and ``g`` are BinaryForms, built on first use.
+    coefficient; ``f`` and ``g`` are BinaryForms built from the ints on
+    each read, and ``__init__`` keeps no reference to the forms it is given.
     """
 
-    __slots__ = ("field", "degree", "ints", "content", "_forms")
-    f = property(lambda self: self._components()[0])
-    g = property(lambda self: self._components()[1])
+    __slots__ = ("field", "degree", "ints", "content")
+    f = property(lambda self: self._component(0))
+    g = property(lambda self: self._component(1))
 
     def __init__(self, f: BinaryForm, g: BinaryForm):
         if f.field != g.field:
@@ -133,11 +134,10 @@ class Derivation2:
             raise ValueError("components must have equal declared degree")
         (u, du), (v, dv) = (f.content.as_integer_ratio(), g.content.as_integer_ratio())
         self._set(f.field, f.degree, [u * dv * x for x in f.ints] + [v * du * y for y in g.ints], 1, du * dv)
-        self._forms = (f, g)
 
     def _set(self, field, degree: int, ints, num: int, den: int) -> None:
         ints, self.content = _normal(field, ints, num, den)
-        self.field, self.degree, self._forms = field, degree, None
+        self.field, self.degree = field, degree
         self.ints = (ints[: degree + 1], ints[degree + 1 :])
 
     @classmethod
@@ -147,11 +147,8 @@ class Derivation2:
         out._set(field, degree, (*f, *g), num, den)
         return out
 
-    def _components(self):
-        if self._forms is None:
-            ratio = self.content.as_integer_ratio()
-            self._forms = tuple(BinaryForm.from_ints(self.field, self.degree, v, *ratio) for v in self.ints)
-        return self._forms
+    def _component(self, i: int) -> BinaryForm:
+        return BinaryForm.from_ints(self.field, self.degree, self.ints[i], *self.content.as_integer_ratio())
 
     def is_zero(self) -> bool:
         return not (any(self.ints[0]) or any(self.ints[1]))
@@ -214,31 +211,26 @@ def exponents(arr: Arrangement2, m: Sequence[int]) -> Exponents2:
     A basis of D(arr, m) is built from the basis at m - e_j by one addition
     step (see :func:`_unit_step`), from the closed form on the first two
     lines on (see :func:`_walk`), so no tangency system is solved and
-    m takes Sum_{i>=2} m(H_i) steps.  The lattice verifiers call this only
-    for points their region table does not hold.
+    m takes Sum_{i>=2} m(H_i) steps (see :func:`_unit_state`).  The lattice
+    verifiers call this only for points their region table does not hold.
     """
-    return _exponents(arr, arr.check_multiplicity(m))
-
-
-@lru_cache(maxsize=None)
-def _exponents(arr: Arrangement2, m: Multiplicity) -> Exponents2:
-    """The degrees of the unit-step state at m; unlike the states, kept for good."""
-    d1, d2, _, _ = _unit_state(arr, m)
+    d1, d2, _, _ = _unit_state(arr, arr.check_multiplicity(m))
     return Exponents2(d1, d2)
 
 
-_STATE_CACHE = 4096  # unit-step states kept for single queries; region scans keep their own
 _BASE_STATE = (0, 0, ((1,), (0,)), ((0,), (1,)))  # D1 and D2, a basis at m = 0
 
 
-@lru_cache(maxsize=_STATE_CACHE)
+@lru_cache(maxsize=4096)  # states only, the one memo of single queries; region scans keep their own
 def _unit_state(arr: Arrangement2, m: Multiplicity):
     """(d1, d2, theta1, theta2): a basis of D(arr, m), each theta = (f, g).
 
     f and g are int coefficient vectors in BinaryForm order, primitive over
     Q and residues over GF(p).  It is the walk of the one point m, so a
     miss takes Sum_{i>=2} m(H_i) steps whatever was asked before.  Only
-    the state at m is cached, for the read-outs that follow a query.
+    the state at m is cached: exponents, lower_degree_basis and basis
+    read their answers off it on each call, so asking all three at m
+    walks once.
     """
     (state,) = _walk(arr, (m,))
     return state
@@ -534,19 +526,14 @@ def lower_degree_basis(arr: Arrangement2, m: Sequence[int]) -> Derivation2:
     """Canonical nonzero derivation of minimal degree d1.
 
     It is the first vector Matrix.kernel gives for the degree-d1 tangency
-    system, read off the unit-step state (see :func:`_canonical_basis`):
-    unique up to scalar for d1 < d2, a deterministic convention for d1 == d2.
+    system, read off the cached unit-step state with no work on theta2 (see
+    :func:`_canonical_basis`): unique up to scalar for d1 < d2, a
+    deterministic convention for d1 == d2.
     """
     mt = arr.check_multiplicity(m)
     if sum(mt) == 0:
         raise ValueError("|m| = 0: every constant derivation is tangent, no canonical choice")
-    return _lower_basis(arr, mt)
-
-
-@lru_cache(maxsize=_STATE_CACHE)
-def _lower_basis(arr: Arrangement2, m: Multiplicity) -> Derivation2:
-    """theta1 of :func:`_canonical_basis`, read off the unit-step state with no work on theta2."""
-    d1, _, lo, _ = _lower_state(arr.field.char, _unit_state(arr, m))
+    d1, _, lo, _ = _lower_state(arr.field.char, _unit_state(arr, mt))
     return _leading_one(arr.field, d1, lo)
 
 

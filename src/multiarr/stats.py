@@ -20,7 +20,9 @@ or in bulk after a loop, never inside the inner loop of a kernel:
   once: a walk stops at the first point an earlier walk holds.
 
 :func:`snapshot` adds the ``hits`` and ``misses`` of every ``lru_cache``
-of the loaded ``multiarr`` modules.  After :func:`reset` the numbers of a
+of the loaded ``multiarr`` modules, found by scanning them on each call:
+``exactalg.GF``, ``multiarr2._unit_state`` and ``lattice._region_table``
+(see README.md).  After :func:`reset` the numbers of a
 computation depend on nothing but its inputs, so a rerun, in this process
 or in another one, gives the same numbers.  The counters are exact in a
 single thread; under threads an update may be lost.  ``multiarr ...
@@ -48,26 +50,17 @@ counts = dict.fromkeys(
 )
 
 
-_module_caches: dict = {}  # module -> its (key, lru_cache) pairs; a module's caches are fixed at import
-
-
 def _caches() -> dict:
     """Every lru_cache defined in a loaded multiarr module, keyed by module.function (without multiarr.).
 
-    Only the names of the loaded modules are read on each call; the values
-    of a module are scanned once, the first time it is seen.
+    The values of every loaded module are scanned on each call; the CLI
+    calls reset and snapshot once per ``--stats`` command, not per query.
     """
     out = {}
     for name in sorted([name for name in sys.modules if name.startswith("multiarr.")]):
-        mod = sys.modules[name]
-        pairs = _module_caches.get(mod)
-        if pairs is None:
-            pairs = _module_caches[mod] = [
-                (f"{name.removeprefix('multiarr.')}.{fn.__name__}", fn)
-                for fn in vars(mod).values()
-                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name
-            ]
-        out.update(pairs)
+        for fn in vars(sys.modules[name]).values():
+            if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name:
+                out[f"{name.removeprefix('multiarr.')}.{fn.__name__}"] = fn
     return out
 
 

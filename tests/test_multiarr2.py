@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from multiarr.exactalg import (
     GF,
     QQ,
     BinaryForm,
+    FpElement,
     LinearForm2,
     Matrix,
     _constraint_row,
@@ -146,6 +148,36 @@ def test_derivation_proportional_scalar(field):
     assert theta.proportional_scalar(zero) is None
     assert theta.proportional_scalar(Derivation2.euler(field)) is None
     assert theta.proportional_scalar(Derivation2.coordinate(field, 0)) is None  # degree 0 against degree 1
+
+
+@st.composite
+def derivation_parts(draw):
+    """(field, degree, parts): two (ints, num, den) of forms (num / den) * ints; num may be 0, den is a unit."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(2**31 - 1)]))
+    degree = draw(st.integers(0, 5))
+    ints = st.lists(st.integers(-60, 60), min_size=degree + 1, max_size=degree + 1)
+    den = st.integers(1, 12).filter(lambda x: not field.char or x % field.char)
+    return field, degree, [draw(st.tuples(ints, st.integers(-12, 12), den)) for _ in range(2)]
+
+
+class TestBoundaryViews:
+    """The views .f, .g and .coeffs are rebuilt from the ints on each read, and equal what was given."""
+
+    @given(case=derivation_parts())
+    @example(case=(QQ, 2, [((0, 0, 0), 1, 1), ((6, -4, 2), 5, 3)]))  # a zero component beside a non-unit content
+    def test_views_equal_the_forms_given(self, case):
+        field, degree, parts = case
+        f, g = (BinaryForm.from_ints(field, degree, *part) for part in parts)
+        theta = Derivation2(f, g)
+        assert (theta.f, theta.g) == (f, g)
+        assert theta == Derivation2(theta.f, theta.g)
+        p = field.char
+        for form, (ints, num, den) in zip((f, g), parts):
+            if p:
+                want = tuple(FpElement(num * x * pow(den, -1, p), p) for x in ints)
+            else:
+                want = tuple(Fraction(num * x, den) for x in ints)
+            assert form.coeffs == want
 
 
 class TestBalanced:
@@ -622,6 +654,38 @@ class TestClosedFormAnchors:
                 elif is_balanced(arr, m):
                     assert sum(m) < 2 * p + h - 1, (arr.forms, m)
         assert least == 2 * p + 2
+
+
+REDUCTION_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1)
+PRIMITIVE_FORMS = tuple((a, b) for a in range(21) for b in range(-20, 21) if math.gcd(a, b) == 1 and (a or b == 1))
+
+
+class TestReductionModP:
+    def test_reduction_only_lowers_d1(self):
+        """Over GF(p), for p dividing no a_i*b_j - a_j*b_i, d1 is at most d1 over Q; at a gap <= 1 mod p both agree.
+
+        For each line a unimodular change of coordinates makes alpha the first one, and then alpha^k | theta(alpha)
+        says that k integer linear forms in theta's coefficients vanish.  So D(A, m)_d is the kernel of one integer
+        matrix over Q and over GF(p) alike, its rank can only drop mod p, and d1 can only drop.  A gap <= 1 mod p
+        puts d1 mod p at floor(|m| / 2), the most d1 can be, so d1 over Q is there too.  The p that make two lines
+        meet mod p are skipped, since the lines would not stay distinct.
+        """
+        rng = random.Random(11)
+        checked = settled = 0
+        while checked < 1000:
+            p = rng.choice(REDUCTION_PRIMES)
+            forms = rng.sample(PRIMITIVE_FORMS, rng.randint(2, min(6, p + 1)))
+            if any((a * d - b * c) % p == 0 for (a, b), (c, d) in itertools.combinations(forms, 2)):
+                continue
+            m = tuple(rng.randint(0, 6) for _ in forms)
+            over_q = exponents(Arrangement2(QQ, forms), m)
+            mod_p = exponents(Arrangement2(GF(p), forms), m)
+            assert mod_p.d1 <= over_q.d1, (p, forms, m)
+            if mod_p.delta <= 1:
+                assert mod_p == over_q, (p, forms, m)
+                settled += 1
+            checked += 1
+        assert settled >= 500
 
 
 def residue_by_row(alpha, k, d, theta) -> int:

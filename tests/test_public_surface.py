@@ -79,7 +79,6 @@ def test_benchmark_tracer_counts_exponents_ranks_and_constraint_rows():
     layer_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layer_trace)
     arr = multiarr2.Arrangement2(QQ, [(1, 0), (0, 1), (1, 1)])
-    multiarr2._exponents.cache_clear()
     multiarr2._unit_state.cache_clear()
     tracer = layer_trace.Tracer()
     tracer.install()
@@ -97,13 +96,13 @@ def test_benchmark_tracer_counts_exponents_ranks_and_constraint_rows():
 
 
 def test_multiarr2_memos_are_bounded_or_known():
-    """Every module-level memo in the package is bounded, but for two kept for good."""
+    """Every module-level memo in the package is bounded, but for GF's, kept for good."""
     unbounded = set()
     for info in pkgutil.iter_modules(multiarr.__path__):
         for v in vars(import_module(f"multiarr.{info.name}")).values():
             if hasattr(v, "cache_info") and v.cache_info().maxsize is None:
                 unbounded.add(f"{v.__module__}.{v.__qualname__}")
-    assert unbounded <= {"multiarr.exactalg.GF", "multiarr.multiarr2._exponents"}
+    assert unbounded <= {"multiarr.exactalg.GF"}
 
 
 def callers_of(*names) -> set:

@@ -114,7 +114,10 @@ class TestCli:
 
     @pytest.mark.parametrize("k, steps", [(16, 48), (32, 96)])
     def test_exp_steps_past_the_two_line_start(self, capsys, monkeypatch, tmp_path, k, steps):
-        """exp on five_lines at m = (k,)*5 steps through lines 3 to 5 only, and reads out no upper element."""
+        """exp on five_lines at m = (k,)*5 steps through lines 3 to 5 only, and reads out no upper element.
+
+        The exponents and the lower basis are read off one cached state: one miss, then one hit.
+        """
         doc = json.loads(Path(FIVE).read_text(encoding="utf-8"))
         for plane in doc["hyperplanes"]:
             plane["mult"] = k
@@ -127,7 +130,8 @@ class TestCli:
         monkeypatch.setattr(multiarr2, "_canonical_basis", no_upper_element)
         got = counted(capsys, "exp", str(path), "--json")
         assert got["multiarr2.unit_steps"] == steps == 3 * k
-        assert (got["cache.multiarr2._lower_basis.misses"], got["cache.multiarr2._unit_state.misses"]) == (1, 1)
+        assert (got["cache.multiarr2._unit_state.misses"], got["cache.multiarr2._unit_state.hits"]) == (1, 1)
+        assert not any(key.startswith("cache.multiarr2._lower_basis.") for key in got)
 
 
 def test_three_verifiers_in_one_session():
@@ -185,7 +189,7 @@ PINNED = [
 
 class TestModuleCaches:
     def test_remembered_caches_equal_a_full_scan(self):
-        """Once every module is imported, the caches remembered per module are those of a full scan, in order."""
+        """Once every module is imported, the caches that stats finds are those of a full scan, in order."""
         for info in pkgutil.iter_modules(multiarr.__path__, "multiarr."):
             importlib.import_module(info.name)
         assert list(stats._caches().items()) == list(oracles.module_caches().items())
